@@ -25,7 +25,6 @@ from .optics import (
     H_POL,
     IDEAL_DETECTOR,
     Jones,
-    OpticalPulse,
     PulseTrain,
     V_POL,
     attenuate,
@@ -57,15 +56,10 @@ from .stations import (
 from .channel import (
     BirefringenceMode,
     ChannelParams,
-    Direction,
     EveKind,
-    EveStrategy,
-    InterceptResendEve,
-    PassiveEve,
-    eve_backward_hook,
-    eve_forward_hook,
     fiber_transmit,
-    make_eve,
+    intercept_backward,
+    intercept_forward,
     random_unitary,
     round_unitary,
 )

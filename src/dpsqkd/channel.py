@@ -1,15 +1,17 @@
-"""Fiber channel and eavesdropper strategies.
+"""Fiber channel and the intercept-resend attack.
 
 The fiber applies loss plus one collective polarization unitary per round
-(slow birefringence drift: every pulse of a train sees the same transform).
-The backward leg applies the transpose of the forward unitary, the standard
-reciprocity rule; together with the mirror image at the far end this makes
-the round trip independent of the fiber settings up to a global phase.
+(slow birefringence drift: every pulse of a train sees the same transform,
+so it acts on the train's one Jones vector). The backward leg applies the
+transpose of the forward unitary, the standard reciprocity rule; together
+with the mirror image at the far end this makes the round trip independent
+of the fiber settings up to a global phase.
 
-The bundled eavesdropper replaces Bob's outgoing train with a train of
-identical per-slot energies but a single common phase, keeps the original,
-reads Alice's modulation off the reflected substitute, and resends the
-stored original re-encoded with what she learned.
+The eavesdropper is two pure functions, one per leg. On the way to Alice
+she replaces Bob's train with a substitute of identical per-slot energies
+but a single common phase; on the way back she reads Alice's modulation
+off the reflected substitute and resends Bob's stored original re-encoded
+with what she learned. The caller keeps both trains between the legs.
 """
 
 from __future__ import annotations
@@ -22,20 +24,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .optics import OpticalPulse, PulseTrain
+from .optics import PulseTrain, attenuate, jones_product
 from .phases import PHASE_0, PHASE_180, QuantizedPhase
-from .stations import ProtocolError, alice_encode
+from .stations import alice_encode
 
 
 class BirefringenceMode(Enum):
     NONE = "none"
     FIXED_UNITARY = "fixed_unitary"
     RANDOM_PER_TRAIN = "random_per_train"
-
-
-class Direction(Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -55,8 +52,12 @@ class ChannelParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.loss_db < 0:
-            raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
+        if not (math.isfinite(self.loss_db) and self.loss_db >= 0):
+            raise ValueError(f"loss_db must be finite and >= 0, got {self.loss_db}")
+        if self.transmittance == 0.0:
+            raise ValueError(f"loss_db must leave a nonzero transmittance, got {self.loss_db}")
+        if self.seed < 0:
+            raise ValueError(f"channel seed must be >= 0, got {self.seed}")
 
     @property
     def transmittance(self) -> float:
@@ -77,42 +78,21 @@ def round_unitary(params: ChannelParams, rng: np.random.Generator) -> np.ndarray
 
 
 def fiber_transmit(
-    train: PulseTrain,
-    params: ChannelParams,
-    direction: Direction,
-    rng: np.random.Generator,
-    unitary: np.ndarray | None = None,
+    train: PulseTrain, params: ChannelParams, unitary: np.ndarray | None = None
 ) -> PulseTrain:
-    """Propagate a train through the fiber in the given direction.
+    """Propagate a train through one leg of the fiber.
 
-    Amplitudes scale by sqrt(transmittance); polarizations transform by the
-    round's unitary (forward) or its transpose (backward, reciprocity).
-    Pass ``unitary`` explicitly when the two legs of one round must share
-    it; otherwise it is resolved from the params (and, in random-per-train
-    mode, drawn fresh from ``rng``).
+    Amplitudes scale by sqrt(transmittance) and the train's polarization by
+    ``unitary`` (None is the identity). The backward leg of a round passes
+    the transpose of the forward leg's unitary (reciprocity).
     """
-    if unitary is None:
-        unitary = round_unitary(params, rng)
     scale = math.sqrt(params.transmittance)
     if unitary is None and scale == 1.0:
         return train
-    if unitary is None:
-        out = {
-            k: OpticalPulse(p.amplitude * scale, p.polarization)
-            for k, p in train.slots.items()
-        }
-        return PulseTrain(out, train.slot_duration)
-    u = unitary if direction is Direction.FORWARD else unitary.T
-    u00, u01 = complex(u[0, 0]), complex(u[0, 1])
-    u10, u11 = complex(u[1, 0]), complex(u[1, 1])
-    out = {}
-    for k, p in train.slots.items():
-        p1, p2 = p.polarization
-        out[k] = OpticalPulse(
-            p.amplitude * scale,
-            (u00 * p1 + u01 * p2, u10 * p1 + u11 * p2),
-        )
-    return PulseTrain(out, train.slot_duration)
+    polarization = train.polarization
+    if unitary is not None:
+        polarization = jones_product(unitary, polarization)
+    return PulseTrain({k: a * scale for k, a in train.slots.items()}, polarization)
 
 
 class EveKind(Enum):
@@ -120,103 +100,42 @@ class EveKind(Enum):
     INTERCEPT_RESEND_REFERENCE = "intercept_resend_reference"
 
 
-class EveStrategy:
-    """Base strategy: identity on both legs, remembers nothing."""
+def intercept_forward(train: PulseTrain, substitute_phase: QuantizedPhase = PHASE_0) -> PulseTrain:
+    """Forward leg of the reference-pulse intercept-resend attack.
 
-    kind = EveKind.PASSIVE
-    last_inferred_phase: QuantizedPhase | None = None
-
-    def forward(self, train: PulseTrain, rng: np.random.Generator) -> PulseTrain:
-        return train
-
-    def backward(self, train: PulseTrain, rng: np.random.Generator) -> PulseTrain:
-        return train
-
-
-class PassiveEve(EveStrategy):
-    pass
-
-
-class InterceptResendEve(EveStrategy):
-    """Reference-pulse intercept-resend attack.
-
-    On the forward leg the outgoing train is stored and a substitute with
-    identical per-slot energies but one common phase is sent on. The kept
-    copy of the substitute is the phase reference: the reflected substitute
-    differs from it only by Alice's modulation, so her key phase is read off
-    the odd slots exactly. The stored original is then re-encoded with the
-    inferred phase, matched in energy to the reflected train, and resent, so
-    the legitimate readout sees nothing unusual.
-
-    State is per round: ``forward`` must run before ``backward``. Do not
-    share one instance across concurrently executing rounds.
+    Eve keeps Bob's train and sends on a substitute with identical per-slot
+    energies but one common phase. She keeps a copy of the substitute too:
+    it is her phase reference for :func:`intercept_backward`.
     """
-
-    kind = EveKind.INTERCEPT_RESEND_REFERENCE
-
-    def __init__(self, substitute_phase: QuantizedPhase = PHASE_0):
-        self.substitute_phase = substitute_phase
-        self.last_inferred_phase: QuantizedPhase | None = None
-        self._stored: PulseTrain | None = None
-        self._reference: dict[int, complex] | None = None
-
-    def forward(self, train: PulseTrain, rng: np.random.Generator) -> PulseTrain:
-        f = self.substitute_phase.factor
-        substitute = {}
-        for k, p in train.slots.items():
-            # abs() keeps the slot energy bit-for-bit equal, so the
-            # substitute passes Alice's energy monitor at zero tolerance
-            substitute[k] = OpticalPulse(abs(p.amplitude) * f, p.polarization)
-        self._stored = train
-        self._reference = {k: p.amplitude for k, p in substitute.items()}
-        self.last_inferred_phase = None
-        return PulseTrain(substitute, train.slot_duration)
-
-    def backward(self, train: PulseTrain, rng: np.random.Generator) -> PulseTrain:
-        if self._stored is None or self._reference is None:
-            raise ProtocolError("intercept-resend backward pass without a stored forward train")
-        stored, reference = self._stored, self._reference
-        self._stored = None
-        self._reference = None
-        if train.total_energy == 0.0:
-            return train
-        votes = [0, 0, 0, 0]
-        for k, sent in reference.items():
-            if k % 2 == 0 or sent == 0j:
-                continue
-            p = train.slots.get(k)
-            if p is None:
-                continue
-            # reflected slot = sent * (positive real) * exp(-i * modulation)
-            qt = round(-cmath.phase(p.amplitude / sent) / (math.pi / 2)) % 4
-            votes[qt] += 1
-        inferred = PHASE_0 if votes[0] >= votes[2] else PHASE_180
-        self.last_inferred_phase = inferred
-        resent = alice_encode(stored, inferred)
-        # match the energy Bob would see from an honest reflection
-        scale = math.sqrt(train.total_energy / resent.total_energy)
-        out = {
-            k: OpticalPulse(p.amplitude * scale, p.polarization)
-            for k, p in resent.slots.items()
-        }
-        return PulseTrain(out, train.slot_duration)
+    f = substitute_phase.factor
+    # abs() keeps the slot energy bit-for-bit equal, so the substitute
+    # passes Alice's energy monitor at zero tolerance
+    return PulseTrain({k: abs(a) * f for k, a in train.slots.items()}, train.polarization)
 
 
-def make_eve(kind: EveKind) -> EveStrategy:
-    if kind is EveKind.INTERCEPT_RESEND_REFERENCE:
-        return InterceptResendEve()
-    return PassiveEve()
+def intercept_backward(
+    reflected: PulseTrain, stored: PulseTrain, substitute: PulseTrain
+) -> tuple[PulseTrain, QuantizedPhase | None]:
+    """Backward leg: read Alice's key phase and resend Bob's stored train.
 
-
-def eve_forward_hook(
-    strategy: EveStrategy | None, train: PulseTrain, rng: np.random.Generator
-) -> PulseTrain:
-    """Bob -> Alice leg; an absent strategy is the identity."""
-    return train if strategy is None else strategy.forward(train, rng)
-
-
-def eve_backward_hook(
-    strategy: EveStrategy | None, train: PulseTrain, rng: np.random.Generator
-) -> PulseTrain:
-    """Alice -> Bob leg; an absent strategy is the identity."""
-    return train if strategy is None else strategy.backward(train, rng)
+    The reflected substitute differs from the kept ``substitute`` only by
+    Alice's modulation, so her key phase is read off the odd slots exactly.
+    The stored original is re-encoded with that phase and matched in energy
+    to the reflected train, so the legitimate readout sees nothing unusual.
+    Returns the resent train and the inferred phase, or the vacuum train and
+    None when nothing came back.
+    """
+    if reflected.total_energy == 0.0:
+        return reflected, None
+    votes = [0, 0, 0, 0]
+    for k, sent in substitute.slots.items():
+        if k % 2 == 0 or sent == 0j:
+            continue
+        a = reflected.slots.get(k)
+        if a is None:
+            continue
+        # reflected slot = sent * (positive real) * exp(-i * modulation)
+        qt = round(-cmath.phase(a / sent) / (math.pi / 2)) % 4
+        votes[qt] += 1
+    inferred = PHASE_0 if votes[0] >= votes[2] else PHASE_180
+    return attenuate(alice_encode(stored, inferred), reflected.total_energy), inferred

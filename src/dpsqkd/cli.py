@@ -83,13 +83,6 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _require_prob(key: str, value) -> float:
-    v = _require_number(key, value)
-    if not 0.0 <= v <= 1.0:
-        raise ConfigError(f"{key} must be in [0, 1], got {value}")
-    return v
-
-
 def _require_number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
@@ -102,60 +95,70 @@ def _require_positive_int(key: str, value) -> int:
     return value
 
 
+def _replace(obj, **changes):
+    """``dataclasses.replace``, reporting the dataclass's own range check
+    (whose message names the field) as a ConfigError."""
+    try:
+        return replace(obj, **changes)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
+_NUMBER_KEYS = (
+    "source_mean_photons",
+    "mean_photons_return",
+    "sample_prob",
+    "decoy_prob",
+    "energy_tolerance",
+    "disclose_fraction",
+    "max_check_error",
+    "max_qber",
+)
+
+
 def _build_session(overrides: dict, seed: int) -> SessionConfig:
-    cfg = SessionConfig(master_seed=seed)
-    detector = cfg.detector
-    channel = cfg.channel
+    """Type-check the JSON values; the dataclasses check their ranges."""
     simple: dict = {}
+    detector: dict = {}
+    channel: dict = {}
     for key, value in overrides.items():
         if key in ("n_stages", "rounds"):
             simple[key] = _require_positive_int(key, value)
-        elif key in ("source_mean_photons",):
-            v = _require_number(key, value)
-            if v <= 0:
-                raise ConfigError(f"{key} must be > 0, got {value}")
-            simple[key] = v
-        elif key in ("mean_photons_return", "energy_tolerance", "max_check_error", "max_qber"):
-            v = _require_number(key, value)
-            if v < 0:
-                raise ConfigError(f"{key} must be >= 0, got {value}")
-            simple[key] = v
-        elif key in ("sample_prob", "decoy_prob", "disclose_fraction"):
-            simple[key] = _require_prob(key, value)
-        elif key == "quantum_efficiency":
-            detector = replace(detector, quantum_efficiency=_require_prob(key, value))
-        elif key == "dark_count_prob":
-            detector = replace(detector, dark_count_prob=_require_prob(key, value))
+        elif key in _NUMBER_KEYS:
+            simple[key] = _require_number(key, value)
+        elif key in ("quantum_efficiency", "dark_count_prob"):
+            detector[key] = _require_number(key, value)
         elif key == "double_click_policy":
             try:
-                policy = DoubleClickPolicy(value)
+                detector[key] = DoubleClickPolicy(value)
             except ValueError:
                 raise ConfigError(
                     f"double_click_policy must be one of "
                     f"{[p.value for p in DoubleClickPolicy]}, got {value!r}"
                 ) from None
-            detector = replace(detector, double_click_policy=policy)
         elif key == "loss_db":
-            v = _require_number(key, value)
-            if v < 0:
-                raise ConfigError(f"loss_db must be >= 0, got {value}")
-            channel = replace(channel, loss_db=v)
+            channel[key] = _require_number(key, value)
         elif key == "birefringence_mode":
             try:
-                mode = BirefringenceMode(value)
+                channel[key] = BirefringenceMode(value)
             except ValueError:
                 raise ConfigError(
                     f"birefringence_mode must be one of "
                     f"{[m.value for m in BirefringenceMode]}, got {value!r}"
                 ) from None
-            channel = replace(channel, birefringence_mode=mode)
         elif key == "channel_seed":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"channel_seed must be an integer, got {value!r}")
-            channel = replace(channel, seed=value)
+            channel["seed"] = value
         else:
             raise ConfigError(f"unknown config key: {key}")
-    return replace(cfg, detector=detector, channel=channel, **simple)
+    cfg = _replace(SessionConfig(), master_seed=seed)
+    return _replace(
+        cfg,
+        detector=_replace(cfg.detector, **detector),
+        channel=_replace(cfg.channel, **channel),
+        **simple,
+    )
 
 
 def parse_config(path) -> list[ExperimentSpec]:
@@ -205,6 +208,8 @@ def parse_config(path) -> list[ExperimentSpec]:
         elif "stages" in overrides:
             raise ConfigError("unknown config key: stages (only efficiency_scan takes it)")
         base = _build_session({**defaults, **overrides}, seed)
+        for n in stages:
+            _replace(base, n_stages=n)
         specs.append(ExperimentSpec(name=name, base=base, stages=stages))
     return specs
 
@@ -472,11 +477,9 @@ def main(argv=None) -> int:
     try:
         specs = parse_config(args.config)
         if args.seed is not None:
-            specs = [replace(s, base=replace(s.base, master_seed=args.seed)) for s in specs]
+            specs = [replace(s, base=_replace(s.base, master_seed=args.seed)) for s in specs]
         if args.rounds is not None:
-            if args.rounds < 1:
-                raise ConfigError(f"rounds must be a positive integer, got {args.rounds}")
-            specs = [replace(s, base=replace(s.base, rounds=args.rounds)) for s in specs]
+            specs = [replace(s, base=_replace(s.base, rounds=args.rounds)) for s in specs]
         if args.experiment is not None:
             if args.experiment not in EXPERIMENT_NAMES:
                 raise ConfigError(f"unknown experiment name: {args.experiment!r}")

@@ -1,10 +1,12 @@
 """Field-level optical primitives.
 
-Pulses are classical complex field amplitudes occupying discrete time slots,
-with a Jones vector carrying the polarization state. Couplers, delay-line
-interferometers, phase modulators, attenuators and the Faraday mirror are
-pure functions on immutable pulse trains; photon detection is the only
-stochastic operation and takes an explicit RNG.
+A pulse train maps time slots to classical complex field amplitudes and
+carries one Jones vector for the whole train: every pulse of a train sees
+the same fiber unitary (collective birefringence), so the pulses never
+differ in polarization. Couplers, delay-line interferometers, phase
+modulators, attenuators and the Faraday mirror are pure functions on
+immutable pulse trains; photon detection is the only stochastic operation
+and takes an explicit RNG.
 
 Conventions fixed here (and relied on by the goldens in the test suite):
 
@@ -36,21 +38,6 @@ H_POL: Jones = (1 + 0j, 0j)
 V_POL: Jones = (0j, 1 + 0j)
 
 
-class OpticalPulse(NamedTuple):
-    """One time slot's field: complex amplitude plus unit Jones vector.
-
-    The squared amplitude magnitude is the slot's mean photon number; the
-    polarization vector is kept at unit norm so it carries no intensity.
-    """
-
-    amplitude: complex
-    polarization: Jones = H_POL
-
-    @property
-    def energy(self) -> float:
-        return abs(self.amplitude) ** 2
-
-
 def unit_jones(p1: complex, p2: complex) -> Jones:
     """Normalize a Jones vector; rejects the zero vector."""
     norm = math.sqrt(abs(p1) ** 2 + abs(p2) ** 2)
@@ -59,52 +46,50 @@ def unit_jones(p1: complex, p2: complex) -> Jones:
     return (p1 / norm, p2 / norm)
 
 
+def jones_product(matrix: np.ndarray, polarization: Jones) -> Jones:
+    """The 2x2 matrix times the Jones vector, unchecked."""
+    (u00, u01), (u10, u11) = matrix.tolist()
+    p1, p2 = polarization
+    return (u00 * p1 + u01 * p2, u10 * p1 + u11 * p2)
+
+
 @dataclass(frozen=True)
 class PulseTrain:
-    """Sparse train: map from non-negative slot index to pulse.
+    """Sparse train: map from non-negative slot index to complex amplitude,
+    plus the one unit Jones vector all its pulses share.
 
-    An absent index means vacuum. ``slot_duration`` is carried as metadata
-    only; all delays are expressed in integer slot counts.
+    An absent index means vacuum. The squared amplitude magnitude is the
+    slot's mean photon number; the polarization carries no intensity.
     """
 
-    slots: dict[int, OpticalPulse]
-    slot_duration: float = 1.0
+    slots: dict[int, complex]
+    polarization: Jones = H_POL
 
     @classmethod
     def from_amplitudes(
-        cls,
-        amplitudes: Mapping[int, complex],
-        polarization: Jones = H_POL,
-        slot_duration: float = 1.0,
+        cls, amplitudes: Mapping[int, complex], polarization: Jones = H_POL
     ) -> "PulseTrain":
-        pulses = {}
+        slots = {}
         for k, a in amplitudes.items():
             if not isinstance(k, int) or k < 0:
                 raise ValueError(f"slot index must be a non-negative integer, got {k!r}")
-            pulses[k] = OpticalPulse(complex(a), polarization)
-        return cls(pulses, slot_duration)
+            slots[k] = complex(a)
+        return cls(slots, polarization)
 
     @classmethod
-    def single(
-        cls,
-        slot: int,
-        amplitude: complex,
-        polarization: Jones = H_POL,
-        slot_duration: float = 1.0,
-    ) -> "PulseTrain":
-        return cls.from_amplitudes({slot: amplitude}, polarization, slot_duration)
+    def single(cls, slot: int, amplitude: complex, polarization: Jones = H_POL) -> "PulseTrain":
+        return cls.from_amplitudes({slot: amplitude}, polarization)
 
     @classmethod
-    def vacuum(cls, slot_duration: float = 1.0) -> "PulseTrain":
-        return cls({}, slot_duration)
+    def vacuum(cls) -> "PulseTrain":
+        return cls({})
 
     @cached_property
     def total_energy(self) -> float:
-        return sum(abs(p.amplitude) ** 2 for p in self.slots.values())
+        return sum(abs(a) ** 2 for a in self.slots.values())
 
     def amplitude(self, slot: int) -> complex:
-        p = self.slots.get(slot)
-        return p.amplitude if p is not None else 0j
+        return self.slots.get(slot, 0j)
 
     def occupied_slots(self) -> tuple[int, ...]:
         return tuple(sorted(self.slots))
@@ -170,42 +155,20 @@ def mzi_pass(
     get = slots.get
     keys = set(slots)
     keys.update(k + delay_slots for k in slots)
-    out1: dict[int, OpticalPulse] = {}
-    out2: dict[int, OpticalPulse] = {}
+    out1: dict[int, complex] = {}
+    out2: dict[int, complex] = {}
     for k in keys:
         short = get(k)
         long = get(k - delay_slots)
-        if short is not None:
-            s = short.amplitude * _INV_SQRT2
-            pol = short.polarization
-            if long is not None:
-                # Interfering pulses must share a polarization state; the
-                # collective-noise assumption (one channel unitary per
-                # train) guarantees this for every train the protocol makes.
-                pl = long.polarization
-                if pol != pl and (
-                    abs(pol[0] - pl[0]) > 1e-9 or abs(pol[1] - pl[1]) > 1e-9
-                ):
-                    raise ValueError(
-                        "interfering pulses carry different polarization states"
-                    )
-                l = f * (1j * long.amplitude * _INV_SQRT2)
-            else:
-                l = 0j
-        else:
-            s = 0j
-            pol = long.polarization  # type: ignore[union-attr]
-            l = f * (1j * long.amplitude * _INV_SQRT2)  # type: ignore[union-attr]
+        s = short * _INV_SQRT2 if short is not None else 0j
+        l = f * (1j * long * _INV_SQRT2) if long is not None else 0j
         o1 = (s + 1j * l) * _INV_SQRT2
         o2 = (1j * s + l) * _INV_SQRT2
         if o1 != 0j:
-            out1[k] = OpticalPulse(o1, pol)
+            out1[k] = o1
         if o2 != 0j:
-            out2[k] = OpticalPulse(o2, pol)
-    return (
-        PulseTrain(out1, train.slot_duration),
-        PulseTrain(out2, train.slot_duration),
-    )
+            out2[k] = o2
+    return PulseTrain(out1, train.polarization), PulseTrain(out2, train.polarization)
 
 
 def phase_modulate(
@@ -217,11 +180,8 @@ def phase_modulate(
     f = phase.factor
     if f == 1 + 0j:
         return train
-    out = {
-        k: OpticalPulse(p.amplitude * f, p.polarization) if selector(k) else p
-        for k, p in train.slots.items()
-    }
-    return PulseTrain(out, train.slot_duration)
+    out = {k: a * f if selector(k) else a for k, a in train.slots.items()}
+    return PulseTrain(out, train.polarization)
 
 
 def attenuate(train: PulseTrain, target_mean_photons: float) -> PulseTrain:
@@ -229,13 +189,12 @@ def attenuate(train: PulseTrain, target_mean_photons: float) -> PulseTrain:
     if target_mean_photons < 0:
         raise ValueError(f"target_mean_photons must be >= 0, got {target_mean_photons}")
     if target_mean_photons == 0.0:
-        return PulseTrain({}, train.slot_duration)
+        return PulseTrain({}, train.polarization)
     energy = train.total_energy
     if energy == 0.0:
         raise ValueError("cannot rescale a vacuum train to positive energy")
     scale = math.sqrt(target_mean_photons / energy)
-    out = {k: OpticalPulse(p.amplitude * scale, p.polarization) for k, p in train.slots.items()}
-    return PulseTrain(out, train.slot_duration)
+    return PulseTrain({k: a * scale for k, a in train.slots.items()}, train.polarization)
 
 
 def _check_unitary(transform: np.ndarray) -> np.ndarray:
@@ -248,15 +207,9 @@ def _check_unitary(transform: np.ndarray) -> np.ndarray:
 
 
 def jones_apply(train: PulseTrain, transform: np.ndarray) -> PulseTrain:
-    """Apply a unitary Jones matrix to every pulse's polarization."""
+    """Apply a unitary Jones matrix to the train's polarization."""
     u = _check_unitary(transform)
-    u00, u01 = complex(u[0, 0]), complex(u[0, 1])
-    u10, u11 = complex(u[1, 0]), complex(u[1, 1])
-    out = {}
-    for k, p in train.slots.items():
-        p1, p2 = p.polarization
-        out[k] = OpticalPulse(p.amplitude, (u00 * p1 + u01 * p2, u10 * p1 + u11 * p2))
-    return PulseTrain(out, train.slot_duration)
+    return PulseTrain(train.slots, jones_product(u, train.polarization))
 
 
 def faraday_reflect(train: PulseTrain) -> PulseTrain:
@@ -267,11 +220,8 @@ def faraday_reflect(train: PulseTrain) -> PulseTrain:
     U transposed backward) lands on the same polarization for every U, up
     to the global phase det(U). Amplitudes are untouched.
     """
-    out = {}
-    for k, p in train.slots.items():
-        p1, p2 = p.polarization
-        out[k] = OpticalPulse(p.amplitude, (p2, -p1))
-    return PulseTrain(out, train.slot_duration)
+    p1, p2 = train.polarization
+    return PulseTrain(train.slots, (p2, -p1))
 
 
 def detect(
@@ -305,8 +255,8 @@ def detect(
             continue
         draws = rng.random(len(candidates))
         for k, u in zip(candidates, draws):
-            pulse = slots.get(k)
-            p_signal = -expm1(-eta * abs(pulse.amplitude) ** 2) if pulse is not None else 0.0
+            a = slots.get(k)
+            p_signal = -expm1(-eta * abs(a) ** 2) if a is not None else 0.0
             p = p_signal + dark - p_signal * dark
             if u < p:
                 clicks.append(ClickEvent(detector, k))

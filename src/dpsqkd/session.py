@@ -1,9 +1,10 @@
 """Round orchestration, sifting, and session statistics.
 
 One laser pulse per round. A round runs: prepare -> eavesdropper forward
-hook -> fiber -> Alice (energy monitor, optional whole-train check,
+leg -> fiber -> Alice (energy monitor, optional whole-train check,
 attenuation, key/decoy encoding, Faraday mirror) -> fiber -> eavesdropper
-backward hook -> readout interferometer -> detectors.
+backward leg -> readout interferometer -> detectors. The eavesdropper, if
+the config names one, is the intercept-resend attack of ``channel``.
 
 Every round owns an RNG stream derived from (master seed, round index), so
 serial and parallel execution produce identical records, and two sessions
@@ -13,20 +14,19 @@ with the same config are bit-identical.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .channel import (
     ChannelParams,
-    Direction,
     EveKind,
-    EveStrategy,
-    eve_backward_hook,
-    eve_forward_hook,
     fiber_transmit,
-    make_eve,
+    intercept_backward,
+    intercept_forward,
     round_unitary,
 )
 from .optics import (
@@ -61,6 +61,17 @@ _CHECK_TO_DETECTOR = {CheckOutcome.D3: Detector.D3, CheckOutcome.D4: Detector.D4
 _ROUND_STREAM = 1
 _STATS_STREAM = 2
 
+_REAL_FIELDS = (
+    "source_mean_photons",
+    "mean_photons_return",
+    "sample_prob",
+    "decoy_prob",
+    "energy_tolerance",
+    "disclose_fraction",
+    "max_check_error",
+    "max_qber",
+)
+
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -84,14 +95,41 @@ class SessionConfig:
             raise ValueError(f"n_stages must be >= 1, got {self.n_stages}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        for name in _REAL_FIELDS:
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.source_mean_photons <= 0:
             raise ValueError(f"source_mean_photons must be > 0, got {self.source_mean_photons}")
-        if self.mean_photons_return < 0:
-            raise ValueError(f"mean_photons_return must be >= 0, got {self.mean_photons_return}")
-        for name in ("sample_prob", "decoy_prob", "disclose_fraction"):
+        for name in ("mean_photons_return", "energy_tolerance", "max_check_error", "max_qber"):
+            v = getattr(self, name)
+            if v < 0:
+                raise ValueError(f"{name} must be >= 0, got {v}")
+        for name in ("sample_prob", "decoy_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
+        if not 0.0 < self.disclose_fraction <= 1.0:
+            raise ValueError(f"disclose_fraction must be in (0, 1], got {self.disclose_fraction}")
+        # the energy per slot reaching Alice must stay a normal float, or her
+        # energy monitor and attenuator would see an empty train
+        arriving = self.source_mean_photons * self.channel.transmittance
+        per_slot = math.ldexp(arriving, -2 * self.n_stages)
+        if per_slot < sys.float_info.min:
+            raise ValueError(
+                f"source_mean_photons * transmittance / 4**n_stages underflows to {per_slot}"
+                f" (loss_db {self.channel.loss_db}, n_stages {self.n_stages})"
+            )
+
+    @cached_property
+    def bob_stations(self) -> tuple[tuple[CascadeConfig, PulseTrain], ...]:
+        """Bob's cascade and prepared train for each of his phases, indexed by
+        quarter turns. Trains are immutable, so every round shares them."""
+        source = complex(math.sqrt(self.source_mean_photons))
+        cascades = [CascadeConfig(self.n_stages, phase) for phase in QUATERNARY]
+        return tuple((cascade, bob_prepare(cascade, source)) for cascade in cascades)
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,20 +169,13 @@ def _stats_rng(master_seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def run_round(
-    config: SessionConfig,
-    round_index: int,
-    eve: EveStrategy | None,
-    rng: np.random.Generator,
-    prepared_cache: dict[int, PulseTrain] | None = None,
-) -> RoundRecord:
+def run_round(config: SessionConfig, round_index: int, rng: np.random.Generator) -> RoundRecord:
     """Execute one full protocol round and return its record.
 
     Draw order is fixed (Alice key phase, Bob phase, check phase, decoy
     phase, then channel/sampling/detection as encountered) so that records
-    are reproducible for a given stream. ``prepared_cache`` may be shared
-    across rounds of one session: the prepared train depends only on Bob's
-    phase, and trains are immutable.
+    are reproducible for a given stream. The round depends on nothing but
+    its arguments, so a round run alone equals the same round in a session.
     """
     ua, ub, uc, ud = rng.random(4)
     phase_a = KEY_PHASES[int(ua * 2)]
@@ -152,19 +183,12 @@ def run_round(
     check_phase = CHECK_PHASES[int(uc * 2)]
     decoy_phase = CHECK_PHASES[int(ud * 2)]
 
-    cascade = CascadeConfig(config.n_stages, phase_b)
+    cascade, prepared = config.bob_stations[phase_b.quarter_turns]
     unitary = round_unitary(config.channel, rng)
 
-    qt = phase_b.quarter_turns
-    if prepared_cache is not None and qt in prepared_cache:
-        prepared = prepared_cache[qt]
-    else:
-        prepared = bob_prepare(cascade, complex(math.sqrt(config.source_mean_photons)))
-        if prepared_cache is not None:
-            prepared_cache[qt] = prepared
-
-    train = eve_forward_hook(eve, prepared, rng)
-    train = fiber_transmit(train, config.channel, Direction.FORWARD, rng, unitary=unitary)
+    attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
+    sent = intercept_forward(prepared) if attack else prepared
+    train = fiber_transmit(sent, config.channel, unitary)
 
     expected = (
         config.source_mean_photons / cascade.train_slots * config.channel.transmittance
@@ -209,8 +233,10 @@ def run_round(
         train, phase_a, config.decoy_prob, decoy_phase, rng
     )
     train = faraday_reflect(train)
-    train = fiber_transmit(train, config.channel, Direction.BACKWARD, rng, unitary=unitary)
-    train = eve_backward_hook(eve, train, rng)
+    train = fiber_transmit(train, config.channel, None if unitary is None else unitary.T)
+    eve_phase = None
+    if attack:
+        train, eve_phase = intercept_backward(train, prepared, sent)
 
     d1, d2 = bob_measure(train, cascade)
     clicks = detect([(Detector.D1, d1), (Detector.D2, d2)], config.detector, rng)
@@ -242,7 +268,7 @@ def run_round(
         bit=bit,
         decoy_positions=decoy_positions,
         decoy_hit=decoy_hit,
-        eve_phase=eve.last_inferred_phase if eve is not None else None,
+        eve_phase=eve_phase,
     )
 
 
@@ -422,11 +448,8 @@ class SessionResult:
 
 def run_session(config: SessionConfig) -> SessionResult:
     """Run all rounds serially with per-round streams and aggregate."""
-    eve = make_eve(config.eve_kind)
-    prepared_cache: dict[int, PulseTrain] = {}
     records = tuple(
-        run_round(config, i, eve, round_rng(config.master_seed, i), prepared_cache)
-        for i in range(config.rounds)
+        run_round(config, i, round_rng(config.master_seed, i)) for i in range(config.rounds)
     )
     return SessionResult(config, records, session_stats(records, config))
 

@@ -174,7 +174,7 @@ def alice_sample_and_check(
         return False, [], train
     d4, d3 = mzi_pass(train, 1, check_phase)
     clicks = detect([(Detector.D3, d3), (Detector.D4, d4)], detector_params, rng)
-    return True, clicks, PulseTrain.vacuum(train.slot_duration)
+    return True, clicks, PulseTrain.vacuum()
 
 
 def check_expected_outcome(

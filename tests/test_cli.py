@@ -47,6 +47,40 @@ def test_out_of_range_probability_is_named(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("disclose_fraction", 0.0),
+        ("mean_photons_return", float("nan")),
+        ("loss_db", 4000),
+        ("energy_tolerance", -0.5),
+    ],
+)
+def test_out_of_range_session_value_is_named(tmp_path, key, value):
+    # the range rules live in the dataclasses; the CLI reports their error
+    path = write_config(tmp_path, {"experiments": [{"name": "baseline", key: value}]})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(path)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("disclose_fraction", 0.0), ("mean_photons_return", float("nan")), ("loss_db", 4000)],
+)
+def test_main_out_of_range_value_exits_2(tmp_path, capsys, key, value):
+    doc = {"defaults": {"rounds": 20}, "experiments": [{"name": "baseline", key: value}]}
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_efficiency_scan_stage_out_of_range_is_named(tmp_path):
+    doc = {"experiments": [{"name": "efficiency_scan", "stages": [3, 600]}]}
+    with pytest.raises(ConfigError, match="n_stages"):
+        parse_config(write_config(tmp_path, doc))
+
+
 def test_unknown_experiment_rejected(tmp_path):
     path = write_config(tmp_path, {"experiments": ["qber_scan"]})
     with pytest.raises(ConfigError, match="qber_scan"):

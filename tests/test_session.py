@@ -55,7 +55,7 @@ def test_round_with_zero_phases_clicks_d1_inner_and_reads_bit0():
     )
     saw_bit = False
     for i in range(100):
-        rec = run_round(cfg, i, None, ScriptedRng(i, FORCE_A0_B0))
+        rec = run_round(cfg, i, ScriptedRng(i, FORCE_A0_B0))
         for c in rec.clicks:
             if 2 <= c.slot <= 8:
                 assert c.detector is Detector.D1  # deterministic interference
@@ -67,7 +67,7 @@ def test_round_with_zero_phases_clicks_d1_inner_and_reads_bit0():
 
 def test_sampled_round_contributes_check_data_not_key():
     cfg = SessionConfig(rounds=1, sample_prob=1.0, master_seed=5)
-    rec = run_round(cfg, 0, None, round_rng(5, 0))
+    rec = run_round(cfg, 0, round_rng(5, 0))
     assert rec.sampled
     assert rec.bit is None
     assert rec.clicks == ()
@@ -78,7 +78,7 @@ def test_sampled_round_contributes_check_data_not_key():
 
 def test_vacuum_return_round_records_no_detection():
     cfg = SessionConfig(rounds=1, mean_photons_return=0.0, sample_prob=0.0, master_seed=1)
-    rec = run_round(cfg, 0, None, round_rng(1, 0))
+    rec = run_round(cfg, 0, round_rng(1, 0))
     assert rec.clicks == ()
     assert rec.bit is None
 
@@ -87,13 +87,13 @@ def test_multi_click_policy_discard_vs_pick():
     # huge return energy forces several clicks per round
     base = dict(rounds=1, mean_photons_return=40.0, sample_prob=0.0, master_seed=9)
     discard = SessionConfig(**base)
-    rec = run_round(discard, 0, None, round_rng(9, 0))
+    rec = run_round(discard, 0, round_rng(9, 0))
     assert rec.multi_click and rec.bit is None
     pick = SessionConfig(
         **base,
         detector=DetectorParams(double_click_policy=DoubleClickPolicy.RANDOM_PICK),
     )
-    rec = run_round(pick, 0, None, round_rng(9, 0))
+    rec = run_round(pick, 0, round_rng(9, 0))
     assert rec.multi_click and rec.bit is not None
 
 
@@ -207,14 +207,37 @@ def test_reproducibility_same_seed_same_stats():
     assert c.stats != a.stats
 
 
-def test_rounds_are_order_independent():
-    # each round owns a stream keyed by (seed, index), so executing rounds
-    # in any order or in isolation reproduces the session's records
-    cfg = SessionConfig(rounds=40, mean_photons_return=0.5, master_seed=13)
+def _assert_rounds_order_independent(cfg):
+    # each round owns a stream keyed by (seed, index) and depends on nothing
+    # else, so executing rounds in any order or in isolation reproduces the
+    # session's records
     session_records = run_session(cfg).records
     for i in (39, 7, 0, 22):
-        solo = run_round(cfg, i, None, round_rng(cfg.master_seed, i))
+        solo = run_round(cfg, i, round_rng(cfg.master_seed, i))
         assert solo == session_records[i]
+    return session_records
+
+
+def test_rounds_are_order_independent():
+    _assert_rounds_order_independent(
+        SessionConfig(rounds=40, mean_photons_return=0.5, master_seed=13)
+    )
+
+
+def test_rounds_are_order_independent_under_attack():
+    # the eavesdropper reads the config, so a round run alone is attacked
+    # exactly as it is inside its session
+    cfg = SessionConfig(
+        rounds=40,
+        mean_photons_return=0.5,
+        decoy_prob=0.3,
+        eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
+        channel=ChannelParams(loss_db=2.0, birefringence_mode=BirefringenceMode.RANDOM_PER_TRAIN),
+        detector=DetectorParams(dark_count_prob=0.02),
+        master_seed=14,
+    )
+    records = _assert_rounds_order_independent(cfg)
+    assert any(r.eve_phase is not None for r in records)
 
 
 def test_efficiency_converges_at_moderate_scale():
@@ -334,3 +357,40 @@ def test_session_config_validation():
         SessionConfig(n_stages=0)
     with pytest.raises(ValueError):
         SessionConfig(mean_photons_return=-0.5)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("disclose_fraction", 0.0),
+        ("disclose_fraction", 1.5),
+        ("mean_photons_return", math.nan),
+        ("source_mean_photons", math.nan),
+        ("source_mean_photons", math.inf),
+        ("energy_tolerance", math.nan),
+        ("max_qber", math.nan),
+        ("max_check_error", math.inf),
+        ("energy_tolerance", -0.1),
+        ("max_check_error", -0.1),
+        ("max_qber", -0.1),
+        ("master_seed", -1),
+    ],
+)
+def test_session_config_rejects_bad_input(field, value):
+    # each of these was accepted and then failed or misbehaved inside the
+    # session: a NaN threshold silently disables its alarm (nan > x is False)
+    with pytest.raises(ValueError, match=field):
+        SessionConfig(**{field: value})
+
+
+@pytest.mark.parametrize("loss_db,n_stages", [(3200.0, 3), (100.0, 600)])
+def test_session_config_rejects_underflowing_arrival_energy(loss_db, n_stages):
+    # a positive transmittance can still leave a per-slot energy at Alice that
+    # underflows, which her energy monitor and attenuator cannot handle
+    with pytest.raises(ValueError, match="underflows"):
+        SessionConfig(n_stages=n_stages, channel=ChannelParams(loss_db=loss_db))
+
+
+def test_session_config_accepts_lossy_but_representable_link():
+    cfg = SessionConfig(rounds=3, mean_photons_return=0.5, channel=ChannelParams(loss_db=3000.0))
+    assert run_session(cfg).stats.rounds == 3
