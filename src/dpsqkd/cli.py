@@ -50,16 +50,6 @@ from .session import (
 )
 from .stations import CascadeConfig, Detector, alice_encode, bob_measure, bob_prepare
 
-EXPERIMENT_NAMES = (
-    "baseline",
-    "efficiency_scan",
-    "attack_demo",
-    "birefringence_sweep",
-    "truth_table",
-)
-_NAME_CODE = {name: i for i, name in enumerate(EXPERIMENT_NAMES)}
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad key."""
 
@@ -393,6 +383,8 @@ def _run_truth_table(spec: ExperimentSpec) -> ResultTable:
     return ResultTable("truth_table", columns, tuple(rows))
 
 
+#: The experiments by name. Their order is part of every output file: an
+#: experiment's position is its code in ``derive_seed``.
 _RUNNERS = {
     "baseline": _run_baseline,
     "efficiency_scan": _run_efficiency_scan,
@@ -400,6 +392,8 @@ _RUNNERS = {
     "birefringence_sweep": _run_birefringence_sweep,
     "truth_table": _run_truth_table,
 }
+EXPERIMENT_NAMES = tuple(_RUNNERS)
+_NAME_CODE = {name: i for i, name in enumerate(EXPERIMENT_NAMES)}
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:

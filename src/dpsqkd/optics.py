@@ -5,8 +5,12 @@ carries one Jones vector for the whole train: every pulse of a train sees
 the same fiber unitary (collective birefringence), so the pulses never
 differ in polarization. Couplers, delay-line interferometers, phase
 modulators, attenuators and the Faraday mirror are pure functions on
-immutable pulse trains; photon detection is the only stochastic operation
-and takes an explicit RNG.
+immutable pulse trains. Photon detection comes in two halves: the pure
+``click_table`` turns output trains into per-slot click probabilities, and
+``sample_clicks``, the only stochastic operation, draws clicks from such a
+table with an explicit RNG. A table depends on amplitudes alone, so a
+caller that meets the same trains again can build it once and sample it
+many times.
 
 Conventions fixed here (and relied on by the goldens in the test suite):
 
@@ -224,22 +228,26 @@ def faraday_reflect(train: PulseTrain) -> PulseTrain:
     return PulseTrain(train.slots, (p2, -p1))
 
 
-def detect(
-    branches: Iterable[tuple[Hashable, PulseTrain]],
-    params: DetectorParams,
-    rng: np.random.Generator,
-) -> list[ClickEvent]:
-    """Sample threshold-detector clicks for each (detector, train) branch.
+#: Per-branch detection table: (detector, gated slots, click probability
+#: per slot), one entry for every branch whose gated window is non-empty.
+ClickTable = tuple[tuple[Hashable, tuple[int, ...], tuple[float, ...]], ...]
 
-    Per occupied slot the click probability is 1 - exp(-eta * |amplitude|^2);
-    dark counts are independent Bernoulli draws over the gated window (every
-    occupied slot and its immediate neighbours). A slot with exactly zero
-    amplitude and zero dark probability never clicks.
+
+def click_table(
+    branches: Iterable[tuple[Hashable, PulseTrain]], params: DetectorParams
+) -> ClickTable:
+    """Click probability of every gated slot of each (detector, train) branch.
+
+    Per occupied slot the probability is 1 - exp(-eta * |amplitude|^2);
+    dark counts add independently over the gated window (every occupied
+    slot and its immediate neighbours). A slot with exactly zero amplitude
+    and zero dark probability has probability 0. Branches with an empty
+    window are left out.
     """
     eta = params.quantum_efficiency
     dark = params.dark_count_prob
     expm1 = math.expm1
-    clicks: list[ClickEvent] = []
+    table = []
     for detector, train in branches:
         slots = train.slots
         if dark > 0.0:
@@ -253,11 +261,38 @@ def detect(
             candidates = sorted(slots)
         if not candidates:
             continue
-        draws = rng.random(len(candidates))
-        for k, u in zip(candidates, draws):
+        probs = []
+        for k in candidates:
             a = slots.get(k)
             p_signal = -expm1(-eta * abs(a) ** 2) if a is not None else 0.0
-            p = p_signal + dark - p_signal * dark
+            probs.append(p_signal + dark - p_signal * dark)
+        table.append((detector, tuple(candidates), tuple(probs)))
+    return tuple(table)
+
+
+def sample_clicks(table: ClickTable, rng: np.random.Generator) -> list[ClickEvent]:
+    """Draw one uniform per gated slot, branch by branch in table order; a
+    slot clicks when its uniform falls below its probability."""
+    clicks: list[ClickEvent] = []
+    for detector, slots, probs in table:
+        draws = rng.random(len(slots)).tolist()
+        for k, u, p in zip(slots, draws, probs):
             if u < p:
                 clicks.append(ClickEvent(detector, k))
     return clicks
+
+
+def detect(
+    branches: Iterable[tuple[Hashable, PulseTrain]],
+    params: DetectorParams,
+    rng: np.random.Generator,
+) -> list[ClickEvent]:
+    """Sample threshold-detector clicks for each (detector, train) branch.
+
+    Per occupied slot the click probability is 1 - exp(-eta * |amplitude|^2);
+    dark counts are independent Bernoulli draws over the gated window (every
+    occupied slot and its immediate neighbours). A slot with exactly zero
+    amplitude and zero dark probability never clicks. This is
+    :func:`sample_clicks` of :func:`click_table`.
+    """
+    return sample_clicks(click_table(branches, params), rng)

@@ -6,6 +6,18 @@ attenuation, key/decoy encoding, Faraday mirror) -> fiber -> eavesdropper
 backward leg -> readout interferometer -> detectors. The eavesdropper, if
 the config names one, is the intercept-resend attack of ``channel``.
 
+The Faraday mirror cancels the fiber's polarization transform, so a round's
+click probabilities depend only on its phases (Alice's key phase, Bob's
+phase, the check phase) and on any decoy replacements. Each config
+therefore runs that pipeline once per class of round, with the field-level
+functions, and keeps the results in ``SessionConfig.phase_tables``: per
+Bob phase, the energy-monitor verdict, a D3/D4 click table per check phase
+and a D1/D2 click table per key phase. A round makes its draws (phases,
+fiber unitary, sampling, decoy positions, clicks, double-click pick) in
+the order the pipeline would, and samples its clicks from the table it
+looks up. Only a round whose decoy draw replaced a slot runs the return
+leg itself, since decoy masks are too many to tabulate.
+
 Every round owns an RNG stream derived from (master seed, round index), so
 serial and parallel execution produce identical records, and two sessions
 with the same config are bit-identical.
@@ -18,6 +30,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +44,15 @@ from .channel import (
 )
 from .optics import (
     ClickEvent,
+    ClickTable,
     DetectorParams,
     DoubleClickPolicy,
     IDEAL_DETECTOR,
     PulseTrain,
     attenuate,
-    detect,
+    click_table,
     faraday_reflect,
+    sample_clicks,
 )
 from .phases import CHECK_PHASES, KEY_PHASES, QUATERNARY, QuantizedPhase
 from .stations import (
@@ -45,14 +60,17 @@ from .stations import (
     CascadeConfig,
     CheckOutcome,
     Detector,
-    alice_decoy_replace,
+    alice_check_ports,
+    alice_decoy_encode,
+    alice_decoy_positions,
+    alice_encode,
     alice_energy_monitor,
-    alice_sample_and_check,
     bob_measure,
     bob_prepare,
     check_expected_outcome,
     infer_bit,
     lead_parity,
+    odd_slots,
 )
 
 _CHECK_TO_DETECTOR = {CheckOutcome.D3: Detector.D3, CheckOutcome.D4: Detector.D4}
@@ -124,12 +142,81 @@ class SessionConfig:
             )
 
     @cached_property
-    def bob_stations(self) -> tuple[tuple[CascadeConfig, PulseTrain], ...]:
-        """Bob's cascade and prepared train for each of his phases, indexed by
-        quarter turns. Trains are immutable, so every round shares them."""
-        source = complex(math.sqrt(self.source_mean_photons))
-        cascades = [CascadeConfig(self.n_stages, phase) for phase in QUATERNARY]
-        return tuple((cascade, bob_prepare(cascade, source)) for cascade in cascades)
+    def phase_tables(self) -> tuple[PhaseTables, ...]:
+        """The optics of a round for each of Bob's phases, indexed by quarter
+        turns, run once with the field-level functions. Rounds only draw
+        from them, so every round of the session shares them."""
+        return tuple(_phase_tables(self, phase) for phase in QUATERNARY)
+
+
+class PhaseTables(NamedTuple):
+    """What the optics of a round give for one phase of Bob.
+
+    The Faraday mirror undoes the fiber's polarization transform, and no
+    amplitude depends on the polarization, so these hold for every fiber
+    unitary. Check tables are indexed like ``CHECK_PHASES`` and key tables
+    like ``KEY_PHASES``; a key table comes with Eve's inferred phase (None
+    without an attack). Decoy-free rounds read their key table here; a
+    round whose decoy draw replaced slots runs :func:`_return_leg` on
+    ``attenuated`` instead.
+    """
+
+    cascade: CascadeConfig
+    prepared: PulseTrain
+    sent: PulseTrain
+    energy_alarm: bool
+    check_tables: tuple[ClickTable, ...]
+    attenuated: PulseTrain
+    odd_slots: tuple[int, ...]
+    key_tables: tuple[tuple[ClickTable, QuantizedPhase | None], ...]
+
+
+def _phase_tables(config: SessionConfig, bob_phase: QuantizedPhase) -> PhaseTables:
+    """Bob's preparation, the forward leg and Alice's station for one Bob
+    phase, up to the click tables of her check and of Bob's readout."""
+    cascade = CascadeConfig(config.n_stages, bob_phase)
+    prepared = bob_prepare(cascade, complex(math.sqrt(config.source_mean_photons)))
+    attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
+    sent = intercept_forward(prepared) if attack else prepared
+    train = fiber_transmit(sent, config.channel)
+    expected = (
+        config.source_mean_photons / cascade.train_slots * config.channel.transmittance
+    )
+    check_tables = tuple(
+        click_table(alice_check_ports(train, phase), config.detector) for phase in CHECK_PHASES
+    )
+    attenuated = attenuate(train, config.mean_photons_return)
+    key_tables = tuple(
+        _return_leg(config, cascade, prepared, sent, alice_encode(attenuated, phase))
+        for phase in KEY_PHASES
+    )
+    return PhaseTables(
+        cascade=cascade,
+        prepared=prepared,
+        sent=sent,
+        energy_alarm=alice_energy_monitor(train, expected, config.energy_tolerance),
+        check_tables=check_tables,
+        attenuated=attenuated,
+        odd_slots=odd_slots(attenuated),
+        key_tables=key_tables,
+    )
+
+
+def _return_leg(
+    config: SessionConfig,
+    cascade: CascadeConfig,
+    prepared: PulseTrain,
+    sent: PulseTrain,
+    encoded: PulseTrain,
+) -> tuple[ClickTable, QuantizedPhase | None]:
+    """Mirror, fiber, Eve's backward leg and Bob's readout for Alice's
+    encoded train: the D1/D2 click table and Eve's inferred phase."""
+    train = fiber_transmit(faraday_reflect(encoded), config.channel)
+    eve_phase = None
+    if config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE:
+        train, eve_phase = intercept_backward(train, prepared, sent)
+    d1, d2 = bob_measure(train, cascade)
+    return click_table([(Detector.D1, d1), (Detector.D2, d2)], config.detector), eve_phase
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,33 +263,31 @@ def run_round(config: SessionConfig, round_index: int, rng: np.random.Generator)
     phase, then channel/sampling/detection as encountered) so that records
     are reproducible for a given stream. The round depends on nothing but
     its arguments, so a round run alone equals the same round in a session.
+
+    The optics come from ``config.phase_tables``; the round makes the same
+    draws, in the same order, as the field-level pipeline would.
     """
-    ua, ub, uc, ud = rng.random(4)
-    phase_a = KEY_PHASES[int(ua * 2)]
+    ua, ub, uc, ud = rng.random(4).tolist()
+    key_index = int(ua * 2)
+    check_index = int(uc * 2)
+    phase_a = KEY_PHASES[key_index]
     phase_b = QUATERNARY[int(ub * 4)]
-    check_phase = CHECK_PHASES[int(uc * 2)]
+    check_phase = CHECK_PHASES[check_index]
     decoy_phase = CHECK_PHASES[int(ud * 2)]
 
-    cascade, prepared = config.bob_stations[phase_b.quarter_turns]
-    unitary = round_unitary(config.channel, rng)
+    tables = config.phase_tables[phase_b.quarter_turns]
+    # no amplitude depends on the fiber unitary, but drawing it is part of
+    # the round's stream
+    round_unitary(config.channel, rng)
+    alarm = tables.energy_alarm
 
-    attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
-    sent = intercept_forward(prepared) if attack else prepared
-    train = fiber_transmit(sent, config.channel, unitary)
-
-    expected = (
-        config.source_mean_photons / cascade.train_slots * config.channel.transmittance
-    )
-    alarm = alice_energy_monitor(train, expected, config.energy_tolerance)
-
-    sampled, check_clicks, train = alice_sample_and_check(
-        train, config.sample_prob, check_phase, rng, detector_params=config.detector
-    )
-    if sampled:
+    # the sampling rule of alice_sample_and_check
+    if rng.random() < config.sample_prob:
+        check_clicks = sample_clicks(tables.check_tables[check_index], rng)
         matched = check_expected_outcome(
             phase_b, check_phase, lead_parity(2)
         ) is not CheckOutcome.UNMATCHED
-        first, last = cascade.edge_slots
+        first, last = tables.cascade.edge_slots
         compared = 0
         errors = 0
         if matched:
@@ -228,18 +313,15 @@ def run_round(config: SessionConfig, round_index: int, rng: np.random.Generator)
             energy_alarm=alarm,
         )
 
-    train = attenuate(train, config.mean_photons_return)
-    train, decoy_positions = alice_decoy_replace(
-        train, phase_a, config.decoy_prob, decoy_phase, rng
-    )
-    train = faraday_reflect(train)
-    train = fiber_transmit(train, config.channel, None if unitary is None else unitary.T)
-    eve_phase = None
-    if attack:
-        train, eve_phase = intercept_backward(train, prepared, sent)
-
-    d1, d2 = bob_measure(train, cascade)
-    clicks = detect([(Detector.D1, d1), (Detector.D2, d2)], config.detector, rng)
+    decoy_positions = alice_decoy_positions(tables.odd_slots, config.decoy_prob, rng)
+    if decoy_positions:
+        encoded = alice_decoy_encode(tables.attenuated, phase_a, decoy_positions, decoy_phase)
+        key_table, eve_phase = _return_leg(
+            config, tables.cascade, tables.prepared, tables.sent, encoded
+        )
+    else:
+        key_table, eve_phase = tables.key_tables[key_index]
+    clicks = sample_clicks(key_table, rng)
 
     multi = len(clicks) >= 2
     chosen: ClickEvent | None = None
@@ -251,7 +333,7 @@ def run_round(config: SessionConfig, round_index: int, rng: np.random.Generator)
     bit: BitOutcome | None = None
     decoy_hit = False
     if chosen is not None:
-        bit = infer_bit(chosen, cascade)
+        bit = infer_bit(chosen, tables.cascade)
         if bit is not BitOutcome.DISCARD and decoy_positions:
             key_slot = chosen.slot if chosen.slot % 2 == 1 else chosen.slot - 1
             decoy_hit = key_slot in decoy_positions

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -172,9 +173,21 @@ def alice_sample_and_check(
         raise ProtocolError(f"check phase must be 0 or pi/2, got {check_phase}")
     if rng.random() >= sample_prob:
         return False, [], train
-    d4, d3 = mzi_pass(train, 1, check_phase)
-    clicks = detect([(Detector.D3, d3), (Detector.D4, d4)], detector_params, rng)
+    clicks = detect(alice_check_ports(train, check_phase), detector_params, rng)
     return True, clicks, PulseTrain.vacuum()
+
+
+def alice_check_ports(
+    train: PulseTrain, check_phase: QuantizedPhase
+) -> tuple[tuple[Detector, PulseTrain], tuple[Detector, PulseTrain]]:
+    """The check interferometer's (detector, train) branches, D3 first.
+
+    A delay-1 stage with check_phase in the long arm; D3 is the constructive
+    port. The check phase is taken as given (:func:`alice_sample_and_check`
+    validates it before drawing).
+    """
+    d4, d3 = mzi_pass(train, 1, check_phase)
+    return (Detector.D3, d3), (Detector.D4, d4)
 
 
 def check_expected_outcome(
@@ -208,6 +221,40 @@ def lead_parity(click_slot: int) -> PairLead:
     return PairLead.EVEN_LEAD if click_slot % 2 == 1 else PairLead.ODD_LEAD
 
 
+def alice_decoy_positions(
+    odd_slots: Sequence[int], decoy_prob: float, rng: np.random.Generator
+) -> tuple[int, ...]:
+    """The odd slots that Alice replaces by a decoy: one uniform per slot of
+    ``odd_slots`` (ascending), a slot is replaced when its uniform falls
+    below decoy_prob. With decoy_prob == 0 no randomness is consumed."""
+    if decoy_prob == 0.0:
+        return ()
+    draws = rng.random(len(odd_slots)).tolist()
+    return tuple(k for k, u in zip(odd_slots, draws) if u < decoy_prob)
+
+
+def alice_decoy_encode(
+    train: PulseTrain,
+    key_phase: QuantizedPhase,
+    positions: Iterable[int],
+    decoy_phase: QuantizedPhase,
+) -> PulseTrain:
+    """Encode odd slots with the key phase and the replaced ``positions``
+    with the decoy phase. With no positions this is :func:`alice_encode`."""
+    if key_phase not in KEY_PHASES:
+        raise ProtocolError(f"key phase must be 0 or pi, got {key_phase}")
+    if decoy_phase not in CHECK_PHASES:
+        raise ProtocolError(f"decoy phase must be 0 or pi/2, got {decoy_phase}")
+    replaced = frozenset(positions)
+    train = phase_modulate(train, lambda k: _is_odd(k) and k not in replaced, key_phase)
+    return phase_modulate(train, replaced.__contains__, decoy_phase)
+
+
+def odd_slots(train: PulseTrain) -> tuple[int, ...]:
+    """The train's occupied odd slots in ascending order."""
+    return tuple(k for k in sorted(train.slots) if _is_odd(k))
+
+
 def alice_decoy_replace(
     train: PulseTrain,
     key_phase: QuantizedPhase,
@@ -221,16 +268,8 @@ def alice_decoy_replace(
     Returns the encoded train and the replaced positions, which the caller
     must keep for sifting: a key click fed by a decoy slot is unusable.
     With decoy_prob == 0 this is exactly :func:`alice_encode` (and consumes
-    no randomness).
+    no randomness). The draw is :func:`alice_decoy_positions` and the
+    encoding :func:`alice_decoy_encode`.
     """
-    if key_phase not in KEY_PHASES:
-        raise ProtocolError(f"key phase must be 0 or pi, got {key_phase}")
-    if decoy_phase not in CHECK_PHASES:
-        raise ProtocolError(f"decoy phase must be 0 or pi/2, got {decoy_phase}")
-    if decoy_prob == 0.0:
-        return alice_encode(train, key_phase), ()
-    # One draw per odd slot, in ascending slot order.
-    positions = tuple(k for k in sorted(train.slots) if _is_odd(k) and rng.random() < decoy_prob)
-    replaced = frozenset(positions)
-    train = phase_modulate(train, lambda k: _is_odd(k) and k not in replaced, key_phase)
-    return phase_modulate(train, replaced.__contains__, decoy_phase), positions
+    positions = alice_decoy_positions(odd_slots(train), decoy_prob, rng)
+    return alice_decoy_encode(train, key_phase, positions, decoy_phase), positions

@@ -8,12 +8,14 @@ from dpsqkd.optics import (
     DetectorParams,
     PulseTrain,
     attenuate,
+    click_table,
     coupler_mix,
     detect,
     faraday_reflect,
     jones_apply,
     mzi_pass,
     phase_modulate,
+    sample_clicks,
     unit_jones,
 )
 from dpsqkd.phases import PHASE_0, PHASE_90, PHASE_180, QuantizedPhase
@@ -364,6 +366,32 @@ def test_detect_dark_counts_on_empty_window():
         counts += len(detect([("d", train)], params, rng))
     # window = slots {2, 3, 4}, each dark-firing independently at 0.5
     assert counts / (3 * trials) == pytest.approx(0.5, abs=0.05)
+
+
+def test_click_table_gates_window_and_skips_empty_branches():
+    # dark counts widen each branch to the occupied slots and their
+    # neighbours; a branch with an empty window gets no entry and no draw
+    train = PulseTrain({0: 1.0, 3: 0j})
+    params = DetectorParams(quantum_efficiency=0.5, dark_count_prob=0.1)
+    table = click_table([("a", train), ("b", PulseTrain.vacuum())], params)
+    assert [(d, slots) for d, slots, _ in table] == [("a", (0, 1, 2, 3, 4))]
+    p0 = -math.expm1(-0.5)
+    assert table[0][2] == (p0 + 0.1 - p0 * 0.1, 0.1, 0.1, 0.1, 0.1)
+
+
+def test_sample_clicks_draws_one_uniform_per_gated_slot():
+    # branch by branch in table order, a slot clicks iff its uniform is
+    # below its probability (0.47 per slot here)
+    train = PulseTrain.from_amplitudes({k: 0.8 for k in range(1, 6)})
+    table = click_table([("a", train), ("b", PulseTrain.single(2, 0.8))], DetectorParams())
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    clicks = sample_clicks(table, rng)
+    draws = ref.random(5).tolist() + ref.random(1).tolist()
+    gated = [("a", k) for k in range(1, 6)] + [("b", 2)]
+    probs = table[0][2] + table[1][2]
+    expected = [c for c, u, p in zip(gated, draws, probs) if u < p]
+    assert clicks == expected and 0 < len(expected) < 6
+    assert rng.random() == ref.random()
 
 
 def test_detect_efficiency_scales_click_rate():
