@@ -10,8 +10,7 @@ Bob's phase onto the even slots.
 import cmath
 import math
 
-from dpsqkd import CascadeConfig, PHASE_90, QuantizedPhase, bob_prepare, mzi_pass
-from dpsqkd.optics import PulseTrain
+from dpsqkd import CascadeConfig, PHASE_90, PulseTrain, QuantizedPhase, bob_prepare, mzi_pass
 
 
 def show(train: PulseTrain, title: str):

@@ -8,76 +8,47 @@ key readout. The package also models the reference-pulse intercept-resend
 attack and the sampling check that exposes it.
 """
 
-from .phases import (
-    CHECK_PHASES,
-    KEY_PHASES,
-    PHASE_0,
-    PHASE_90,
-    PHASE_180,
-    PHASE_270,
-    QUATERNARY,
-    QuantizedPhase,
-)
+from .phases import KEY_PHASES, PHASE_90, PHASE_180, QUATERNARY, QuantizedPhase
 from .optics import (
-    ClickEvent,
     DetectorParams,
     DoubleClickPolicy,
-    H_POL,
-    IDEAL_DETECTOR,
-    Jones,
     PulseTrain,
-    V_POL,
     attenuate,
-    coupler_mix,
-    detect,
     faraday_reflect,
-    jones_apply,
     mzi_pass,
-    phase_modulate,
-    unit_jones,
 )
-from .stations import (
-    BitOutcome,
-    CascadeConfig,
-    CheckOutcome,
-    Detector,
-    PairLead,
-    ProtocolError,
-    alice_decoy_replace,
-    alice_encode,
-    alice_energy_monitor,
-    alice_sample_and_check,
-    bob_measure,
-    bob_prepare,
-    check_expected_outcome,
-    infer_bit,
-    lead_parity,
-)
-from .channel import (
-    BirefringenceMode,
-    ChannelParams,
-    EveKind,
-    fiber_transmit,
-    intercept_backward,
-    intercept_forward,
-    random_unitary,
-    round_unitary,
-)
-from .session import (
-    QberEstimate,
-    RoundRecord,
-    SessionConfig,
-    SessionResult,
-    SessionStats,
-    competitor_efficiency,
-    estimate_qber,
-    round_rng,
-    run_round,
-    run_session,
-    session_stats,
-    sift,
-    theoretical_efficiency,
-)
+from .stations import CascadeConfig, Detector, alice_encode, bob_measure, bob_prepare
+from .channel import BirefringenceMode, ChannelParams, EveKind, fiber_transmit, random_unitary
+from .session import SessionConfig, competitor_efficiency, run_session, theoretical_efficiency
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: The names the README and the demos import, the enums and detector
+#: settings a config passes, and the ``Detector`` ports that records report;
+#: everything else is imported from its submodule.
+__all__ = [
+    "BirefringenceMode",
+    "CascadeConfig",
+    "ChannelParams",
+    "Detector",
+    "DetectorParams",
+    "DoubleClickPolicy",
+    "EveKind",
+    "KEY_PHASES",
+    "PHASE_90",
+    "PHASE_180",
+    "PulseTrain",
+    "QUATERNARY",
+    "QuantizedPhase",
+    "SessionConfig",
+    "alice_encode",
+    "attenuate",
+    "bob_measure",
+    "bob_prepare",
+    "competitor_efficiency",
+    "faraday_reflect",
+    "fiber_transmit",
+    "mzi_pass",
+    "random_unitary",
+    "run_session",
+    "theoretical_efficiency",
+]
 __version__ = "0.1.0"

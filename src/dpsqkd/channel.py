@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .optics import PulseTrain, attenuate, jones_product
+from .optics import PulseTrain, _enum_field, _int_field, attenuate, jones_product
 from .phases import PHASE_0, PHASE_180, QuantizedPhase
 from .stations import alice_encode
 
@@ -65,6 +65,8 @@ class ChannelParams:
     seed: int = 0
 
     def __post_init__(self):
+        _enum_field(self, "birefringence_mode", BirefringenceMode)
+        _int_field(self, "seed")
         if not (math.isfinite(self.loss_db) and self.loss_db >= 0):
             raise ValueError(f"loss_db must be finite and >= 0, got {self.loss_db}")
         if self.transmittance == 0.0:

@@ -27,6 +27,7 @@ Conventions fixed here (and relied on by the goldens in the test suite):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -105,6 +106,29 @@ class PulseTrain:
         return slot in self.slots
 
 
+def _enum_field(obj, name: str, enum_type: type[Enum]) -> None:
+    """Coerce a frozen dataclass field to ``enum_type``; a member or its
+    value is accepted, anything else is rejected naming the field."""
+    value = getattr(obj, name)
+    try:
+        member = enum_type(value)
+    except ValueError:
+        raise ValueError(
+            f"{name} must be one of {[m.value for m in enum_type]}, got {value!r}"
+        ) from None
+    object.__setattr__(obj, name, member)
+
+
+def _int_field(obj, name: str) -> None:
+    """Coerce a frozen dataclass field holding a count or seed to ``int``;
+    any integral value but a bool is accepted, anything else is rejected
+    naming the field."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    object.__setattr__(obj, name, int(value))
+
+
 class DoubleClickPolicy(Enum):
     DISCARD_ROUND = "discard_round"
     RANDOM_PICK = "random_pick"
@@ -119,6 +143,7 @@ class DetectorParams:
     double_click_policy: DoubleClickPolicy = DoubleClickPolicy.DISCARD_ROUND
 
     def __post_init__(self):
+        _enum_field(self, "double_click_policy", DoubleClickPolicy)
         if not 0.0 <= self.quantum_efficiency <= 1.0:
             raise ValueError(f"quantum_efficiency must be in [0, 1], got {self.quantum_efficiency}")
         if not 0.0 <= self.dark_count_prob <= 1.0:
@@ -166,8 +191,7 @@ def mzi_pass(
         long = get(k - delay_slots)
         s = short * _INV_SQRT2 if short is not None else 0j
         l = f * (1j * long * _INV_SQRT2) if long is not None else 0j
-        o1 = (s + 1j * l) * _INV_SQRT2
-        o2 = (1j * s + l) * _INV_SQRT2
+        o1, o2 = coupler_mix(s, l)
         if o1 != 0j:
             out1[k] = o1
         if o2 != 0j:

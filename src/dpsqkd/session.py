@@ -49,6 +49,8 @@ from .optics import (
     DoubleClickPolicy,
     IDEAL_DETECTOR,
     PulseTrain,
+    _enum_field,
+    _int_field,
     attenuate,
     click_table,
     faraday_reflect,
@@ -58,22 +60,19 @@ from .phases import CHECK_PHASES, KEY_PHASES, QUATERNARY, QuantizedPhase
 from .stations import (
     BitOutcome,
     CascadeConfig,
-    CheckOutcome,
     Detector,
     alice_check_ports,
     alice_decoy_encode,
     alice_decoy_positions,
     alice_encode,
     alice_energy_monitor,
+    alice_score_check,
     bob_measure,
     bob_prepare,
-    check_expected_outcome,
     infer_bit,
-    lead_parity,
+    key_slot,
     odd_slots,
 )
-
-_CHECK_TO_DETECTOR = {CheckOutcome.D3: Detector.D3, CheckOutcome.D4: Detector.D4}
 
 # spawn-key namespaces under the master seed
 _ROUND_STREAM = 1
@@ -109,6 +108,9 @@ class SessionConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        _enum_field(self, "eve_kind", EveKind)
+        for name in ("n_stages", "rounds", "master_seed"):
+            _int_field(self, name)
         if self.n_stages < 1:
             raise ValueError(f"n_stages must be >= 1, got {self.n_stages}")
         if self.rounds < 1:
@@ -284,22 +286,7 @@ def run_round(config: SessionConfig, round_index: int, rng: np.random.Generator)
     # the sampling rule of alice_sample_and_check
     if rng.random() < config.sample_prob:
         check_clicks = sample_clicks(tables.check_tables[check_index], rng)
-        matched = check_expected_outcome(
-            phase_b, check_phase, lead_parity(2)
-        ) is not CheckOutcome.UNMATCHED
-        first, last = tables.cascade.edge_slots
-        compared = 0
-        errors = 0
-        if matched:
-            for click in check_clicks:
-                if click.slot == first or click.slot == last:
-                    continue
-                expected_det = _CHECK_TO_DETECTOR[
-                    check_expected_outcome(phase_b, check_phase, lead_parity(click.slot))
-                ]
-                compared += 1
-                if click.detector is not expected_det:
-                    errors += 1
+        matched, compared, errors = alice_score_check(check_clicks, tables.cascade, check_phase)
         return RoundRecord(
             index=round_index,
             alice_phase=phase_a,
@@ -335,8 +322,7 @@ def run_round(config: SessionConfig, round_index: int, rng: np.random.Generator)
     if chosen is not None:
         bit = infer_bit(chosen, tables.cascade)
         if bit is not BitOutcome.DISCARD and decoy_positions:
-            key_slot = chosen.slot if chosen.slot % 2 == 1 else chosen.slot - 1
-            decoy_hit = key_slot in decoy_positions
+            decoy_hit = key_slot(chosen.slot) in decoy_positions
 
     return RoundRecord(
         index=round_index,
@@ -458,8 +444,9 @@ def session_stats(records, config: SessionConfig) -> SessionStats:
             n_none += 1
         elif n_clicks == 1:
             n_single += 1
-            edge = _is_edge_slot(r.clicks[0], config.n_stages)
-            n_edge += edge
+            # a single click is the chosen one, so its bit is its readout
+            if r.bit is BitOutcome.DISCARD:
+                n_edge += 1
         else:
             n_multi += 1
 
@@ -515,10 +502,6 @@ def session_stats(records, config: SessionConfig) -> SessionStats:
         eve_agreement=(eve_hits / eve_total) if eve_total else None,
         alarm=alarm,
     )
-
-
-def _is_edge_slot(click: ClickEvent, n_stages: int) -> bool:
-    return click.slot == 1 or click.slot == 2 ** n_stages + 1
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Protocol roles for the two stations.
+"""Protocol roles for the two stations, and both readout rules.
 
 Bob prepares a 2^n-slot pulse train with a cascade of delay-line
 interferometers (delays 2^(n-1) .. 2, 1 slots) and, on the return pass,
@@ -7,6 +7,12 @@ Alice attenuates, encodes her key phase on the odd slots, optionally
 replaces some of them with decoy phases, monitors the incoming energy,
 randomly diverts whole trains to a check interferometer (detectors D3/D4),
 and reflects everything else off a Faraday mirror.
+
+The two readout rules live here as well. The key readout
+(:func:`infer_bit`, :func:`key_slot`) decodes every inner slot and discards
+the two edge slots. The eavesdropping check
+(:func:`check_expected_detector`, :func:`alice_score_check`) scores a
+sampled train's D3/D4 clicks against Bob's announced phase.
 """
 
 from __future__ import annotations
@@ -44,19 +50,6 @@ class BitOutcome(Enum):
     BIT0 = 0
     BIT1 = 1
     DISCARD = "discard"
-
-
-class PairLead(Enum):
-    """Parity of the earlier pulse in an interfering neighbour pair."""
-
-    ODD_LEAD = "odd_lead"
-    EVEN_LEAD = "even_lead"
-
-
-class CheckOutcome(Enum):
-    D3 = "D3"
-    D4 = "D4"
-    UNMATCHED = "unmatched"
 
 
 @dataclass(frozen=True)
@@ -146,6 +139,12 @@ def infer_bit(click: ClickEvent, config: CascadeConfig) -> BitOutcome:
     return BitOutcome.BIT0 if inferred.quarter_turns == 0 else BitOutcome.BIT1
 
 
+def key_slot(click_slot: int) -> int:
+    """The odd slot, carrying Alice's key phase, that a D1/D2 click read:
+    return slot k interferes prepared slots k - 1 and k."""
+    return click_slot if _is_odd(click_slot) else click_slot - 1
+
+
 def alice_energy_monitor(train: PulseTrain, expected_energy: float, rel_tolerance: float) -> bool:
     """True (alarm) iff the incoming energy strays beyond the tolerance."""
     if expected_energy <= 0:
@@ -166,8 +165,7 @@ def alice_sample_and_check(
     Sampling is per train: peeling single pulses off would destroy the
     downstream interference. The diverted train passes a delay-1 stage with
     check_phase in the long arm and is detected on D3 (constructive port)
-    and D4; the caller compares those clicks against
-    :func:`check_expected_outcome`.
+    and D4; the caller scores those clicks with :func:`alice_score_check`.
     """
     if check_phase not in CHECK_PHASES:
         raise ProtocolError(f"check phase must be 0 or pi/2, got {check_phase}")
@@ -190,35 +188,48 @@ def alice_check_ports(
     return (Detector.D3, d3), (Detector.D4, d4)
 
 
-def check_expected_outcome(
-    bob_phase: QuantizedPhase,
-    check_phase: QuantizedPhase,
-    slot_parity: PairLead,
-) -> CheckOutcome:
-    """Predicted check detector for an interfering neighbour pair.
+def check_expected_detector(
+    bob_phase: QuantizedPhase, check_phase: QuantizedPhase, slot: int
+) -> Detector | None:
+    """Predicted check detector for the neighbour pair read at ``slot``.
 
-    A pair led by an even slot interferes phases (bob_phase, 0), one led by
-    an odd slot interferes (0, bob_phase); against the check phase this gives
-    a deterministic port whenever bob_phase + check_phase (even lead) or
-    bob_phase - check_phase (odd lead) is 0 or pi, and a 50/50 split
-    otherwise.
+    An odd slot interferes phases (bob_phase, 0), an even one (0,
+    bob_phase); against the check phase this gives a deterministic port
+    whenever bob_phase + check_phase (odd slot) or bob_phase - check_phase
+    (even slot) is 0 (D3) or pi (D4), and a 50/50 split (None) otherwise.
     """
     if check_phase not in CHECK_PHASES:
         raise ProtocolError(f"check phase must be 0 or pi/2, got {check_phase}")
-    if slot_parity is PairLead.EVEN_LEAD:
-        combined = bob_phase + check_phase
-    else:
-        combined = bob_phase - check_phase
+    combined = bob_phase + check_phase if _is_odd(slot) else bob_phase - check_phase
     if combined.quarter_turns == 0:
-        return CheckOutcome.D3
+        return Detector.D3
     if combined.quarter_turns == 2:
-        return CheckOutcome.D4
-    return CheckOutcome.UNMATCHED
+        return Detector.D4
+    return None
 
 
-def lead_parity(click_slot: int) -> PairLead:
-    """Parity of the leading pulse feeding the given return-train slot."""
-    return PairLead.EVEN_LEAD if click_slot % 2 == 1 else PairLead.ODD_LEAD
+def alice_score_check(
+    clicks: Iterable[ClickEvent], cascade: CascadeConfig, check_phase: QuantizedPhase
+) -> tuple[bool, int, int]:
+    """Score a sampled train's check clicks against Bob's announced phase.
+
+    Returns (matched, compared, errors). Unmatched bases give (False, 0, 0);
+    otherwise every click off the edge slots is compared, and one on the
+    port that :func:`check_expected_detector` does not predict is an error.
+    """
+    bob_phase = cascade.bob_phase
+    if check_expected_detector(bob_phase, check_phase, 2) is None:
+        return False, 0, 0
+    first, last = cascade.edge_slots
+    compared = 0
+    errors = 0
+    for click in clicks:
+        if click.slot == first or click.slot == last:
+            continue
+        compared += 1
+        if click.detector is not check_expected_detector(bob_phase, check_phase, click.slot):
+            errors += 1
+    return True, compared, errors
 
 
 def alice_decoy_positions(

@@ -2,8 +2,9 @@
 
 Each demo runs in its own interpreter, as a reader would start it.
 efficiency_scan.py is left out: it simulates full sessions for n = 1..6 and
-takes about 23 s, and the efficiency_scan experiment of the CLI tests and
-acceptance criterion 3 already cover what it shows.
+takes about 7 s (6.5-8.3 s on a 2-vCPU host), and the efficiency_scan
+experiment of the CLI tests and acceptance criterion 3 already cover what
+it shows.
 """
 
 import os

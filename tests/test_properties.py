@@ -41,20 +41,17 @@ from dpsqkd.session import RoundRecord, SessionConfig, round_rng, run_round
 from dpsqkd.stations import (
     BitOutcome,
     CascadeConfig,
-    CheckOutcome,
     Detector,
     alice_decoy_replace,
     alice_encode,
     alice_energy_monitor,
     alice_sample_and_check,
+    alice_score_check,
     bob_measure,
     bob_prepare,
-    check_expected_outcome,
     infer_bit,
-    lead_parity,
+    key_slot,
 )
-
-_CHECK_TO_DETECTOR = {CheckOutcome.D3: Detector.D3, CheckOutcome.D4: Detector.D4}
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -123,8 +120,9 @@ def reference_round(config: SessionConfig, round_index: int, rng: np.random.Gene
     """The field-level round: every optical element runs on every round.
 
     This is ``run_round`` before the click tables, with Bob's cascade and
-    prepared train built in place. The table-driven ``run_round`` must give
-    the same record and leave the stream in the same state.
+    prepared train built in place; it scores checks and decoy hits with the
+    same station functions. The table-driven ``run_round`` must give the
+    same record and leave the stream in the same state.
     """
     ua, ub, uc, ud = rng.random(4)
     phase_a = KEY_PHASES[int(ua * 2)]
@@ -149,22 +147,7 @@ def reference_round(config: SessionConfig, round_index: int, rng: np.random.Gene
         train, config.sample_prob, check_phase, rng, detector_params=config.detector
     )
     if sampled:
-        matched = check_expected_outcome(
-            phase_b, check_phase, lead_parity(2)
-        ) is not CheckOutcome.UNMATCHED
-        first, last = cascade.edge_slots
-        compared = 0
-        errors = 0
-        if matched:
-            for click in check_clicks:
-                if click.slot == first or click.slot == last:
-                    continue
-                expected_det = _CHECK_TO_DETECTOR[
-                    check_expected_outcome(phase_b, check_phase, lead_parity(click.slot))
-                ]
-                compared += 1
-                if click.detector is not expected_det:
-                    errors += 1
+        matched, compared, errors = alice_score_check(check_clicks, cascade, check_phase)
         return RoundRecord(
             index=round_index,
             alice_phase=phase_a,
@@ -203,8 +186,7 @@ def reference_round(config: SessionConfig, round_index: int, rng: np.random.Gene
     if chosen is not None:
         bit = infer_bit(chosen, cascade)
         if bit is not BitOutcome.DISCARD and decoy_positions:
-            key_slot = chosen.slot if chosen.slot % 2 == 1 else chosen.slot - 1
-            decoy_hit = key_slot in decoy_positions
+            decoy_hit = key_slot(chosen.slot) in decoy_positions
 
     return RoundRecord(
         index=round_index,

@@ -394,3 +394,67 @@ def test_session_config_rejects_underflowing_arrival_energy(loss_db, n_stages):
 def test_session_config_accepts_lossy_but_representable_link():
     cfg = SessionConfig(rounds=3, mean_photons_return=0.5, channel=ChannelParams(loss_db=3000.0))
     assert run_session(cfg).stats.rounds == 3
+
+
+@pytest.mark.parametrize(
+    "make,field,member",
+    [
+        (
+            lambda v: SessionConfig(rounds=50, sample_prob=0.0, eve_kind=v),
+            "eve_kind",
+            EveKind.INTERCEPT_RESEND_REFERENCE,
+        ),
+        (
+            lambda v: SessionConfig(
+                rounds=50,
+                mean_photons_return=40.0,
+                detector=DetectorParams(double_click_policy=v),
+            ),
+            "double_click_policy",
+            DoubleClickPolicy.RANDOM_PICK,
+        ),
+        (
+            lambda v: SessionConfig(
+                rounds=50, channel=ChannelParams(birefringence_mode=v, seed=3)
+            ),
+            "birefringence_mode",
+            BirefringenceMode.FIXED_UNITARY,
+        ),
+    ],
+    ids=["eve_kind", "double_click_policy", "birefringence_mode"],
+)
+def test_enum_field_given_as_its_value_is_the_member(make, field, member):
+    # a string used to be kept as is and then compared with `is` against the
+    # members, so the session silently ran the default branch
+    by_value, by_member = make(member.value), make(member)
+    assert by_value == by_member
+    assert run_session(by_value).stats == run_session(by_member).stats
+    with pytest.raises(ValueError, match=f"{field} must be one of .*{member.value}"):
+        make("no_such_value")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("rounds", 2.5),
+        ("rounds", True),
+        ("n_stages", 2.5),
+        ("n_stages", "3"),
+        ("master_seed", 1.5),
+    ],
+)
+def test_session_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SessionConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [1.5, False])
+def test_channel_params_rejects_non_integer_seed(value):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ChannelParams(birefringence_mode=BirefringenceMode.FIXED_UNITARY, seed=value)
+
+
+def test_numpy_integers_are_accepted_as_counts():
+    cfg = SessionConfig(n_stages=np.int64(2), rounds=np.int32(3), master_seed=np.uint8(4))
+    assert cfg == SessionConfig(n_stages=2, rounds=3, master_seed=4)
+    assert run_session(cfg).stats.rounds == 3

@@ -17,19 +17,18 @@ from dpsqkd.phases import (
 from dpsqkd.stations import (
     BitOutcome,
     CascadeConfig,
-    CheckOutcome,
     Detector,
-    PairLead,
     ProtocolError,
     alice_decoy_replace,
     alice_encode,
     alice_energy_monitor,
     alice_sample_and_check,
+    alice_score_check,
     bob_measure,
     bob_prepare,
-    check_expected_outcome,
+    check_expected_detector,
     infer_bit,
-    lead_parity,
+    key_slot,
 )
 
 
@@ -297,8 +296,8 @@ def test_sampled_flat_train_contradicts_announced_phase():
     inner = [c for c in clicks if 2 <= c.slot <= 8]
     assert inner
     for c in inner:
-        expected = check_expected_outcome(PHASE_180, PHASE_0, lead_parity(c.slot))
-        assert expected is CheckOutcome.D4
+        expected = check_expected_detector(PHASE_180, PHASE_0, c.slot)
+        assert expected is Detector.D4
         assert c.detector is Detector.D3  # wrong port: error detected
 
 
@@ -308,22 +307,26 @@ def test_sample_and_check_rejects_bad_basis():
         alice_sample_and_check(PulseTrain.single(1, 1.0), 0.5, PHASE_180, rng)
 
 
-# --- check_expected_outcome ------------------------------------------------
+# --- check_expected_detector -----------------------------------------------
+
+# one slot of each parity: an odd slot combines bob + check, an even one
+# bob - check
+ODD_AND_EVEN_SLOTS = (3, 2)
 
 
 def test_check_outcome_matched_constructive():
-    for parity in PairLead:
-        assert check_expected_outcome(PHASE_0, PHASE_0, parity) is CheckOutcome.D3
+    for slot in ODD_AND_EVEN_SLOTS:
+        assert check_expected_detector(PHASE_0, PHASE_0, slot) is Detector.D3
 
 
 def test_check_outcome_matched_destructive():
-    for parity in PairLead:
-        assert check_expected_outcome(PHASE_180, PHASE_0, parity) is CheckOutcome.D4
+    for slot in ODD_AND_EVEN_SLOTS:
+        assert check_expected_detector(PHASE_180, PHASE_0, slot) is Detector.D4
 
 
 def test_check_outcome_unmatched_bases():
-    for parity in PairLead:
-        assert check_expected_outcome(PHASE_90, PHASE_0, parity) is CheckOutcome.UNMATCHED
+    for slot in ODD_AND_EVEN_SLOTS:
+        assert check_expected_detector(PHASE_90, PHASE_0, slot) is None
 
 
 def test_check_outcome_agrees_with_interference():
@@ -338,14 +341,58 @@ def test_check_outcome_agrees_with_interference():
             check = QuantizedPhase(qc)
             d4, d3 = mzi_pass(train, 1, check)
             for k in range(2, 9):
-                expected = check_expected_outcome(phase_b, check, lead_parity(k))
+                expected = check_expected_detector(phase_b, check, k)
                 e3, e4 = abs(d3.amplitude(k)), abs(d4.amplitude(k))
-                if expected is CheckOutcome.D3:
+                if expected is Detector.D3:
                     assert e3 > 1e-9 and e4 < 1e-12
-                elif expected is CheckOutcome.D4:
+                elif expected is Detector.D4:
                     assert e4 > 1e-9 and e3 < 1e-12
                 else:
                     assert abs(e3 - e4) < 1e-12 and e3 > 1e-9
+
+
+def test_check_expected_detector_rejects_bad_basis():
+    with pytest.raises(ProtocolError):
+        check_expected_detector(PHASE_0, PHASE_180, 3)
+
+
+# --- alice_score_check -------------------------------------------------------
+
+
+def test_score_check_unmatched_bases_compares_nothing():
+    cascade = CascadeConfig(3, PHASE_90)
+    clicks = [ClickEvent(Detector.D3, 4), ClickEvent(Detector.D4, 5)]
+    assert alice_score_check(clicks, cascade, PHASE_0) == (False, 0, 0)
+
+
+def test_score_check_leaves_out_edge_slots():
+    # bob 0, check 0: every inner slot predicts D3, so D4 clicks on the two
+    # edge slots (1 and 9 at n=3) would be errors if they were compared
+    cascade = CascadeConfig(3, PHASE_0)
+    clicks = [ClickEvent(Detector.D4, 1), ClickEvent(Detector.D3, 4), ClickEvent(Detector.D4, 9)]
+    assert alice_score_check(clicks, cascade, PHASE_0) == (True, 1, 0)
+
+
+def test_score_check_counts_one_wrong_port_inner_click():
+    cascade = CascadeConfig(3, PHASE_180)
+    clicks = [ClickEvent(Detector.D4, 2), ClickEvent(Detector.D3, 5), ClickEvent(Detector.D4, 7)]
+    assert alice_score_check(clicks, cascade, PHASE_0) == (True, 3, 1)
+
+
+def test_score_check_matched_train_scores_clean():
+    # the honest train in a matched basis lights only the predicted port
+    rng = np.random.default_rng(4)
+    for phase_b, check in ((PHASE_0, PHASE_0), (PHASE_90, PHASE_90), (PHASE_270, PHASE_90)):
+        cascade = CascadeConfig(3, phase_b)
+        sampled, clicks, _ = alice_sample_and_check(bob_prepare(cascade, 64.0), 1.0, check, rng)
+        assert sampled
+        inner = [c for c in clicks if 2 <= c.slot <= 8]
+        assert inner
+        assert alice_score_check(clicks, cascade, check) == (True, len(inner), 0)
+
+
+def test_key_slot_is_the_odd_slot_read():
+    assert [key_slot(k) for k in range(2, 9)] == [1, 3, 3, 5, 5, 7, 7]
 
 
 # --- decoy replacement -----------------------------------------------------
