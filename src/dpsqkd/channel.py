@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .optics import PulseTrain, _enum_field, _int_field, attenuate, jones_product
+from .optics import PulseTrain, _enum_field, _int_field, _real_field, attenuate, jones_product
 from .phases import PHASE_0, PHASE_180, QuantizedPhase
 from .stations import alice_encode
 
@@ -67,8 +67,7 @@ class ChannelParams:
     def __post_init__(self):
         _enum_field(self, "birefringence_mode", BirefringenceMode)
         _int_field(self, "seed")
-        if not (math.isfinite(self.loss_db) and self.loss_db >= 0):
-            raise ValueError(f"loss_db must be finite and >= 0, got {self.loss_db}")
+        _real_field(self, "loss_db", 0.0)
         if self.transmittance == 0.0:
             raise ValueError(f"loss_db must leave a nonzero transmittance, got {self.loss_db}")
         if self.seed < 0:

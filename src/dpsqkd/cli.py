@@ -41,14 +41,9 @@ import numpy as np
 
 from .channel import BirefringenceMode, EveKind
 from .phases import KEY_PHASES, QUATERNARY
-from .session import (
-    _REAL_FIELDS,
-    SessionConfig,
-    competitor_efficiency,
-    run_session,
-    theoretical_efficiency,
-)
+from .session import SessionConfig, competitor_efficiency, run_session, theoretical_efficiency
 from .stations import CascadeConfig, Detector, alice_encode, bob_measure, bob_prepare
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad key."""
@@ -73,14 +68,8 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _require_number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _replace(obj, **changes):
-    """``dataclasses.replace``, reporting the dataclass's own range check
+    """``dataclasses.replace``, reporting the dataclass's own value check
     (whose message names the field) as a ConfigError."""
     try:
         return replace(obj, **changes)
@@ -88,43 +77,49 @@ def _replace(obj, **changes):
         raise ConfigError(str(e)) from None
 
 
+#: Each session key of the config file and the (section, field) it sets:
+#: a ``SessionConfig`` field, or a field of its ``detector`` or ``channel``.
+#: The dataclasses check the values and name the field in their errors.
+_SESSION_KEYS = {
+    "n_stages": ("session", "n_stages"),
+    "rounds": ("session", "rounds"),
+    "source_mean_photons": ("session", "source_mean_photons"),
+    "mean_photons_return": ("session", "mean_photons_return"),
+    "sample_prob": ("session", "sample_prob"),
+    "decoy_prob": ("session", "decoy_prob"),
+    "energy_tolerance": ("session", "energy_tolerance"),
+    "disclose_fraction": ("session", "disclose_fraction"),
+    "max_check_error": ("session", "max_check_error"),
+    "max_qber": ("session", "max_qber"),
+    "quantum_efficiency": ("detector", "quantum_efficiency"),
+    "dark_count_prob": ("detector", "dark_count_prob"),
+    "double_click_policy": ("detector", "double_click_policy"),
+    "loss_db": ("channel", "loss_db"),
+    "birefringence_mode": ("channel", "birefringence_mode"),
+    "channel_seed": ("channel", "seed"),
+}
+
+
 def _build_session(overrides: dict, seed: int) -> SessionConfig:
-    """Type-check the JSON numbers; the dataclasses check integers, enum
-    values and ranges."""
-    simple: dict = {}
-    detector: dict = {}
-    channel: dict = {}
+    """The session an experiment's merged defaults and overrides describe."""
+    sections: dict[str, dict] = {"session": {}, "detector": {}, "channel": {}}
     for key, value in overrides.items():
-        if key in ("n_stages", "rounds"):
-            simple[key] = value
-        elif key in _REAL_FIELDS:
-            simple[key] = _require_number(key, value)
-        elif key in ("quantum_efficiency", "dark_count_prob"):
-            detector[key] = _require_number(key, value)
-        elif key == "double_click_policy":
-            detector[key] = value
-        elif key == "loss_db":
-            channel[key] = _require_number(key, value)
-        elif key == "birefringence_mode":
-            channel[key] = value
-        elif key == "channel_seed":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"channel_seed must be an integer, got {value!r}")
-            channel["seed"] = value
-        else:
+        if key not in _SESSION_KEYS:
             raise ConfigError(f"unknown config key: {key}")
+        section, name = _SESSION_KEYS[key]
+        sections[section][name] = value
     cfg = _replace(SessionConfig(), master_seed=seed)
     return _replace(
         cfg,
-        detector=_replace(cfg.detector, **detector),
-        channel=_replace(cfg.channel, **channel),
-        **simple,
+        detector=_replace(cfg.detector, **sections["detector"]),
+        channel=_replace(cfg.channel, **sections["channel"]),
+        **sections["session"],
     )
 
 
 def parse_config(path) -> list[ExperimentSpec]:
     """Load and validate the experiment file; unknown names and keys and
-    out-of-range values are rejected with messages naming the offender."""
+    invalid values are rejected with messages naming the offender."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -139,8 +134,6 @@ def parse_config(path) -> list[ExperimentSpec]:
         raise ConfigError(f"unknown config key: {sorted(unknown_top)[0]}")
 
     seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
     defaults = raw.get("defaults", {})
     if not isinstance(defaults, dict):
         raise ConfigError("defaults must be an object")

@@ -129,6 +129,25 @@ def _int_field(obj, name: str) -> None:
     object.__setattr__(obj, name, int(value))
 
 
+def _real_field(
+    obj, name: str, low: float, high: float = math.inf, open_low: bool = False
+) -> None:
+    """Coerce a frozen dataclass field holding a real quantity to ``float``;
+    a finite real value but a bool in [low, high], or in (low, high] with
+    ``open_low``, is accepted, anything else is rejected naming the field."""
+    value = getattr(obj, name)
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x) and (low < x if open_low else low <= x) and x <= high:
+            object.__setattr__(obj, name, x)
+            return
+    interval = f"{'(' if open_low else '['}{low:g}, {high:g}{']' if high < math.inf else ')'}"
+    raise ValueError(f"{name} must be a finite real number in {interval}, got {value!r}")
+
+
 class DoubleClickPolicy(Enum):
     DISCARD_ROUND = "discard_round"
     RANDOM_PICK = "random_pick"
@@ -144,10 +163,8 @@ class DetectorParams:
 
     def __post_init__(self):
         _enum_field(self, "double_click_policy", DoubleClickPolicy)
-        if not 0.0 <= self.quantum_efficiency <= 1.0:
-            raise ValueError(f"quantum_efficiency must be in [0, 1], got {self.quantum_efficiency}")
-        if not 0.0 <= self.dark_count_prob <= 1.0:
-            raise ValueError(f"dark_count_prob must be in [0, 1], got {self.dark_count_prob}")
+        _real_field(self, "quantum_efficiency", 0.0, 1.0)
+        _real_field(self, "dark_count_prob", 0.0, 1.0)
 
 
 IDEAL_DETECTOR = DetectorParams()
@@ -304,19 +321,3 @@ def sample_clicks(table: ClickTable, rng: np.random.Generator) -> list[ClickEven
             if u < p:
                 clicks.append(ClickEvent(detector, k))
     return clicks
-
-
-def detect(
-    branches: Iterable[tuple[Hashable, PulseTrain]],
-    params: DetectorParams,
-    rng: np.random.Generator,
-) -> list[ClickEvent]:
-    """Sample threshold-detector clicks for each (detector, train) branch.
-
-    Per occupied slot the click probability is 1 - exp(-eta * |amplitude|^2);
-    dark counts are independent Bernoulli draws over the gated window (every
-    occupied slot and its immediate neighbours). A slot with exactly zero
-    amplitude and zero dark probability never clicks. This is
-    :func:`sample_clicks` of :func:`click_table`.
-    """
-    return sample_clicks(click_table(branches, params), rng)

@@ -51,6 +51,7 @@ from .optics import (
     PulseTrain,
     _enum_field,
     _int_field,
+    _real_field,
     attenuate,
     click_table,
     faraday_reflect,
@@ -77,17 +78,6 @@ from .stations import (
 # spawn-key namespaces under the master seed
 _ROUND_STREAM = 1
 _STATS_STREAM = 2
-
-_REAL_FIELDS = (
-    "source_mean_photons",
-    "mean_photons_return",
-    "sample_prob",
-    "decoy_prob",
-    "energy_tolerance",
-    "disclose_fraction",
-    "max_check_error",
-    "max_qber",
-)
 
 
 @dataclass(frozen=True)
@@ -117,22 +107,17 @@ class SessionConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        for name in _REAL_FIELDS:
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        if self.source_mean_photons <= 0:
-            raise ValueError(f"source_mean_photons must be > 0, got {self.source_mean_photons}")
-        for name in ("mean_photons_return", "energy_tolerance", "max_check_error", "max_qber"):
-            v = getattr(self, name)
-            if v < 0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
-        for name in ("sample_prob", "decoy_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if not 0.0 < self.disclose_fraction <= 1.0:
-            raise ValueError(f"disclose_fraction must be in (0, 1], got {self.disclose_fraction}")
+        _real_field(self, "source_mean_photons", 0.0, open_low=True)
+        _real_field(self, "mean_photons_return", 0.0)
+        _real_field(self, "sample_prob", 0.0, 1.0)
+        _real_field(self, "decoy_prob", 0.0, 1.0)
+        _real_field(self, "energy_tolerance", 0.0)
+        _real_field(self, "disclose_fraction", 0.0, 1.0, open_low=True)
+        _real_field(self, "max_check_error", 0.0)
+        _real_field(self, "max_qber", 0.0)
+        for name, kind in (("detector", DetectorParams), ("channel", ChannelParams)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         # the energy per slot reaching Alice must stay a normal float, or her
         # energy monitor and attenuator would see an empty train
         arriving = self.source_mean_photons * self.channel.transmittance
@@ -283,7 +268,7 @@ def run_round(config: SessionConfig, round_index: int, rng: np.random.Generator)
     round_unitary(config.channel, rng)
     alarm = tables.energy_alarm
 
-    # the sampling rule of alice_sample_and_check
+    # Alice's check: the whole train is diverted, with probability sample_prob
     if rng.random() < config.sample_prob:
         check_clicks = sample_clicks(tables.check_tables[check_index], rng)
         matched, compared, errors = alice_score_check(check_clicks, tables.cascade, check_phase)

@@ -3,10 +3,12 @@
 Bob prepares a 2^n-slot pulse train with a cascade of delay-line
 interferometers (delays 2^(n-1) .. 2, 1 slots) and, on the return pass,
 reuses the last stage to interfere neighbouring slots onto detectors D1/D2.
-Alice attenuates, encodes her key phase on the odd slots, optionally
-replaces some of them with decoy phases, monitors the incoming energy,
-randomly diverts whole trains to a check interferometer (detectors D3/D4),
-and reflects everything else off a Faraday mirror.
+Alice monitors the incoming energy and diverts some whole trains to a
+check interferometer (detectors D3/D4). The rest she attenuates, encodes
+with her key phase on the odd slots, some of which she may replace with
+decoy phases, and reflects off a Faraday mirror. Which trains are diverted
+and which detectors click is drawn by the session's rounds
+(``session.run_round``); the functions here give the trains they draw from.
 
 The two readout rules live here as well. The key readout
 (:func:`infer_bit`, :func:`key_slot`) decodes every inner slot and discards
@@ -23,15 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .optics import (
-    ClickEvent,
-    DetectorParams,
-    IDEAL_DETECTOR,
-    PulseTrain,
-    detect,
-    mzi_pass,
-    phase_modulate,
-)
+from .optics import ClickEvent, PulseTrain, _int_field, mzi_pass, phase_modulate
 from .phases import CHECK_PHASES, KEY_PHASES, PHASE_180, QuantizedPhase
 
 
@@ -65,8 +59,11 @@ class CascadeConfig:
     delays: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        _int_field(self, "n_stages")
         if self.n_stages < 1:
             raise ValueError(f"n_stages must be >= 1, got {self.n_stages}")
+        if not isinstance(self.bob_phase, QuantizedPhase):
+            raise ValueError(f"bob_phase must be a QuantizedPhase, got {self.bob_phase!r}")
         object.__setattr__(
             self, "delays", tuple(2 ** i for i in reversed(range(self.n_stages)))
         )
@@ -152,38 +149,19 @@ def alice_energy_monitor(train: PulseTrain, expected_energy: float, rel_toleranc
     return abs(train.total_energy - expected_energy) / expected_energy > rel_tolerance
 
 
-def alice_sample_and_check(
-    train: PulseTrain,
-    sample_prob: float,
-    check_phase: QuantizedPhase,
-    rng: np.random.Generator,
-    detector_params: DetectorParams = IDEAL_DETECTOR,
-) -> tuple[bool, list[ClickEvent], PulseTrain]:
-    """Divert the whole train to the check interferometer with probability
-    ``sample_prob``; otherwise forward it untouched.
-
-    Sampling is per train: peeling single pulses off would destroy the
-    downstream interference. The diverted train passes a delay-1 stage with
-    check_phase in the long arm and is detected on D3 (constructive port)
-    and D4; the caller scores those clicks with :func:`alice_score_check`.
-    """
-    if check_phase not in CHECK_PHASES:
-        raise ProtocolError(f"check phase must be 0 or pi/2, got {check_phase}")
-    if rng.random() >= sample_prob:
-        return False, [], train
-    clicks = detect(alice_check_ports(train, check_phase), detector_params, rng)
-    return True, clicks, PulseTrain.vacuum()
-
-
 def alice_check_ports(
     train: PulseTrain, check_phase: QuantizedPhase
 ) -> tuple[tuple[Detector, PulseTrain], tuple[Detector, PulseTrain]]:
     """The check interferometer's (detector, train) branches, D3 first.
 
-    A delay-1 stage with check_phase in the long arm; D3 is the constructive
-    port. The check phase is taken as given (:func:`alice_sample_and_check`
-    validates it before drawing).
+    Sampling is per train: peeling single pulses off would destroy the
+    downstream interference. The diverted train passes a delay-1 stage with
+    check_phase in the long arm; D3 is the constructive port. The caller
+    detects both branches and scores the clicks with
+    :func:`alice_score_check`.
     """
+    if check_phase not in CHECK_PHASES:
+        raise ProtocolError(f"check phase must be 0 or pi/2, got {check_phase}")
     d4, d3 = mzi_pass(train, 1, check_phase)
     return (Detector.D3, d3), (Detector.D4, d4)
 
@@ -237,7 +215,9 @@ def alice_decoy_positions(
 ) -> tuple[int, ...]:
     """The odd slots that Alice replaces by a decoy: one uniform per slot of
     ``odd_slots`` (ascending), a slot is replaced when its uniform falls
-    below decoy_prob. With decoy_prob == 0 no randomness is consumed."""
+    below decoy_prob. With decoy_prob == 0 no randomness is consumed. The
+    caller keeps the positions for sifting: a key click fed by a decoy slot
+    is unusable."""
     if decoy_prob == 0.0:
         return ()
     draws = rng.random(len(odd_slots)).tolist()
@@ -264,23 +244,3 @@ def alice_decoy_encode(
 def odd_slots(train: PulseTrain) -> tuple[int, ...]:
     """The train's occupied odd slots in ascending order."""
     return tuple(k for k in sorted(train.slots) if _is_odd(k))
-
-
-def alice_decoy_replace(
-    train: PulseTrain,
-    key_phase: QuantizedPhase,
-    decoy_prob: float,
-    decoy_phase: QuantizedPhase,
-    rng: np.random.Generator,
-) -> tuple[PulseTrain, tuple[int, ...]]:
-    """Encode odd slots with the key phase, except that each odd slot is
-    independently replaced by the decoy phase with probability decoy_prob.
-
-    Returns the encoded train and the replaced positions, which the caller
-    must keep for sifting: a key click fed by a decoy slot is unusable.
-    With decoy_prob == 0 this is exactly :func:`alice_encode` (and consumes
-    no randomness). The draw is :func:`alice_decoy_positions` and the
-    encoding :func:`alice_decoy_encode`.
-    """
-    positions = alice_decoy_positions(odd_slots(train), decoy_prob, rng)
-    return alice_decoy_encode(train, key_phase, positions, decoy_phase), positions

@@ -58,8 +58,10 @@ def test_channel_params_validation():
         {"loss_db": math.inf},
         {"loss_db": 4000.0},  # the transmittance underflows to 0
         {"seed": -1},
+        {"loss_db": True},
+        {"loss_db": "3"},
     ],
-    ids=["nan_loss", "inf_loss", "loss_4000_db", "negative_seed"],
+    ids=["nan_loss", "inf_loss", "loss_4000_db", "negative_seed", "bool_loss", "str_loss"],
 )
 def test_channel_params_rejects_bad_input(kwargs):
     with pytest.raises(ValueError, match="loss_db|seed"):

@@ -47,6 +47,29 @@ def test_out_of_range_probability_is_named(tmp_path):
         parse_config(path)
 
 
+#: the field that a config key sets, where the two names differ; the
+#: dataclass's error names the field
+FIELD_OF_KEY = {"channel_seed": "seed", "seed": "master_seed"}
+
+#: values of the wrong type, one per section: session, detector, channel and
+#: the top-level seed
+WRONG_TYPES = [
+    ("sample_prob", "0.1"),
+    ("dark_count_prob", True),
+    ("loss_db", None),
+    ("channel_seed", 1.5),
+    ("seed", "7"),
+]
+
+
+def baseline_setting(key, value, **doc):
+    """A config whose one baseline experiment sets ``key``: the top-level
+    seed, or a session key of the experiment entry."""
+    if key == "seed":
+        return {**doc, "seed": value, "experiments": ["baseline"]}
+    return {**doc, "experiments": [{"name": "baseline", key: value}]}
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
@@ -54,24 +77,32 @@ def test_out_of_range_probability_is_named(tmp_path):
         ("mean_photons_return", float("nan")),
         ("loss_db", 4000),
         ("energy_tolerance", -0.5),
+        *WRONG_TYPES,
     ],
 )
 def test_out_of_range_session_value_is_named(tmp_path, key, value):
-    # the range rules live in the dataclasses; the CLI reports their error
-    path = write_config(tmp_path, {"experiments": [{"name": "baseline", key: value}]})
-    with pytest.raises(ConfigError, match=key):
+    # the value rules live in the dataclasses; the CLI reports their error
+    path = write_config(tmp_path, baseline_setting(key, value))
+    with pytest.raises(ConfigError, match=FIELD_OF_KEY.get(key, key)):
         parse_config(path)
 
 
 @pytest.mark.parametrize(
     "key,value",
-    [("disclose_fraction", 0.0), ("mean_photons_return", float("nan")), ("loss_db", 4000)],
+    [
+        ("disclose_fraction", 0.0),
+        ("mean_photons_return", float("nan")),
+        ("loss_db", 4000),
+        # beyond the float range: float() raises OverflowError
+        pytest.param("max_qber", 10**400, id="max_qber-10**400"),
+        *WRONG_TYPES,
+    ],
 )
 def test_main_out_of_range_value_exits_2(tmp_path, capsys, key, value):
-    doc = {"defaults": {"rounds": 20}, "experiments": [{"name": "baseline", key: value}]}
+    doc = baseline_setting(key, value, defaults={"rounds": 20})
     code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert key in capsys.readouterr().err
+    assert FIELD_OF_KEY.get(key, key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

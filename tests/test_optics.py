@@ -10,7 +10,6 @@ from dpsqkd.optics import (
     attenuate,
     click_table,
     coupler_mix,
-    detect,
     faraday_reflect,
     jones_apply,
     mzi_pass,
@@ -313,12 +312,12 @@ def test_faraday_preserves_amplitudes():
         assert out.amplitude(k) == train.amplitude(k)
 
 
-# --- detect --------------------------------------------------------------
+# --- detection: sample_clicks of click_table ------------------------------
 
 
 def test_detect_vacuum_never_clicks():
     rng = np.random.default_rng(0)
-    clicks = detect([("d", PulseTrain.vacuum())], DetectorParams(), rng)
+    clicks = sample_clicks(click_table([("d", PulseTrain.vacuum())], DetectorParams()), rng)
     assert clicks == []
 
 
@@ -326,7 +325,7 @@ def test_detect_saturated_slot_always_clicks():
     rng = np.random.default_rng(0)
     train = PulseTrain.single(2, 1000.0)  # |a|^2 = 1e6
     for _ in range(50):
-        clicks = detect([("d", train)], DetectorParams(), rng)
+        clicks = sample_clicks(click_table([("d", train)], DetectorParams()), rng)
         assert clicks == [("d", 2)]
 
 
@@ -334,7 +333,7 @@ def test_detect_zero_amplitude_slot_never_clicks():
     rng = np.random.default_rng(0)
     train = PulseTrain({5: 0j})
     for _ in range(200):
-        assert detect([("d", train)], DetectorParams(), rng) == []
+        assert sample_clicks(click_table([("d", train)], DetectorParams()), rng) == []
 
 
 def test_detect_click_frequency_matches_poisson_model():
@@ -348,7 +347,7 @@ def test_detect_click_frequency_matches_poisson_model():
     rounds = 100_000
     total = 0
     for _ in range(rounds):
-        total += len(detect([("d", train)], params, rng))
+        total += len(sample_clicks(click_table([("d", train)], params), rng))
     expected = -math.expm1(-0.1 / 8)
     measured = total / (8 * rounds)
     assert abs(measured - expected) / expected < 0.02
@@ -363,7 +362,7 @@ def test_detect_dark_counts_on_empty_window():
     counts = 0
     trials = 2000
     for _ in range(trials):
-        counts += len(detect([("d", train)], params, rng))
+        counts += len(sample_clicks(click_table([("d", train)], params), rng))
     # window = slots {2, 3, 4}, each dark-firing independently at 0.5
     assert counts / (3 * trials) == pytest.approx(0.5, abs=0.05)
 
@@ -399,7 +398,7 @@ def test_detect_efficiency_scales_click_rate():
     train = PulseTrain.single(1, 1.0)
     half = DetectorParams(quantum_efficiency=0.5)
     rounds = 20_000
-    clicks = sum(len(detect([("d", train)], half, rng)) for _ in range(rounds))
+    clicks = sum(len(sample_clicks(click_table([("d", train)], half), rng)) for _ in range(rounds))
     assert clicks / rounds == pytest.approx(-math.expm1(-0.5), abs=0.01)
 
 
@@ -408,3 +407,7 @@ def test_detector_params_validation():
         DetectorParams(quantum_efficiency=1.5)
     with pytest.raises(ValueError):
         DetectorParams(dark_count_prob=-0.1)
+    # a value of the wrong type is rejected naming its field
+    for field, value in (("quantum_efficiency", None), ("dark_count_prob", True)):
+        with pytest.raises(ValueError, match=field):
+            DetectorParams(**{field: value})

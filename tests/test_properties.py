@@ -3,10 +3,14 @@ interferometer pass, Faraday round-trip invariance, the readout rule, and
 the equivalence of the table-driven ``run_round`` with the field-level
 reference round (``reference_round`` below) over drawn session configs.
 
+It also checks that every real-valued config field takes a float or names
+itself in a ValueError, whatever value it is given.
+
 Examples are derandomized so that every run of the suite checks the same
 cases; the fixed-example tests in the other files stay as goldens.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,10 +34,11 @@ from dpsqkd.optics import (
     DoubleClickPolicy,
     PulseTrain,
     attenuate,
-    detect,
+    click_table,
     faraday_reflect,
     jones_apply,
     mzi_pass,
+    sample_clicks,
     unit_jones,
 )
 from dpsqkd.phases import CHECK_PHASES, KEY_PHASES, QUATERNARY, QuantizedPhase
@@ -42,15 +47,17 @@ from dpsqkd.stations import (
     BitOutcome,
     CascadeConfig,
     Detector,
-    alice_decoy_replace,
+    alice_check_ports,
+    alice_decoy_encode,
+    alice_decoy_positions,
     alice_encode,
     alice_energy_monitor,
-    alice_sample_and_check,
     alice_score_check,
     bob_measure,
     bob_prepare,
     infer_bit,
     key_slot,
+    odd_slots,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -119,10 +126,12 @@ def test_readout_rule_for_every_phase_pair(n, source):
 def reference_round(config: SessionConfig, round_index: int, rng: np.random.Generator) -> RoundRecord:
     """The field-level round: every optical element runs on every round.
 
-    This is ``run_round`` before the click tables, with Bob's cascade and
-    prepared train built in place; it scores checks and decoy hits with the
-    same station functions. The table-driven ``run_round`` must give the
-    same record and leave the stream in the same state.
+    It uses the primitives that ``run_round`` and its
+    ``SessionConfig.phase_tables`` are built from (``alice_check_ports``,
+    ``alice_decoy_positions``, ``alice_decoy_encode``, ``click_table``,
+    ``sample_clicks``, ``alice_score_check``), but runs them on this round's
+    trains instead of looking up tables. The table-driven ``run_round``
+    must give the same record and leave the stream in the same state.
     """
     ua, ub, uc, ud = rng.random(4)
     phase_a = KEY_PHASES[int(ua * 2)]
@@ -143,10 +152,9 @@ def reference_round(config: SessionConfig, round_index: int, rng: np.random.Gene
     )
     alarm = alice_energy_monitor(train, expected, config.energy_tolerance)
 
-    sampled, check_clicks, train = alice_sample_and_check(
-        train, config.sample_prob, check_phase, rng, detector_params=config.detector
-    )
-    if sampled:
+    if rng.random() < config.sample_prob:
+        check_ports = alice_check_ports(train, check_phase)
+        check_clicks = sample_clicks(click_table(check_ports, config.detector), rng)
         matched, compared, errors = alice_score_check(check_clicks, cascade, check_phase)
         return RoundRecord(
             index=round_index,
@@ -162,9 +170,8 @@ def reference_round(config: SessionConfig, round_index: int, rng: np.random.Gene
         )
 
     train = attenuate(train, config.mean_photons_return)
-    train, decoy_positions = alice_decoy_replace(
-        train, phase_a, config.decoy_prob, decoy_phase, rng
-    )
+    decoy_positions = alice_decoy_positions(odd_slots(train), config.decoy_prob, rng)
+    train = alice_decoy_encode(train, phase_a, decoy_positions, decoy_phase)
     train = faraday_reflect(train)
     train = fiber_transmit(train, config.channel, None if unitary is None else unitary.T)
     eve_phase = None
@@ -172,7 +179,8 @@ def reference_round(config: SessionConfig, round_index: int, rng: np.random.Gene
         train, eve_phase = intercept_backward(train, prepared, sent)
 
     d1, d2 = bob_measure(train, cascade)
-    clicks = detect([(Detector.D1, d1), (Detector.D2, d2)], config.detector, rng)
+    key_table = click_table([(Detector.D1, d1), (Detector.D2, d2)], config.detector)
+    clicks = sample_clicks(key_table, rng)
 
     multi = len(clicks) >= 2
     chosen: ClickEvent | None = None
@@ -241,3 +249,40 @@ def test_table_rounds_equal_field_level_rounds(config, first_round):
         rng, ref_rng = round_rng(config.master_seed, i), round_rng(config.master_seed, i)
         assert run_round(config, i, rng) == reference_round(config, i, ref_rng)
         assert rng.random() == ref_rng.random()
+
+
+#: (dataclass, field) for every real-valued field of the three configs
+REAL_CONFIG_FIELDS = [
+    (cls, f.name)
+    for cls in (SessionConfig, DetectorParams, ChannelParams)
+    for f in dataclasses.fields(cls)
+    if f.type in ("float", float)
+]
+
+config_values = st.one_of(
+    st.none(),
+    st.text(max_size=4),
+    st.booleans(),
+    st.complex_numbers(max_magnitude=10.0),
+    st.sampled_from((math.nan, math.inf, -math.inf)),
+    st.floats(max_value=-1e-300, allow_infinity=False),
+    st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(-(10**400), 10**400),
+    st.floats(min_value=0.0, max_value=1.0).map(np.float64),
+)
+
+
+@PROPERTY
+@given(st.sampled_from(REAL_CONFIG_FIELDS), config_values)
+def test_real_config_field_stores_a_float_or_names_itself(field, value):
+    # a TypeError or AttributeError here would be an input the config
+    # neither runs nor rejects with a clear error
+    cls, name = field
+    try:
+        config = cls(**{name: value})
+    except ValueError as e:
+        assert name in str(e)
+        return
+    stored = getattr(config, name)
+    assert type(stored) is float and stored == float(value) and math.isfinite(stored)

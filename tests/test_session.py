@@ -374,11 +374,17 @@ def test_session_config_validation():
         ("max_check_error", -0.1),
         ("max_qber", -0.1),
         ("master_seed", -1),
+        ("sample_prob", "0.1"),
+        ("sample_prob", True),
+        ("detector", None),
+        ("channel", None),
     ],
 )
 def test_session_config_rejects_bad_input(field, value):
     # each of these was accepted and then failed or misbehaved inside the
-    # session: a NaN threshold silently disables its alarm (nan > x is False)
+    # session: a NaN threshold silently disables its alarm (nan > x is False),
+    # a string failed in a bare TypeError, True ran as 1.0 and a missing
+    # detector failed deep inside the first round
     with pytest.raises(ValueError, match=field):
         SessionConfig(**{field: value})
 

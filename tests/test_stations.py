@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from dpsqkd.optics import ClickEvent, DetectorParams, PulseTrain, phase_modulate, unit_jones
+from dpsqkd.optics import (
+    ClickEvent,
+    DetectorParams,
+    PulseTrain,
+    click_table,
+    phase_modulate,
+    sample_clicks,
+    unit_jones,
+)
 from dpsqkd.phases import (
     KEY_PHASES,
     PHASE_0,
@@ -19,17 +27,20 @@ from dpsqkd.stations import (
     CascadeConfig,
     Detector,
     ProtocolError,
-    alice_decoy_replace,
+    alice_check_ports,
+    alice_decoy_encode,
+    alice_decoy_positions,
     alice_encode,
     alice_energy_monitor,
-    alice_sample_and_check,
     alice_score_check,
     bob_measure,
     bob_prepare,
     check_expected_detector,
     infer_bit,
     key_slot,
+    odd_slots,
 )
+from dpsqkd.session import SessionConfig, run_session
 
 
 def chain_dense(source: complex, stages, phases_rad):
@@ -58,6 +69,15 @@ def test_cascade_delays_halve_to_one():
 def test_cascade_rejects_zero_stages():
     with pytest.raises(ValueError):
         CascadeConfig(0, PHASE_0)
+    # a float or bool stage count, or a bare number for the phase, is
+    # rejected naming its field
+    for n_stages, bob_phase, field in (
+        (2.5, PHASE_0, "n_stages"),
+        (True, PHASE_0, "n_stages"),
+        (3, 1, "bob_phase"),
+    ):
+        with pytest.raises(ValueError, match=field):
+            CascadeConfig(n_stages, bob_phase)
 
 
 # --- bob_prepare ----------------------------------------------------------
@@ -263,12 +283,15 @@ def test_energy_monitor_rejects_bad_expectation():
 # --- sampling check -------------------------------------------------------
 
 
+def check_clicks(train, check_phase, rng):
+    """Sample the check interferometer's D3/D4 clicks for ``train``."""
+    return sample_clicks(click_table(alice_check_ports(train, check_phase), DetectorParams()), rng)
+
+
 def test_sample_prob_zero_never_diverts():
-    rng = np.random.default_rng(0)
-    train = bob_prepare(CascadeConfig(3, PHASE_0), 1.0)
-    for _ in range(100):
-        sampled, clicks, out = alice_sample_and_check(train, 0.0, PHASE_0, rng)
-        assert not sampled and clicks == [] and out is train
+    # the per-train sampling draw is made by the round
+    records = run_session(SessionConfig(rounds=100, sample_prob=0.0)).records
+    assert not any(r.sampled or r.check_clicks for r in records)
 
 
 def test_sampled_honest_train_clicks_one_deterministic_port():
@@ -276,8 +299,7 @@ def test_sampled_honest_train_clicks_one_deterministic_port():
     # exits D3 and D4 stays dark
     rng = np.random.default_rng(1)
     train = bob_prepare(CascadeConfig(3, PHASE_0), 64.0)
-    sampled, clicks, out = alice_sample_and_check(train, 1.0, PHASE_0, rng)
-    assert sampled and len(out) == 0
+    clicks = check_clicks(train, PHASE_0, rng)
     inner = [c for c in clicks if 2 <= c.slot <= 8]
     assert inner and all(c.detector is Detector.D3 for c in inner)
 
@@ -291,8 +313,7 @@ def test_sampled_flat_train_contradicts_announced_phase():
     flat = PulseTrain.from_amplitudes(
         {k: abs(honest.amplitude(k)) for k in honest.occupied_slots()}
     )
-    sampled, clicks, _ = alice_sample_and_check(flat, 1.0, PHASE_0, rng)
-    assert sampled
+    clicks = check_clicks(flat, PHASE_0, rng)
     inner = [c for c in clicks if 2 <= c.slot <= 8]
     assert inner
     for c in inner:
@@ -302,9 +323,8 @@ def test_sampled_flat_train_contradicts_announced_phase():
 
 
 def test_sample_and_check_rejects_bad_basis():
-    rng = np.random.default_rng(0)
     with pytest.raises(ProtocolError):
-        alice_sample_and_check(PulseTrain.single(1, 1.0), 0.5, PHASE_180, rng)
+        alice_check_ports(PulseTrain.single(1, 1.0), PHASE_180)
 
 
 # --- check_expected_detector -----------------------------------------------
@@ -384,8 +404,7 @@ def test_score_check_matched_train_scores_clean():
     rng = np.random.default_rng(4)
     for phase_b, check in ((PHASE_0, PHASE_0), (PHASE_90, PHASE_90), (PHASE_270, PHASE_90)):
         cascade = CascadeConfig(3, phase_b)
-        sampled, clicks, _ = alice_sample_and_check(bob_prepare(cascade, 64.0), 1.0, check, rng)
-        assert sampled
+        clicks = check_clicks(bob_prepare(cascade, 64.0), check, rng)
         inner = [c for c in clicks if 2 <= c.slot <= 8]
         assert inner
         assert alice_score_check(clicks, cascade, check) == (True, len(inner), 0)
@@ -401,8 +420,10 @@ def test_key_slot_is_the_odd_slot_read():
 def test_decoy_prob_zero_equals_plain_encode():
     rng = np.random.default_rng(0)
     train = bob_prepare(CascadeConfig(3, PHASE_90), 1.0)
-    out, positions = alice_decoy_replace(train, PHASE_180, 0.0, PHASE_90, rng)
+    positions = alice_decoy_positions(odd_slots(train), 0.0, rng)
     assert positions == ()
+    assert rng.random() == np.random.default_rng(0).random()  # no draw made
+    out = alice_decoy_encode(train, PHASE_180, positions, PHASE_90)
     plain = alice_encode(train, PHASE_180)
     for k in range(1, 9):
         assert out.amplitude(k) == plain.amplitude(k)
@@ -411,8 +432,9 @@ def test_decoy_prob_zero_equals_plain_encode():
 def test_decoy_prob_one_zero_phase_leaves_odd_slots_unmodulated():
     rng = np.random.default_rng(0)
     train = bob_prepare(CascadeConfig(3, PHASE_0), 1.0)
-    out, positions = alice_decoy_replace(train, PHASE_180, 1.0, PHASE_0, rng)
+    positions = alice_decoy_positions(odd_slots(train), 1.0, rng)
     assert positions == (1, 3, 5, 7)
+    out = alice_decoy_encode(train, PHASE_180, positions, PHASE_0)
     for k in range(1, 9):
         assert out.amplitude(k) == train.amplitude(k)
 
@@ -421,14 +443,15 @@ def test_decoy_replacement_fraction_is_binomial():
     rng = np.random.default_rng(8)
     n_odd = 100_000
     train = PulseTrain.from_amplitudes({2 * i + 1: 1.0 for i in range(n_odd)})
-    _, positions = alice_decoy_replace(train, PHASE_0, 0.5, PHASE_90, rng)
+    positions = alice_decoy_positions(odd_slots(train), 0.5, rng)
     assert len(positions) / n_odd == pytest.approx(0.5, abs=0.01)
 
 
 def test_decoy_marks_replaced_phase():
     rng = np.random.default_rng(8)
     train = PulseTrain.from_amplitudes({k: 1.0 for k in range(1, 9)})
-    out, positions = alice_decoy_replace(train, PHASE_180, 0.5, PHASE_90, rng)
+    positions = alice_decoy_positions(odd_slots(train), 0.5, rng)
+    out = alice_decoy_encode(train, PHASE_180, positions, PHASE_90)
     for k in range(1, 9, 2):
         expected = -1j if k in positions else -1.0
         assert out.amplitude(k) == expected
@@ -445,7 +468,8 @@ def test_decoy_keeps_polarization_and_energy():
     train = PulseTrain.from_amplitudes(
         {k: prepared.amplitude(k) for k in prepared.slots}, pol
     )
-    out, positions = alice_decoy_replace(train, PHASE_180, 0.5, PHASE_90, rng)
+    positions = alice_decoy_positions(odd_slots(train), 0.5, rng)
+    out = alice_decoy_encode(train, PHASE_180, positions, PHASE_90)
     odd = [k for k in train.slots if k % 2 == 1]
     assert positions == tuple(sorted(positions)) and set(positions) <= set(odd)
     assert 0 < len(positions) < len(odd)
@@ -466,9 +490,8 @@ def test_decoy_keeps_polarization_and_energy():
 
 
 def test_decoy_rejects_bad_phases():
-    rng = np.random.default_rng(0)
     train = PulseTrain.single(1, 1.0)
     with pytest.raises(ProtocolError):
-        alice_decoy_replace(train, PHASE_90, 0.5, PHASE_0, rng)
+        alice_decoy_encode(train, PHASE_90, (1,), PHASE_0)
     with pytest.raises(ProtocolError):
-        alice_decoy_replace(train, PHASE_0, 0.5, PHASE_270, rng)
+        alice_decoy_encode(train, PHASE_0, (1,), PHASE_270)
