@@ -25,7 +25,8 @@ source_mean_photons, mean_photons_return, sample_prob, decoy_prob,
 energy_tolerance, disclose_fraction, max_check_error, max_qber,
 quantum_efficiency, dark_count_prob, double_click_policy, loss_db,
 birefringence_mode, channel_seed. ``efficiency_scan`` also accepts
-``stages`` (list of cascade sizes, default 1..6).
+``stages`` (list of cascade sizes, each in 1..16 like ``n_stages``;
+default 1..6).
 """
 
 from __future__ import annotations
@@ -268,12 +269,15 @@ def _run_attack_demo(spec: ExperimentSpec) -> ResultTable:
 
 
 def _run_birefringence_sweep(spec: ExperimentSpec) -> ResultTable:
+    """One session per birefringence mode, all on one seed: the Faraday
+    mirror compensates the fiber, so the rows differ only in ``mode``."""
     rows = []
-    for i, mode in enumerate(BirefringenceMode):
+    seed = _variant_seed(spec, 0)
+    for mode in BirefringenceMode:
         cfg = replace(
             spec.base,
             channel=replace(spec.base.channel, birefringence_mode=mode),
-            master_seed=_variant_seed(spec, i),
+            master_seed=seed,
         )
         result = run_session(cfg)
         d_counts = {d: 0 for d in Detector}

@@ -6,9 +6,9 @@ the same fiber unitary (collective birefringence), so the pulses never
 differ in polarization. Couplers, delay-line interferometers, phase
 modulators, attenuators and the Faraday mirror are pure functions on
 immutable pulse trains. Photon detection comes in two halves: the pure
-``click_table`` turns output trains into per-slot click probabilities, and
-``sample_clicks``, the only stochastic operation, draws clicks from such a
-table with an explicit RNG. A table depends on amplitudes alone, so a
+``click_table`` turns output trains into per-slot click probabilities, each
+tied to a fixed position in a row of uniforms, and ``sample_clicks``
+compares a table with such a row. A table depends on amplitudes alone, so a
 caller that meets the same trains again can build it once and sample it
 many times.
 
@@ -31,7 +31,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -269,27 +269,30 @@ def faraday_reflect(train: PulseTrain) -> PulseTrain:
     return PulseTrain(train.slots, (p2, -p1))
 
 
-#: Per-branch detection table: (detector, gated slots, click probability
-#: per slot), one entry for every branch whose gated window is non-empty.
-ClickTable = tuple[tuple[Hashable, tuple[int, ...], tuple[float, ...]], ...]
+#: Detection table: (click event, position in the row of uniforms, click
+#: probability) for every gated slot, branch by branch in slot order.
+ClickTable = tuple[tuple[ClickEvent, int, float], ...]
 
 
 def click_table(
-    branches: Iterable[tuple[Hashable, PulseTrain]], params: DetectorParams
+    branches: Iterable[tuple[Hashable, PulseTrain]],
+    params: DetectorParams,
+    columns: Sequence[int],
 ) -> ClickTable:
     """Click probability of every gated slot of each (detector, train) branch.
 
     Per occupied slot the probability is 1 - exp(-eta * |amplitude|^2);
     dark counts add independently over the gated window (every occupied
     slot and its immediate neighbours). A slot with exactly zero amplitude
-    and zero dark probability has probability 0. Branches with an empty
-    window are left out.
+    and zero dark probability has probability 0. Slot k of the j-th branch
+    is decided by the uniform at position ``columns[j] + k`` of a row, so
+    the caller gives each branch a column wide enough for its window.
     """
     eta = params.quantum_efficiency
     dark = params.dark_count_prob
     expm1 = math.expm1
     table = []
-    for detector, train in branches:
+    for (detector, train), start in zip(branches, columns, strict=True):
         slots = train.slots
         if dark > 0.0:
             window = set(slots)
@@ -300,24 +303,14 @@ def click_table(
             candidates = sorted(window)
         else:
             candidates = sorted(slots)
-        if not candidates:
-            continue
-        probs = []
         for k in candidates:
             a = slots.get(k)
             p_signal = -expm1(-eta * abs(a) ** 2) if a is not None else 0.0
-            probs.append(p_signal + dark - p_signal * dark)
-        table.append((detector, tuple(candidates), tuple(probs)))
+            table.append((ClickEvent(detector, k), start + k, p_signal + dark - p_signal * dark))
     return tuple(table)
 
 
-def sample_clicks(table: ClickTable, rng: np.random.Generator) -> list[ClickEvent]:
-    """Draw one uniform per gated slot, branch by branch in table order; a
-    slot clicks when its uniform falls below its probability."""
-    clicks: list[ClickEvent] = []
-    for detector, slots, probs in table:
-        draws = rng.random(len(slots)).tolist()
-        for k, u, p in zip(slots, draws, probs):
-            if u < p:
-                clicks.append(ClickEvent(detector, k))
-    return clicks
+def sample_clicks(table: ClickTable, uniforms: Sequence[float]) -> list[ClickEvent]:
+    """The clicks of one row of uniforms: a gated slot clicks when the
+    uniform at its position falls below its probability."""
+    return [click for click, j, p in table if uniforms[j] < p]

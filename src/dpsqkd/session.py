@@ -8,19 +8,38 @@ the config names one, is the intercept-resend attack of ``channel``.
 
 The Faraday mirror cancels the fiber's polarization transform, so a round's
 click probabilities depend only on its phases (Alice's key phase, Bob's
-phase, the check phase) and on any decoy replacements. Each config
-therefore runs that pipeline once per class of round, with the field-level
-functions, and keeps the results in ``SessionConfig.phase_tables``: per
-Bob phase, the energy-monitor verdict, a D3/D4 click table per check phase
-and a D1/D2 click table per key phase. A round makes its draws (phases,
-fiber unitary, sampling, decoy positions, clicks, double-click pick) in
-the order the pipeline would, and samples its clicks from the table it
-looks up. Only a round whose decoy draw replaced a slot runs the return
-leg itself, since decoy masks are too many to tabulate.
+phase, the check phase) and on any decoy replacements, and never on the
+fiber unitary: the records of a session are the same for every
+``BirefringenceMode``. Each config therefore runs that pipeline once per
+class of round, with the field-level functions, and keeps the results in
+``SessionConfig.phase_tables``: per Bob phase, the energy-monitor verdict,
+a D3/D4 click table per check phase and a D1/D2 click table per key phase.
+A round looks up its table and compares it with its uniforms. Only a round
+whose decoy draw replaced a slot runs the return leg itself, since decoy
+masks are too many to tabulate.
 
-Every round owns an RNG stream derived from (master seed, round index), so
-serial and parallel execution produce identical records, and two sessions
-with the same config are bit-identical.
+Stream contract. All of a session's rounds read one counter-based stream,
+``np.random.Philox`` keyed by ``SeedSequence(master_seed,
+spawn_key=(1,)).generate_state(2, np.uint64)``. Round i owns the W
+uniforms (``Generator.random``, one 64-bit output each) that start at
+counter i * W / 4, W a multiple of 4. With n stages, G = 2^n + 3 gate slots
+(0 .. 2^n + 2) and C = 5 + 2^(n-1), every draw has a fixed position in the
+round's row u, whether or not the round uses it:
+
+* u[0], u[1], u[2], u[3]: Alice's key phase, Bob's phase, the check phase
+  and the decoy phase;
+* u[4]: the sampling draw, the train is diverted when u[4] < sample_prob;
+* u[5 + j], 0 <= j < 2^(n-1): the decoy draw of odd slot 2j + 1;
+* u[C + c*G + k]: the click draw of detector column c at gate slot k;
+  column 0 is D1 (key) or D3 (check), column 1 is D2 or D4, since a round
+  is either sampled or keyed;
+* u[C + 2G]: the double-click pick, clicks[int(u * len(clicks))];
+* the rest, up to W = 4 * ceil((C + 2G + 1) / 4), is padding.
+
+A session draws its rows a bounded chunk at a time; ``round_uniforms``
+draws one round's row alone by advancing the counter. Both read the same
+numbers, so a round run alone equals the same round in its session, and two
+sessions with the same config are bit-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +49,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +59,6 @@ from .channel import (
     fiber_transmit,
     intercept_backward,
     intercept_forward,
-    round_unitary,
 )
 from .optics import (
     ClickEvent,
@@ -78,6 +96,16 @@ from .stations import (
 # spawn-key namespaces under the master seed
 _ROUND_STREAM = 1
 _STATS_STREAM = 2
+
+# fixed positions in a round's row of uniforms (module docstring)
+_SAMPLE = 4
+_DECOYS = 5
+# uniforms per array call of a session, so chunk memory stays bounded for any n
+_CHUNK_UNIFORMS = 8192
+
+#: The largest cascade a session accepts: a round's row holds about 2^(n+1)
+#: uniforms, and the field-level tables build trains of 2^n slots.
+MAX_STAGES = 16
 
 
 @dataclass(frozen=True)
@@ -127,6 +155,18 @@ class SessionConfig:
                 f"source_mean_photons * transmittance / 4**n_stages underflows to {per_slot}"
                 f" (loss_db {self.channel.loss_db}, n_stages {self.n_stages})"
             )
+        if self.n_stages > MAX_STAGES:
+            raise ValueError(f"n_stages must be <= {MAX_STAGES}, got {self.n_stages}")
+
+    @cached_property
+    def block(self) -> RoundBlock:
+        """Where a round's draws sit in its row of uniforms."""
+        gated = 2**self.n_stages + 3
+        column0 = _DECOYS + 2 ** (self.n_stages - 1)
+        pick = column0 + 2 * gated
+        # whole Philox counters of 4 outputs, so row i starts at counter i * width / 4
+        width = (pick + 4) // 4 * 4
+        return RoundBlock((column0, column0 + gated), pick, width, max(1, _CHUNK_UNIFORMS // width))
 
     @cached_property
     def phase_tables(self) -> tuple[PhaseTables, ...]:
@@ -136,6 +176,20 @@ class SessionConfig:
         return tuple(_phase_tables(self, phase) for phase in QUATERNARY)
 
 
+class RoundBlock(NamedTuple):
+    """The layout of a round's row of uniforms (see the module docstring).
+
+    Gate slot k of detector column c reads position ``columns[c] + k``;
+    ``pick`` is the double-click pick; a row is ``width`` uniforms, and a
+    session draws ``chunk_rounds`` rows per array call.
+    """
+
+    columns: tuple[int, int]
+    pick: int
+    width: int
+    chunk_rounds: int
+
+
 class PhaseTables(NamedTuple):
     """What the optics of a round give for one phase of Bob.
 
@@ -143,7 +197,8 @@ class PhaseTables(NamedTuple):
     amplitude depends on the polarization, so these hold for every fiber
     unitary. Check tables are indexed like ``CHECK_PHASES`` and key tables
     like ``KEY_PHASES``; a key table comes with Eve's inferred phase (None
-    without an attack). Decoy-free rounds read their key table here; a
+    without an attack). Every table reads the columns of
+    ``SessionConfig.block``. Decoy-free rounds read their key table here; a
     round whose decoy draw replaced slots runs :func:`_return_leg` on
     ``attenuated`` instead.
     """
@@ -170,7 +225,8 @@ def _phase_tables(config: SessionConfig, bob_phase: QuantizedPhase) -> PhaseTabl
         config.source_mean_photons / cascade.train_slots * config.channel.transmittance
     )
     check_tables = tuple(
-        click_table(alice_check_ports(train, phase), config.detector) for phase in CHECK_PHASES
+        click_table(alice_check_ports(train, phase), config.detector, config.block.columns)
+        for phase in CHECK_PHASES
     )
     attenuated = attenuate(train, config.mean_photons_return)
     key_tables = tuple(
@@ -203,7 +259,8 @@ def _return_leg(
     if config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE:
         train, eve_phase = intercept_backward(train, prepared, sent)
     d1, d2 = bob_measure(train, cascade)
-    return click_table([(Detector.D1, d1), (Detector.D2, d2)], config.detector), eve_phase
+    branches = [(Detector.D1, d1), (Detector.D2, d2)]
+    return click_table(branches, config.detector, config.block.columns), eve_phase
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,10 +289,29 @@ class RoundRecord:
         return 0 if self.alice_phase.quarter_turns == 0 else 1
 
 
-def round_rng(master_seed: int, round_index: int) -> np.random.Generator:
-    """Independent per-round stream, stable across execution order."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(_ROUND_STREAM, round_index))
-    return np.random.Generator(np.random.PCG64(ss))
+def _round_stream(master_seed: int) -> np.random.Philox:
+    """The session's round stream at counter 0 (module docstring)."""
+    key = np.random.SeedSequence(master_seed, spawn_key=(_ROUND_STREAM,))
+    return np.random.Philox(key=key.generate_state(2, np.uint64))
+
+
+def round_uniforms(config: SessionConfig, round_index: int) -> list[float]:
+    """Round ``round_index``'s row of uniforms, drawn alone: the same row
+    that :func:`session_uniforms` yields for it."""
+    width = config.block.width
+    stream = _round_stream(config.master_seed)
+    stream.advance(round_index * width // 4)
+    return np.random.Generator(stream).random(width).tolist()
+
+
+def session_uniforms(config: SessionConfig) -> Iterator[list[float]]:
+    """Every round's row of uniforms in round order, drawn
+    ``config.block.chunk_rounds`` rows per array call."""
+    block = config.block
+    draws = np.random.Generator(_round_stream(config.master_seed))
+    for start in range(0, config.rounds, block.chunk_rounds):
+        rows = min(block.chunk_rounds, config.rounds - start)
+        yield from draws.random((rows, block.width)).tolist()
 
 
 def _stats_rng(master_seed: int) -> np.random.Generator:
@@ -243,34 +319,26 @@ def _stats_rng(master_seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def run_round(config: SessionConfig, round_index: int, rng: np.random.Generator) -> RoundRecord:
-    """Execute one full protocol round and return its record.
+def run_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> RoundRecord:
+    """Execute one full protocol round from its row of uniforms ``u``.
 
-    Draw order is fixed (Alice key phase, Bob phase, check phase, decoy
-    phase, then channel/sampling/detection as encountered) so that records
-    are reproducible for a given stream. The round depends on nothing but
-    its arguments, so a round run alone equals the same round in a session.
-
-    The optics come from ``config.phase_tables``; the round makes the same
-    draws, in the same order, as the field-level pipeline would.
+    Every draw reads its fixed position in ``u`` (module docstring). The
+    round depends on nothing but its arguments, so a round run alone with
+    :func:`round_uniforms` equals the same round in a session. The optics
+    come from ``config.phase_tables``.
     """
-    ua, ub, uc, ud = rng.random(4).tolist()
-    key_index = int(ua * 2)
-    check_index = int(uc * 2)
+    key_index = int(u[0] * 2)
+    check_index = int(u[2] * 2)
     phase_a = KEY_PHASES[key_index]
-    phase_b = QUATERNARY[int(ub * 4)]
+    phase_b = QUATERNARY[int(u[1] * 4)]
     check_phase = CHECK_PHASES[check_index]
-    decoy_phase = CHECK_PHASES[int(ud * 2)]
 
     tables = config.phase_tables[phase_b.quarter_turns]
-    # no amplitude depends on the fiber unitary, but drawing it is part of
-    # the round's stream
-    round_unitary(config.channel, rng)
     alarm = tables.energy_alarm
 
     # Alice's check: the whole train is diverted, with probability sample_prob
-    if rng.random() < config.sample_prob:
-        check_clicks = sample_clicks(tables.check_tables[check_index], rng)
+    if u[_SAMPLE] < config.sample_prob:
+        check_clicks = sample_clicks(tables.check_tables[check_index], u)
         matched, compared, errors = alice_score_check(check_clicks, tables.cascade, check_phase)
         return RoundRecord(
             index=round_index,
@@ -285,22 +353,23 @@ def run_round(config: SessionConfig, round_index: int, rng: np.random.Generator)
             energy_alarm=alarm,
         )
 
-    decoy_positions = alice_decoy_positions(tables.odd_slots, config.decoy_prob, rng)
+    decoy_positions = alice_decoy_positions(tables.odd_slots, config.decoy_prob, u, _DECOYS)
     if decoy_positions:
+        decoy_phase = CHECK_PHASES[int(u[3] * 2)]
         encoded = alice_decoy_encode(tables.attenuated, phase_a, decoy_positions, decoy_phase)
         key_table, eve_phase = _return_leg(
             config, tables.cascade, tables.prepared, tables.sent, encoded
         )
     else:
         key_table, eve_phase = tables.key_tables[key_index]
-    clicks = sample_clicks(key_table, rng)
+    clicks = sample_clicks(key_table, u)
 
     multi = len(clicks) >= 2
     chosen: ClickEvent | None = None
     if len(clicks) == 1:
         chosen = clicks[0]
     elif multi and config.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
-        chosen = clicks[rng.integers(0, len(clicks))]
+        chosen = clicks[int(u[config.block.pick] * len(clicks))]
 
     bit: BitOutcome | None = None
     decoy_hit = False
@@ -497,9 +566,10 @@ class SessionResult:
 
 
 def run_session(config: SessionConfig) -> SessionResult:
-    """Run all rounds serially with per-round streams and aggregate."""
+    """Run all rounds serially, each on its row of the session's stream,
+    and aggregate."""
     records = tuple(
-        run_round(config, i, round_rng(config.master_seed, i)) for i in range(config.rounds)
+        run_round(config, i, u) for i, u in enumerate(session_uniforms(config))
     )
     return SessionResult(config, records, session_stats(records, config))
 

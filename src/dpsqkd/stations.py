@@ -7,8 +7,9 @@ Alice monitors the incoming energy and diverts some whole trains to a
 check interferometer (detectors D3/D4). The rest she attenuates, encodes
 with her key phase on the odd slots, some of which she may replace with
 decoy phases, and reflects off a Faraday mirror. Which trains are diverted
-and which detectors click is drawn by the session's rounds
-(``session.run_round``); the functions here give the trains they draw from.
+and which detectors click is decided by the session's rounds
+(``session.run_round``) from their rows of uniforms; the functions here give
+the trains they decide on.
 
 The two readout rules live here as well. The key readout
 (:func:`infer_bit`, :func:`key_slot`) decodes every inner slot and discards
@@ -22,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .optics import ClickEvent, PulseTrain, _int_field, mzi_pass, phase_modulate
 from .phases import CHECK_PHASES, KEY_PHASES, PHASE_180, QuantizedPhase
@@ -211,17 +210,15 @@ def alice_score_check(
 
 
 def alice_decoy_positions(
-    odd_slots: Sequence[int], decoy_prob: float, rng: np.random.Generator
+    odd_slots: Sequence[int], decoy_prob: float, uniforms: Sequence[float], start: int = 0
 ) -> tuple[int, ...]:
-    """The odd slots that Alice replaces by a decoy: one uniform per slot of
-    ``odd_slots`` (ascending), a slot is replaced when its uniform falls
-    below decoy_prob. With decoy_prob == 0 no randomness is consumed. The
-    caller keeps the positions for sifting: a key click fed by a decoy slot
-    is unusable."""
+    """The odd slots that Alice replaces by a decoy: odd slot k of
+    ``odd_slots`` (ascending) is replaced when the uniform at position
+    ``start + k // 2`` of the row falls below decoy_prob. The caller keeps
+    the positions for sifting: a key click fed by a decoy slot is unusable."""
     if decoy_prob == 0.0:
         return ()
-    draws = rng.random(len(odd_slots)).tolist()
-    return tuple(k for k, u in zip(odd_slots, draws) if u < decoy_prob)
+    return tuple(k for k in odd_slots if uniforms[start + k // 2] < decoy_prob)
 
 
 def alice_decoy_encode(

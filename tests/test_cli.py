@@ -13,6 +13,7 @@ from dpsqkd.cli import (
     run_experiment,
 )
 from dpsqkd.optics import DoubleClickPolicy
+from dpsqkd.session import MAX_STAGES
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -110,6 +111,14 @@ def test_efficiency_scan_stage_out_of_range_is_named(tmp_path):
     doc = {"experiments": [{"name": "efficiency_scan", "stages": [3, 600]}]}
     with pytest.raises(ConfigError, match="n_stages"):
         parse_config(write_config(tmp_path, doc))
+
+
+def test_main_efficiency_scan_stage_above_bound_exits_2(tmp_path, capsys):
+    doc = {"experiments": [{"name": "efficiency_scan", "stages": [3, MAX_STAGES + 1]}]}
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"n_stages must be <= {MAX_STAGES}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_experiment_rejected(tmp_path):
@@ -268,6 +277,20 @@ def test_birefringence_sweep_rows(tmp_path):
         cols = dict(zip(table.columns, row))
         assert cols["mismatches"] == 0
         assert cols["d1"] + cols["d2"] > 300
+
+
+def test_birefringence_sweep_rows_differ_only_in_mode(tmp_path):
+    # every mode runs on one seed and the Faraday mirror compensates the
+    # fiber, so the sessions agree click for click, checks included
+    spec = small_spec(
+        tmp_path, "birefringence_sweep", rounds=600, mean_photons_return=0.5,
+        sample_prob=0.2, channel_seed=4,
+    )
+    table = run_experiment(spec)
+    assert [r[0] for r in table.rows] == [m.value for m in BirefringenceMode]
+    assert len({r[1:] for r in table.rows}) == 1
+    cols = dict(zip(table.columns, table.rows[0]))
+    assert cols["d1"] + cols["d2"] > 0 and cols["d3"] + cols["d4"] > 0
 
 
 # --- emit ---------------------------------------------------------------------

@@ -315,9 +315,15 @@ def test_faraday_preserves_amplitudes():
 # --- detection: sample_clicks of click_table ------------------------------
 
 
+def detect(train, params, rng):
+    """Clicks of one branch whose slot k reads uniform k of a hand-built row."""
+    table = click_table([("d", train)], params, (0,))
+    return sample_clicks(table, rng.random(max(train.slots, default=0) + 2).tolist())
+
+
 def test_detect_vacuum_never_clicks():
     rng = np.random.default_rng(0)
-    clicks = sample_clicks(click_table([("d", PulseTrain.vacuum())], DetectorParams()), rng)
+    clicks = detect(PulseTrain.vacuum(), DetectorParams(), rng)
     assert clicks == []
 
 
@@ -325,7 +331,7 @@ def test_detect_saturated_slot_always_clicks():
     rng = np.random.default_rng(0)
     train = PulseTrain.single(2, 1000.0)  # |a|^2 = 1e6
     for _ in range(50):
-        clicks = sample_clicks(click_table([("d", train)], DetectorParams()), rng)
+        clicks = detect(train, DetectorParams(), rng)
         assert clicks == [("d", 2)]
 
 
@@ -333,12 +339,12 @@ def test_detect_zero_amplitude_slot_never_clicks():
     rng = np.random.default_rng(0)
     train = PulseTrain({5: 0j})
     for _ in range(200):
-        assert sample_clicks(click_table([("d", train)], DetectorParams()), rng) == []
+        assert detect(train, DetectorParams(), rng) == []
 
 
 def test_detect_click_frequency_matches_poisson_model():
     # uniform 8-slot train with total energy 0.1: per-slot click probability
-    # is 1 - exp(-0.1/8); pooling the 8 identical slots over 1e5 draws gives
+    # is 1 - exp(-0.1/8); pooling the 8 identical slots over 1e5 rows gives
     # 8e5 Bernoulli samples, enough to pin the rate to well under 2% relative
     rng = np.random.default_rng(1)
     amp = math.sqrt(0.1 / 8)
@@ -347,7 +353,7 @@ def test_detect_click_frequency_matches_poisson_model():
     rounds = 100_000
     total = 0
     for _ in range(rounds):
-        total += len(sample_clicks(click_table([("d", train)], params), rng))
+        total += len(detect(train, params, rng))
     expected = -math.expm1(-0.1 / 8)
     measured = total / (8 * rounds)
     assert abs(measured - expected) / expected < 0.02
@@ -362,35 +368,41 @@ def test_detect_dark_counts_on_empty_window():
     counts = 0
     trials = 2000
     for _ in range(trials):
-        counts += len(sample_clicks(click_table([("d", train)], params), rng))
+        counts += len(detect(train, params, rng))
     # window = slots {2, 3, 4}, each dark-firing independently at 0.5
     assert counts / (3 * trials) == pytest.approx(0.5, abs=0.05)
 
 
 def test_click_table_gates_window_and_skips_empty_branches():
     # dark counts widen each branch to the occupied slots and their
-    # neighbours; a branch with an empty window gets no entry and no draw
+    # neighbours; a branch with an empty window gets no entry and no draw;
+    # slot k of a branch reads position (its column) + k
     train = PulseTrain({0: 1.0, 3: 0j})
     params = DetectorParams(quantum_efficiency=0.5, dark_count_prob=0.1)
-    table = click_table([("a", train), ("b", PulseTrain.vacuum())], params)
-    assert [(d, slots) for d, slots, _ in table] == [("a", (0, 1, 2, 3, 4))]
+    table = click_table([("a", train), ("b", PulseTrain.vacuum())], params, (10, 20))
+    assert [(c.detector, c.slot) for c, _, _ in table] == [("a", k) for k in (0, 1, 2, 3, 4)]
+    assert [j for _, j, _ in table] == [10, 11, 12, 13, 14]
     p0 = -math.expm1(-0.5)
-    assert table[0][2] == (p0 + 0.1 - p0 * 0.1, 0.1, 0.1, 0.1, 0.1)
+    assert tuple(p for _, _, p in table) == (p0 + 0.1 - p0 * 0.1, 0.1, 0.1, 0.1, 0.1)
 
 
 def test_sample_clicks_draws_one_uniform_per_gated_slot():
-    # branch by branch in table order, a slot clicks iff its uniform is
-    # below its probability (0.47 per slot here)
+    # branch by branch in table order, a slot clicks iff the uniform at its
+    # position is below its probability (0.47 per slot here); no other
+    # uniform of the row is read
     train = PulseTrain.from_amplitudes({k: 0.8 for k in range(1, 6)})
-    table = click_table([("a", train), ("b", PulseTrain.single(2, 0.8))], DetectorParams())
-    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    clicks = sample_clicks(table, rng)
-    draws = ref.random(5).tolist() + ref.random(1).tolist()
+    table = click_table(
+        [("a", train), ("b", PulseTrain.single(2, 0.8))], DetectorParams(), (0, 6)
+    )
+    u = np.random.default_rng(5).random(9).tolist()
+    clicks = sample_clicks(table, u)
+    draws = u[1:6] + [u[8]]
     gated = [("a", k) for k in range(1, 6)] + [("b", 2)]
-    probs = table[0][2] + table[1][2]
-    expected = [c for c, u, p in zip(gated, draws, probs) if u < p]
+    probs = [p for _, _, p in table]
+    expected = [c for c, d, p in zip(gated, draws, probs) if d < p]
     assert clicks == expected and 0 < len(expected) < 6
-    assert rng.random() == ref.random()
+    for j in (0, 6, 7):
+        assert sample_clicks(table, u[:j] + [1.0 - u[j]] + u[j + 1 :]) == clicks
 
 
 def test_detect_efficiency_scales_click_rate():
@@ -398,7 +410,7 @@ def test_detect_efficiency_scales_click_rate():
     train = PulseTrain.single(1, 1.0)
     half = DetectorParams(quantum_efficiency=0.5)
     rounds = 20_000
-    clicks = sum(len(sample_clicks(click_table([("d", train)], half), rng)) for _ in range(rounds))
+    clicks = sum(len(detect(train, half, rng)) for _ in range(rounds))
     assert clicks / rounds == pytest.approx(-math.expm1(-0.5), abs=0.01)
 
 

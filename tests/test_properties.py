@@ -2,6 +2,8 @@
 interferometer pass, Faraday round-trip invariance, the readout rule, and
 the equivalence of the table-driven ``run_round`` with the field-level
 reference round (``reference_round`` below) over drawn session configs.
+Faraday compensation is also checked at the protocol level: a session's
+records do not depend on the birefringence mode.
 
 It also checks that every real-valued config field takes a float or names
 itself in a ValueError, whatever value it is given.
@@ -42,7 +44,7 @@ from dpsqkd.optics import (
     unit_jones,
 )
 from dpsqkd.phases import CHECK_PHASES, KEY_PHASES, QUATERNARY, QuantizedPhase
-from dpsqkd.session import RoundRecord, SessionConfig, round_rng, run_round
+from dpsqkd.session import RoundRecord, SessionConfig, round_uniforms, run_round, run_session
 from dpsqkd.stations import (
     BitOutcome,
     CascadeConfig,
@@ -123,25 +125,32 @@ def test_readout_rule_for_every_phase_pair(n, source):
 # --- table-driven rounds against the field-level reference -----------------
 
 
-def reference_round(config: SessionConfig, round_index: int, rng: np.random.Generator) -> RoundRecord:
+def reference_round(config: SessionConfig, round_index: int, u) -> RoundRecord:
     """The field-level round: every optical element runs on every round.
 
     It uses the primitives that ``run_round`` and its
     ``SessionConfig.phase_tables`` are built from (``alice_check_ports``,
     ``alice_decoy_positions``, ``alice_decoy_encode``, ``click_table``,
     ``sample_clicks``, ``alice_score_check``), but runs them on this round's
-    trains instead of looking up tables. The table-driven ``run_round``
-    must give the same record and leave the stream in the same state.
+    trains instead of looking up tables. It reads the round's row of
+    uniforms ``u`` at the positions the ``session`` docstring lays down,
+    computed here on their own, and draws the fiber unitary, which no
+    record depends on, from a substream of its own. The table-driven
+    ``run_round`` must give the same record.
     """
-    ua, ub, uc, ud = rng.random(4)
-    phase_a = KEY_PHASES[int(ua * 2)]
-    phase_b = QUATERNARY[int(ub * 4)]
-    check_phase = CHECK_PHASES[int(uc * 2)]
-    decoy_phase = CHECK_PHASES[int(ud * 2)]
+    n = config.n_stages
+    gated = 2**n + 3  # gate slots 0 .. 2^n + 2
+    columns = (5 + 2 ** (n - 1), 5 + 2 ** (n - 1) + gated)
+    pick = columns[1] + gated
+
+    phase_a = KEY_PHASES[int(u[0] * 2)]
+    phase_b = QUATERNARY[int(u[1] * 4)]
+    check_phase = CHECK_PHASES[int(u[2] * 2)]
+    decoy_phase = CHECK_PHASES[int(u[3] * 2)]
 
     cascade = CascadeConfig(config.n_stages, phase_b)
     prepared = bob_prepare(cascade, complex(math.sqrt(config.source_mean_photons)))
-    unitary = round_unitary(config.channel, rng)
+    unitary = round_unitary(config.channel, np.random.default_rng([config.master_seed, round_index]))
 
     attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
     sent = intercept_forward(prepared) if attack else prepared
@@ -152,9 +161,9 @@ def reference_round(config: SessionConfig, round_index: int, rng: np.random.Gene
     )
     alarm = alice_energy_monitor(train, expected, config.energy_tolerance)
 
-    if rng.random() < config.sample_prob:
+    if u[4] < config.sample_prob:
         check_ports = alice_check_ports(train, check_phase)
-        check_clicks = sample_clicks(click_table(check_ports, config.detector), rng)
+        check_clicks = sample_clicks(click_table(check_ports, config.detector, columns), u)
         matched, compared, errors = alice_score_check(check_clicks, cascade, check_phase)
         return RoundRecord(
             index=round_index,
@@ -170,7 +179,7 @@ def reference_round(config: SessionConfig, round_index: int, rng: np.random.Gene
         )
 
     train = attenuate(train, config.mean_photons_return)
-    decoy_positions = alice_decoy_positions(odd_slots(train), config.decoy_prob, rng)
+    decoy_positions = alice_decoy_positions(odd_slots(train), config.decoy_prob, u, 5)
     train = alice_decoy_encode(train, phase_a, decoy_positions, decoy_phase)
     train = faraday_reflect(train)
     train = fiber_transmit(train, config.channel, None if unitary is None else unitary.T)
@@ -179,15 +188,15 @@ def reference_round(config: SessionConfig, round_index: int, rng: np.random.Gene
         train, eve_phase = intercept_backward(train, prepared, sent)
 
     d1, d2 = bob_measure(train, cascade)
-    key_table = click_table([(Detector.D1, d1), (Detector.D2, d2)], config.detector)
-    clicks = sample_clicks(key_table, rng)
+    key_table = click_table([(Detector.D1, d1), (Detector.D2, d2)], config.detector, columns)
+    clicks = sample_clicks(key_table, u)
 
     multi = len(clicks) >= 2
     chosen: ClickEvent | None = None
     if len(clicks) == 1:
         chosen = clicks[0]
     elif multi and config.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
-        chosen = clicks[rng.integers(0, len(clicks))]
+        chosen = clicks[int(u[pick] * len(clicks))]
 
     bit: BitOutcome | None = None
     decoy_hit = False
@@ -243,12 +252,27 @@ session_configs = st.builds(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(session_configs, st.integers(0, 2**20))
 def test_table_rounds_equal_field_level_rounds(config, first_round):
-    # same record and same stream position after the round, so the table
-    # path consumes exactly the reference's draws
+    # both read the same row of uniforms at the same positions
     for i in range(first_round, first_round + 10):
-        rng, ref_rng = round_rng(config.master_seed, i), round_rng(config.master_seed, i)
-        assert run_round(config, i, rng) == reference_round(config, i, ref_rng)
-        assert rng.random() == ref_rng.random()
+        u = round_uniforms(config, i)
+        assert run_round(config, i, u) == reference_round(config, i, u)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(session_configs)
+def test_records_do_not_depend_on_birefringence(config):
+    # the Faraday mirror compensates the fiber for every unitary, so a
+    # session's records are bit-identical under every birefringence mode
+    config = dataclasses.replace(config, rounds=30)
+    records = {
+        run_session(
+            dataclasses.replace(
+                config, channel=dataclasses.replace(config.channel, birefringence_mode=mode)
+            )
+        ).records
+        for mode in BirefringenceMode
+    }
+    assert len(records) == 1
 
 
 #: (dataclass, field) for every real-valued field of the three configs

@@ -9,34 +9,26 @@ from dpsqkd.channel import BirefringenceMode, ChannelParams, EveKind
 from dpsqkd.optics import DetectorParams, DoubleClickPolicy
 from dpsqkd.phases import PHASE_0, PHASE_180
 from dpsqkd.session import (
+    MAX_STAGES,
     SessionConfig,
     competitor_efficiency,
     estimate_qber,
-    round_rng,
+    round_uniforms,
     run_round,
     run_session,
     session_stats,
+    session_uniforms,
     sift,
     theoretical_efficiency,
 )
 from dpsqkd.stations import BitOutcome, Detector
 
 
-class ScriptedRng:
-    """Real generator whose first random(4) call (the phase draws) is forced."""
-
-    def __init__(self, seed, first4):
-        self._g = np.random.default_rng(seed)
-        self._first4 = np.asarray(first4, dtype=float)
-
-    def random(self, size=None):
-        if size == 4 and self._first4 is not None:
-            out, self._first4 = self._first4, None
-            return out
-        return self._g.random() if size is None else self._g.random(size)
-
-    def integers(self, *args, **kwargs):
-        return self._g.integers(*args, **kwargs)
+def scripted_row(cfg, seed, first4):
+    """A hand-built row of uniforms for ``cfg`` whose four phase draws are forced."""
+    u = np.random.default_rng(seed).random(cfg.block.width).tolist()
+    u[0:4] = first4
+    return u
 
 
 FORCE_A0_B0 = (0.0, 0.0, 0.0, 0.0)  # alice 0, bob 0, check 0, decoy 0
@@ -55,7 +47,7 @@ def test_round_with_zero_phases_clicks_d1_inner_and_reads_bit0():
     )
     saw_bit = False
     for i in range(100):
-        rec = run_round(cfg, i, ScriptedRng(i, FORCE_A0_B0))
+        rec = run_round(cfg, i, scripted_row(cfg, i, FORCE_A0_B0))
         for c in rec.clicks:
             if 2 <= c.slot <= 8:
                 assert c.detector is Detector.D1  # deterministic interference
@@ -67,7 +59,7 @@ def test_round_with_zero_phases_clicks_d1_inner_and_reads_bit0():
 
 def test_sampled_round_contributes_check_data_not_key():
     cfg = SessionConfig(rounds=1, sample_prob=1.0, master_seed=5)
-    rec = run_round(cfg, 0, round_rng(5, 0))
+    rec = run_round(cfg, 0, round_uniforms(cfg, 0))
     assert rec.sampled
     assert rec.bit is None
     assert rec.clicks == ()
@@ -78,7 +70,7 @@ def test_sampled_round_contributes_check_data_not_key():
 
 def test_vacuum_return_round_records_no_detection():
     cfg = SessionConfig(rounds=1, mean_photons_return=0.0, sample_prob=0.0, master_seed=1)
-    rec = run_round(cfg, 0, round_rng(1, 0))
+    rec = run_round(cfg, 0, round_uniforms(cfg, 0))
     assert rec.clicks == ()
     assert rec.bit is None
 
@@ -87,13 +79,13 @@ def test_multi_click_policy_discard_vs_pick():
     # huge return energy forces several clicks per round
     base = dict(rounds=1, mean_photons_return=40.0, sample_prob=0.0, master_seed=9)
     discard = SessionConfig(**base)
-    rec = run_round(discard, 0, round_rng(9, 0))
+    rec = run_round(discard, 0, round_uniforms(discard, 0))
     assert rec.multi_click and rec.bit is None
     pick = SessionConfig(
         **base,
         detector=DetectorParams(double_click_policy=DoubleClickPolicy.RANDOM_PICK),
     )
-    rec = run_round(pick, 0, round_rng(9, 0))
+    rec = run_round(pick, 0, round_uniforms(pick, 0))
     assert rec.multi_click and rec.bit is not None
 
 
@@ -208,12 +200,12 @@ def test_reproducibility_same_seed_same_stats():
 
 
 def _assert_rounds_order_independent(cfg):
-    # each round owns a stream keyed by (seed, index) and depends on nothing
-    # else, so executing rounds in any order or in isolation reproduces the
-    # session's records
+    # each round owns a fixed block of the session's stream and depends on
+    # nothing else, so executing rounds in any order or in isolation
+    # reproduces the session's records
     session_records = run_session(cfg).records
     for i in (39, 7, 0, 22):
-        solo = run_round(cfg, i, round_rng(cfg.master_seed, i))
+        solo = run_round(cfg, i, round_uniforms(cfg, i))
         assert solo == session_records[i]
     return session_records
 
@@ -238,6 +230,46 @@ def test_rounds_are_order_independent_under_attack():
     )
     records = _assert_rounds_order_independent(cfg)
     assert any(r.eve_phase is not None for r in records)
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_round_uniforms_equal_the_chunked_session_rows(n):
+    # first and last round of the first chunk, first round of the second and
+    # the last round of the session, which falls in a partial chunk
+    probe = SessionConfig(n_stages=n, master_seed=21)
+    chunk = probe.block.chunk_rounds
+    cfg = replace(probe, rounds=2 * chunk + chunk // 2)
+    rows = list(session_uniforms(cfg))
+    assert len(rows) == cfg.rounds
+    for i in (0, chunk - 1, chunk, cfg.rounds - 1):
+        assert round_uniforms(cfg, i) == rows[i]
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, MAX_STAGES])
+def test_round_block_layout(n):
+    # phases, sampling, one decoy draw per odd slot, two detector columns of
+    # gate slots 0 .. 2^n + 2, the pick, padded to whole Philox counters
+    cfg = SessionConfig(n_stages=n)
+    column0 = 5 + 2 ** (n - 1)
+    gated = 2**n + 3
+    assert cfg.block.columns == (column0, column0 + gated)
+    assert cfg.block.pick == column0 + 2 * gated
+    assert cfg.block.width % 4 == 0 and 0 < cfg.block.width - cfg.block.pick <= 4
+    assert len(round_uniforms(cfg, 5)) == cfg.block.width
+
+
+def test_round_uniforms_golden():
+    # a change of numpy's Philox or SeedSequence output changes every record
+    assert round_uniforms(SessionConfig(master_seed=0), 0)[:8] == [
+        0.674438164022751,
+        0.4788968376798527,
+        0.30998762221501774,
+        0.4726330704259736,
+        0.8217534484187546,
+        0.9743123880042773,
+        0.28929430132065914,
+        0.055152668428354645,
+    ]
 
 
 def test_efficiency_converges_at_moderate_scale():
@@ -387,6 +419,15 @@ def test_session_config_rejects_bad_input(field, value):
     # detector failed deep inside the first round
     with pytest.raises(ValueError, match=field):
         SessionConfig(**{field: value})
+
+
+@pytest.mark.parametrize("n_stages", [MAX_STAGES + 1, 40])
+def test_session_config_bounds_n_stages(n_stages):
+    # a round's row and the field-level tables grow like 2^n; n=40 would
+    # need 2^40 slots per train
+    with pytest.raises(ValueError, match=f"n_stages must be <= {MAX_STAGES}"):
+        SessionConfig(n_stages=n_stages)
+    assert SessionConfig(n_stages=MAX_STAGES).n_stages == MAX_STAGES
 
 
 @pytest.mark.parametrize("loss_db,n_stages", [(3200.0, 3), (100.0, 600)])

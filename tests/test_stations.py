@@ -284,8 +284,10 @@ def test_energy_monitor_rejects_bad_expectation():
 
 
 def check_clicks(train, check_phase, rng):
-    """Sample the check interferometer's D3/D4 clicks for ``train``."""
-    return sample_clicks(click_table(alice_check_ports(train, check_phase), DetectorParams()), rng)
+    """Sample the check interferometer's D3/D4 clicks for a 3-stage ``train``
+    from a hand-built row: gate slots 0 .. 10 of D3, then of D4."""
+    table = click_table(alice_check_ports(train, check_phase), DetectorParams(), (0, 11))
+    return sample_clicks(table, rng.random(22).tolist())
 
 
 def test_sample_prob_zero_never_diverts():
@@ -418,11 +420,9 @@ def test_key_slot_is_the_odd_slot_read():
 
 
 def test_decoy_prob_zero_equals_plain_encode():
-    rng = np.random.default_rng(0)
     train = bob_prepare(CascadeConfig(3, PHASE_90), 1.0)
-    positions = alice_decoy_positions(odd_slots(train), 0.0, rng)
+    positions = alice_decoy_positions(odd_slots(train), 0.0, [])  # reads no uniform
     assert positions == ()
-    assert rng.random() == np.random.default_rng(0).random()  # no draw made
     out = alice_decoy_encode(train, PHASE_180, positions, PHASE_90)
     plain = alice_encode(train, PHASE_180)
     for k in range(1, 9):
@@ -430,9 +430,9 @@ def test_decoy_prob_zero_equals_plain_encode():
 
 
 def test_decoy_prob_one_zero_phase_leaves_odd_slots_unmodulated():
-    rng = np.random.default_rng(0)
+    u = np.random.default_rng(0).random(4).tolist()
     train = bob_prepare(CascadeConfig(3, PHASE_0), 1.0)
-    positions = alice_decoy_positions(odd_slots(train), 1.0, rng)
+    positions = alice_decoy_positions(odd_slots(train), 1.0, u)
     assert positions == (1, 3, 5, 7)
     out = alice_decoy_encode(train, PHASE_180, positions, PHASE_0)
     for k in range(1, 9):
@@ -440,17 +440,18 @@ def test_decoy_prob_one_zero_phase_leaves_odd_slots_unmodulated():
 
 
 def test_decoy_replacement_fraction_is_binomial():
-    rng = np.random.default_rng(8)
     n_odd = 100_000
+    u = np.random.default_rng(8).random(n_odd).tolist()
     train = PulseTrain.from_amplitudes({2 * i + 1: 1.0 for i in range(n_odd)})
-    positions = alice_decoy_positions(odd_slots(train), 0.5, rng)
+    positions = alice_decoy_positions(odd_slots(train), 0.5, u)
     assert len(positions) / n_odd == pytest.approx(0.5, abs=0.01)
 
 
 def test_decoy_marks_replaced_phase():
-    rng = np.random.default_rng(8)
+    u = np.random.default_rng(8).random(4).tolist()
     train = PulseTrain.from_amplitudes({k: 1.0 for k in range(1, 9)})
-    positions = alice_decoy_positions(odd_slots(train), 0.5, rng)
+    positions = alice_decoy_positions(odd_slots(train), 0.5, u)
+    assert positions == tuple(k for k in (1, 3, 5, 7) if u[k // 2] < 0.5)
     out = alice_decoy_encode(train, PHASE_180, positions, PHASE_90)
     for k in range(1, 9, 2):
         expected = -1j if k in positions else -1.0
@@ -462,13 +463,13 @@ def test_decoy_marks_replaced_phase():
 def test_decoy_keeps_polarization_and_energy():
     # every slot keeps its Jones vector and energy; odd slots carry exactly
     # the key or the decoy modulation, as the returned positions say
-    rng = np.random.default_rng(2)
+    u = np.random.default_rng(2).random(16).tolist()
     pol = unit_jones(0.6, 0.3 + 0.7j)
     prepared = bob_prepare(CascadeConfig(5, PHASE_90), 1.0)
     train = PulseTrain.from_amplitudes(
         {k: prepared.amplitude(k) for k in prepared.slots}, pol
     )
-    positions = alice_decoy_positions(odd_slots(train), 0.5, rng)
+    positions = alice_decoy_positions(odd_slots(train), 0.5, u)
     out = alice_decoy_encode(train, PHASE_180, positions, PHASE_90)
     odd = [k for k in train.slots if k % 2 == 1]
     assert positions == tuple(sorted(positions)) and set(positions) <= set(odd)
