@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -127,13 +128,25 @@ def intercept_forward(train: PulseTrain, substitute_phase: QuantizedPhase = PHAS
     return PulseTrain({k: abs(a) * f for k, a in train.slots.items()}, train.polarization)
 
 
+def eve_key_phase(votes: Sequence[int]) -> QuantizedPhase:
+    """Eve's guess of Alice's key phase from her reading of the odd slots.
+
+    ``votes[q]`` counts the odd slots she read at q quarter turns. Every
+    slot Alice keyed votes for her key phase and a decoy at 0 votes for 0;
+    only 0 and pi are key phases, so a decoy at pi/2 votes for neither. A
+    tie goes to 0.
+    """
+    return PHASE_0 if votes[0] >= votes[2] else PHASE_180
+
+
 def intercept_backward(
     reflected: PulseTrain, stored: PulseTrain, substitute: PulseTrain
 ) -> tuple[PulseTrain, QuantizedPhase | None]:
     """Backward leg: read Alice's key phase and resend Bob's stored train.
 
     The reflected substitute differs from the kept ``substitute`` only by
-    Alice's modulation, so her key phase is read off the odd slots exactly.
+    Alice's modulation, so the phase of every odd slot is read off exactly,
+    and :func:`eve_key_phase` turns them into a guess of the key phase.
     The stored original is re-encoded with that phase and matched in energy
     to the reflected train, so the legitimate readout sees nothing unusual.
     Returns the resent train and the inferred phase, or the vacuum train and
@@ -151,5 +164,5 @@ def intercept_backward(
         # reflected slot = sent * (positive real) * exp(-i * modulation)
         qt = round(-cmath.phase(a / sent) / (math.pi / 2)) % 4
         votes[qt] += 1
-    inferred = PHASE_0 if votes[0] >= votes[2] else PHASE_180
+    inferred = eve_key_phase(votes)
     return attenuate(alice_encode(stored, inferred), reflected.total_energy), inferred

@@ -27,6 +27,10 @@ quantum_efficiency, dark_count_prob, double_click_policy, loss_db,
 birefringence_mode, channel_seed. ``efficiency_scan`` also accepts
 ``stages`` (list of cascade sizes, each in 1..16 like ``n_stages``;
 default 1..6).
+
+``channel_seed`` and ``birefringence_mode`` change no table: they select
+only the fiber unitary of the field-level reference round, which the
+Faraday mirror cancels, so no click probability depends on them.
 """
 
 from __future__ import annotations

@@ -269,9 +269,12 @@ def faraday_reflect(train: PulseTrain) -> PulseTrain:
     return PulseTrain(train.slots, (p2, -p1))
 
 
-#: Detection table: (click event, position in the row of uniforms, click
-#: probability) for every gated slot, branch by branch in slot order.
-ClickTable = tuple[tuple[ClickEvent, int, float], ...]
+#: One gated slot: (click event, position in the row of uniforms, click
+#: probability).
+ClickEntry = tuple[ClickEvent, int, float]
+#: Detection table: the entry of every gated slot, branch by branch in slot
+#: order.
+ClickTable = tuple[ClickEntry, ...]
 
 
 def click_table(

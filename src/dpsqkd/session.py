@@ -14,9 +14,19 @@ fiber unitary: the records of a session are the same for every
 class of round, with the field-level functions, and keeps the results in
 ``SessionConfig.phase_tables``: per Bob phase, the energy-monitor verdict,
 a D3/D4 click table per check phase and a D1/D2 click table per key phase.
-A round looks up its table and compares it with its uniforms. Only a round
-whose decoy draw replaced a slot runs the return leg itself, since decoy
-masks are too many to tabulate.
+A round looks up its table and compares it with its uniforms.
+
+Decoy rounds run no optics either, although their masks are too many to
+tabulate. Bob's readout interferes neighbouring slots only (the pairwise
+rule of differential phase shift): output slot k reads input slots k - 1
+and k, of which exactly one is odd and carries Alice's modulation. So each
+output slot's click probability is the one it has in a train whose odd
+slots all carry that slot's phase, and a decoy round gathers its D1/D2
+table slot by slot from the tables of three such trains (key phase 0 or pi,
+decoy phase pi/2). Under the intercept-resend attack Eve reads the odd
+slots and votes: keyed slots vote for the key phase, a decoy at 0 votes for
+0 and one at pi/2 for neither (``channel.eve_key_phase``). She then resends
+the key train of her guess, so an attacked decoy round reads that key table.
 
 Stream contract. All of a session's rounds read one counter-based stream,
 ``np.random.Philox`` keyed by ``SeedSequence(master_seed,
@@ -56,11 +66,13 @@ import numpy as np
 from .channel import (
     ChannelParams,
     EveKind,
+    eve_key_phase,
     fiber_transmit,
     intercept_backward,
     intercept_forward,
 )
 from .optics import (
+    ClickEntry,
     ClickEvent,
     ClickTable,
     DetectorParams,
@@ -75,7 +87,7 @@ from .optics import (
     faraday_reflect,
     sample_clicks,
 )
-from .phases import CHECK_PHASES, KEY_PHASES, QUATERNARY, QuantizedPhase
+from .phases import CHECK_PHASES, KEY_PHASES, PHASE_0, PHASE_90, QUATERNARY, QuantizedPhase
 from .stations import (
     BitOutcome,
     CascadeConfig,
@@ -190,6 +202,17 @@ class RoundBlock(NamedTuple):
     chunk_rounds: int
 
 
+#: Bob's readout as (detector, train) branches, D1 first.
+Branches = tuple[tuple[Detector, PulseTrain], tuple[Detector, PulseTrain]]
+
+
+#: One gate slot of a detector column in :attr:`PhaseTables.pair_rows`: its
+#: click-table entry when its odd input slot carries 0, 1 or 2 quarter turns
+#: (None where the output is exactly zero), then its dark-count-only entry
+#: (None without dark counts).
+PairRow = tuple[ClickEntry | None, ClickEntry | None, ClickEntry | None, ClickEntry | None]
+
+
 class PhaseTables(NamedTuple):
     """What the optics of a round give for one phase of Bob.
 
@@ -197,20 +220,27 @@ class PhaseTables(NamedTuple):
     amplitude depends on the polarization, so these hold for every fiber
     unitary. Check tables are indexed like ``CHECK_PHASES`` and key tables
     like ``KEY_PHASES``; a key table comes with Eve's inferred phase (None
-    without an attack). Every table reads the columns of
-    ``SessionConfig.block``. Decoy-free rounds read their key table here; a
-    round whose decoy draw replaced slots runs :func:`_return_leg` on
-    ``attenuated`` instead.
+    when she resends nothing: no attack, or nothing came back to her).
+    Every table reads the columns of ``SessionConfig.block``.
+
+    Decoy rounds need no optics of their own. Under the attack Eve resends
+    one of the two key trains, the one her vote picks
+    (:func:`channel.eve_key_phase`). Otherwise the pairwise readout rule
+    applies: Bob's output slot k interferes input slots k - 1 and k, and
+    exactly one of them, ``key_slot(k)``, is odd and carries Alice's
+    modulation. So slot k's entry is the one it has in a train whose odd
+    slots all carry that slot's phase: key phase 0 or pi, or decoy phase
+    pi/2. ``pair_rows`` keeps these entries per detector column and gate
+    slot (see ``PairRow``) when ``decoy_prob`` > 0 and Eve resends nothing,
+    and :func:`_decoy_table` gathers a decoy round's table from them.
     """
 
     cascade: CascadeConfig
-    prepared: PulseTrain
-    sent: PulseTrain
     energy_alarm: bool
     check_tables: tuple[ClickTable, ...]
-    attenuated: PulseTrain
     odd_slots: tuple[int, ...]
     key_tables: tuple[tuple[ClickTable, QuantizedPhase | None], ...]
+    pair_rows: tuple[tuple[PairRow, ...], ...]
 
 
 def _phase_tables(config: SessionConfig, bob_phase: QuantizedPhase) -> PhaseTables:
@@ -229,19 +259,26 @@ def _phase_tables(config: SessionConfig, bob_phase: QuantizedPhase) -> PhaseTabl
         for phase in CHECK_PHASES
     )
     attenuated = attenuate(train, config.mean_photons_return)
-    key_tables = tuple(
+    odd = odd_slots(attenuated)
+    legs = [
         _return_leg(config, cascade, prepared, sent, alice_encode(attenuated, phase))
         for phase in KEY_PHASES
-    )
+    ]
+    key_tables = tuple((table, eve_phase) for table, _, eve_phase in legs)
+    pair_rows = ()
+    if config.decoy_prob > 0.0 and key_tables[0][1] is None:
+        # by the quarter turns of the odd slots: 0, pi/2 (all replaced), pi
+        decoyed = _return_leg(
+            config, cascade, prepared, sent, alice_decoy_encode(attenuated, PHASE_0, odd, PHASE_90)
+        )
+        pair_rows = _pair_rows(config, (legs[0], decoyed, legs[1]))
     return PhaseTables(
         cascade=cascade,
-        prepared=prepared,
-        sent=sent,
         energy_alarm=alice_energy_monitor(train, expected, config.energy_tolerance),
         check_tables=check_tables,
-        attenuated=attenuated,
-        odd_slots=odd_slots(attenuated),
+        odd_slots=odd,
         key_tables=key_tables,
+        pair_rows=pair_rows,
     )
 
 
@@ -251,16 +288,78 @@ def _return_leg(
     prepared: PulseTrain,
     sent: PulseTrain,
     encoded: PulseTrain,
-) -> tuple[ClickTable, QuantizedPhase | None]:
+) -> tuple[ClickTable, Branches, QuantizedPhase | None]:
     """Mirror, fiber, Eve's backward leg and Bob's readout for Alice's
-    encoded train: the D1/D2 click table and Eve's inferred phase."""
+    encoded train: the D1/D2 click table, the branches it was built from and
+    Eve's inferred phase."""
     train = fiber_transmit(faraday_reflect(encoded), config.channel)
     eve_phase = None
     if config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE:
         train, eve_phase = intercept_backward(train, prepared, sent)
     d1, d2 = bob_measure(train, cascade)
-    branches = [(Detector.D1, d1), (Detector.D2, d2)]
-    return click_table(branches, config.detector, config.block.columns), eve_phase
+    branches = ((Detector.D1, d1), (Detector.D2, d2))
+    return click_table(branches, config.detector, config.block.columns), branches, eve_phase
+
+
+def _pair_rows(
+    config: SessionConfig, legs: Sequence[tuple[ClickTable, Branches, QuantizedPhase | None]]
+) -> tuple[tuple[PairRow, ...], ...]:
+    """Per detector column, the ``PairRow`` of every gate slot, from the
+    return legs whose odd slots all carry 0, 1 and 2 quarter turns."""
+    gated = 2**config.n_stages + 3
+    dark = config.detector.dark_count_prob
+    columns = []
+    for c, start in enumerate(config.block.columns):
+        detector = legs[0][1][c][0]
+        by_turns = []
+        for table, branches, _ in legs:
+            slots = branches[c][1].slots
+            signal: list[ClickEntry | None] = [None] * gated
+            for entry in table:
+                event = entry[0]
+                if event.detector is detector and event.slot in slots:
+                    signal[event.slot] = entry
+            by_turns.append(signal)
+        if dark > 0.0:
+            # what click_table gives a slot of the gated window with no signal
+            dark_entries = [(ClickEvent(detector, k), start + k, dark) for k in range(gated)]
+        else:
+            dark_entries = [None] * gated
+        columns.append(tuple(zip(*by_turns, dark_entries)))
+    return tuple(columns)
+
+
+def _decoy_table(
+    tables: PhaseTables, key_turns: int, positions: Sequence[int], decoy_turns: int, dark: float
+) -> list[ClickEntry]:
+    """The D1/D2 click table of a round in which Eve resends nothing and
+    whose odd slots ``positions`` carry the decoy phase, gathered from
+    ``tables.pair_rows``: the entries, order and gated window that
+    :func:`click_table` gives the round's own trains."""
+    turns = [key_turns] * len(tables.pair_rows[0])
+    for j in positions:
+        # output slots j and j + 1 read odd slot j (key_slot)
+        turns[j] = turns[j + 1] = decoy_turns
+    if dark == 0.0:
+        return [
+            entry
+            for column in tables.pair_rows
+            for row, q in zip(column, turns)
+            if (entry := row[q]) is not None
+        ]
+    table = []
+    for column in tables.pair_rows:
+        picked = [row[q] for row, q in zip(column, turns)]
+        # the gated window: occupied slots and their neighbours; lit[-1] is
+        # the missing neighbour of slot 0
+        lit = [entry is not None for entry in picked]
+        lit.append(False)
+        for k, entry in enumerate(picked):
+            if entry is not None:
+                table.append(entry)
+            elif lit[k - 1] or lit[k + 1]:
+                table.append(column[k][3])
+    return table
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,14 +453,24 @@ def run_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> Ro
         )
 
     decoy_positions = alice_decoy_positions(tables.odd_slots, config.decoy_prob, u, _DECOYS)
+    key_table, eve_phase = tables.key_tables[key_index]
     if decoy_positions:
-        decoy_phase = CHECK_PHASES[int(u[3] * 2)]
-        encoded = alice_decoy_encode(tables.attenuated, phase_a, decoy_positions, decoy_phase)
-        key_table, eve_phase = _return_leg(
-            config, tables.cascade, tables.prepared, tables.sent, encoded
-        )
-    else:
-        key_table, eve_phase = tables.key_tables[key_index]
+        decoy_turns = int(u[3] * 2)  # CHECK_PHASES[i] is i quarter turns
+        if eve_phase is None:
+            key_table = _decoy_table(
+                tables,
+                phase_a.quarter_turns,
+                decoy_positions,
+                decoy_turns,
+                config.detector.dark_count_prob,
+            )
+        else:
+            votes = [0, 0, 0, 0]
+            votes[phase_a.quarter_turns] = len(tables.odd_slots) - len(decoy_positions)
+            votes[decoy_turns] += len(decoy_positions)
+            eve_phase = eve_key_phase(votes)
+            # Eve resends the key train of her guess; KEY_PHASES[i] is 2i quarter turns
+            key_table = tables.key_tables[eve_phase.quarter_turns // 2][0]
     clicks = sample_clicks(key_table, u)
 
     multi = len(clicks) >= 2

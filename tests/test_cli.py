@@ -361,6 +361,21 @@ def test_main_seed_override_changes_output(tmp_path):
     assert (out1 / "baseline.csv").read_bytes() != (out2 / "baseline.csv").read_bytes()
 
 
+def test_channel_seed_does_not_change_tables(tmp_path):
+    # channel_seed picks the fixed fiber unitary, which the Faraday mirror
+    # cancels: no click table, and so no output, depends on it
+    outs = []
+    for channel_seed in (1, 2):
+        doc = run_config_doc(tmp_path)
+        doc["experiments"] = ["baseline"]
+        doc["defaults"].update(birefringence_mode="fixed_unitary", channel_seed=channel_seed)
+        cfg = write_config(tmp_path, doc, name=f"channel_seed_{channel_seed}.json")
+        out = tmp_path / f"channel_seed_{channel_seed}"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        outs.append((out / "baseline.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_main_experiment_filter_and_rounds(tmp_path):
     cfg = write_config(tmp_path, run_config_doc(tmp_path))
     out = tmp_path / "only"

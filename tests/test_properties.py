@@ -258,6 +258,41 @@ def test_table_rounds_equal_field_level_rounds(config, first_round):
         assert run_round(config, i, u) == reference_round(config, i, u)
 
 
+#: unsampled rounds with decoys: each one takes the decoy path of run_round;
+#: the subnormal returned energy leaves Eve nothing to read
+decoy_session_configs = st.builds(
+    lambda n, eve, decoy, dark, policy, mu, loss, seed: SessionConfig(
+        n_stages=n,
+        rounds=1,
+        mean_photons_return=mu,
+        sample_prob=0.0,
+        decoy_prob=decoy,
+        detector=DetectorParams(dark_count_prob=dark, double_click_policy=policy),
+        channel=ChannelParams(loss_db=loss),
+        eve_kind=eve,
+        master_seed=seed,
+    ),
+    st.sampled_from(range(1, 9)),
+    st.sampled_from(EveKind),
+    st.sampled_from((0.3, 1.0)),
+    st.sampled_from((0.0, 0.02)),
+    st.sampled_from(DoubleClickPolicy),
+    st.sampled_from((0.5, 40.0, 5e-324)),
+    st.sampled_from((0.0, 3.0)),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(decoy_session_configs, st.integers(0, 2**20))
+def test_decoy_rounds_equal_field_level_rounds(config, first_round):
+    # decoy rounds gather their tables per slot or follow Eve's vote; the
+    # reference runs their optics
+    for i in range(first_round, first_round + 10):
+        u = round_uniforms(config, i)
+        assert run_round(config, i, u) == reference_round(config, i, u)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(session_configs)
 def test_records_do_not_depend_on_birefringence(config):

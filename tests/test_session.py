@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -5,6 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dpsqkd.optics
+import dpsqkd.session
+import dpsqkd.stations
 from dpsqkd.channel import BirefringenceMode, ChannelParams, EveKind
 from dpsqkd.optics import DetectorParams, DoubleClickPolicy
 from dpsqkd.phases import PHASE_0, PHASE_180
@@ -120,6 +124,62 @@ def test_decoy_contaminated_clicks_are_sifted_out():
     stats = run_session(cfg).stats
     assert stats.sifted_length > 300
     assert stats.mismatches == 0
+
+
+def test_decoy_session_records_golden():
+    # decoy rounds are built from per-slot tables, not their own optics; the
+    # records must stay what running every optical element on them gave
+    configs = {
+        # the perfbench decoy workload's shape
+        "fbff9023e70ca64fc36d0ed0ea04b973eda04458f4e6fc95927452002c4f84a9": SessionConfig(
+            rounds=2000,
+            mean_photons_return=0.8,
+            sample_prob=0.1,
+            decoy_prob=0.25,
+            detector=DetectorParams(double_click_policy=DoubleClickPolicy.RANDOM_PICK),
+            master_seed=31,
+        ),
+        # attacked decoy rounds with loss and dark counts
+        "c1b1db848451808cd32f259bd5cda9ca8491dc41cebb53ff1a7ef42c0b9768e2": SessionConfig(
+            n_stages=4,
+            rounds=1000,
+            mean_photons_return=0.5,
+            decoy_prob=0.3,
+            eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
+            channel=ChannelParams(loss_db=3.0),
+            detector=DetectorParams(dark_count_prob=0.02),
+            master_seed=32,
+        ),
+        "ab0109c3dfbc83c12a5c6f1c41fcf1159774faf85934a2ed1a0f516878499356": SessionConfig(
+            n_stages=6, rounds=300, mean_photons_return=0.5, decoy_prob=0.3, master_seed=33
+        ),
+    }
+    for digest, cfg in configs.items():
+        records = run_session(cfg).records
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("eve_kind", list(EveKind))
+def test_decoy_rounds_run_no_interferometer_optics(monkeypatch, eve_kind):
+    # once the tables are built, a decoy round is a gather or follows Eve's
+    # vote: no round passes a train through an interferometer
+    cfg = SessionConfig(
+        rounds=400,
+        mean_photons_return=0.8,
+        decoy_prob=0.5,
+        eve_kind=eve_kind,
+        detector=DetectorParams(dark_count_prob=0.01),
+        master_seed=8,
+    )
+    cfg.phase_tables
+
+    def no_optics(*args, **kwargs):
+        raise AssertionError("a round ran interferometer optics")
+
+    for module in (dpsqkd.optics, dpsqkd.stations, dpsqkd.session):
+        monkeypatch.setattr(module, "mzi_pass", no_optics, raising=False)
+    records = run_session(cfg).records
+    assert sum(1 for r in records if r.decoy_positions) > 100
 
 
 # --- estimate_qber ----------------------------------------------------------------
