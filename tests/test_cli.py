@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -402,6 +406,20 @@ def test_main_decoy_session_end_to_end(tmp_path, capsys):
     row = (out / "baseline.csv").read_text().splitlines()[1]
     assert row.startswith("300,")
     assert "baseline" in capsys.readouterr().out
+
+
+def test_experiments_tree_golden(tmp_path):
+    # every table of the shipped config at 400 rounds, pinned before rounds
+    # became array work over chunks: sha256 over the sorted files' relative
+    # paths, a NUL and their bytes
+    config = Path(__file__).resolve().parents[1] / "configs" / "experiments.json"
+    out = tmp_path / "tree"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", str(config), "--rounds", "400", "--out", str(out)]) == 0
+    tree = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        tree.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
+    assert tree.hexdigest() == "729e3cd10f88c27a0334536c7d8b543660a2ca060073e42dd858a0eb9ec83b2a"
 
 
 def test_main_bad_config_is_nonzero(tmp_path, capsys):

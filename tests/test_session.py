@@ -159,6 +159,53 @@ def test_decoy_session_records_golden():
         assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
 
 
+def test_workload_stats_golden():
+    # the statistics of the four benchmark workload shapes, pinned before
+    # rounds became array work over chunks
+    configs = {
+        # keygen: the acceptance big_run shape
+        "5c4347f011dda0d2fdb8049cf129a6381399442b0a230fb06be2fd08256c2662": SessionConfig(
+            rounds=10_000, mean_photons_return=0.8, sample_prob=0.0, master_seed=101
+        ),
+        # attack: intercept-resend with checks, loss, birefringence and dark counts
+        "89e05fd876d2fefbdf25cef21feb01883e318caade38f18554dd26b7bd1afc27": SessionConfig(
+            rounds=2_000,
+            mean_photons_return=0.5,
+            sample_prob=0.2,
+            eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
+            channel=ChannelParams(
+                loss_db=3.0, birefringence_mode=BirefringenceMode.RANDOM_PER_TRAIN
+            ),
+            detector=DetectorParams(dark_count_prob=1e-3),
+            master_seed=102,
+        ),
+        # decoy: decoys with random-pick double clicks
+        "be2b457a703a1d345754d57f4d2d3c9f9444c6ea5cf2d3e7bd8deb6e9f64c56e": SessionConfig(
+            rounds=2_000,
+            mean_photons_return=0.8,
+            sample_prob=0.1,
+            decoy_prob=0.25,
+            detector=DetectorParams(double_click_policy=DoubleClickPolicy.RANDOM_PICK),
+            master_seed=103,
+        ),
+        # n=6 with sampling, decoys and dark counts
+        "aa5370557b4d969cd5e5e68866d03d410f93eb177797cbc7839f43d4113e5a1b": SessionConfig(
+            n_stages=6,
+            rounds=1_000,
+            mean_photons_return=0.5,
+            sample_prob=0.2,
+            decoy_prob=0.3,
+            detector=DetectorParams(
+                dark_count_prob=0.01, double_click_policy=DoubleClickPolicy.RANDOM_PICK
+            ),
+            master_seed=104,
+        ),
+    }
+    for digest, cfg in configs.items():
+        stats = run_session(cfg).stats
+        assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("eve_kind", list(EveKind))
 def test_decoy_rounds_run_no_interferometer_optics(monkeypatch, eve_kind):
     # once the tables are built, a decoy round is a gather or follows Eve's
