@@ -47,7 +47,7 @@ import numpy as np
 from .channel import BirefringenceMode, EveKind
 from .phases import KEY_PHASES, QUATERNARY
 from .session import SessionConfig, competitor_efficiency, run_session, theoretical_efficiency
-from .stations import CascadeConfig, Detector, alice_encode, bob_measure, bob_prepare
+from .stations import CascadeConfig, alice_encode, bob_measure, bob_prepare
 
 
 class ConfigError(ValueError):
@@ -284,21 +284,20 @@ def _run_birefringence_sweep(spec: ExperimentSpec) -> ResultTable:
             master_seed=seed,
         )
         result = run_session(cfg)
-        d_counts = {d: 0 for d in Detector}
-        for r in result.records:
-            for c in r.clicks:
-                d_counts[c.detector] += 1
-            for c in r.check_clicks:
-                d_counts[c.detector] += 1
+        columns = result.columns
+        # detector column 0 is D1 in a keyed round and D3 in a sampled one,
+        # column 1 is D2 or D4
+        first, second = np.split(columns.clicked, 2, axis=1)
+        keyed, sampled = ~columns.sampled, columns.sampled
         stats = result.stats
         rows.append(
             (
                 mode.value,
                 stats.rounds,
-                d_counts[Detector.D1],
-                d_counts[Detector.D2],
-                d_counts[Detector.D3],
-                d_counts[Detector.D4],
+                int(first[keyed].sum()),
+                int(second[keyed].sum()),
+                int(first[sampled].sum()),
+                int(second[sampled].sum()),
                 stats.efficiency,
                 stats.mismatches,
             )

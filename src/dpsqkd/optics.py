@@ -291,9 +291,7 @@ def click_table(
     is decided by the uniform at position ``columns[j] + k`` of a row, so
     the caller gives each branch a column wide enough for its window.
     """
-    eta = params.quantum_efficiency
     dark = params.dark_count_prob
-    expm1 = math.expm1
     table = []
     for (detector, train), start in zip(branches, columns, strict=True):
         slots = train.slots
@@ -308,9 +306,18 @@ def click_table(
             candidates = sorted(slots)
         for k in candidates:
             a = slots.get(k)
-            p_signal = -expm1(-eta * abs(a) ** 2) if a is not None else 0.0
-            table.append((ClickEvent(detector, k), start + k, p_signal + dark - p_signal * dark))
+            p = click_probability(a, params) if a is not None else dark
+            table.append((ClickEvent(detector, k), start + k, p))
     return tuple(table)
+
+
+def click_probability(amplitude: complex, params: DetectorParams) -> float:
+    """Click probability of an occupied slot: 1 - exp(-eta * |amplitude|^2),
+    or-ed with an independent dark count. An empty slot of the gated window
+    clicks with the dark-count probability alone."""
+    p_signal = -math.expm1(-params.quantum_efficiency * abs(amplitude) ** 2)
+    dark = params.dark_count_prob
+    return p_signal + dark - p_signal * dark
 
 
 def sample_clicks(table: ClickTable, uniforms: Sequence[float]) -> list[ClickEvent]:

@@ -5,28 +5,37 @@ leg -> fiber -> Alice (energy monitor, optional whole-train check,
 attenuation, key/decoy encoding, Faraday mirror) -> fiber -> eavesdropper
 backward leg -> readout interferometer -> detectors. The eavesdropper, if
 the config names one, is the intercept-resend attack of ``channel``.
+:func:`reference_round` runs exactly that, every optical element on the
+round's own trains: it is the readable definition of a round, and the
+session kernel is checked against it.
 
-The Faraday mirror cancels the fiber's polarization transform, so a round's
-click probabilities depend only on its phases (Alice's key phase, Bob's
-phase, the check phase) and on any decoy replacements, and never on the
-fiber unitary: the records of a session are the same for every
-``BirefringenceMode``. Each config therefore runs that pipeline once per
-class of round, with the field-level functions, and keeps the results in
-``SessionConfig.phase_tables``: per Bob phase, the energy-monitor verdict,
-a D3/D4 click table per check phase and a D1/D2 click table per key phase.
-A round looks up its table and compares it with its uniforms.
+A session does not run the optics per round. The Faraday mirror cancels the
+fiber's polarization transform, so a round's click probabilities depend
+only on its phases (Alice's key phase, Bob's phase, the check phase) and on
+its decoy replacements, never on the fiber unitary: the records of a
+session are the same for every ``BirefringenceMode``. Bob's readout
+interferes neighbouring slots only (the pairwise rule of differential phase
+shift): output slot k reads input slots k - 1 and k, of which exactly one,
+``key_slot(k)``, is odd and carries Alice's modulation. So each output
+slot's click probability is the one it has in a train whose odd slots all
+carry that slot's phase: key phase 0 or pi, or decoy phase pi/2.
+``SessionConfig.phase_tables`` runs the field-level pipeline once per Bob
+phase for each of those trains and for each check phase, and keeps the
+click probability of every gate slot in dense arrays (:class:`PhaseTables`).
+Under the intercept-resend attack Eve reads the odd slots and votes: keyed
+slots vote for the key phase, a decoy at 0 votes for 0 and one at pi/2 for
+neither (``channel.eve_key_phase``). She then resends the key train of her
+guess, which the round reads whole.
 
-Decoy rounds run no optics either, although their masks are too many to
-tabulate. Bob's readout interferes neighbouring slots only (the pairwise
-rule of differential phase shift): output slot k reads input slots k - 1
-and k, of which exactly one is odd and carries Alice's modulation. So each
-output slot's click probability is the one it has in a train whose odd
-slots all carry that slot's phase, and a decoy round gathers its D1/D2
-table slot by slot from the tables of three such trains (key phase 0 or pi,
-decoy phase pi/2). Under the intercept-resend attack Eve reads the odd
-slots and votes: keyed slots vote for the key phase, a decoy at 0 votes for
-0 and one at pi/2 for neither (``channel.eve_key_phase``). She then resends
-the key train of her guess, so an attacked decoy round reads that key table.
+The kernel runs a chunk of rounds as array work on their rows of uniforms:
+it indexes the phases, draws the sampling and decoy masks, gathers every
+gate slot's click probability from the tables, compares them with the click
+uniforms, picks among double clicks through a running count of the clicks,
+and reads bits and check scores from lookup arrays. It gives a
+:class:`RoundColumns`, one array per round field. :func:`session_stats`
+reduces the columns; a :class:`RoundRecord` per round is built only when
+``SessionResult.records`` is read, and :func:`run_round` runs one row as a
+chunk of one.
 
 Stream contract. All of a session's rounds read one counter-based stream,
 ``np.random.Philox`` keyed by ``SeedSequence(master_seed,
@@ -46,10 +55,11 @@ round's row u, whether or not the round uses it:
 * u[C + 2G]: the double-click pick, clicks[int(u * len(clicks))];
 * the rest, up to W = 4 * ceil((C + 2G + 1) / 4), is padding.
 
-A session draws its rows a bounded chunk at a time; ``round_uniforms``
-draws one round's row alone by advancing the counter. Both read the same
-numbers, so a round run alone equals the same round in its session, and two
-sessions with the same config are bit-identical.
+A session draws its rows as arrays of at most 2^15 uniforms (one row at a
+time when a row is longer); ``round_uniforms`` draws one round's row alone
+by advancing the counter.
+Both read the same numbers, so a round run alone equals the same round in
+its session, and two sessions with the same config are bit-identical.
 """
 
 from __future__ import annotations
@@ -70,11 +80,10 @@ from .channel import (
     fiber_transmit,
     intercept_backward,
     intercept_forward,
+    round_unitary,
 )
 from .optics import (
-    ClickEntry,
     ClickEvent,
-    ClickTable,
     DetectorParams,
     DoubleClickPolicy,
     IDEAL_DETECTOR,
@@ -83,6 +92,7 @@ from .optics import (
     _int_field,
     _real_field,
     attenuate,
+    click_probability,
     click_table,
     faraday_reflect,
     sample_clicks,
@@ -100,6 +110,7 @@ from .stations import (
     alice_score_check,
     bob_measure,
     bob_prepare,
+    check_expected_detector,
     infer_bit,
     key_slot,
     odd_slots,
@@ -112,8 +123,9 @@ _STATS_STREAM = 2
 # fixed positions in a round's row of uniforms (module docstring)
 _SAMPLE = 4
 _DECOYS = 5
-# uniforms per array call of a session, so chunk memory stays bounded for any n
-_CHUNK_UNIFORMS = 8192
+# uniforms per array call of a session, so chunk memory stays bounded for any
+# n; 2^16 ran a few percent faster but left about 1 MiB more peak RSS
+_CHUNK_UNIFORMS = 2**15
 
 #: The largest cascade a session accepts: a round's row holds about 2^(n+1)
 #: uniforms, and the field-level tables build trains of 2^n slots.
@@ -181,11 +193,11 @@ class SessionConfig:
         return RoundBlock((column0, column0 + gated), pick, width, max(1, _CHUNK_UNIFORMS // width))
 
     @cached_property
-    def phase_tables(self) -> tuple[PhaseTables, ...]:
-        """The optics of a round for each of Bob's phases, indexed by quarter
-        turns, run once with the field-level functions. Rounds only draw
-        from them, so every round of the session shares them."""
-        return tuple(_phase_tables(self, phase) for phase in QUATERNARY)
+    def phase_tables(self) -> PhaseTables:
+        """The optics of a round for each of Bob's phases, run once with the
+        field-level functions. Rounds only gather from them, so every round
+        of the session shares them."""
+        return _phase_tables(self)
 
 
 class RoundBlock(NamedTuple):
@@ -202,84 +214,206 @@ class RoundBlock(NamedTuple):
     chunk_rounds: int
 
 
+#: Rows of ``PhaseTables.signal``: the check trains at check phase 0 and
+#: pi/2, then the return trains whose odd slots all carry 0, 1 or 2 quarter
+#: turns (key phase 0, decoy phase pi/2, key phase pi).
+_CHECK_ROWS = 0
+_TURN_ROWS = 2
+_TRAIN_ROWS = 5
+
+#: The detectors of gate-position columns 0 and 1 in a keyed and a sampled round.
+_KEY_DETECTORS = (Detector.D1, Detector.D2)
+_CHECK_DETECTORS = (Detector.D3, Detector.D4)
+
+#: ``RoundColumns.bit`` codes: no chosen click, then ``_BITS[code]``.
+_NO_BIT = -1
+_BITS = (BitOutcome.BIT0, BitOutcome.BIT1, BitOutcome.DISCARD)
+
+
+class PhaseTables(NamedTuple):
+    """What the optics of a round give, as dense arrays over Bob's phase.
+
+    The Faraday mirror undoes the fiber's polarization transform, and no
+    amplitude depends on the polarization, so these hold for every fiber
+    unitary. Arrays are indexed by Bob's phase in quarter turns first. A
+    gate position g = c * G + k is gate slot k of detector column c, laid
+    out like the click columns of a round's row (``SessionConfig.block``).
+
+    ``signal[b, r, g]`` is the click probability of gate position g in
+    train r (rows ``_CHECK_ROWS`` + check index, ``_TURN_ROWS`` + quarter
+    turns on the odd slots), and ``occupied[b, r, g]`` whether that slot
+    carries light; an empty slot has probability 0, and the kernel adds the
+    dark-count window (occupied slots and their neighbours) per round, as
+    ``optics.click_table`` does. The decoy row (1 quarter turn) is filled
+    only when ``decoy_prob`` > 0 and Eve is absent; otherwise no round reads
+    it. Decoy rounds need no row of their own: output slot k reads odd slot
+    ``key_slot(k)``, whose decoy index is ``decoy_of[k]`` (2^(n-1) when
+    slot k reads no odd slot that Alice can replace), so a decoy round
+    gathers slot by slot from the rows of its key and decoy phases.
+
+    ``eve[b, i]`` is Eve's inferred phase as an index into ``KEY_PHASES``
+    for key index i, -1 when she resends nothing (no attack, or nothing
+    came back to her); under the attack with decoys, ``votes[b, i, d, m]``
+    is her guess when m odd slots carry decoy phase d quarter turns.
+    ``odd[b, j]`` marks the odd slots 2j + 1 of Alice's train (the decoy
+    candidates), ``energy_alarm[b]`` the energy monitor's verdict.
+    ``bit[b, g]`` is the ``RoundColumns.bit`` code of a D1/D2 click at g
+    (``infer_bit``); ``check_matched[b, i]`` says whether check index i
+    scores against Bob's phase, and ``check_compared`` and ``check_error``
+    mark the D3/D4 clicks that it compares and counts as errors
+    (``check_expected_detector``).
+    """
+
+    energy_alarm: np.ndarray
+    odd: np.ndarray
+    signal: np.ndarray
+    occupied: np.ndarray
+    eve: np.ndarray
+    votes: np.ndarray
+    decoy_of: np.ndarray
+    bit: np.ndarray
+    check_matched: np.ndarray
+    check_compared: np.ndarray
+    check_error: np.ndarray
+
+
 #: Bob's readout as (detector, train) branches, D1 first.
 Branches = tuple[tuple[Detector, PulseTrain], tuple[Detector, PulseTrain]]
 
 
-#: One gate slot of a detector column in :attr:`PhaseTables.pair_rows`: its
-#: click-table entry when its odd input slot carries 0, 1 or 2 quarter turns
-#: (None where the output is exactly zero), then its dark-count-only entry
-#: (None without dark counts).
-PairRow = tuple[ClickEntry | None, ClickEntry | None, ClickEntry | None, ClickEntry | None]
-
-
-class PhaseTables(NamedTuple):
-    """What the optics of a round give for one phase of Bob.
-
-    The Faraday mirror undoes the fiber's polarization transform, and no
-    amplitude depends on the polarization, so these hold for every fiber
-    unitary. Check tables are indexed like ``CHECK_PHASES`` and key tables
-    like ``KEY_PHASES``; a key table comes with Eve's inferred phase (None
-    when she resends nothing: no attack, or nothing came back to her).
-    Every table reads the columns of ``SessionConfig.block``.
-
-    Decoy rounds need no optics of their own. Under the attack Eve resends
-    one of the two key trains, the one her vote picks
-    (:func:`channel.eve_key_phase`). Otherwise the pairwise readout rule
-    applies: Bob's output slot k interferes input slots k - 1 and k, and
-    exactly one of them, ``key_slot(k)``, is odd and carries Alice's
-    modulation. So slot k's entry is the one it has in a train whose odd
-    slots all carry that slot's phase: key phase 0 or pi, or decoy phase
-    pi/2. ``pair_rows`` keeps these entries per detector column and gate
-    slot (see ``PairRow``) when ``decoy_prob`` > 0 and Eve resends nothing,
-    and :func:`_decoy_table` gathers a decoy round's table from them.
-    """
-
-    cascade: CascadeConfig
-    energy_alarm: bool
-    check_tables: tuple[ClickTable, ...]
-    odd_slots: tuple[int, ...]
-    key_tables: tuple[tuple[ClickTable, QuantizedPhase | None], ...]
-    pair_rows: tuple[tuple[PairRow, ...], ...]
-
-
-def _phase_tables(config: SessionConfig, bob_phase: QuantizedPhase) -> PhaseTables:
-    """Bob's preparation, the forward leg and Alice's station for one Bob
-    phase, up to the click tables of her check and of Bob's readout."""
-    cascade = CascadeConfig(config.n_stages, bob_phase)
-    prepared = bob_prepare(cascade, complex(math.sqrt(config.source_mean_photons)))
+def _phase_tables(config: SessionConfig) -> PhaseTables:
+    """Bob's preparation, the forward leg, Alice's station and the return
+    leg for every Bob phase, as the dense arrays of :class:`PhaseTables`."""
+    n = config.n_stages
+    gated = 2**n + 3
+    half = 2 ** (n - 1)
     attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
-    sent = intercept_forward(prepared) if attack else prepared
-    train = fiber_transmit(sent, config.channel)
-    expected = (
-        config.source_mean_photons / cascade.train_slots * config.channel.transmittance
-    )
-    check_tables = tuple(
-        click_table(alice_check_ports(train, phase), config.detector, config.block.columns)
-        for phase in CHECK_PHASES
-    )
-    attenuated = attenuate(train, config.mean_photons_return)
-    odd = odd_slots(attenuated)
-    legs = [
-        _return_leg(config, cascade, prepared, sent, alice_encode(attenuated, phase))
-        for phase in KEY_PHASES
-    ]
-    key_tables = tuple((table, eve_phase) for table, _, eve_phase in legs)
-    pair_rows = ()
-    if config.decoy_prob > 0.0 and key_tables[0][1] is None:
-        # by the quarter turns of the odd slots: 0, pi/2 (all replaced), pi
-        decoyed = _return_leg(
-            config, cascade, prepared, sent, alice_decoy_encode(attenuated, PHASE_0, odd, PHASE_90)
+    shape = (len(QUATERNARY), _TRAIN_ROWS, 2 * gated)
+    signal = np.zeros(shape)
+    occupied = np.zeros(shape, dtype=bool)
+    energy_alarm = np.zeros(len(QUATERNARY), dtype=bool)
+    odd = np.zeros((len(QUATERNARY), half), dtype=bool)
+    eve = np.full((len(QUATERNARY), len(KEY_PHASES)), -1, dtype=np.int8)
+    for b, bob_phase in enumerate(QUATERNARY):
+        cascade = CascadeConfig(n, bob_phase)
+        prepared = bob_prepare(cascade, complex(math.sqrt(config.source_mean_photons)))
+        sent = intercept_forward(prepared) if attack else prepared
+        train = fiber_transmit(sent, config.channel)
+        expected = (
+            config.source_mean_photons / cascade.train_slots * config.channel.transmittance
         )
-        pair_rows = _pair_rows(config, (legs[0], decoyed, legs[1]))
-    return PhaseTables(
-        cascade=cascade,
-        energy_alarm=alice_energy_monitor(train, expected, config.energy_tolerance),
-        check_tables=check_tables,
-        odd_slots=odd,
-        key_tables=key_tables,
-        pair_rows=pair_rows,
+        energy_alarm[b] = alice_energy_monitor(train, expected, config.energy_tolerance)
+        # the (detector, train) branches of every row of the tables
+        by_row = {
+            _CHECK_ROWS + i: alice_check_ports(train, phase) for i, phase in enumerate(CHECK_PHASES)
+        }
+        attenuated = attenuate(train, config.mean_photons_return)
+        odd_in_train = odd_slots(attenuated)
+        odd[b, [k // 2 for k in odd_in_train]] = True
+        for i, phase in enumerate(KEY_PHASES):
+            branches, eve_phase = _return_leg(
+                config, cascade, prepared, sent, alice_encode(attenuated, phase)
+            )
+            by_row[_TURN_ROWS + phase.quarter_turns] = branches
+            if eve_phase is not None:
+                eve[b, i] = KEY_PHASES.index(eve_phase)
+        if config.decoy_prob > 0.0 and not attack:
+            by_row[_TURN_ROWS + PHASE_90.quarter_turns], _ = _return_leg(
+                config,
+                cascade,
+                prepared,
+                sent,
+                alice_decoy_encode(attenuated, PHASE_0, odd_in_train, PHASE_90),
+            )
+        for r, branches in by_row.items():
+            for c, (_, branch) in enumerate(branches):
+                g = c * gated + np.fromiter(branch.slots, np.intp, len(branch.slots))
+                # a train has few distinct amplitudes: each is evaluated once
+                probability = {
+                    a: click_probability(a, config.detector) for a in set(branch.slots.values())
+                }
+                signal[b, r, g] = [probability[a] for a in branch.slots.values()]
+                occupied[b, r, g] = True
+
+    votes = np.zeros((len(QUATERNARY), len(KEY_PHASES), len(CHECK_PHASES), half + 1), np.int8)
+    if attack and config.decoy_prob > 0.0:
+        for b, i, d in np.ndindex(votes.shape[:3]):
+            n_odd = int(odd[b].sum())
+            for m in range(n_odd + 1):
+                counts = [0, 0, 0, 0]
+                counts[KEY_PHASES[i].quarter_turns] = n_odd - m
+                counts[CHECK_PHASES[d].quarter_turns] += m
+                votes[b, i, d, m] = KEY_PHASES.index(eve_key_phase(counts))
+
+    # the decoy index of the odd slot that output slot k reads; ``half``
+    # where it reads none (slot 0, the last edge slot and the one after it)
+    decoy_of = np.array(
+        [j if 0 <= (j := key_slot(k) // 2) < half else half for k in range(gated)], dtype=np.intp
     )
+    # the readout rules read a gate slot only through its parity and whether
+    # it is an edge slot: each rule runs on one slot per class (inner even,
+    # inner odd, first edge, last edge), and ``classes`` spreads the result
+    cascades = [CascadeConfig(n, phase) for phase in QUATERNARY]
+    first, last = cascades[0].edge_slots
+    representatives = (0, 3, first, last)
+    classes = np.arange(gated) % 2
+    classes[[first, last]] = (2, 3)
+    bit = np.array(
+        [
+            [
+                [_BITS.index(infer_bit(ClickEvent(d, k), cascade)) for k in representatives]
+                for d in _KEY_DETECTORS
+            ]
+            for cascade in cascades
+        ],
+        dtype=np.int8,
+    )[..., classes]
+    check_matched = np.array(
+        [
+            [
+                check_expected_detector(cascade.bob_phase, phase, 2) is not None
+                for phase in CHECK_PHASES
+            ]
+            for cascade in cascades
+        ]
+    )
+    scores = np.array(
+        [
+            [_check_scores(cascade, phase, representatives) for phase in CHECK_PHASES]
+            for cascade in cascades
+        ]
+    )[..., classes]
+    return PhaseTables(
+        energy_alarm=energy_alarm,
+        odd=odd,
+        signal=signal,
+        occupied=occupied,
+        eve=eve,
+        votes=votes,
+        decoy_of=decoy_of,
+        bit=bit.reshape(len(QUATERNARY), 2 * gated),
+        check_matched=check_matched,
+        check_compared=scores[:, :, 0].reshape(len(QUATERNARY), len(CHECK_PHASES), 2 * gated),
+        check_error=scores[:, :, 1].reshape(len(QUATERNARY), len(CHECK_PHASES), 2 * gated),
+    )
+
+
+def _check_scores(
+    cascade: CascadeConfig, check_phase: QuantizedPhase, slots: Sequence[int]
+) -> tuple[list[list[bool]], list[list[bool]]]:
+    """Per D3/D4 detector and slot, whether :func:`alice_score_check`
+    compares a click there and whether it counts it as an error."""
+    bob_phase = cascade.bob_phase
+    matched = check_expected_detector(bob_phase, check_phase, 2) is not None
+    compared = [matched and k not in cascade.edge_slots for k in slots]
+    error = [
+        [
+            c and d is not check_expected_detector(bob_phase, check_phase, k)
+            for c, k in zip(compared, slots)
+        ]
+        for d in _CHECK_DETECTORS
+    ]
+    return [compared, compared], error
 
 
 def _return_leg(
@@ -288,78 +422,129 @@ def _return_leg(
     prepared: PulseTrain,
     sent: PulseTrain,
     encoded: PulseTrain,
-) -> tuple[ClickTable, Branches, QuantizedPhase | None]:
+) -> tuple[Branches, QuantizedPhase | None]:
     """Mirror, fiber, Eve's backward leg and Bob's readout for Alice's
-    encoded train: the D1/D2 click table, the branches it was built from and
-    Eve's inferred phase."""
+    encoded train: the D1/D2 branches and Eve's inferred phase."""
     train = fiber_transmit(faraday_reflect(encoded), config.channel)
     eve_phase = None
     if config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE:
         train, eve_phase = intercept_backward(train, prepared, sent)
     d1, d2 = bob_measure(train, cascade)
-    branches = ((Detector.D1, d1), (Detector.D2, d2))
-    return click_table(branches, config.detector, config.block.columns), branches, eve_phase
+    return ((Detector.D1, d1), (Detector.D2, d2)), eve_phase
 
 
-def _pair_rows(
-    config: SessionConfig, legs: Sequence[tuple[ClickTable, Branches, QuantizedPhase | None]]
-) -> tuple[tuple[PairRow, ...], ...]:
-    """Per detector column, the ``PairRow`` of every gate slot, from the
-    return legs whose odd slots all carry 0, 1 and 2 quarter turns."""
-    gated = 2**config.n_stages + 3
+class RoundColumns(NamedTuple):
+    """A run of rounds as arrays, one entry (or row) per round.
+
+    ``key``, ``check``: indices into ``KEY_PHASES`` and ``CHECK_PHASES``;
+    ``bob``: Bob's phase in quarter turns. ``clicked[i, c * G + k]``: gate
+    slot k of detector column c clicked, D1/D2 in a keyed round and D3/D4
+    in a sampled one. ``bit``: ``_NO_BIT`` when no click was chosen, else
+    an index into ``_BITS``. ``decoys[i, j]``: odd slot 2j + 1 carried a
+    decoy. ``eve``: Eve's inferred phase as an index into ``KEY_PHASES``,
+    -1 for none. The check fields are False or 0 in keyed rounds.
+    """
+
+    key: np.ndarray
+    bob: np.ndarray
+    check: np.ndarray
+    sampled: np.ndarray
+    energy_alarm: np.ndarray
+    clicked: np.ndarray
+    bit: np.ndarray
+    check_matched: np.ndarray
+    check_compared: np.ndarray
+    check_errors: np.ndarray
+    decoys: np.ndarray
+    decoy_hit: np.ndarray
+    eve: np.ndarray
+
+
+def _run_chunk(config: SessionConfig, u: np.ndarray) -> RoundColumns:
+    """The kernel: the rounds whose rows of uniforms are the rows of ``u``,
+    as array work over the whole chunk (module docstring)."""
+    tables = config.phase_tables
+    block = config.block
+    m = len(u)
+    gated = block.columns[1] - block.columns[0]
+    half = tables.odd.shape[1]
+    key = (u[:, 0] * 2).astype(np.int8)
+    bob = (u[:, 1] * 4).astype(np.intp)
+    check = (u[:, 2] * 2).astype(np.int8)
+    decoy_turns = (u[:, 3] * 2).astype(np.intp)  # CHECK_PHASES[i] is i quarter turns
+    sampled = u[:, _SAMPLE] < config.sample_prob
+    keyed = ~sampled
+
+    # column ``half`` stays False: the slots that read no odd slot
+    decoys = np.zeros((m, half + 1), dtype=bool)
+    decoys[:, :half] = u[:, _DECOYS : _DECOYS + half] < config.decoy_prob
+    decoys[:, :half] &= tables.odd[bob]
+    decoys[sampled] = False
+    # Eve resends the key train of her guess: what she read off the key
+    # train, or her vote when decoys changed what she read
+    eve = tables.eve[bob, key]
+    voted = (eve >= 0) & decoys.any(axis=1)
+    eve = np.where(voted, tables.votes[bob, key, decoy_turns, decoys.sum(axis=1)], eve)
+    eve[sampled] = -1
+    key_turns = 2 * np.where(voted, eve, key).astype(np.intp)  # KEY_PHASES[i] is 2i turns
+
+    # the train each gate slot reads, as a row of the tables: the check train
+    # of a sampled round, else the key train; a decoy round's gate slots
+    # whose odd input carries a decoy read the train of the decoy phase
+    rows = bob * _TRAIN_ROWS + np.where(sampled, _CHECK_ROWS + check, _TURN_ROWS + key_turns)
+    index = rows
+    replaced = decoys & (eve < 0)[:, None]
+    if replaced.any():
+        decoy_rows = bob * _TRAIN_ROWS + _TURN_ROWS + decoy_turns
+        by_slot = np.where(replaced[:, tables.decoy_of], decoy_rows[:, None], rows[:, None])
+        index = np.tile(by_slot, 2), np.arange(2 * gated)
+    p = tables.signal.reshape(-1, 2 * gated)[index]
     dark = config.detector.dark_count_prob
-    columns = []
-    for c, start in enumerate(config.block.columns):
-        detector = legs[0][1][c][0]
-        by_turns = []
-        for table, branches, _ in legs:
-            slots = branches[c][1].slots
-            signal: list[ClickEntry | None] = [None] * gated
-            for entry in table:
-                event = entry[0]
-                if event.detector is detector and event.slot in slots:
-                    signal[event.slot] = entry
-            by_turns.append(signal)
-        if dark > 0.0:
-            # what click_table gives a slot of the gated window with no signal
-            dark_entries = [(ClickEvent(detector, k), start + k, dark) for k in range(gated)]
-        else:
-            dark_entries = [None] * gated
-        columns.append(tuple(zip(*by_turns, dark_entries)))
-    return tuple(columns)
+    if dark > 0.0:
+        lit = tables.occupied.reshape(-1, 2 * gated)[index].reshape(m, 2, gated)
+        window = lit.copy()
+        window[:, :, 1:] |= lit[:, :, :-1]
+        window[:, :, :-1] |= lit[:, :, 1:]
+        p[(window & ~lit).reshape(m, 2 * gated)] = dark
 
+    clicked = u[:, block.columns[0] : block.columns[0] + 2 * gated] < p
+    n_clicks = clicked.sum(axis=1)
+    # the chosen click, in table order (D1 then D2, slots ascending): the
+    # only one, or the one the pick lands on
+    chosen = clicked.argmax(axis=1)
+    picked = keyed & (n_clicks == 1)
+    if config.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
+        multi = keyed & (n_clicks >= 2)
+        rank = (u[multi, block.pick] * n_clicks[multi]).astype(np.intp)
+        chosen[multi] = (np.cumsum(clicked[multi], axis=1) > rank[:, None]).argmax(axis=1)
+        picked |= multi
+    bit = np.where(picked, tables.bit[bob, chosen], _NO_BIT).astype(np.int8)
+    decoy_hit = decoys[np.arange(m), tables.decoy_of[chosen % gated]]
+    decoy_hit &= (bit == 0) | (bit == 1)
 
-def _decoy_table(
-    tables: PhaseTables, key_turns: int, positions: Sequence[int], decoy_turns: int, dark: float
-) -> list[ClickEntry]:
-    """The D1/D2 click table of a round in which Eve resends nothing and
-    whose odd slots ``positions`` carry the decoy phase, gathered from
-    ``tables.pair_rows``: the entries, order and gated window that
-    :func:`click_table` gives the round's own trains."""
-    turns = [key_turns] * len(tables.pair_rows[0])
-    for j in positions:
-        # output slots j and j + 1 read odd slot j (key_slot)
-        turns[j] = turns[j + 1] = decoy_turns
-    if dark == 0.0:
-        return [
-            entry
-            for column in tables.pair_rows
-            for row, q in zip(column, turns)
-            if (entry := row[q]) is not None
-        ]
-    table = []
-    for column in tables.pair_rows:
-        picked = [row[q] for row, q in zip(column, turns)]
-        # the gated window: occupied slots and their neighbours; lit[-1] is
-        # the missing neighbour of slot 0
-        lit = [entry is not None for entry in picked]
-        lit.append(False)
-        for k, entry in enumerate(picked):
-            if entry is not None:
-                table.append(entry)
-            elif lit[k - 1] or lit[k + 1]:
-                table.append(column[k][3])
-    return table
+    check_matched = tables.check_matched[bob, check] & sampled
+    check_compared = np.zeros(m, dtype=np.int32)
+    check_errors = np.zeros(m, dtype=np.int32)
+    if sampled.any():
+        scored = clicked[sampled]
+        on = bob[sampled], check[sampled]
+        check_compared[sampled] = (scored & tables.check_compared[on]).sum(axis=1)
+        check_errors[sampled] = (scored & tables.check_error[on]).sum(axis=1)
+    return RoundColumns(
+        key=key,
+        bob=bob.astype(np.int8),
+        check=check,
+        sampled=sampled,
+        energy_alarm=tables.energy_alarm[bob],
+        clicked=clicked,
+        bit=bit,
+        check_matched=check_matched,
+        check_compared=check_compared,
+        check_errors=check_errors,
+        decoys=decoys[:, :half],
+        decoy_hit=decoy_hit,
+        eve=eve,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,6 +573,68 @@ class RoundRecord:
         return 0 if self.alice_phase.quarter_turns == 0 else 1
 
 
+def _records(columns: RoundColumns, first_index: int = 0) -> tuple[RoundRecord, ...]:
+    """The record view of ``columns``, whose first round is ``first_index``."""
+    gated = columns.clicked.shape[1] // 2
+    events = {
+        sampled: [ClickEvent(d, k) for d in detectors for k in range(gated)]
+        for sampled, detectors in ((False, _KEY_DETECTORS), (True, _CHECK_DETECTORS))
+    }
+    rounds = len(columns.key)
+    clicks: list[list[int]] = [[] for _ in range(rounds)]
+    for i, g in zip(*(a.tolist() for a in np.nonzero(columns.clicked))):
+        clicks[i].append(g)
+    decoys: list[list[int]] = [[] for _ in range(rounds)]
+    for i, j in zip(*(a.tolist() for a in np.nonzero(columns.decoys))):
+        decoys[i].append(2 * j + 1)
+    fields = (
+        columns.key,
+        columns.bob,
+        columns.check,
+        columns.sampled,
+        columns.energy_alarm,
+        columns.bit,
+        columns.check_matched,
+        columns.check_compared,
+        columns.check_errors,
+        columns.decoy_hit,
+        columns.eve,
+    )
+    records = []
+    for i, (key, bob, check, sampled, alarm, bit, matched, compared, errors, hit, eve) in enumerate(
+        zip(*(a.tolist() for a in fields))
+    ):
+        round_clicks = tuple(events[sampled][g] for g in clicks[i])
+        common = dict(
+            index=first_index + i,
+            alice_phase=KEY_PHASES[key],
+            bob_phase=QUATERNARY[bob],
+            sampled=sampled,
+            check_phase=CHECK_PHASES[check],
+            energy_alarm=alarm,
+        )
+        if sampled:
+            record = RoundRecord(
+                **common,
+                check_matched=matched,
+                check_compared=compared,
+                check_errors=errors,
+                check_clicks=round_clicks,
+            )
+        else:
+            record = RoundRecord(
+                **common,
+                clicks=round_clicks,
+                multi_click=len(round_clicks) >= 2,
+                bit=None if bit == _NO_BIT else _BITS[bit],
+                decoy_positions=tuple(decoys[i]),
+                decoy_hit=hit,
+                eve_phase=None if eve < 0 else KEY_PHASES[eve],
+            )
+        records.append(record)
+    return tuple(records)
+
+
 def _round_stream(master_seed: int) -> np.random.Philox:
     """The session's round stream at counter 0 (module docstring)."""
     key = np.random.SeedSequence(master_seed, spawn_key=(_ROUND_STREAM,))
@@ -396,21 +643,21 @@ def _round_stream(master_seed: int) -> np.random.Philox:
 
 def round_uniforms(config: SessionConfig, round_index: int) -> list[float]:
     """Round ``round_index``'s row of uniforms, drawn alone: the same row
-    that :func:`session_uniforms` yields for it."""
+    that :func:`session_uniforms` gives for it."""
     width = config.block.width
     stream = _round_stream(config.master_seed)
     stream.advance(round_index * width // 4)
     return np.random.Generator(stream).random(width).tolist()
 
 
-def session_uniforms(config: SessionConfig) -> Iterator[list[float]]:
-    """Every round's row of uniforms in round order, drawn
-    ``config.block.chunk_rounds`` rows per array call."""
+def session_uniforms(config: SessionConfig) -> Iterator[np.ndarray]:
+    """Every round's row of uniforms in round order, as arrays of
+    ``config.block.chunk_rounds`` rows (fewer in the last)."""
     block = config.block
     draws = np.random.Generator(_round_stream(config.master_seed))
     for start in range(0, config.rounds, block.chunk_rounds):
         rows = min(block.chunk_rounds, config.rounds - start)
-        yield from draws.random((rows, block.width)).tolist()
+        yield draws.random((rows, block.width))
 
 
 def _stats_rng(master_seed: int) -> np.random.Generator:
@@ -419,26 +666,52 @@ def _stats_rng(master_seed: int) -> np.random.Generator:
 
 
 def run_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> RoundRecord:
-    """Execute one full protocol round from its row of uniforms ``u``.
+    """Execute one full protocol round from its row of uniforms ``u``: the
+    session kernel on a chunk of one row.
 
     Every draw reads its fixed position in ``u`` (module docstring). The
     round depends on nothing but its arguments, so a round run alone with
-    :func:`round_uniforms` equals the same round in a session. The optics
-    come from ``config.phase_tables``.
+    :func:`round_uniforms` equals the same round in a session.
     """
-    key_index = int(u[0] * 2)
-    check_index = int(u[2] * 2)
-    phase_a = KEY_PHASES[key_index]
+    row = np.asarray(u, dtype=np.float64).reshape(1, -1)
+    return _records(_run_chunk(config, row), round_index)[0]
+
+
+def reference_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> RoundRecord:
+    """The field-level round: every optical element runs on this round's
+    trains, and the clicks come from ``optics.click_table`` and
+    ``sample_clicks``.
+
+    It reads the round's row of uniforms ``u`` at the positions of
+    ``config.block`` and draws the fiber unitary, which no record depends
+    on, from a substream of its own. The session kernel, and so
+    :func:`run_round`, must give the same record.
+    """
+    columns = config.block.columns
+    phase_a = KEY_PHASES[int(u[0] * 2)]
     phase_b = QUATERNARY[int(u[1] * 4)]
-    check_phase = CHECK_PHASES[check_index]
+    check_phase = CHECK_PHASES[int(u[2] * 2)]
+    decoy_phase = CHECK_PHASES[int(u[3] * 2)]
 
-    tables = config.phase_tables[phase_b.quarter_turns]
-    alarm = tables.energy_alarm
+    cascade = CascadeConfig(config.n_stages, phase_b)
+    prepared = bob_prepare(cascade, complex(math.sqrt(config.source_mean_photons)))
+    unitary = round_unitary(
+        config.channel, np.random.default_rng([config.master_seed, round_index])
+    )
 
-    # Alice's check: the whole train is diverted, with probability sample_prob
+    attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
+    sent = intercept_forward(prepared) if attack else prepared
+    train = fiber_transmit(sent, config.channel, unitary)
+
+    expected = (
+        config.source_mean_photons / cascade.train_slots * config.channel.transmittance
+    )
+    alarm = alice_energy_monitor(train, expected, config.energy_tolerance)
+
     if u[_SAMPLE] < config.sample_prob:
-        check_clicks = sample_clicks(tables.check_tables[check_index], u)
-        matched, compared, errors = alice_score_check(check_clicks, tables.cascade, check_phase)
+        check_ports = alice_check_ports(train, check_phase)
+        check_clicks = sample_clicks(click_table(check_ports, config.detector, columns), u)
+        matched, compared, errors = alice_score_check(check_clicks, cascade, check_phase)
         return RoundRecord(
             index=round_index,
             alice_phase=phase_a,
@@ -452,25 +725,17 @@ def run_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> Ro
             energy_alarm=alarm,
         )
 
-    decoy_positions = alice_decoy_positions(tables.odd_slots, config.decoy_prob, u, _DECOYS)
-    key_table, eve_phase = tables.key_tables[key_index]
-    if decoy_positions:
-        decoy_turns = int(u[3] * 2)  # CHECK_PHASES[i] is i quarter turns
-        if eve_phase is None:
-            key_table = _decoy_table(
-                tables,
-                phase_a.quarter_turns,
-                decoy_positions,
-                decoy_turns,
-                config.detector.dark_count_prob,
-            )
-        else:
-            votes = [0, 0, 0, 0]
-            votes[phase_a.quarter_turns] = len(tables.odd_slots) - len(decoy_positions)
-            votes[decoy_turns] += len(decoy_positions)
-            eve_phase = eve_key_phase(votes)
-            # Eve resends the key train of her guess; KEY_PHASES[i] is 2i quarter turns
-            key_table = tables.key_tables[eve_phase.quarter_turns // 2][0]
+    train = attenuate(train, config.mean_photons_return)
+    decoy_positions = alice_decoy_positions(odd_slots(train), config.decoy_prob, u, _DECOYS)
+    train = alice_decoy_encode(train, phase_a, decoy_positions, decoy_phase)
+    train = faraday_reflect(train)
+    train = fiber_transmit(train, config.channel, None if unitary is None else unitary.T)
+    eve_phase = None
+    if attack:
+        train, eve_phase = intercept_backward(train, prepared, sent)
+
+    d1, d2 = bob_measure(train, cascade)
+    key_table = click_table([(Detector.D1, d1), (Detector.D2, d2)], config.detector, columns)
     clicks = sample_clicks(key_table, u)
 
     multi = len(clicks) >= 2
@@ -483,7 +748,7 @@ def run_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> Ro
     bit: BitOutcome | None = None
     decoy_hit = False
     if chosen is not None:
-        bit = infer_bit(chosen, tables.cascade)
+        bit = infer_bit(chosen, cascade)
         if bit is not BitOutcome.DISCARD and decoy_positions:
             decoy_hit = key_slot(chosen.slot) in decoy_positions
 
@@ -503,18 +768,17 @@ def run_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> Ro
     )
 
 
-def sift(records) -> tuple[list[int], list[int]]:
+def _keyed_bits(columns: RoundColumns) -> np.ndarray:
+    """The rounds that give a key bit: a chosen inner-slot click (so the
+    round was not sampled) untouched by decoys."""
+    return ((columns.bit == 0) | (columns.bit == 1)) & ~columns.decoy_hit
+
+
+def sift(columns: RoundColumns) -> tuple[np.ndarray, np.ndarray]:
     """Raw shared key: rounds with one usable inner-slot click, unsampled
     and untouched by decoys. Alice's bit is her own phase; Bob's is inferred."""
-    alice_key: list[int] = []
-    bob_key: list[int] = []
-    for r in records:
-        if r.sampled or r.decoy_hit:
-            continue
-        if r.bit is BitOutcome.BIT0 or r.bit is BitOutcome.BIT1:
-            alice_key.append(r.alice_bit)
-            bob_key.append(r.bit.value)
-    return alice_key, bob_key
+    usable = _keyed_bits(columns)
+    return columns.key[usable], columns.bit[usable]
 
 
 @dataclass(frozen=True)
@@ -546,16 +810,19 @@ def estimate_qber(
     if n == 0:
         return QberEstimate(None, 0, (), ())
     size = min(n, max(1, round(disclose_fraction * n)))
-    disclosed = set(rng.choice(n, size=size, replace=False).tolist())
-    mismatches = sum(1 for i in disclosed if alice_key[i] != bob_key[i])
-    alice_rest = tuple(alice_key[i] for i in range(n) if i not in disclosed)
-    bob_rest = tuple(bob_key[i] for i in range(n) if i not in disclosed)
-    return QberEstimate(mismatches / size, size, alice_rest, bob_rest)
+    disclosed = np.zeros(n, dtype=bool)
+    disclosed[rng.choice(n, size=size, replace=False)] = True
+    alice, bob = np.asarray(alice_key), np.asarray(bob_key)
+    mismatches = int(np.count_nonzero(alice[disclosed] != bob[disclosed]))
+    kept = ~disclosed
+    return QberEstimate(
+        mismatches / size, size, tuple(alice[kept].tolist()), tuple(bob[kept].tolist())
+    )
 
 
 @dataclass(frozen=True)
 class SessionStats:
-    """Aggregates over one session's records."""
+    """Aggregates over one session's rounds."""
 
     rounds: int
     n_sampled: int
@@ -581,50 +848,32 @@ class SessionStats:
     alarm: bool
 
 
-def session_stats(records, config: SessionConfig) -> SessionStats:
-    """Fold a session's records into protocol-level statistics.
+def session_stats(columns: RoundColumns, config: SessionConfig) -> SessionStats:
+    """Reduce a session's columns to protocol-level statistics.
 
     Efficiency and the edge fraction condition on rounds with exactly one
     click, where the slot statistics reflect the interference energies.
     The check-error rate covers matched-basis sampled rounds only.
     """
-    n_sampled = n_none = n_single = n_multi = n_edge = 0
-    check_matched_rounds = check_compared = check_errors = 0
-    energy_alarms = 0
-    eve_hits = eve_total = 0
-    for r in records:
-        if r.energy_alarm:
-            energy_alarms += 1
-        if r.sampled:
-            n_sampled += 1
-            if r.check_matched:
-                check_matched_rounds += 1
-                check_compared += r.check_compared
-                check_errors += r.check_errors
-            continue
-        n_clicks = len(r.clicks)
-        if n_clicks == 0:
-            n_none += 1
-        elif n_clicks == 1:
-            n_single += 1
-            # a single click is the chosen one, so its bit is its readout
-            if r.bit is BitOutcome.DISCARD:
-                n_edge += 1
-        else:
-            n_multi += 1
 
-    alice_key, bob_key = sift(records)
-    mismatches = sum(1 for a, b in zip(alice_key, bob_key) if a != b)
+    def count(mask: np.ndarray) -> int:
+        return int(np.count_nonzero(mask))
 
-    for r in records:
-        if r.sampled or r.decoy_hit or r.eve_phase is None:
-            continue
-        if r.bit is BitOutcome.BIT0 or r.bit is BitOutcome.BIT1:
-            eve_total += 1
-            eve_bit = 0 if r.eve_phase.quarter_turns == 0 else 1
-            eve_hits += eve_bit == r.alice_bit
+    keyed = ~columns.sampled
+    n_clicks = columns.clicked.sum(axis=1)
+    n_single = count(keyed & (n_clicks == 1))
+    # a single click is the chosen one, so its bit is its readout
+    n_edge = count(keyed & (n_clicks == 1) & (columns.bit == _BITS.index(BitOutcome.DISCARD)))
+    check_compared = int(columns.check_compared.sum())
+    check_errors = int(columns.check_errors.sum())
+    energy_alarms = count(columns.energy_alarm)
 
-    if alice_key:
+    alice_key, bob_key = sift(columns)
+    attacked = _keyed_bits(columns) & (columns.eve >= 0)
+    eve_total = count(attacked)
+    eve_hits = count(attacked & (columns.eve == columns.key))
+
+    if len(alice_key):
         est = estimate_qber(
             alice_key, bob_key, config.disclose_fraction, _stats_rng(config.master_seed)
         )
@@ -642,22 +891,22 @@ def session_stats(records, config: SessionConfig) -> SessionStats:
         or (qber is not None and qber > config.max_qber)
     )
     return SessionStats(
-        rounds=len(records),
-        n_sampled=n_sampled,
-        n_no_click=n_none,
+        rounds=len(columns.key),
+        n_sampled=count(columns.sampled),
+        n_no_click=count(keyed & (n_clicks == 0)),
         n_single_click=n_single,
-        n_multi_click=n_multi,
+        n_multi_click=count(keyed & (n_clicks >= 2)),
         n_edge_single=n_edge,
         efficiency=efficiency,
         edge_fraction=edge_fraction,
         sifted_length=len(alice_key),
-        alice_key=tuple(alice_key),
-        bob_key=tuple(bob_key),
-        mismatches=mismatches,
+        alice_key=tuple(alice_key.tolist()),
+        bob_key=tuple(bob_key.tolist()),
+        mismatches=count(alice_key != bob_key),
         qber=qber,
         qber_disclosed=disclosed,
         final_key_length=final_len,
-        check_rounds_matched=check_matched_rounds,
+        check_rounds_matched=count(columns.check_matched),
         check_compared=check_compared,
         check_errors=check_errors,
         check_error_rate=check_rate,
@@ -667,20 +916,24 @@ def session_stats(records, config: SessionConfig) -> SessionStats:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionResult:
     config: SessionConfig
-    records: tuple[RoundRecord, ...]
+    columns: RoundColumns
     stats: SessionStats
+
+    @cached_property
+    def records(self) -> tuple[RoundRecord, ...]:
+        """Every round as a :class:`RoundRecord`, built when first read."""
+        return _records(self.columns)
 
 
 def run_session(config: SessionConfig) -> SessionResult:
-    """Run all rounds serially, each on its row of the session's stream,
-    and aggregate."""
-    records = tuple(
-        run_round(config, i, u) for i, u in enumerate(session_uniforms(config))
-    )
-    return SessionResult(config, records, session_stats(records, config))
+    """Run all rounds through the kernel, a chunk of rows at a time, and
+    reduce them."""
+    chunks = [_run_chunk(config, u) for u in session_uniforms(config)]
+    columns = RoundColumns(*(np.concatenate(field) for field in zip(*chunks)))
+    return SessionResult(config, columns, session_stats(columns, config))
 
 
 def theoretical_efficiency(n: int) -> Fraction:

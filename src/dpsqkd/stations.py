@@ -7,9 +7,9 @@ Alice monitors the incoming energy and diverts some whole trains to a
 check interferometer (detectors D3/D4). The rest she attenuates, encodes
 with her key phase on the odd slots, some of which she may replace with
 decoy phases, and reflects off a Faraday mirror. Which trains are diverted
-and which detectors click is decided by the session's rounds
-(``session.run_round``) from their rows of uniforms; the functions here give
-the trains they decide on.
+and which detectors click is decided per round from the round's row of
+uniforms; the functions here give the trains a round decides on, and
+``session.reference_round`` runs a round on them.
 
 The two readout rules live here as well. The key readout
 (:func:`infer_bit`, :func:`key_slot`) decodes every inner slot and discards
@@ -218,7 +218,7 @@ def alice_decoy_positions(
     the positions for sifting: a key click fed by a decoy slot is unusable."""
     if decoy_prob == 0.0:
         return ()
-    return tuple(k for k in odd_slots if uniforms[start + k // 2] < decoy_prob)
+    return tuple([k for k in odd_slots if uniforms[start + k // 2] < decoy_prob])
 
 
 def alice_decoy_encode(

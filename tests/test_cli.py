@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import dpsqkd.session
 from dpsqkd.channel import BirefringenceMode
 from dpsqkd.cli import (
     ConfigError,
@@ -420,6 +421,18 @@ def test_experiments_tree_golden(tmp_path):
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         tree.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
     assert tree.hexdigest() == "729e3cd10f88c27a0334536c7d8b543660a2ca060073e42dd858a0eb9ec83b2a"
+
+
+def test_experiments_build_no_record_view(tmp_path, monkeypatch):
+    # the tables come from statistics and round columns; no experiment pays
+    # for a RoundRecord per round
+    def no_records(*args, **kwargs):
+        raise AssertionError("an experiment built a record view")
+
+    monkeypatch.setattr(dpsqkd.session, "_records", no_records)
+    config = Path(__file__).resolve().parents[1] / "configs" / "experiments.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", str(config), "--rounds", "200", "--out", str(tmp_path)]) == 0
 
 
 def test_main_bad_config_is_nonzero(tmp_path, capsys):

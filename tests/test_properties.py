@@ -1,12 +1,15 @@
 """Property tests for the optics invariants: energy conservation per
 interferometer pass, Faraday round-trip invariance, the readout rule, and
-the equivalence of the table-driven ``run_round`` with the field-level
-reference round (``reference_round`` below) over drawn session configs.
-Faraday compensation is also checked at the protocol level: a session's
-records do not depend on the birefringence mode.
+the equivalence of the session kernel with the field-level reference round
+(``session.reference_round``) over drawn session configs, round by round
+and over sessions of several chunks. The kernel's statistics are checked
+against a fold over the record view (``fold_stats`` below). Faraday
+compensation is also checked at the protocol level: a session's records do
+not depend on the birefringence mode.
 
 It also checks that every real-valued config field takes a float or names
-itself in a ValueError, whatever value it is given.
+itself in a ValueError, whatever value it is given, and that
+``estimate_qber`` equals a plain loop over the disclosed bits.
 
 Examples are derandomized so that every run of the suite checks the same
 cases; the fixed-example tests in the other files stay as goldens.
@@ -20,46 +23,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsqkd.channel import (
-    BirefringenceMode,
-    ChannelParams,
-    EveKind,
-    fiber_transmit,
-    intercept_backward,
-    intercept_forward,
-    random_unitary,
-    round_unitary,
-)
+from dpsqkd.channel import BirefringenceMode, ChannelParams, EveKind, random_unitary
 from dpsqkd.optics import (
     ClickEvent,
     DetectorParams,
     DoubleClickPolicy,
     PulseTrain,
-    attenuate,
-    click_table,
     faraday_reflect,
     jones_apply,
     mzi_pass,
-    sample_clicks,
     unit_jones,
 )
-from dpsqkd.phases import CHECK_PHASES, KEY_PHASES, QUATERNARY, QuantizedPhase
-from dpsqkd.session import RoundRecord, SessionConfig, round_uniforms, run_round, run_session
+from dpsqkd.phases import KEY_PHASES, QUATERNARY, QuantizedPhase
+from dpsqkd.session import (
+    SessionConfig,
+    SessionStats,
+    estimate_qber,
+    reference_round,
+    round_uniforms,
+    run_round,
+    run_session,
+)
 from dpsqkd.stations import (
     BitOutcome,
     CascadeConfig,
     Detector,
-    alice_check_ports,
-    alice_decoy_encode,
-    alice_decoy_positions,
     alice_encode,
-    alice_energy_monitor,
-    alice_score_check,
     bob_measure,
     bob_prepare,
     infer_bit,
-    key_slot,
-    odd_slots,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -122,103 +114,7 @@ def test_readout_rule_for_every_phase_pair(n, source):
                 assert infer_bit(ClickEvent(lit, k), cascade) is alice_bit
 
 
-# --- table-driven rounds against the field-level reference -----------------
-
-
-def reference_round(config: SessionConfig, round_index: int, u) -> RoundRecord:
-    """The field-level round: every optical element runs on every round.
-
-    It uses the primitives that ``run_round`` and its
-    ``SessionConfig.phase_tables`` are built from (``alice_check_ports``,
-    ``alice_decoy_positions``, ``alice_decoy_encode``, ``click_table``,
-    ``sample_clicks``, ``alice_score_check``), but runs them on this round's
-    trains instead of looking up tables. It reads the round's row of
-    uniforms ``u`` at the positions the ``session`` docstring lays down,
-    computed here on their own, and draws the fiber unitary, which no
-    record depends on, from a substream of its own. The table-driven
-    ``run_round`` must give the same record.
-    """
-    n = config.n_stages
-    gated = 2**n + 3  # gate slots 0 .. 2^n + 2
-    columns = (5 + 2 ** (n - 1), 5 + 2 ** (n - 1) + gated)
-    pick = columns[1] + gated
-
-    phase_a = KEY_PHASES[int(u[0] * 2)]
-    phase_b = QUATERNARY[int(u[1] * 4)]
-    check_phase = CHECK_PHASES[int(u[2] * 2)]
-    decoy_phase = CHECK_PHASES[int(u[3] * 2)]
-
-    cascade = CascadeConfig(config.n_stages, phase_b)
-    prepared = bob_prepare(cascade, complex(math.sqrt(config.source_mean_photons)))
-    unitary = round_unitary(config.channel, np.random.default_rng([config.master_seed, round_index]))
-
-    attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
-    sent = intercept_forward(prepared) if attack else prepared
-    train = fiber_transmit(sent, config.channel, unitary)
-
-    expected = (
-        config.source_mean_photons / cascade.train_slots * config.channel.transmittance
-    )
-    alarm = alice_energy_monitor(train, expected, config.energy_tolerance)
-
-    if u[4] < config.sample_prob:
-        check_ports = alice_check_ports(train, check_phase)
-        check_clicks = sample_clicks(click_table(check_ports, config.detector, columns), u)
-        matched, compared, errors = alice_score_check(check_clicks, cascade, check_phase)
-        return RoundRecord(
-            index=round_index,
-            alice_phase=phase_a,
-            bob_phase=phase_b,
-            sampled=True,
-            check_phase=check_phase,
-            check_matched=matched,
-            check_compared=compared,
-            check_errors=errors,
-            check_clicks=tuple(check_clicks),
-            energy_alarm=alarm,
-        )
-
-    train = attenuate(train, config.mean_photons_return)
-    decoy_positions = alice_decoy_positions(odd_slots(train), config.decoy_prob, u, 5)
-    train = alice_decoy_encode(train, phase_a, decoy_positions, decoy_phase)
-    train = faraday_reflect(train)
-    train = fiber_transmit(train, config.channel, None if unitary is None else unitary.T)
-    eve_phase = None
-    if attack:
-        train, eve_phase = intercept_backward(train, prepared, sent)
-
-    d1, d2 = bob_measure(train, cascade)
-    key_table = click_table([(Detector.D1, d1), (Detector.D2, d2)], config.detector, columns)
-    clicks = sample_clicks(key_table, u)
-
-    multi = len(clicks) >= 2
-    chosen: ClickEvent | None = None
-    if len(clicks) == 1:
-        chosen = clicks[0]
-    elif multi and config.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
-        chosen = clicks[int(u[pick] * len(clicks))]
-
-    bit: BitOutcome | None = None
-    decoy_hit = False
-    if chosen is not None:
-        bit = infer_bit(chosen, cascade)
-        if bit is not BitOutcome.DISCARD and decoy_positions:
-            decoy_hit = key_slot(chosen.slot) in decoy_positions
-
-    return RoundRecord(
-        index=round_index,
-        alice_phase=phase_a,
-        bob_phase=phase_b,
-        sampled=False,
-        check_phase=check_phase,
-        energy_alarm=alarm,
-        clicks=tuple(clicks),
-        multi_click=multi,
-        bit=bit,
-        decoy_positions=decoy_positions,
-        decoy_hit=decoy_hit,
-        eve_phase=eve_phase,
-    )
+# --- the session kernel against the field-level reference ------------------
 
 
 session_configs = st.builds(
@@ -252,14 +148,15 @@ session_configs = st.builds(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(session_configs, st.integers(0, 2**20))
 def test_table_rounds_equal_field_level_rounds(config, first_round):
-    # both read the same row of uniforms at the same positions
+    # run_round is the kernel on a chunk of one row; both read the same row
+    # of uniforms at the same positions
     for i in range(first_round, first_round + 10):
         u = round_uniforms(config, i)
         assert run_round(config, i, u) == reference_round(config, i, u)
 
 
-#: unsampled rounds with decoys: each one takes the decoy path of run_round;
-#: the subnormal returned energy leaves Eve nothing to read
+#: unsampled rounds with decoys: each one takes the kernel's decoy path; the
+#: subnormal returned energy leaves Eve nothing to read
 decoy_session_configs = st.builds(
     lambda n, eve, decoy, dark, policy, mu, loss, seed: SessionConfig(
         n_stages=n,
@@ -291,6 +188,172 @@ def test_decoy_rounds_equal_field_level_rounds(config, first_round):
     for i in range(first_round, first_round + 10):
         u = round_uniforms(config, i)
         assert run_round(config, i, u) == reference_round(config, i, u)
+
+
+#: sessions of two whole chunks and a partial one, with sampling, decoys,
+#: both Eve kinds, dark counts and both double-click policies
+chunked_session_configs = st.builds(
+    lambda n, eve, decoy, dark, policy, mu, seed: SessionConfig(
+        n_stages=n,
+        mean_photons_return=mu,
+        sample_prob=0.3,
+        decoy_prob=decoy,
+        detector=DetectorParams(dark_count_prob=dark, double_click_policy=policy),
+        eve_kind=eve,
+        master_seed=seed,
+    ),
+    st.sampled_from(range(1, 7)),
+    st.sampled_from(EveKind),
+    st.sampled_from((0.0, 0.3)),
+    st.sampled_from((0.0, 0.02)),
+    st.sampled_from(DoubleClickPolicy),
+    st.sampled_from((0.5, 40.0)),
+    st.integers(0, 2**32 - 1),
+).map(
+    lambda config: dataclasses.replace(
+        config, rounds=2 * config.block.chunk_rounds + config.block.chunk_rounds // 2 + 1
+    )
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(chunked_session_configs, st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=6))
+def test_chunked_session_rounds_equal_field_level_rounds(config, fractions):
+    # the rounds on both sides of every chunk edge, the last round, and
+    # rounds drawn at random, each from the session's record view
+    chunk = config.block.chunk_rounds
+    records = run_session(config).records
+    assert len(records) == config.rounds
+    edges = [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, config.rounds - 1]
+    for i in edges + [int(f * config.rounds) for f in fractions]:
+        assert records[i] == reference_round(config, i, round_uniforms(config, i))
+
+
+def _stats_rng(master_seed: int) -> np.random.Generator:
+    """The session's statistics stream: spawn key (2, 0) under the master seed."""
+    seed = np.random.SeedSequence(master_seed, spawn_key=(2, 0))
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def fold_stats(records, config: SessionConfig) -> SessionStats:
+    """A session's statistics as a loop over its records: what the kernel's
+    reductions must give."""
+    n_sampled = n_none = n_single = n_multi = n_edge = 0
+    check_matched_rounds = check_compared = check_errors = 0
+    energy_alarms = 0
+    eve_hits = eve_total = 0
+    alice_key: list[int] = []
+    bob_key: list[int] = []
+    for r in records:
+        if r.energy_alarm:
+            energy_alarms += 1
+        if r.sampled:
+            n_sampled += 1
+            if r.check_matched:
+                check_matched_rounds += 1
+                check_compared += r.check_compared
+                check_errors += r.check_errors
+            continue
+        n_clicks = len(r.clicks)
+        if n_clicks == 0:
+            n_none += 1
+        elif n_clicks == 1:
+            n_single += 1
+            # a single click is the chosen one, so its bit is its readout
+            if r.bit is BitOutcome.DISCARD:
+                n_edge += 1
+        else:
+            n_multi += 1
+        # sifting: one usable inner-slot click, untouched by decoys
+        if r.decoy_hit or r.bit not in (BitOutcome.BIT0, BitOutcome.BIT1):
+            continue
+        alice_key.append(r.alice_bit)
+        bob_key.append(r.bit.value)
+        if r.eve_phase is not None:
+            eve_total += 1
+            eve_bit = 0 if r.eve_phase.quarter_turns == 0 else 1
+            eve_hits += eve_bit == r.alice_bit
+
+    mismatches = sum(1 for a, b in zip(alice_key, bob_key) if a != b)
+    if alice_key:
+        est = estimate_qber(
+            alice_key, bob_key, config.disclose_fraction, _stats_rng(config.master_seed)
+        )
+        qber, disclosed = est.qber, est.disclosed
+        final_len = len(est.alice_remaining)
+    else:
+        qber, disclosed, final_len = None, 0, 0
+
+    efficiency = (n_single - n_edge) / n_single if n_single else None
+    edge_fraction = n_edge / n_single if n_single else None
+    check_rate = check_errors / check_compared if check_compared else None
+    alarm = bool(
+        energy_alarms
+        or (check_rate is not None and check_rate > config.max_check_error)
+        or (qber is not None and qber > config.max_qber)
+    )
+    return SessionStats(
+        rounds=len(records),
+        n_sampled=n_sampled,
+        n_no_click=n_none,
+        n_single_click=n_single,
+        n_multi_click=n_multi,
+        n_edge_single=n_edge,
+        efficiency=efficiency,
+        edge_fraction=edge_fraction,
+        sifted_length=len(alice_key),
+        alice_key=tuple(alice_key),
+        bob_key=tuple(bob_key),
+        mismatches=mismatches,
+        qber=qber,
+        qber_disclosed=disclosed,
+        final_key_length=final_len,
+        check_rounds_matched=check_matched_rounds,
+        check_compared=check_compared,
+        check_errors=check_errors,
+        check_error_rate=check_rate,
+        energy_alarms=energy_alarms,
+        eve_agreement=(eve_hits / eve_total) if eve_total else None,
+        alarm=alarm,
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(session_configs)
+def test_stats_reductions_equal_the_record_fold(config):
+    result = run_session(dataclasses.replace(config, rounds=300))
+    folded = fold_stats(result.records, result.config)
+    assert repr(result.stats) == repr(folded)
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=300),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.integers(0, 2**32 - 1),
+)
+def test_estimate_qber_equals_a_plain_loop(pairs, fraction, seed):
+    alice = [a for a, _ in pairs]
+    bob = [b for _, b in pairs]
+    est = estimate_qber(alice, bob, fraction, np.random.default_rng(seed))
+    n = len(pairs)
+    if n == 0:
+        assert (est.qber, est.disclosed, est.alice_remaining, est.bob_remaining) == (
+            None,
+            0,
+            (),
+            (),
+        )
+        return
+    size = min(n, max(1, round(fraction * n)))
+    rng = np.random.default_rng(seed)
+    disclosed = set(rng.choice(n, size=size, replace=False).tolist())
+    mismatches = sum(1 for i in disclosed if alice[i] != bob[i])
+    assert est.qber == mismatches / size
+    assert est.disclosed == size
+    assert est.alice_remaining == tuple(alice[i] for i in range(n) if i not in disclosed)
+    assert est.bob_remaining == tuple(bob[i] for i in range(n) if i not in disclosed)
+    assert all(type(bit) is int for bit in est.alice_remaining + est.bob_remaining)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
