@@ -287,17 +287,17 @@ def _run_birefringence_sweep(spec: ExperimentSpec) -> ResultTable:
         columns = result.columns
         # detector column 0 is D1 in a keyed round and D3 in a sampled one,
         # column 1 is D2 or D4
-        first, second = np.split(columns.clicked, 2, axis=1)
-        keyed, sampled = ~columns.sampled, columns.sampled
+        first = columns.clicks < cfg.block.columns[1] - cfg.block.columns[0]
+        sampled = np.repeat(columns.sampled, columns.n_clicks)
         stats = result.stats
         rows.append(
             (
                 mode.value,
                 stats.rounds,
-                int(first[keyed].sum()),
-                int(second[keyed].sum()),
-                int(first[sampled].sum()),
-                int(second[sampled].sum()),
+                int(np.count_nonzero(first & ~sampled)),
+                int(np.count_nonzero(~first & ~sampled)),
+                int(np.count_nonzero(first & sampled)),
+                int(np.count_nonzero(~first & sampled)),
                 stats.efficiency,
                 stats.mismatches,
             )

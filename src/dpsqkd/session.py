@@ -110,7 +110,6 @@ from .stations import (
     alice_score_check,
     bob_measure,
     bob_prepare,
-    check_expected_detector,
     infer_bit,
     key_slot,
     odd_slots,
@@ -245,11 +244,12 @@ class PhaseTables(NamedTuple):
     carries light; an empty slot has probability 0, and the kernel adds the
     dark-count window (occupied slots and their neighbours) per round, as
     ``optics.click_table`` does. The decoy row (1 quarter turn) is filled
-    only when ``decoy_prob`` > 0 and Eve is absent; otherwise no round reads
-    it. Decoy rounds need no row of their own: output slot k reads odd slot
-    ``key_slot(k)``, whose decoy index is ``decoy_of[k]`` (2^(n-1) when
-    slot k reads no odd slot that Alice can replace), so a decoy round
-    gathers slot by slot from the rows of its key and decoy phases.
+    only when ``decoy_prob`` > 0 and Eve resends nothing (she is absent, or
+    nothing came back to her); otherwise no round reads it. Decoy rounds
+    need no row of their own: output slot k reads odd slot ``key_slot(k)``,
+    whose decoy index is ``decoy_of[k]`` (2^(n-1) when slot k reads no odd
+    slot that Alice can replace), so a decoy round gathers slot by slot
+    from the rows of its key and decoy phases.
 
     ``eve[b, i]`` is Eve's inferred phase as an index into ``KEY_PHASES``
     for key index i, -1 when she resends nothing (no attack, or nothing
@@ -261,7 +261,7 @@ class PhaseTables(NamedTuple):
     (``infer_bit``); ``check_matched[b, i]`` says whether check index i
     scores against Bob's phase, and ``check_compared`` and ``check_error``
     mark the D3/D4 clicks that it compares and counts as errors
-    (``check_expected_detector``).
+    (``alice_score_check``).
     """
 
     energy_alarm: np.ndarray
@@ -317,7 +317,8 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
             by_row[_TURN_ROWS + phase.quarter_turns] = branches
             if eve_phase is not None:
                 eve[b, i] = KEY_PHASES.index(eve_phase)
-        if config.decoy_prob > 0.0 and not attack:
+        # the key trains differ only in phase, so Eve resends for both or for neither
+        if config.decoy_prob > 0.0 and eve[b, 0] < 0:
             by_row[_TURN_ROWS + PHASE_90.quarter_turns], _ = _return_leg(
                 config,
                 cascade,
@@ -368,21 +369,22 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
         ],
         dtype=np.int8,
     )[..., classes]
-    check_matched = np.array(
+    # (matched, compared, errors) of a lone D3/D4 click, per Bob phase,
+    # check phase, detector and slot
+    scores = np.array(
         [
             [
-                check_expected_detector(cascade.bob_phase, phase, 2) is not None
+                [
+                    [alice_score_check([ClickEvent(d, k)], cascade, phase) for k in representatives]
+                    for d in _CHECK_DETECTORS
+                ]
                 for phase in CHECK_PHASES
             ]
             for cascade in cascades
-        ]
-    )
-    scores = np.array(
-        [
-            [_check_scores(cascade, phase, representatives) for phase in CHECK_PHASES]
-            for cascade in cascades
-        ]
-    )[..., classes]
+        ],
+        dtype=bool,
+    )[:, :, :, classes]
+    checks = (len(QUATERNARY), len(CHECK_PHASES), 2 * gated)
     return PhaseTables(
         energy_alarm=energy_alarm,
         odd=odd,
@@ -392,28 +394,10 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
         votes=votes,
         decoy_of=decoy_of,
         bit=bit.reshape(len(QUATERNARY), 2 * gated),
-        check_matched=check_matched,
-        check_compared=scores[:, :, 0].reshape(len(QUATERNARY), len(CHECK_PHASES), 2 * gated),
-        check_error=scores[:, :, 1].reshape(len(QUATERNARY), len(CHECK_PHASES), 2 * gated),
+        check_matched=scores[:, :, 0, 0, 0],
+        check_compared=scores[..., 1].reshape(checks),
+        check_error=scores[..., 2].reshape(checks),
     )
-
-
-def _check_scores(
-    cascade: CascadeConfig, check_phase: QuantizedPhase, slots: Sequence[int]
-) -> tuple[list[list[bool]], list[list[bool]]]:
-    """Per D3/D4 detector and slot, whether :func:`alice_score_check`
-    compares a click there and whether it counts it as an error."""
-    bob_phase = cascade.bob_phase
-    matched = check_expected_detector(bob_phase, check_phase, 2) is not None
-    compared = [matched and k not in cascade.edge_slots for k in slots]
-    error = [
-        [
-            c and d is not check_expected_detector(bob_phase, check_phase, k)
-            for c, k in zip(compared, slots)
-        ]
-        for d in _CHECK_DETECTORS
-    ]
-    return [compared, compared], error
 
 
 def _return_leg(
@@ -434,15 +418,20 @@ def _return_leg(
 
 
 class RoundColumns(NamedTuple):
-    """A run of rounds as arrays, one entry (or row) per round.
+    """A run of rounds as arrays, one entry per round, except ``clicks``
+    and ``decoy_slots``, which list only what happened, so that a session
+    holds a few bytes per round at any n.
 
     ``key``, ``check``: indices into ``KEY_PHASES`` and ``CHECK_PHASES``;
-    ``bob``: Bob's phase in quarter turns. ``clicked[i, c * G + k]``: gate
-    slot k of detector column c clicked, D1/D2 in a keyed round and D3/D4
-    in a sampled one. ``bit``: ``_NO_BIT`` when no click was chosen, else
-    an index into ``_BITS``. ``decoys[i, j]``: odd slot 2j + 1 carried a
-    decoy. ``eve``: Eve's inferred phase as an index into ``KEY_PHASES``,
-    -1 for none. The check fields are False or 0 in keyed rounds.
+    ``bob``: Bob's phase in quarter turns. ``clicks``: the gate position
+    c * G + k of every click (gate slot k of detector column c: D1/D2 in a
+    keyed round, D3/D4 in a sampled one), round by round and ascending
+    within a round, ``n_clicks`` per round. ``bit``: ``_NO_BIT`` when no
+    click was chosen, else an index into ``_BITS``. ``decoy_slots``: the
+    odd slots that carried a decoy, listed like ``clicks``, ``n_decoys``
+    per round. ``eve``: Eve's inferred phase as an index into
+    ``KEY_PHASES``, -1 for none. The check fields are False or 0 in keyed
+    rounds.
     """
 
     key: np.ndarray
@@ -450,12 +439,14 @@ class RoundColumns(NamedTuple):
     check: np.ndarray
     sampled: np.ndarray
     energy_alarm: np.ndarray
-    clicked: np.ndarray
+    n_clicks: np.ndarray
+    clicks: np.ndarray
     bit: np.ndarray
     check_matched: np.ndarray
     check_compared: np.ndarray
     check_errors: np.ndarray
-    decoys: np.ndarray
+    n_decoys: np.ndarray
+    decoy_slots: np.ndarray
     decoy_hit: np.ndarray
     eve: np.ndarray
 
@@ -530,18 +521,22 @@ def _run_chunk(config: SessionConfig, u: np.ndarray) -> RoundColumns:
         on = bob[sampled], check[sampled]
         check_compared[sampled] = (scored & tables.check_compared[on]).sum(axis=1)
         check_errors[sampled] = (scored & tables.check_error[on]).sum(axis=1)
+    # the dense masks stay in the chunk: the columns keep what happened
+    decoys = decoys[:, :half]
     return RoundColumns(
         key=key,
         bob=bob.astype(np.int8),
         check=check,
         sampled=sampled,
         energy_alarm=tables.energy_alarm[bob],
-        clicked=clicked,
+        n_clicks=n_clicks.astype(np.int32),
+        clicks=np.nonzero(clicked)[1].astype(np.int32),
         bit=bit,
         check_matched=check_matched,
         check_compared=check_compared,
         check_errors=check_errors,
-        decoys=decoys[:, :half],
+        n_decoys=decoys.sum(axis=1, dtype=np.int32),
+        decoy_slots=(2 * np.nonzero(decoys)[1] + 1).astype(np.int32),
         decoy_hit=decoy_hit,
         eve=eve,
     )
@@ -573,20 +568,25 @@ class RoundRecord:
         return 0 if self.alice_phase.quarter_turns == 0 else 1
 
 
-def _records(columns: RoundColumns, first_index: int = 0) -> tuple[RoundRecord, ...]:
+def _by_round(values: np.ndarray, counts: np.ndarray) -> list[list[int]]:
+    """``values``, listed round by round with ``counts[i]`` for round i, as
+    one list per round."""
+    flat = values.tolist()
+    ends = np.cumsum(counts).tolist()
+    return [flat[end - count : end] for count, end in zip(counts.tolist(), ends)]
+
+
+def _records(
+    config: SessionConfig, columns: RoundColumns, first_index: int = 0
+) -> tuple[RoundRecord, ...]:
     """The record view of ``columns``, whose first round is ``first_index``."""
-    gated = columns.clicked.shape[1] // 2
+    gated = config.block.columns[1] - config.block.columns[0]
     events = {
         sampled: [ClickEvent(d, k) for d in detectors for k in range(gated)]
         for sampled, detectors in ((False, _KEY_DETECTORS), (True, _CHECK_DETECTORS))
     }
-    rounds = len(columns.key)
-    clicks: list[list[int]] = [[] for _ in range(rounds)]
-    for i, g in zip(*(a.tolist() for a in np.nonzero(columns.clicked))):
-        clicks[i].append(g)
-    decoys: list[list[int]] = [[] for _ in range(rounds)]
-    for i, j in zip(*(a.tolist() for a in np.nonzero(columns.decoys))):
-        decoys[i].append(2 * j + 1)
+    clicks = _by_round(columns.clicks, columns.n_clicks)
+    decoys = _by_round(columns.decoy_slots, columns.n_decoys)
     fields = (
         columns.key,
         columns.bob,
@@ -674,7 +674,7 @@ def run_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> Ro
     :func:`round_uniforms` equals the same round in a session.
     """
     row = np.asarray(u, dtype=np.float64).reshape(1, -1)
-    return _records(_run_chunk(config, row), round_index)[0]
+    return _records(config, _run_chunk(config, row), round_index)[0]
 
 
 def reference_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> RoundRecord:
@@ -860,7 +860,7 @@ def session_stats(columns: RoundColumns, config: SessionConfig) -> SessionStats:
         return int(np.count_nonzero(mask))
 
     keyed = ~columns.sampled
-    n_clicks = columns.clicked.sum(axis=1)
+    n_clicks = columns.n_clicks
     n_single = count(keyed & (n_clicks == 1))
     # a single click is the chosen one, so its bit is its readout
     n_edge = count(keyed & (n_clicks == 1) & (columns.bit == _BITS.index(BitOutcome.DISCARD)))
@@ -925,7 +925,7 @@ class SessionResult:
     @cached_property
     def records(self) -> tuple[RoundRecord, ...]:
         """Every round as a :class:`RoundRecord`, built when first read."""
-        return _records(self.columns)
+        return _records(self.config, self.columns)
 
 
 def run_session(config: SessionConfig) -> SessionResult:

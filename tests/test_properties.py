@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpsqkd.channel import BirefringenceMode, ChannelParams, EveKind, random_unitary
@@ -182,6 +182,20 @@ decoy_session_configs = st.builds(
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(decoy_session_configs, st.integers(0, 2**20))
+@example(
+    # at n = 8 the subnormal return still reaches Bob's ports, below Eve's
+    # notice: every odd slot reads the decoy train, lit with dark counts
+    SessionConfig(
+        n_stages=8,
+        rounds=1,
+        mean_photons_return=5e-324,
+        sample_prob=0.0,
+        decoy_prob=1.0,
+        detector=DetectorParams(dark_count_prob=0.02),
+        eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
+    ),
+    0,
+)
 def test_decoy_rounds_equal_field_level_rounds(config, first_round):
     # decoy rounds gather their tables per slot or follow Eve's vote; the
     # reference runs their optics
