@@ -39,22 +39,10 @@ class BirefringenceMode(Enum):
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed 2x2 unitary: the Q of a complex Gaussian matrix
     whose R has a positive real diagonal (Mezzadri, Notices AMS 54, 592
-    (2007)).
-
-    Gram-Schmidt in closed form: the first column is the first Gaussian
-    column normalized, the second is the unit vector orthogonal to it,
-    turned so that its overlap with the second Gaussian column is positive.
-    """
-    (a, b), (c, d) = rng.normal(size=(2, 2)).tolist()
-    (ai, bi), (ci, di) = rng.normal(size=(2, 2)).tolist()
-    z00, z01, z10, z11 = complex(a, ai), complex(b, bi), complex(c, ci), complex(d, di)
-    norm = math.sqrt(abs(z00) ** 2 + abs(z10) ** 2)
-    q00, q10 = z00 / norm, z10 / norm
-    # (w0, w1) = (-conj(q10), conj(q00)) is orthogonal to the first column;
-    # r11 = <w, second column> fixes the phase
-    r11 = -q10 * z01 + q00 * z11
-    turn = r11 / abs(r11)
-    return np.array([[q00, -q10.conjugate() * turn], [q10, q00.conjugate() * turn]])
+    (2007))."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
 
 
 @dataclass(frozen=True)

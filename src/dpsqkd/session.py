@@ -5,9 +5,9 @@ leg -> fiber -> Alice (energy monitor, optional whole-train check,
 attenuation, key/decoy encoding, Faraday mirror) -> fiber -> eavesdropper
 backward leg -> readout interferometer -> detectors. The eavesdropper, if
 the config names one, is the intercept-resend attack of ``channel``.
-:func:`reference_round` runs exactly that, every optical element on the
-round's own trains: it is the readable definition of a round, and the
-session kernel is checked against it.
+:func:`reference_round` runs exactly that on the round's own trains, the
+two legs being ``_forward_leg`` and ``_return_leg``: it is the readable
+definition of a round, and the session kernel is checked against it.
 
 A session does not run the optics per round. The Faraday mirror cancels the
 fiber's polarization transform, so a round's click probabilities depend
@@ -19,13 +19,14 @@ shift): output slot k reads input slots k - 1 and k, of which exactly one,
 ``key_slot(k)``, is odd and carries Alice's modulation. So each output
 slot's click probability is the one it has in a train whose odd slots all
 carry that slot's phase: key phase 0 or pi, or decoy phase pi/2.
-``SessionConfig.phase_tables`` runs the field-level pipeline once per Bob
-phase for each of those trains and for each check phase, and keeps the
-click probability of every gate slot in dense arrays (:class:`PhaseTables`).
+``SessionConfig.phase_tables`` runs the same legs once per Bob phase for
+each of those trains and for each check phase, and keeps the click
+probability of every gate slot in dense arrays (:class:`PhaseTables`).
 Under the intercept-resend attack Eve reads the odd slots and votes: keyed
 slots vote for the key phase, a decoy at 0 votes for 0 and one at pi/2 for
-neither (``channel.eve_key_phase``). She then resends the key train of her
-guess, which the round reads whole.
+neither (``channel.eve_key_phase``). The tables hold her guess for every
+key phase, decoy phase and number of decoys; she resends the key train of
+her guess, which the round reads whole.
 
 The kernel runs a chunk of rounds as array work on their rows of uniforms:
 it indexes the phases, draws the sampling and decoy masks, gathers every
@@ -65,6 +66,7 @@ its session, and two sessions with the same config are bit-identical.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,7 +105,6 @@ from .stations import (
     CascadeConfig,
     Detector,
     alice_check_ports,
-    alice_decoy_encode,
     alice_decoy_positions,
     alice_encode,
     alice_energy_monitor,
@@ -243,20 +244,20 @@ class PhaseTables(NamedTuple):
     turns on the odd slots), and ``occupied[b, r, g]`` whether that slot
     carries light; an empty slot has probability 0, and the kernel adds the
     dark-count window (occupied slots and their neighbours) per round, as
-    ``optics.click_table`` does. The decoy row (1 quarter turn) is filled
-    only when ``decoy_prob`` > 0 and Eve resends nothing (she is absent, or
-    nothing came back to her); otherwise no round reads it. Decoy rounds
-    need no row of their own: output slot k reads odd slot ``key_slot(k)``,
-    whose decoy index is ``decoy_of[k]`` (2^(n-1) when slot k reads no odd
-    slot that Alice can replace), so a decoy round gathers slot by slot
-    from the rows of its key and decoy phases.
+    ``optics.click_table`` does. Decoy rounds need no row of their own:
+    output slot k reads odd slot ``key_slot(k)``, whose decoy index is
+    ``decoy_of[k]`` (2^(n-1) when slot k reads no odd slot that Alice can
+    replace), so a decoy round gathers slot by slot from the rows of its key
+    and decoy phases.
 
-    ``eve[b, i]`` is Eve's inferred phase as an index into ``KEY_PHASES``
-    for key index i, -1 when she resends nothing (no attack, or nothing
-    came back to her); under the attack with decoys, ``votes[b, i, d, m]``
-    is her guess when m odd slots carry decoy phase d quarter turns.
-    ``odd[b, j]`` marks the odd slots 2j + 1 of Alice's train (the decoy
-    candidates), ``energy_alarm[b]`` the energy monitor's verdict.
+    ``eve[b, i, d, m]`` is Eve's guess, an index into ``KEY_PHASES``, when
+    Alice's key index is i and m of her odd slots carry decoy phase d
+    quarter turns (m = 0 gives i); it is -1 where Eve resends nothing (no
+    attack, or nothing came back to her). Only such rounds read the decoy
+    row (1 quarter turn), so it is filled only when ``decoy_prob`` > 0 and
+    ``eve[b]`` holds a -1. ``odd[b, j]`` marks the odd slots 2j + 1 of
+    Alice's train (the decoy candidates), ``energy_alarm[b]`` the energy
+    monitor's verdict.
     ``bit[b, g]`` is the ``RoundColumns.bit`` code of a D1/D2 click at g
     (``infer_bit``); ``check_matched[b, i]`` says whether check index i
     scores against Bob's phase, and ``check_compared`` and ``check_error``
@@ -269,7 +270,6 @@ class PhaseTables(NamedTuple):
     signal: np.ndarray
     occupied: np.ndarray
     eve: np.ndarray
-    votes: np.ndarray
     decoy_of: np.ndarray
     bit: np.ndarray
     check_matched: np.ndarray
@@ -287,22 +287,15 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
     n = config.n_stages
     gated = 2**n + 3
     half = 2 ** (n - 1)
-    attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
     shape = (len(QUATERNARY), _TRAIN_ROWS, 2 * gated)
     signal = np.zeros(shape)
     occupied = np.zeros(shape, dtype=bool)
     energy_alarm = np.zeros(len(QUATERNARY), dtype=bool)
     odd = np.zeros((len(QUATERNARY), half), dtype=bool)
-    eve = np.full((len(QUATERNARY), len(KEY_PHASES)), -1, dtype=np.int8)
+    eve = np.full((len(QUATERNARY), len(KEY_PHASES), len(CHECK_PHASES), half + 1), -1, np.int8)
     for b, bob_phase in enumerate(QUATERNARY):
         cascade = CascadeConfig(n, bob_phase)
-        prepared = bob_prepare(cascade, complex(math.sqrt(config.source_mean_photons)))
-        sent = intercept_forward(prepared) if attack else prepared
-        train = fiber_transmit(sent, config.channel)
-        expected = (
-            config.source_mean_photons / cascade.train_slots * config.channel.transmittance
-        )
-        energy_alarm[b] = alice_energy_monitor(train, expected, config.energy_tolerance)
+        prepared, sent, train, energy_alarm[b] = _forward_leg(config, cascade)
         # the (detector, train) branches of every row of the tables
         by_row = {
             _CHECK_ROWS + i: alice_check_ports(train, phase) for i, phase in enumerate(CHECK_PHASES)
@@ -315,16 +308,19 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
                 config, cascade, prepared, sent, alice_encode(attenuated, phase)
             )
             by_row[_TURN_ROWS + phase.quarter_turns] = branches
-            if eve_phase is not None:
-                eve[b, i] = KEY_PHASES.index(eve_phase)
-        # the key trains differ only in phase, so Eve resends for both or for neither
-        if config.decoy_prob > 0.0 and eve[b, 0] < 0:
+            if eve_phase is None:
+                continue
+            # Eve's vote when m of the odd slots carry decoy phase d instead
+            for d, m in np.ndindex(len(CHECK_PHASES), len(odd_in_train) + 1):
+                votes = [0, 0, 0, 0]
+                votes[phase.quarter_turns] = len(odd_in_train) - m
+                votes[CHECK_PHASES[d].quarter_turns] += m
+                eve[b, i, d, m] = KEY_PHASES.index(eve_key_phase(votes))
+        # only rounds where Eve resends nothing read the decoy row
+        if config.decoy_prob > 0.0 and (eve[b] < 0).any():
+            decoy_train = alice_encode(attenuated, PHASE_0, odd_in_train, PHASE_90)
             by_row[_TURN_ROWS + PHASE_90.quarter_turns], _ = _return_leg(
-                config,
-                cascade,
-                prepared,
-                sent,
-                alice_decoy_encode(attenuated, PHASE_0, odd_in_train, PHASE_90),
+                config, cascade, prepared, sent, decoy_train
             )
         for r, branches in by_row.items():
             for c, (_, branch) in enumerate(branches):
@@ -335,16 +331,6 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
                 }
                 signal[b, r, g] = [probability[a] for a in branch.slots.values()]
                 occupied[b, r, g] = True
-
-    votes = np.zeros((len(QUATERNARY), len(KEY_PHASES), len(CHECK_PHASES), half + 1), np.int8)
-    if attack and config.decoy_prob > 0.0:
-        for b, i, d in np.ndindex(votes.shape[:3]):
-            n_odd = int(odd[b].sum())
-            for m in range(n_odd + 1):
-                counts = [0, 0, 0, 0]
-                counts[KEY_PHASES[i].quarter_turns] = n_odd - m
-                counts[CHECK_PHASES[d].quarter_turns] += m
-                votes[b, i, d, m] = KEY_PHASES.index(eve_key_phase(counts))
 
     # the decoy index of the odd slot that output slot k reads; ``half``
     # where it reads none (slot 0, the last edge slot and the one after it)
@@ -391,7 +377,6 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
         signal=signal,
         occupied=occupied,
         eve=eve,
-        votes=votes,
         decoy_of=decoy_of,
         bit=bit.reshape(len(QUATERNARY), 2 * gated),
         check_matched=scores[:, :, 0, 0, 0],
@@ -400,16 +385,34 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
     )
 
 
+def _forward_leg(
+    config: SessionConfig, cascade: CascadeConfig, unitary: np.ndarray | None = None
+) -> tuple[PulseTrain, PulseTrain, PulseTrain, bool]:
+    """Bob's preparation, Eve's forward leg, the fiber with polarization
+    transform ``unitary`` and Alice's energy monitor: the prepared train,
+    the train sent into the fiber, the train arriving at Alice and the
+    monitor's alarm."""
+    prepared = bob_prepare(cascade, complex(math.sqrt(config.source_mean_photons)))
+    attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
+    sent = intercept_forward(prepared) if attack else prepared
+    train = fiber_transmit(sent, config.channel, unitary)
+    expected = config.source_mean_photons / cascade.train_slots * config.channel.transmittance
+    return prepared, sent, train, alice_energy_monitor(train, expected, config.energy_tolerance)
+
+
 def _return_leg(
     config: SessionConfig,
     cascade: CascadeConfig,
     prepared: PulseTrain,
     sent: PulseTrain,
     encoded: PulseTrain,
+    unitary: np.ndarray | None = None,
 ) -> tuple[Branches, QuantizedPhase | None]:
-    """Mirror, fiber, Eve's backward leg and Bob's readout for Alice's
-    encoded train: the D1/D2 branches and Eve's inferred phase."""
-    train = fiber_transmit(faraday_reflect(encoded), config.channel)
+    """Mirror, fiber (the transpose of the forward leg's ``unitary``), Eve's
+    backward leg and Bob's readout for Alice's encoded train: the D1/D2
+    branches and Eve's inferred phase."""
+    back = None if unitary is None else unitary.T
+    train = fiber_transmit(faraday_reflect(encoded), config.channel, back)
     eve_phase = None
     if config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE:
         train, eve_phase = intercept_backward(train, prepared, sent)
@@ -471,13 +474,9 @@ def _run_chunk(config: SessionConfig, u: np.ndarray) -> RoundColumns:
     decoys[:, :half] = u[:, _DECOYS : _DECOYS + half] < config.decoy_prob
     decoys[:, :half] &= tables.odd[bob]
     decoys[sampled] = False
-    # Eve resends the key train of her guess: what she read off the key
-    # train, or her vote when decoys changed what she read
-    eve = tables.eve[bob, key]
-    voted = (eve >= 0) & decoys.any(axis=1)
-    eve = np.where(voted, tables.votes[bob, key, decoy_turns, decoys.sum(axis=1)], eve)
-    eve[sampled] = -1
-    key_turns = 2 * np.where(voted, eve, key).astype(np.intp)  # KEY_PHASES[i] is 2i turns
+    # Eve resends the key train of her guess, her vote over the odd slots
+    eve = np.where(sampled, -1, tables.eve[bob, key, decoy_turns, decoys.sum(axis=1)])
+    key_turns = 2 * np.where(eve >= 0, eve, key).astype(np.intp)  # KEY_PHASES[i] is 2i turns
 
     # the train each gate slot reads, as a row of the tables: the check train
     # of a sampled round, else the key train; a decoy round's gate slots
@@ -641,12 +640,33 @@ def _round_stream(master_seed: int) -> np.random.Philox:
     return np.random.Philox(key=key.generate_state(2, np.uint64))
 
 
+def _check_round(
+    config: SessionConfig, round_index: int, u: Sequence[float] | None = None
+) -> np.ndarray | None:
+    """Reject a round index that is not an integer >= 0 and a row ``u``
+    that is not ``config.block.width`` uniforms in [0, 1); ``u`` as an array."""
+    integral = isinstance(round_index, numbers.Integral) and not isinstance(round_index, bool)
+    if not integral or round_index < 0:
+        raise ValueError(f"round_index must be an integer >= 0, got {round_index!r}")
+    if u is None:
+        return None
+    row = np.asarray(u, dtype=np.float64)
+    width = config.block.width
+    if row.shape != (width,):
+        raise ValueError(f"u must hold {width} uniforms, got shape {row.shape}")
+    outside = ~((row >= 0.0) & (row < 1.0))  # NaN included
+    if outside.any():
+        raise ValueError(f"u must hold uniforms in [0, 1), got {row[outside]}")
+    return row
+
+
 def round_uniforms(config: SessionConfig, round_index: int) -> list[float]:
     """Round ``round_index``'s row of uniforms, drawn alone: the same row
     that :func:`session_uniforms` gives for it."""
+    _check_round(config, round_index)
     width = config.block.width
     stream = _round_stream(config.master_seed)
-    stream.advance(round_index * width // 4)
+    stream.advance(int(round_index) * width // 4)
     return np.random.Generator(stream).random(width).tolist()
 
 
@@ -673,7 +693,7 @@ def run_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> Ro
     round depends on nothing but its arguments, so a round run alone with
     :func:`round_uniforms` equals the same round in a session.
     """
-    row = np.asarray(u, dtype=np.float64).reshape(1, -1)
+    row = _check_round(config, round_index, u).reshape(1, -1)
     return _records(config, _run_chunk(config, row), round_index)[0]
 
 
@@ -687,6 +707,7 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     on, from a substream of its own. The session kernel, and so
     :func:`run_round`, must give the same record.
     """
+    u = _check_round(config, round_index, u).tolist()
     columns = config.block.columns
     phase_a = KEY_PHASES[int(u[0] * 2)]
     phase_b = QUATERNARY[int(u[1] * 4)]
@@ -694,19 +715,9 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     decoy_phase = CHECK_PHASES[int(u[3] * 2)]
 
     cascade = CascadeConfig(config.n_stages, phase_b)
-    prepared = bob_prepare(cascade, complex(math.sqrt(config.source_mean_photons)))
-    unitary = round_unitary(
-        config.channel, np.random.default_rng([config.master_seed, round_index])
-    )
-
-    attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
-    sent = intercept_forward(prepared) if attack else prepared
-    train = fiber_transmit(sent, config.channel, unitary)
-
-    expected = (
-        config.source_mean_photons / cascade.train_slots * config.channel.transmittance
-    )
-    alarm = alice_energy_monitor(train, expected, config.energy_tolerance)
+    rng = np.random.default_rng([config.master_seed, round_index])
+    unitary = round_unitary(config.channel, rng)
+    prepared, sent, train, alarm = _forward_leg(config, cascade, unitary)
 
     if u[_SAMPLE] < config.sample_prob:
         check_ports = alice_check_ports(train, check_phase)
@@ -727,16 +738,9 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
 
     train = attenuate(train, config.mean_photons_return)
     decoy_positions = alice_decoy_positions(odd_slots(train), config.decoy_prob, u, _DECOYS)
-    train = alice_decoy_encode(train, phase_a, decoy_positions, decoy_phase)
-    train = faraday_reflect(train)
-    train = fiber_transmit(train, config.channel, None if unitary is None else unitary.T)
-    eve_phase = None
-    if attack:
-        train, eve_phase = intercept_backward(train, prepared, sent)
-
-    d1, d2 = bob_measure(train, cascade)
-    key_table = click_table([(Detector.D1, d1), (Detector.D2, d2)], config.detector, columns)
-    clicks = sample_clicks(key_table, u)
+    encoded = alice_encode(train, phase_a, decoy_positions, decoy_phase)
+    branches, eve_phase = _return_leg(config, cascade, prepared, sent, encoded, unitary)
+    clicks = sample_clicks(click_table(branches, config.detector, columns), u)
 
     multi = len(clicks) >= 2
     chosen: ClickEvent | None = None

@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .optics import ClickEvent, PulseTrain, _int_field, mzi_pass, phase_modulate
-from .phases import CHECK_PHASES, KEY_PHASES, PHASE_180, QuantizedPhase
+from .phases import CHECK_PHASES, KEY_PHASES, PHASE_0, PHASE_180, QuantizedPhase
 
 
 class ProtocolError(ValueError):
@@ -97,11 +97,21 @@ def bob_prepare(config: CascadeConfig, source_amplitude: complex) -> PulseTrain:
     return train
 
 
-def alice_encode(train: PulseTrain, key_phase: QuantizedPhase) -> PulseTrain:
-    """Encode Alice's key bit as a common phase on the odd slots."""
+def alice_encode(
+    train: PulseTrain,
+    key_phase: QuantizedPhase,
+    decoys: Iterable[int] = (),
+    decoy_phase: QuantizedPhase = PHASE_0,
+) -> PulseTrain:
+    """Encode Alice's key bit as a common phase on the odd slots, except the
+    odd slots ``decoys``, which she replaces by the decoy phase."""
     if key_phase not in KEY_PHASES:
         raise ProtocolError(f"key phase must be 0 or pi, got {key_phase}")
-    return phase_modulate(train, _is_odd, key_phase)
+    if decoy_phase not in CHECK_PHASES:
+        raise ProtocolError(f"decoy phase must be 0 or pi/2, got {decoy_phase}")
+    replaced = frozenset(decoys)
+    train = phase_modulate(train, lambda k: _is_odd(k) and k not in replaced, key_phase)
+    return phase_modulate(train, replaced.__contains__, decoy_phase)
 
 
 def bob_measure(return_train: PulseTrain, config: CascadeConfig) -> tuple[PulseTrain, PulseTrain]:
@@ -219,23 +229,6 @@ def alice_decoy_positions(
     if decoy_prob == 0.0:
         return ()
     return tuple([k for k in odd_slots if uniforms[start + k // 2] < decoy_prob])
-
-
-def alice_decoy_encode(
-    train: PulseTrain,
-    key_phase: QuantizedPhase,
-    positions: Iterable[int],
-    decoy_phase: QuantizedPhase,
-) -> PulseTrain:
-    """Encode odd slots with the key phase and the replaced ``positions``
-    with the decoy phase. With no positions this is :func:`alice_encode`."""
-    if key_phase not in KEY_PHASES:
-        raise ProtocolError(f"key phase must be 0 or pi, got {key_phase}")
-    if decoy_phase not in CHECK_PHASES:
-        raise ProtocolError(f"decoy phase must be 0 or pi/2, got {decoy_phase}")
-    replaced = frozenset(positions)
-    train = phase_modulate(train, lambda k: _is_odd(k) and k not in replaced, key_phase)
-    return phase_modulate(train, replaced.__contains__, decoy_phase)
 
 
 def odd_slots(train: PulseTrain) -> tuple[int, ...]:

@@ -75,19 +75,6 @@ def test_random_unitary_is_unitary():
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
 
 
-def test_random_unitary_matches_phase_fixed_qr():
-    # the closed form is the Q of np.linalg.qr with R's diagonal made
-    # positive real, from the same draws, and leaves the stream where QR would
-    for seed in range(1000):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        u = random_unitary(rng)
-        z = ref_rng.normal(size=(2, 2)) + 1j * ref_rng.normal(size=(2, 2))
-        q, r = np.linalg.qr(z)
-        d = np.diag(r)
-        assert np.max(np.abs(u - q * (d / np.abs(d)))) < 1e-12
-        assert rng.random() == ref_rng.random()
-
-
 def test_round_unitary_modes():
     rng = np.random.default_rng(1)
     assert round_unitary(ChannelParams(), rng) is None

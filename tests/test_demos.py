@@ -1,10 +1,6 @@
 """Every narrative demo under demos/ runs to completion.
 
 Each demo runs in its own interpreter, as a reader would start it.
-efficiency_scan.py is left out: it simulates full sessions for n = 1..6 and
-takes about 7 s (6.5-8.3 s on a 2-vCPU host), and the efficiency_scan
-experiment of the CLI tests and acceptance criterion 3 already cover what
-it shows.
 """
 
 import os
@@ -18,7 +14,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["attack_demo", "faraday_compensation", "pulse_train_buildup", "readout_truth_table"]
+    "demo",
+    [
+        "attack_demo",
+        "efficiency_scan",
+        "faraday_compensation",
+        "pulse_train_buildup",
+        "readout_truth_table",
+    ],
 )
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dpsqkd.channel import random_unitary
 from dpsqkd.optics import (
     DetectorParams,
     PulseTrain,
@@ -38,12 +39,6 @@ def dense_mzi(amps: dict, delay: int, phase_rad: float):
 
 def train_amps(train: PulseTrain) -> dict:
     return dict(train.slots)
-
-
-def random_unitary(rng) -> np.ndarray:
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 # --- coupler -------------------------------------------------------------

@@ -17,6 +17,7 @@ from dpsqkd.session import (
     SessionConfig,
     competitor_efficiency,
     estimate_qber,
+    reference_round,
     round_uniforms,
     run_round,
     run_session,
@@ -354,6 +355,8 @@ def test_round_uniforms_equal_the_chunked_session_rows(n):
     assert len(rows) == cfg.rounds
     for i in (0, chunk - 1, chunk, cfg.rounds - 1):
         assert round_uniforms(cfg, i) == rows[i].tolist()
+    # a numpy integer index advances the stream like a Python int
+    assert round_uniforms(cfg, np.int64(chunk)) == rows[chunk].tolist()
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, MAX_STAGES])
@@ -381,6 +384,31 @@ def test_round_uniforms_golden():
         0.28929430132065914,
         0.055152668428354645,
     ]
+
+
+@pytest.mark.parametrize("round_fn", [run_round, reference_round])
+@pytest.mark.parametrize(
+    "index, edit, match",
+    [
+        (0, lambda u: u[:10], "u must hold 32 uniforms"),
+        (0, lambda u: u + [0.5], "u must hold 32 uniforms"),
+        (0, lambda u: [1.0] + u[1:], r"\[0, 1\)"),
+        (0, lambda u: u[:5] + [math.nan] + u[6:], r"\[0, 1\)"),
+        (0, lambda u: u[:-1] + [-0.25], r"\[0, 1\)"),
+        (-1, lambda u: u, "round_index"),
+        (True, lambda u: u, "round_index"),
+    ],
+    ids=["short_row", "long_row", "one", "nan", "negative_value", "negative_index", "bool_index"],
+)
+def test_rounds_reject_malformed_rows_and_indices(round_fn, index, edit, match):
+    # rejected with an error naming the argument, before the row is read:
+    # a short row would broadcast in the kernel, 1.0 would index past a table
+    cfg = SessionConfig(mean_photons_return=40.0, sample_prob=0.0)
+    with pytest.raises(ValueError, match=match):
+        round_fn(cfg, index, edit(round_uniforms(cfg, 0)))
+    if match == "round_index":
+        with pytest.raises(ValueError, match=match):
+            round_uniforms(cfg, index)
 
 
 def test_efficiency_converges_at_moderate_scale():

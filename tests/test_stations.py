@@ -28,7 +28,6 @@ from dpsqkd.stations import (
     Detector,
     ProtocolError,
     alice_check_ports,
-    alice_decoy_encode,
     alice_decoy_positions,
     alice_encode,
     alice_energy_monitor,
@@ -423,7 +422,7 @@ def test_decoy_prob_zero_equals_plain_encode():
     train = bob_prepare(CascadeConfig(3, PHASE_90), 1.0)
     positions = alice_decoy_positions(odd_slots(train), 0.0, [])  # reads no uniform
     assert positions == ()
-    out = alice_decoy_encode(train, PHASE_180, positions, PHASE_90)
+    out = alice_encode(train, PHASE_180, positions, PHASE_90)
     plain = alice_encode(train, PHASE_180)
     for k in range(1, 9):
         assert out.amplitude(k) == plain.amplitude(k)
@@ -434,7 +433,7 @@ def test_decoy_prob_one_zero_phase_leaves_odd_slots_unmodulated():
     train = bob_prepare(CascadeConfig(3, PHASE_0), 1.0)
     positions = alice_decoy_positions(odd_slots(train), 1.0, u)
     assert positions == (1, 3, 5, 7)
-    out = alice_decoy_encode(train, PHASE_180, positions, PHASE_0)
+    out = alice_encode(train, PHASE_180, positions, PHASE_0)
     for k in range(1, 9):
         assert out.amplitude(k) == train.amplitude(k)
 
@@ -452,7 +451,7 @@ def test_decoy_marks_replaced_phase():
     train = PulseTrain.from_amplitudes({k: 1.0 for k in range(1, 9)})
     positions = alice_decoy_positions(odd_slots(train), 0.5, u)
     assert positions == tuple(k for k in (1, 3, 5, 7) if u[k // 2] < 0.5)
-    out = alice_decoy_encode(train, PHASE_180, positions, PHASE_90)
+    out = alice_encode(train, PHASE_180, positions, PHASE_90)
     for k in range(1, 9, 2):
         expected = -1j if k in positions else -1.0
         assert out.amplitude(k) == expected
@@ -470,7 +469,7 @@ def test_decoy_keeps_polarization_and_energy():
         {k: prepared.amplitude(k) for k in prepared.slots}, pol
     )
     positions = alice_decoy_positions(odd_slots(train), 0.5, u)
-    out = alice_decoy_encode(train, PHASE_180, positions, PHASE_90)
+    out = alice_encode(train, PHASE_180, positions, PHASE_90)
     odd = [k for k in train.slots if k % 2 == 1]
     assert positions == tuple(sorted(positions)) and set(positions) <= set(odd)
     assert 0 < len(positions) < len(odd)
@@ -493,6 +492,6 @@ def test_decoy_keeps_polarization_and_energy():
 def test_decoy_rejects_bad_phases():
     train = PulseTrain.single(1, 1.0)
     with pytest.raises(ProtocolError):
-        alice_decoy_encode(train, PHASE_90, (1,), PHASE_0)
+        alice_encode(train, PHASE_90, (1,), PHASE_0)
     with pytest.raises(ProtocolError):
-        alice_decoy_encode(train, PHASE_0, (1,), PHASE_270)
+        alice_encode(train, PHASE_0, (1,), PHASE_270)
