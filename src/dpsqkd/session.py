@@ -22,6 +22,10 @@ carry that slot's phase: key phase 0 or pi, or decoy phase pi/2.
 ``SessionConfig.phase_tables`` runs the same legs once per Bob phase for
 each of those trains and for each check phase, and keeps the click
 probability of every gate slot in dense arrays (:class:`PhaseTables`).
+The system is static, so the tables depend on the link alone (the fields
+they read), never on the seed: they are built once per link, shared
+read-only by every config on it, and a bounded memo keeps the last 8 links
+(an n=16 link holds about 26 MiB).
 Under the intercept-resend attack Eve reads the odd slots and votes: keyed
 slots vote for the key phase, a decoy at 0 votes for 0 and one at pi/2 for
 neither (``channel.eve_key_phase``). The tables hold her guess for every
@@ -70,7 +74,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -194,10 +198,28 @@ class SessionConfig:
 
     @cached_property
     def phase_tables(self) -> PhaseTables:
-        """The optics of a round for each of Bob's phases, run once with the
-        field-level functions. Rounds only gather from them, so every round
-        of the session shares them."""
-        return _phase_tables(self)
+        """The optics of a round for each of Bob's phases, run once per link
+        with the field-level functions.
+
+        The tables read only the link: ``n_stages``, the two mean photon
+        numbers, ``energy_tolerance``, whether ``decoy_prob`` > 0, the
+        detector, the channel's loss and ``eve_kind``. Configs that agree on
+        those share one read-only table object, whatever their seed, rounds,
+        sampling, thresholds or birefringence; the memo keeps the last
+        ``_phase_tables.cache_info().maxsize`` links (about 26 MiB each at
+        n=16).
+        """
+        link = SessionConfig(
+            n_stages=self.n_stages,
+            source_mean_photons=self.source_mean_photons,
+            mean_photons_return=self.mean_photons_return,
+            decoy_prob=float(self.decoy_prob > 0.0),
+            energy_tolerance=self.energy_tolerance,
+            detector=self.detector,
+            channel=ChannelParams(loss_db=self.channel.loss_db),
+            eve_kind=self.eve_kind,
+        )
+        return _phase_tables(link)
 
 
 class RoundBlock(NamedTuple):
@@ -281,9 +303,14 @@ class PhaseTables(NamedTuple):
 Branches = tuple[tuple[Detector, PulseTrain], tuple[Detector, PulseTrain]]
 
 
+# ``configs/experiments.json`` runs 7 distinct links, and a smaller memo would
+# evict links that recur within one ``dps-qkd`` run; at n=16 an entry holds
+# about 26 MiB (1.6 MiB at n=12)
+@lru_cache(maxsize=8)
 def _phase_tables(config: SessionConfig) -> PhaseTables:
     """Bob's preparation, the forward leg, Alice's station and the return
-    leg for every Bob phase, as the dense arrays of :class:`PhaseTables`."""
+    leg for every Bob phase, as the dense arrays of :class:`PhaseTables`,
+    read-only since sessions share them."""
     n = config.n_stages
     gated = 2**n + 3
     half = 2 ** (n - 1)
@@ -371,7 +398,7 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
         dtype=bool,
     )[:, :, :, classes]
     checks = (len(QUATERNARY), len(CHECK_PHASES), 2 * gated)
-    return PhaseTables(
+    tables = PhaseTables(
         energy_alarm=energy_alarm,
         odd=odd,
         signal=signal,
@@ -383,6 +410,9 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
         check_compared=scores[..., 1].reshape(checks),
         check_error=scores[..., 2].reshape(checks),
     )
+    for array in tables:
+        array.setflags(write=False)
+    return tables
 
 
 def _forward_leg(
@@ -580,11 +610,12 @@ def _records(
 ) -> tuple[RoundRecord, ...]:
     """The record view of ``columns``, whose first round is ``first_index``."""
     gated = config.block.columns[1] - config.block.columns[0]
-    events = {
-        sampled: [ClickEvent(d, k) for d in detectors for k in range(gated)]
-        for sampled, detectors in ((False, _KEY_DETECTORS), (True, _CHECK_DETECTORS))
-    }
-    clicks = _by_round(columns.clicks, columns.n_clicks)
+    # a click's code is its gate position, two columns further in a sampled
+    # round; one event per code that occurs, shared by the rounds it occurs in
+    codes = columns.clicks + 2 * gated * np.repeat(columns.sampled, columns.n_clicks)
+    detectors = _KEY_DETECTORS + _CHECK_DETECTORS
+    events = {c: ClickEvent(detectors[c // gated], c % gated) for c in np.unique(codes).tolist()}
+    clicks = _by_round(codes, columns.n_clicks)
     decoys = _by_round(columns.decoy_slots, columns.n_decoys)
     fields = (
         columns.key,
@@ -603,7 +634,7 @@ def _records(
     for i, (key, bob, check, sampled, alarm, bit, matched, compared, errors, hit, eve) in enumerate(
         zip(*(a.tolist() for a in fields))
     ):
-        round_clicks = tuple(events[sampled][g] for g in clicks[i])
+        round_clicks = tuple(events[c] for c in clicks[i])
         common = dict(
             index=first_index + i,
             alice_phase=KEY_PHASES[key],

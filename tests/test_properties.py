@@ -5,7 +5,9 @@ the equivalence of the session kernel with the field-level reference round
 and over sessions of several chunks. The kernel's statistics are checked
 against a fold over the record view (``fold_stats`` below). Faraday
 compensation is also checked at the protocol level: a session's records do
-not depend on the birefringence mode.
+not depend on the birefringence mode. The memoized phase tables of a config
+equal a fresh build of them, also right after the tables of a link that
+differs in one field they read.
 
 It also checks that every real-valued config field takes a float or names
 itself in a ValueError, whatever value it is given, and that
@@ -38,6 +40,7 @@ from dpsqkd.phases import KEY_PHASES, QUATERNARY, QuantizedPhase
 from dpsqkd.session import (
     SessionConfig,
     SessionStats,
+    _phase_tables,
     estimate_qber,
     reference_round,
     round_uniforms,
@@ -385,6 +388,74 @@ def test_records_do_not_depend_on_birefringence(config):
         for mode in BirefringenceMode
     }
     assert len(records) == 1
+
+
+#: the session fields that the phase tables never read, drawn at random
+unread_fields = st.fixed_dictionaries(
+    {
+        "rounds": st.integers(1, 10**6),
+        "master_seed": st.integers(0, 2**64),
+        "sample_prob": st.floats(0.0, 1.0),
+        "disclose_fraction": st.floats(0.01, 1.0),
+        "max_check_error": st.floats(0.0, 1.0),
+        "max_qber": st.floats(0.0, 1.0),
+    }
+)
+
+#: links over every field the tables read, with random unread fields
+link_configs = st.builds(
+    lambda n, eve, decoy, dark, efficiency, mu, loss, tolerance, mode, seed, unread: SessionConfig(
+        n_stages=n,
+        mean_photons_return=mu,
+        decoy_prob=decoy,
+        energy_tolerance=tolerance,
+        detector=DetectorParams(quantum_efficiency=efficiency, dark_count_prob=dark),
+        channel=ChannelParams(loss_db=loss, birefringence_mode=mode, seed=seed),
+        eve_kind=eve,
+        **unread,
+    ),
+    st.integers(1, 8),
+    st.sampled_from(EveKind),
+    st.sampled_from((0.0, 0.3, 1.0)),
+    st.sampled_from((0.0, 0.02)),
+    st.sampled_from((1.0, 0.4)),
+    st.sampled_from((0.5, 3.0)),
+    st.sampled_from((0.0, 3.0)),
+    st.sampled_from((0.05, 0.0)),
+    st.sampled_from(BirefringenceMode),
+    st.integers(0, 2**32 - 1),
+    unread_fields,
+)
+
+#: a sibling link that differs from ``config`` in one read field
+READ_FIELD_CHANGES = {
+    "n_stages": lambda c: dict(n_stages=c.n_stages % 8 + 1),
+    "mean_photons_return": lambda c: dict(mean_photons_return=c.mean_photons_return + 0.25),
+    "decoy_prob": lambda c: dict(decoy_prob=0.0 if c.decoy_prob > 0.0 else 0.5),
+    "quantum_efficiency": lambda c: dict(
+        detector=dataclasses.replace(c.detector, quantum_efficiency=c.detector.quantum_efficiency / 2)
+    ),
+    "dark_count_prob": lambda c: dict(
+        detector=dataclasses.replace(c.detector, dark_count_prob=0.02 - c.detector.dark_count_prob)
+    ),
+    "loss_db": lambda c: dict(
+        channel=dataclasses.replace(c.channel, loss_db=c.channel.loss_db + 3.0)
+    ),
+    "eve_kind": lambda c: dict(eve_kind=next(k for k in EveKind if k is not c.eve_kind)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(READ_FIELD_CHANGES))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(config=link_configs, unread=unread_fields)
+def test_memoized_phase_tables_equal_a_fresh_build(field, config, unread):
+    # the memo returns the tables of ``config`` itself, also right after the
+    # tables of a sibling that differs in one read field and in any unread ones
+    sibling = dataclasses.replace(config, **READ_FIELD_CHANGES[field](config), **unread)
+    for link in (config, sibling):
+        fresh = _phase_tables.__wrapped__(link)
+        for name, array in link.phase_tables._asdict().items():
+            assert np.array_equal(array, getattr(fresh, name)), name
 
 
 #: (dataclass, field) for every real-valued field of the three configs

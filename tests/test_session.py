@@ -231,6 +231,89 @@ def test_decoy_rounds_run_no_interferometer_optics(monkeypatch, eve_kind):
     assert sum(1 for r in records if r.decoy_positions) > 100
 
 
+# --- the phase-table memo -------------------------------------------------------
+
+#: a link with every field the tables read away from its default
+MEMO_LINK = SessionConfig(
+    n_stages=2,
+    rounds=50,
+    source_mean_photons=256.0,
+    mean_photons_return=0.5,
+    decoy_prob=0.2,
+    energy_tolerance=0.1,
+    detector=DetectorParams(quantum_efficiency=0.5, dark_count_prob=0.01),
+    channel=ChannelParams(loss_db=3.0),
+    eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
+)
+
+#: changes of the fields the tables never read (decoy_prob stays > 0)
+UNREAD_CHANGES = {
+    "rounds": dict(rounds=7),
+    "master_seed": dict(master_seed=99),
+    "sample_prob": dict(sample_prob=0.7),
+    "disclose_fraction": dict(disclose_fraction=0.5),
+    "max_check_error": dict(max_check_error=0.2),
+    "max_qber": dict(max_qber=0.3),
+    "decoy_prob": dict(decoy_prob=1.0),
+    "birefringence_mode": dict(
+        channel=ChannelParams(loss_db=3.0, birefringence_mode=BirefringenceMode.RANDOM_PER_TRAIN)
+    ),
+    "channel_seed": dict(channel=ChannelParams(loss_db=3.0, seed=5)),
+}
+
+#: a change of each field the tables read
+READ_CHANGES = {
+    "n_stages": dict(n_stages=3),
+    "source_mean_photons": dict(source_mean_photons=512.0),
+    "mean_photons_return": dict(mean_photons_return=0.8),
+    "energy_tolerance": dict(energy_tolerance=0.05),
+    "decoy_prob": dict(decoy_prob=0.0),
+    "quantum_efficiency": dict(detector=DetectorParams(quantum_efficiency=0.9, dark_count_prob=0.01)),
+    "dark_count_prob": dict(detector=DetectorParams(quantum_efficiency=0.5)),
+    "loss_db": dict(channel=ChannelParams(loss_db=6.0)),
+    "eve_kind": dict(eve_kind=EveKind.PASSIVE),
+}
+
+
+@pytest.mark.parametrize("change", UNREAD_CHANGES.values(), ids=UNREAD_CHANGES)
+def test_configs_differing_in_unread_fields_share_one_table_object(change):
+    assert replace(MEMO_LINK, **change).phase_tables is MEMO_LINK.phase_tables
+
+
+@pytest.mark.parametrize("change", READ_CHANGES.values(), ids=READ_CHANGES)
+def test_a_change_in_a_read_field_gives_another_table(change):
+    assert replace(MEMO_LINK, **change).phase_tables is not MEMO_LINK.phase_tables
+
+
+def test_phase_tables_are_read_only():
+    for array in MEMO_LINK.phase_tables:
+        first = (0,) * array.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            array[first] = array[first]
+
+
+def test_phase_tables_do_not_depend_on_build_order():
+    # the memo is the only state the tables keep: A then B gives the same
+    # bytes as B then A from an empty memo (replace makes fresh instances)
+    a = MEMO_LINK
+    b = replace(MEMO_LINK, n_stages=3, eve_kind=EveKind.PASSIVE, decoy_prob=0.0)
+
+    def build(*configs):
+        dpsqkd.session._phase_tables.cache_clear()
+        tables = [replace(config).phase_tables for config in configs]
+        return [[(array.dtype, array.shape, array.tobytes()) for array in t] for t in tables]
+
+    a_first, b_second = build(a, b)
+    b_first, a_second = build(b, a)
+    assert a_first == a_second
+    assert b_first == b_second
+
+
+def test_phase_table_memo_is_bounded():
+    # configs/experiments.json runs 7 distinct links
+    assert dpsqkd.session._phase_tables.cache_info().maxsize == 8
+
+
 # --- estimate_qber ----------------------------------------------------------------
 
 
