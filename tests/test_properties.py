@@ -449,8 +449,8 @@ READ_FIELD_CHANGES = {
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(config=link_configs, unread=unread_fields)
 def test_memoized_phase_tables_equal_a_fresh_build(field, config, unread):
-    # the memo returns the tables of ``config`` itself, also right after the
-    # tables of a sibling that differs in one read field and in any unread ones
+    # the memo returns each link's own tables: the sibling's are read right
+    # after config's, from which it differs in one read field and the unread ones
     sibling = dataclasses.replace(config, **READ_FIELD_CHANGES[field](config), **unread)
     for link in (config, sibling):
         fresh = _phase_tables.__wrapped__(link)
