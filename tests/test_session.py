@@ -208,6 +208,35 @@ def test_workload_stats_golden():
         assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
 
 
+def test_phase_table_bytes_golden():
+    # every table array, dtype, shape and bytes, built without the memo: the
+    # goldens above stop at n=6 sessions, these pin the optics up to n=12
+    configs = {
+        "873aeb3c43d2a8f5ab1045fe718f67a35ebfc4d42a79bfdd3e62a48431f1aab2": SessionConfig(
+            n_stages=1
+        ),
+        "f661a2b0dd305b51edbf94e1d82766adc4d86fe2afcc585f9e20aa2d141226cd": SessionConfig(
+            n_stages=3,
+            eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
+            detector=DetectorParams(dark_count_prob=0.01),
+            channel=ChannelParams(loss_db=3.0),
+        ),
+        # return slots occupied but with an energy that underflows to zero
+        "f8a3788a2d2b05cf58c4cace5789caf050cbd3fa4af2f7061eb16cc89e21a6a9": SessionConfig(
+            n_stages=8, decoy_prob=0.3, mean_photons_return=5e-324
+        ),
+        "a8bf16f95ba43f1238e3f8645e00cef7edfb98904652b206835b79bc56567927": SessionConfig(
+            n_stages=12, decoy_prob=0.3
+        ),
+    }
+    for digest, cfg in configs.items():
+        h = hashlib.sha256()
+        for array in dpsqkd.session._phase_tables.__wrapped__(cfg):
+            h.update(f"{array.dtype.str}{array.shape}".encode())
+            h.update(array.tobytes())
+        assert h.hexdigest() == digest
+
+
 @pytest.mark.parametrize("eve_kind", list(EveKind))
 def test_decoy_rounds_run_no_interferometer_optics(monkeypatch, eve_kind):
     # once the tables are built, a decoy round is a gather or follows Eve's
