@@ -16,7 +16,6 @@ with what she learned. The caller keeps both trains between the legs.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .optics import PulseTrain, _enum_field, _int_field, _real_field, attenuate, jones_product
-from .phases import PHASE_0, PHASE_180, QuantizedPhase
+from .phases import KEY_PHASES, PHASE_0, QuantizedPhase
 from .stations import alice_encode
 
 
@@ -95,7 +94,7 @@ def fiber_transmit(
     polarization = train.polarization
     if unitary is not None:
         polarization = jones_product(unitary, polarization)
-    return PulseTrain({k: a * scale for k, a in train.slots.items()}, polarization)
+    return PulseTrain(train.amplitudes * scale, polarization)
 
 
 class EveKind(Enum):
@@ -110,21 +109,21 @@ def intercept_forward(train: PulseTrain, substitute_phase: QuantizedPhase = PHAS
     energies but one common phase. She keeps a copy of the substitute too:
     it is her phase reference for :func:`intercept_backward`.
     """
-    f = substitute_phase.factor
-    # abs() keeps the slot energy bit-for-bit equal, so the substitute
-    # passes Alice's energy monitor at zero tolerance
-    return PulseTrain({k: abs(a) * f for k, a in train.slots.items()}, train.polarization)
+    # Python's abs() keeps the slot energy bit-for-bit equal, so the
+    # substitute passes Alice's energy monitor at zero tolerance
+    return PulseTrain(train.map_occupied(abs) * substitute_phase.factor, train.polarization)
 
 
-def eve_key_phase(votes: Sequence[int]) -> QuantizedPhase:
-    """Eve's guess of Alice's key phase from her reading of the odd slots.
+def eve_key_phase(votes: Sequence) -> np.ndarray:
+    """Eve's guess of Alice's key phase, an index into ``KEY_PHASES``, from
+    her reading of the odd slots.
 
-    ``votes[q]`` counts the odd slots she read at q quarter turns. Every
-    slot Alice keyed votes for her key phase and a decoy at 0 votes for 0;
-    only 0 and pi are key phases, so a decoy at pi/2 votes for neither. A
-    tie goes to 0.
+    ``votes[q]`` counts the odd slots she read at q quarter turns (arrays of
+    counts give one guess each). Every slot Alice keyed votes for her key
+    phase and a decoy at 0 votes for 0; only 0 and pi are key phases, so a
+    decoy at pi/2 votes for neither. A tie goes to 0.
     """
-    return PHASE_0 if votes[0] >= votes[2] else PHASE_180
+    return np.where(np.asarray(votes[0]) >= votes[2], 0, 1)
 
 
 def intercept_backward(
@@ -142,15 +141,11 @@ def intercept_backward(
     """
     if reflected.total_energy == 0.0:
         return reflected, None
-    votes = [0, 0, 0, 0]
-    for k, sent in substitute.slots.items():
-        if k % 2 == 0 or sent == 0j:
-            continue
-        a = reflected.slots.get(k)
-        if a is None:
-            continue
-        # reflected slot = sent * (positive real) * exp(-i * modulation)
-        qt = round(-cmath.phase(a / sent) / (math.pi / 2)) % 4
-        votes[qt] += 1
-    inferred = eve_key_phase(votes)
+    sent = substitute.amplitudes[1::2]
+    back = reflected.amplitudes[1::2]
+    sent, back = sent[: len(back)], back[: len(sent)]
+    read = (sent != 0) & (back != 0)
+    # reflected slot = sent * (positive real) * exp(-i * modulation)
+    turns = np.rint(-np.angle(back[read] / sent[read]) / (math.pi / 2)).astype(np.intp) % 4
+    inferred = KEY_PHASES[eve_key_phase(np.bincount(turns, minlength=4))]
     return attenuate(alice_encode(stored, inferred), reflected.total_energy), inferred

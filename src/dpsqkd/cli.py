@@ -157,6 +157,9 @@ def parse_config(path) -> list[ExperimentSpec]:
         name = entry["name"]
         if name not in EXPERIMENT_NAMES:
             raise ConfigError(f"unknown experiment name: {name!r}")
+        # a name is its variant seeds and its output file
+        if any(spec.name == name for spec in specs):
+            raise ConfigError(f"experiment {name!r} appears more than once")
         overrides = {k: v for k, v in entry.items() if k != "name"}
         stages: tuple[int, ...] = ()
         if name == "efficiency_scan":

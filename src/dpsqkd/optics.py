@@ -1,11 +1,12 @@
 """Field-level optical primitives.
 
-A pulse train maps time slots to classical complex field amplitudes and
-carries one Jones vector for the whole train: every pulse of a train sees
-the same fiber unitary (collective birefringence), so the pulses never
-differ in polarization. Couplers, delay-line interferometers, phase
-modulators, attenuators and the Faraday mirror are pure functions on
-immutable pulse trains. Photon detection comes in two halves: the pure
+A pulse train is a read-only array of classical complex field amplitudes,
+one per time slot from slot 0, and one Jones vector for the whole train:
+every pulse of a train sees the same fiber unitary (collective
+birefringence), so the pulses never differ in polarization. Couplers,
+delay-line interferometers, phase modulators, attenuators and the Faraday
+mirror are pure functions on immutable pulse trains, each a few operations
+on the whole array. Photon detection comes in two halves: the pure
 ``click_table`` turns output trains into per-slot click probabilities, each
 tied to a fixed position in a row of uniforms, and ``sample_clicks``
 compares a table with such a row. A table depends on amplitudes alone, so a
@@ -22,6 +23,9 @@ Conventions fixed here (and relied on by the goldens in the test suite):
 * The Faraday mirror maps (p1, p2) -> (p2, -p1), the quarter-wave rotation
   that makes a reciprocal round trip (U forward, mirror, U transposed
   backward) independent of U up to a global phase.
+* Array products are by quarter-turn factors or real scales, which round
+  as Python's do; ``np.abs`` can differ from ``abs`` in the last bit, so
+  energies and click probabilities use ``abs`` per distinct amplitude.
 """
 
 from __future__ import annotations
@@ -58,28 +62,33 @@ def jones_product(matrix: np.ndarray, polarization: Jones) -> Jones:
     return (u00 * p1 + u01 * p2, u10 * p1 + u11 * p2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseTrain:
-    """Sparse train: map from non-negative slot index to complex amplitude,
-    plus the one unit Jones vector all its pulses share.
+    """Dense train: read-only complex amplitudes, entry k for slot k, plus
+    the one unit Jones vector all its pulses share.
 
-    An absent index means vacuum. The squared amplitude magnitude is the
+    Slot k is occupied when its amplitude is nonzero, however small (its
+    energy may underflow to 0). The squared amplitude magnitude is the
     slot's mean photon number; the polarization carries no intensity.
     """
 
-    slots: dict[int, complex]
+    amplitudes: np.ndarray
     polarization: Jones = H_POL
+
+    def __post_init__(self):
+        object.__setattr__(self, "amplitudes", np.array(self.amplitudes, np.complex128))
+        self.amplitudes.setflags(write=False)
 
     @classmethod
     def from_amplitudes(
         cls, amplitudes: Mapping[int, complex], polarization: Jones = H_POL
     ) -> "PulseTrain":
-        slots = {}
-        for k, a in amplitudes.items():
+        for k in amplitudes:
             if not isinstance(k, int) or k < 0:
                 raise ValueError(f"slot index must be a non-negative integer, got {k!r}")
-            slots[k] = complex(a)
-        return cls(slots, polarization)
+        array = np.zeros(max(amplitudes, default=-1) + 1, dtype=np.complex128)
+        array[list(amplitudes)] = [complex(a) for a in amplitudes.values()]
+        return cls(array, polarization)
 
     @classmethod
     def single(cls, slot: int, amplitude: complex, polarization: Jones = H_POL) -> "PulseTrain":
@@ -87,23 +96,35 @@ class PulseTrain:
 
     @classmethod
     def vacuum(cls) -> "PulseTrain":
-        return cls({})
+        return cls(np.zeros(0, dtype=np.complex128))
+
+    def map_occupied(self, fn: Callable[[complex], float]) -> np.ndarray:
+        """``fn`` of each occupied slot's amplitude and 0.0 for an empty
+        slot, as a float array; ``fn`` runs once per distinct amplitude."""
+        ordered = np.sort(self.amplitudes)  # np.unique's hash table costs 1.4 MiB
+        distinct = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
+        values = np.array([fn(a) if a else 0.0 for a in distinct.tolist()])
+        return values[np.searchsorted(distinct, self.amplitudes)]
 
     @cached_property
     def total_energy(self) -> float:
-        return sum(abs(a) ** 2 for a in self.slots.values())
+        """Python's ``abs(a) ** 2`` summed over the slots in ascending order."""
+        return sum(self.map_occupied(lambda a: abs(a) ** 2).tolist())
 
     def amplitude(self, slot: int) -> complex:
-        return self.slots.get(slot, 0j)
+        """Slot ``slot``'s amplitude as a Python complex, 0j when empty."""
+        if 0 <= slot < len(self.amplitudes) and (a := complex(self.amplitudes[slot])):
+            return a
+        return 0j
 
     def occupied_slots(self) -> tuple[int, ...]:
-        return tuple(sorted(self.slots))
+        return tuple(np.flatnonzero(self.amplitudes).tolist())
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return int(np.count_nonzero(self.amplitudes))
 
     def __contains__(self, slot: int) -> bool:
-        return slot in self.slots
+        return self.amplitude(slot) != 0
 
 
 def _enum_field(obj, name: str, enum_type: type[Enum]) -> None:
@@ -175,8 +196,8 @@ class ClickEvent(NamedTuple):
     slot: int
 
 
-def coupler_mix(a: complex, b: complex) -> tuple[complex, complex]:
-    """Symmetric 50/50 coupler: ((a + i b), (i a + b)) / sqrt(2)."""
+def coupler_mix(a, b):
+    """Symmetric 50/50 coupler: ((a + i b), (i a + b)) / sqrt(2); also on arrays."""
     return ((a + 1j * b) * _INV_SQRT2, (1j * a + b) * _INV_SQRT2)
 
 
@@ -197,35 +218,20 @@ def mzi_pass(
     if delay_slots < 1:
         raise ValueError(f"delay_slots must be >= 1, got {delay_slots}")
     f = long_arm_phase.factor
-    slots = train.slots
-    get = slots.get
-    keys = set(slots)
-    keys.update(k + delay_slots for k in slots)
-    out1: dict[int, complex] = {}
-    out2: dict[int, complex] = {}
-    for k in keys:
-        short = get(k)
-        long = get(k - delay_slots)
-        s = short * _INV_SQRT2 if short is not None else 0j
-        l = f * (1j * long * _INV_SQRT2) if long is not None else 0j
-        o1, o2 = coupler_mix(s, l)
-        if o1 != 0j:
-            out1[k] = o1
-        if o2 != 0j:
-            out2[k] = o2
-    return PulseTrain(out1, train.polarization), PulseTrain(out2, train.polarization)
+    short = np.concatenate([train.amplitudes, np.zeros(delay_slots)])
+    long = np.concatenate([np.zeros(delay_slots), train.amplitudes])
+    ports = coupler_mix(short * _INV_SQRT2, f * (1j * long * _INV_SQRT2))
+    return tuple(PulseTrain(port, train.polarization) for port in ports)
 
 
-def phase_modulate(
-    train: PulseTrain,
-    selector: Callable[[int], bool],
-    phase,
-) -> PulseTrain:
-    """Multiply selected slots by exp(-i * phase); energy is unchanged."""
+def phase_modulate(train: PulseTrain, slots, phase) -> PulseTrain:
+    """Multiply the slots ``slots`` (a boolean mask, a slice or slot indices
+    into the train's array) by exp(-i * phase); energy is unchanged."""
     f = phase.factor
     if f == 1 + 0j:
         return train
-    out = {k: a * f if selector(k) else a for k, a in train.slots.items()}
+    out = train.amplitudes.copy()
+    out[slots] *= f
     return PulseTrain(out, train.polarization)
 
 
@@ -234,12 +240,12 @@ def attenuate(train: PulseTrain, target_mean_photons: float) -> PulseTrain:
     if target_mean_photons < 0:
         raise ValueError(f"target_mean_photons must be >= 0, got {target_mean_photons}")
     if target_mean_photons == 0.0:
-        return PulseTrain({}, train.polarization)
+        return PulseTrain(np.zeros(0, dtype=np.complex128), train.polarization)
     energy = train.total_energy
     if energy == 0.0:
         raise ValueError("cannot rescale a vacuum train to positive energy")
     scale = math.sqrt(target_mean_photons / energy)
-    return PulseTrain({k: a * scale for k, a in train.slots.items()}, train.polarization)
+    return PulseTrain(train.amplitudes * scale, train.polarization)
 
 
 def _check_unitary(transform: np.ndarray) -> np.ndarray:
@@ -254,7 +260,7 @@ def _check_unitary(transform: np.ndarray) -> np.ndarray:
 def jones_apply(train: PulseTrain, transform: np.ndarray) -> PulseTrain:
     """Apply a unitary Jones matrix to the train's polarization."""
     u = _check_unitary(transform)
-    return PulseTrain(train.slots, jones_product(u, train.polarization))
+    return PulseTrain(train.amplitudes, jones_product(u, train.polarization))
 
 
 def faraday_reflect(train: PulseTrain) -> PulseTrain:
@@ -266,7 +272,7 @@ def faraday_reflect(train: PulseTrain) -> PulseTrain:
     to the global phase det(U). Amplitudes are untouched.
     """
     p1, p2 = train.polarization
-    return PulseTrain(train.slots, (p2, -p1))
+    return PulseTrain(train.amplitudes, (p2, -p1))
 
 
 #: One gated slot: (click event, position in the row of uniforms, click
@@ -286,28 +292,24 @@ def click_table(
 
     Per occupied slot the probability is 1 - exp(-eta * |amplitude|^2);
     dark counts add independently over the gated window (every occupied
-    slot and its immediate neighbours). A slot with exactly zero amplitude
-    and zero dark probability has probability 0. Slot k of the j-th branch
+    slot and its immediate neighbours). An occupied slot whose energy is 0
+    and zero dark probability give probability 0. Slot k of the j-th branch
     is decided by the uniform at position ``columns[j] + k`` of a row, so
     the caller gives each branch a column wide enough for its window.
     """
     dark = params.dark_count_prob
     table = []
     for (detector, train), start in zip(branches, columns, strict=True):
-        slots = train.slots
+        # one slot past the train, the right neighbour of its last slot
+        p = np.append(train.map_occupied(lambda a: click_probability(a, params)), 0.0)
+        lit = np.append(train.amplitudes != 0, False)
+        window = lit.copy()
         if dark > 0.0:
-            window = set(slots)
-            for k in slots:
-                window.add(k + 1)
-                if k >= 1:
-                    window.add(k - 1)
-            candidates = sorted(window)
-        else:
-            candidates = sorted(slots)
-        for k in candidates:
-            a = slots.get(k)
-            p = click_probability(a, params) if a is not None else dark
-            table.append((ClickEvent(detector, k), start + k, p))
+            window[1:] |= lit[:-1]
+            window[:-1] |= lit[1:]
+            p[window & ~lit] = dark
+        gated, p = np.flatnonzero(window).tolist(), p.tolist()
+        table.extend((ClickEvent(detector, k), start + k, p[k]) for k in gated)
     return tuple(table)
 
 

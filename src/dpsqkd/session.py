@@ -74,7 +74,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -196,7 +196,7 @@ class SessionConfig:
         width = (pick + 4) // 4 * 4
         return RoundBlock((column0, column0 + gated), pick, width, max(1, _CHUNK_UNIFORMS // width))
 
-    @cached_property
+    @property
     def phase_tables(self) -> PhaseTables:
         """The optics of a round for each of Bob's phases, run once per link
         with the field-level functions.
@@ -207,7 +207,7 @@ class SessionConfig:
         those share one read-only table object, whatever their seed, rounds,
         sampling, thresholds or birefringence; the memo keeps the last
         ``_phase_tables.cache_info().maxsize`` links (about 26 MiB each at
-        n=16).
+        n=16), and the config keeps no reference to them.
         """
         link = SessionConfig(
             n_stages=self.n_stages,
@@ -320,6 +320,7 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
     energy_alarm = np.zeros(len(QUATERNARY), dtype=bool)
     odd = np.zeros((len(QUATERNARY), half), dtype=bool)
     eve = np.full((len(QUATERNARY), len(KEY_PHASES), len(CHECK_PHASES), half + 1), -1, np.int8)
+    probability = partial(click_probability, params=config.detector)
     for b, bob_phase in enumerate(QUATERNARY):
         cascade = CascadeConfig(n, bob_phase)
         prepared, sent, train, energy_alarm[b] = _forward_leg(config, cascade)
@@ -329,7 +330,7 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
         }
         attenuated = attenuate(train, config.mean_photons_return)
         odd_in_train = odd_slots(attenuated)
-        odd[b, [k // 2 for k in odd_in_train]] = True
+        odd[b, np.array(odd_in_train, dtype=np.intp) // 2] = True
         for i, phase in enumerate(KEY_PHASES):
             branches, eve_phase = _return_leg(
                 config, cascade, prepared, sent, alice_encode(attenuated, phase)
@@ -337,12 +338,13 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
             by_row[_TURN_ROWS + phase.quarter_turns] = branches
             if eve_phase is None:
                 continue
-            # Eve's vote when m of the odd slots carry decoy phase d instead
-            for d, m in np.ndindex(len(CHECK_PHASES), len(odd_in_train) + 1):
+            # Eve's vote when m = 0, 1, .. of the odd slots carry decoy phase d
+            m = np.arange(len(odd_in_train) + 1)
+            for d, decoy_phase in enumerate(CHECK_PHASES):
                 votes = [0, 0, 0, 0]
                 votes[phase.quarter_turns] = len(odd_in_train) - m
-                votes[CHECK_PHASES[d].quarter_turns] += m
-                eve[b, i, d, m] = KEY_PHASES.index(eve_key_phase(votes))
+                votes[decoy_phase.quarter_turns] += m
+                eve[b, i, d, : len(m)] = eve_key_phase(votes)
         # only rounds where Eve resends nothing read the decoy row
         if config.decoy_prob > 0.0 and (eve[b] < 0).any():
             decoy_train = alice_encode(attenuated, PHASE_0, odd_in_train, PHASE_90)
@@ -351,19 +353,14 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
             )
         for r, branches in by_row.items():
             for c, (_, branch) in enumerate(branches):
-                g = c * gated + np.fromiter(branch.slots, np.intp, len(branch.slots))
-                # a train has few distinct amplitudes: each is evaluated once
-                probability = {
-                    a: click_probability(a, config.detector) for a in set(branch.slots.values())
-                }
-                signal[b, r, g] = [probability[a] for a in branch.slots.values()]
-                occupied[b, r, g] = True
+                gate = slice(c * gated, c * gated + len(branch.amplitudes))
+                signal[b, r, gate] = branch.map_occupied(probability)
+                occupied[b, r, gate] = branch.amplitudes != 0
 
     # the decoy index of the odd slot that output slot k reads; ``half``
     # where it reads none (slot 0, the last edge slot and the one after it)
-    decoy_of = np.array(
-        [j if 0 <= (j := key_slot(k) // 2) < half else half for k in range(gated)], dtype=np.intp
-    )
+    read = key_slot(np.arange(gated)) // 2
+    decoy_of = np.where((read >= 0) & (read < half), read, half)
     # the readout rules read a gate slot only through its parity and whether
     # it is an edge slot: each rule runs on one slot per class (inner even,
     # inner odd, first edge, last edge), and ``classes`` spreads the result
@@ -484,10 +481,9 @@ class RoundColumns(NamedTuple):
     eve: np.ndarray
 
 
-def _run_chunk(config: SessionConfig, u: np.ndarray) -> RoundColumns:
+def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> RoundColumns:
     """The kernel: the rounds whose rows of uniforms are the rows of ``u``,
-    as array work over the whole chunk (module docstring)."""
-    tables = config.phase_tables
+    as array work on the config's ``tables`` (module docstring)."""
     block = config.block
     m = len(u)
     gated = block.columns[1] - block.columns[0]
@@ -725,7 +721,7 @@ def run_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> Ro
     :func:`round_uniforms` equals the same round in a session.
     """
     row = _check_round(config, round_index, u).reshape(1, -1)
-    return _records(config, _run_chunk(config, row), round_index)[0]
+    return _records(config, _run_chunk(config, config.phase_tables, row), round_index)[0]
 
 
 def reference_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> RoundRecord:
@@ -966,7 +962,8 @@ class SessionResult:
 def run_session(config: SessionConfig) -> SessionResult:
     """Run all rounds through the kernel, a chunk of rows at a time, and
     reduce them."""
-    chunks = [_run_chunk(config, u) for u in session_uniforms(config)]
+    tables = config.phase_tables
+    chunks = [_run_chunk(config, tables, u) for u in session_uniforms(config)]
     columns = RoundColumns(*(np.concatenate(field) for field in zip(*chunks)))
     return SessionResult(config, columns, session_stats(columns, config))
 

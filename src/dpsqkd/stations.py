@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .optics import ClickEvent, PulseTrain, _int_field, mzi_pass, phase_modulate
 from .phases import CHECK_PHASES, KEY_PHASES, PHASE_0, PHASE_180, QuantizedPhase
 
@@ -77,10 +79,6 @@ class CascadeConfig:
         return (1, 2 ** self.n_stages + 1)
 
 
-def _is_odd(slot: int) -> bool:
-    return slot % 2 == 1
-
-
 def bob_prepare(config: CascadeConfig, source_amplitude: complex) -> PulseTrain:
     """Split one source pulse into 2^n equal-magnitude slots.
 
@@ -109,9 +107,11 @@ def alice_encode(
         raise ProtocolError(f"key phase must be 0 or pi, got {key_phase}")
     if decoy_phase not in CHECK_PHASES:
         raise ProtocolError(f"decoy phase must be 0 or pi/2, got {decoy_phase}")
-    replaced = frozenset(decoys)
-    train = phase_modulate(train, lambda k: _is_odd(k) and k not in replaced, key_phase)
-    return phase_modulate(train, replaced.__contains__, decoy_phase)
+    replaced = list(decoys)
+    keyed = np.arange(len(train.amplitudes)) % 2 == 1
+    keyed[replaced] = False
+    train = phase_modulate(train, keyed, key_phase)
+    return phase_modulate(train, replaced, decoy_phase)
 
 
 def bob_measure(return_train: PulseTrain, config: CascadeConfig) -> tuple[PulseTrain, PulseTrain]:
@@ -145,10 +145,10 @@ def infer_bit(click: ClickEvent, config: CascadeConfig) -> BitOutcome:
     return BitOutcome.BIT0 if inferred.quarter_turns == 0 else BitOutcome.BIT1
 
 
-def key_slot(click_slot: int) -> int:
+def key_slot(click_slot):
     """The odd slot, carrying Alice's key phase, that a D1/D2 click read:
-    return slot k interferes prepared slots k - 1 and k."""
-    return click_slot if _is_odd(click_slot) else click_slot - 1
+    return slot k interferes prepared slots k - 1 and k (also on arrays)."""
+    return click_slot - 1 + click_slot % 2
 
 
 def alice_energy_monitor(train: PulseTrain, expected_energy: float, rel_tolerance: float) -> bool:
@@ -187,7 +187,7 @@ def check_expected_detector(
     """
     if check_phase not in CHECK_PHASES:
         raise ProtocolError(f"check phase must be 0 or pi/2, got {check_phase}")
-    combined = bob_phase + check_phase if _is_odd(slot) else bob_phase - check_phase
+    combined = bob_phase + check_phase if slot % 2 == 1 else bob_phase - check_phase
     if combined.quarter_turns == 0:
         return Detector.D3
     if combined.quarter_turns == 2:
@@ -228,9 +228,10 @@ def alice_decoy_positions(
     the positions for sifting: a key click fed by a decoy slot is unusable."""
     if decoy_prob == 0.0:
         return ()
-    return tuple([k for k in odd_slots if uniforms[start + k // 2] < decoy_prob])
+    odd = np.asarray(odd_slots, dtype=np.intp)
+    return tuple(odd[np.take(uniforms, start + odd // 2) < decoy_prob].tolist())
 
 
 def odd_slots(train: PulseTrain) -> tuple[int, ...]:
     """The train's occupied odd slots in ascending order."""
-    return tuple(k for k in sorted(train.slots) if _is_odd(k))
+    return tuple((2 * np.flatnonzero(train.amplitudes[1::2]) + 1).tolist())

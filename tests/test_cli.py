@@ -112,6 +112,18 @@ def test_main_out_of_range_value_exits_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_repeated_experiment_exits_2(tmp_path, capsys):
+    # both entries would run on one variant seed and write one file
+    doc = {
+        "defaults": {"rounds": 20},
+        "experiments": ["baseline", {"name": "baseline", "rounds": 50}],
+    }
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "'baseline' appears more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_efficiency_scan_stage_out_of_range_is_named(tmp_path):
     doc = {"experiments": [{"name": "efficiency_scan", "stages": [3, 600]}]}
     with pytest.raises(ConfigError, match="n_stages"):

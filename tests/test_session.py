@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -336,6 +338,18 @@ def test_phase_tables_do_not_depend_on_build_order():
     b_first, a_second = build(b, a)
     assert a_first == a_second
     assert b_first == b_second
+
+
+def test_kept_results_do_not_pin_evicted_tables():
+    # a config or result keeps no reference to its tables: once the memo
+    # lets a link go, its tables are freed even while its results are kept
+    links = [SessionConfig(n_stages=4, rounds=20, mean_photons_return=i / 10) for i in range(1, 10)]
+    first = weakref.ref(links[0].phase_tables.signal)
+    results = [run_session(link) for link in links]
+    dpsqkd.session._phase_tables.cache_clear()
+    gc.collect()
+    assert first() is None
+    assert len(results) == 9
 
 
 def test_phase_table_memo_is_bounded():
