@@ -141,9 +141,8 @@ def intercept_backward(
     """
     if reflected.total_energy == 0.0:
         return reflected, None
-    sent = substitute.amplitudes[1::2]
-    back = reflected.amplitudes[1::2]
-    sent, back = sent[: len(back)], back[: len(sent)]
+    n = min(len(substitute.amplitudes), len(reflected.amplitudes))
+    sent, back = substitute.amplitudes[1:n:2], reflected.amplitudes[1:n:2]
     read = (sent != 0) & (back != 0)
     # reflected slot = sent * (positive real) * exp(-i * modulation)
     turns = np.rint(-np.angle(back[read] / sent[read]) / (math.pi / 2)).astype(np.intp) % 4
