@@ -6,12 +6,10 @@ every pulse of a train sees the same fiber unitary (collective
 birefringence), so the pulses never differ in polarization. Couplers,
 delay-line interferometers, phase modulators, attenuators and the Faraday
 mirror are pure functions on immutable pulse trains, each a few operations
-on the whole array. Photon detection comes in two halves: the pure
-``click_table`` turns output trains into per-slot click probabilities, each
-tied to a fixed position in a row of uniforms, and ``sample_clicks``
-compares a table with such a row. A table depends on amplitudes alone, so a
-caller that meets the same trains again can build it once and sample it
-many times.
+on the whole array. Photon detection, ``detect``, gives each output train
+a column of a row of uniforms: a gated slot clicks when the uniform at its
+fixed position falls below its click probability, compared for the whole
+train at once.
 
 Conventions fixed here (and relied on by the goldens in the test suite):
 
@@ -84,7 +82,7 @@ class PulseTrain:
         cls, amplitudes: Mapping[int, complex], polarization: Jones = H_POL
     ) -> "PulseTrain":
         for k in amplitudes:
-            if not isinstance(k, int) or k < 0:
+            if not _is_int(k) or k < 0:
                 raise ValueError(f"slot index must be a non-negative integer, got {k!r}")
         array = np.zeros(max(amplitudes, default=-1) + 1, dtype=np.complex128)
         array[list(amplitudes)] = [complex(a) for a in amplitudes.values()]
@@ -141,12 +139,18 @@ def _enum_field(obj, name: str, enum_type: type[Enum]) -> None:
     object.__setattr__(obj, name, member)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is integral but not a bool: the rule for counts,
+    seeds, slots and round indices."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _int_field(obj, name: str) -> None:
     """Coerce a frozen dataclass field holding a count or seed to ``int``;
     any integral value but a bool is accepted, anything else is rejected
     naming the field."""
     value = getattr(obj, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     object.__setattr__(obj, name, int(value))
 
@@ -238,8 +242,8 @@ def phase_modulate(train: PulseTrain, slots, phase) -> PulseTrain:
 
 def attenuate(train: PulseTrain, target_mean_photons: float) -> PulseTrain:
     """Uniformly rescale so the train's total energy equals the target."""
-    if target_mean_photons < 0:
-        raise ValueError(f"target_mean_photons must be >= 0, got {target_mean_photons}")
+    if not 0 <= target_mean_photons < math.inf:
+        raise ValueError(f"target_mean_photons must be finite and >= 0, got {target_mean_photons}")
     if target_mean_photons == 0.0:
         return PulseTrain(np.zeros(0, dtype=np.complex128), train.polarization)
     energy = train.total_energy
@@ -276,44 +280,6 @@ def faraday_reflect(train: PulseTrain) -> PulseTrain:
     return PulseTrain(train.amplitudes, (p2, -p1))
 
 
-#: One gated slot: (click event, position in the row of uniforms, click
-#: probability).
-ClickEntry = tuple[ClickEvent, int, float]
-#: Detection table: the entry of every gated slot, branch by branch in slot
-#: order.
-ClickTable = tuple[ClickEntry, ...]
-
-
-def click_table(
-    branches: Iterable[tuple[Hashable, PulseTrain]],
-    params: DetectorParams,
-    columns: Sequence[int],
-) -> ClickTable:
-    """Click probability of every gated slot of each (detector, train) branch.
-
-    Per occupied slot the probability is 1 - exp(-eta * |amplitude|^2);
-    dark counts add independently over the gated window (every occupied
-    slot and its immediate neighbours). An occupied slot whose energy is 0
-    and zero dark probability give probability 0. Slot k of the j-th branch
-    is decided by the uniform at position ``columns[j] + k`` of a row, so
-    the caller gives each branch a column wide enough for its window.
-    """
-    dark = params.dark_count_prob
-    table = []
-    for (detector, train), start in zip(branches, columns, strict=True):
-        # one slot past the train, the right neighbour of its last slot
-        p = np.append(train.map_occupied(lambda a: click_probability(a, params)), 0.0)
-        lit = np.append(train.amplitudes != 0, False)
-        window = lit.copy()
-        if dark > 0.0:
-            window[1:] |= lit[:-1]
-            window[:-1] |= lit[1:]
-            p[window & ~lit] = dark
-        gated, p = np.flatnonzero(window).tolist(), p.tolist()
-        table.extend((ClickEvent(detector, k), start + k, p[k]) for k in gated)
-    return tuple(table)
-
-
 def click_probability(amplitude: complex, params: DetectorParams) -> float:
     """Click probability of an occupied slot: 1 - exp(-eta * |amplitude|^2),
     or-ed with an independent dark count. An empty slot of the gated window
@@ -323,7 +289,35 @@ def click_probability(amplitude: complex, params: DetectorParams) -> float:
     return p_signal + dark - p_signal * dark
 
 
-def sample_clicks(table: ClickTable, uniforms: Sequence[float]) -> list[ClickEvent]:
-    """The clicks of one row of uniforms: a gated slot clicks when the
-    uniform at its position falls below its probability."""
-    return [click for click, j, p in table if uniforms[j] < p]
+def detect(
+    branches: Iterable[tuple[Hashable, PulseTrain]],
+    params: DetectorParams,
+    columns: Sequence[int],
+    uniforms: Sequence[float],
+) -> list[ClickEvent]:
+    """The clicks of each (detector, train) branch from one row of uniforms,
+    branch by branch in slot order.
+
+    Per occupied slot the click probability is ``click_probability``; dark
+    counts add independently over the gated window (every occupied slot and
+    its immediate neighbours). Slot k of the j-th branch clicks when the
+    uniform at position ``columns[j] + k`` falls below its probability, so
+    the caller gives each branch a column wide enough for its window; no
+    other uniform is read.
+    """
+    u = np.asarray(uniforms)
+    dark = params.dark_count_prob
+    clicks = []
+    for (detector, train), start in zip(branches, columns, strict=True):
+        # one slot past the train, the right neighbour of its last slot
+        p = np.append(train.map_occupied(lambda a: click_probability(a, params)), 0.0)
+        lit = np.append(train.amplitudes != 0, False)
+        window = lit.copy()
+        if dark > 0.0:
+            window[1:] |= lit[:-1]
+            window[:-1] |= lit[1:]
+            p[window & ~lit] = dark
+        gated = np.flatnonzero(window)
+        clicked = gated[u[start + gated] < p[gated]]
+        clicks.extend(ClickEvent(detector, k) for k in clicked.tolist())
+    return clicks

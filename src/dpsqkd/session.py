@@ -70,7 +70,6 @@ its session, and two sessions with the same config are bit-identical.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,12 +95,12 @@ from .optics import (
     PulseTrain,
     _enum_field,
     _int_field,
+    _is_int,
     _real_field,
     attenuate,
     click_probability,
-    click_table,
+    detect,
     faraday_reflect,
-    sample_clicks,
 )
 from .phases import CHECK_PHASES, KEY_PHASES, PHASE_0, PHASE_90, QUATERNARY, QuantizedPhase
 from .stations import (
@@ -266,7 +265,7 @@ class PhaseTables(NamedTuple):
     turns on the odd slots), and ``occupied[b, r, g]`` whether that slot
     carries light; an empty slot has probability 0, and the kernel adds the
     dark-count window (occupied slots and their neighbours) per round, as
-    ``optics.click_table`` does. Decoy rounds need no row of their own:
+    ``optics.detect`` does. Decoy rounds need no row of their own:
     output slot k reads odd slot ``key_slot(k)``, whose decoy index is
     ``decoy_of[k]`` (2^(n-1) when slot k reads no odd slot that Alice can
     replace), so a decoy round gathers slot by slot from the rows of its key
@@ -672,8 +671,7 @@ def _check_round(
 ) -> np.ndarray | None:
     """Reject a round index that is not an integer >= 0 and a row ``u``
     that is not ``config.block.width`` uniforms in [0, 1); ``u`` as an array."""
-    integral = isinstance(round_index, numbers.Integral) and not isinstance(round_index, bool)
-    if not integral or round_index < 0:
+    if not _is_int(round_index) or round_index < 0:
         raise ValueError(f"round_index must be an integer >= 0, got {round_index!r}")
     if u is None:
         return None
@@ -726,15 +724,14 @@ def run_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> Ro
 
 def reference_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> RoundRecord:
     """The field-level round: every optical element runs on this round's
-    trains, and the clicks come from ``optics.click_table`` and
-    ``sample_clicks``.
+    trains, and the clicks come from ``optics.detect``.
 
     It reads the round's row of uniforms ``u`` at the positions of
     ``config.block`` and draws the fiber unitary, which no record depends
     on, from a substream of its own. The session kernel, and so
     :func:`run_round`, must give the same record.
     """
-    u = _check_round(config, round_index, u).tolist()
+    u = _check_round(config, round_index, u)
     columns = config.block.columns
     phase_a = KEY_PHASES[int(u[0] * 2)]
     phase_b = QUATERNARY[int(u[1] * 4)]
@@ -748,7 +745,7 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
 
     if u[_SAMPLE] < config.sample_prob:
         check_ports = alice_check_ports(train, check_phase)
-        check_clicks = sample_clicks(click_table(check_ports, config.detector, columns), u)
+        check_clicks = detect(check_ports, config.detector, columns, u)
         matched, compared, errors = alice_score_check(check_clicks, cascade, check_phase)
         return RoundRecord(
             index=round_index,
@@ -767,7 +764,7 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     decoy_positions = alice_decoy_positions(odd_slots(train), config.decoy_prob, u, _DECOYS)
     encoded = alice_encode(train, phase_a, decoy_positions, decoy_phase)
     branches, eve_phase = _return_leg(config, cascade, prepared, sent, encoded, unitary)
-    clicks = sample_clicks(click_table(branches, config.detector, columns), u)
+    clicks = detect(branches, config.detector, columns, u)
 
     multi = len(clicks) >= 2
     chosen: ClickEvent | None = None

@@ -20,6 +20,7 @@ sampled train's D3/D4 clicks against Bob's announced phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -153,8 +154,10 @@ def key_slot(click_slot):
 
 def alice_energy_monitor(train: PulseTrain, expected_energy: float, rel_tolerance: float) -> bool:
     """True (alarm) iff the incoming energy strays beyond the tolerance."""
-    if expected_energy <= 0:
-        raise ValueError(f"expected_energy must be > 0, got {expected_energy}")
+    if not 0 < expected_energy < math.inf:
+        raise ValueError(f"expected_energy must be finite and > 0, got {expected_energy}")
+    if not 0 <= rel_tolerance < math.inf:
+        raise ValueError(f"rel_tolerance must be finite and >= 0, got {rel_tolerance}")
     return abs(train.total_energy - expected_energy) / expected_energy > rel_tolerance
 
 

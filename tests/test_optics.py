@@ -9,13 +9,13 @@ from dpsqkd.optics import (
     DetectorParams,
     PulseTrain,
     attenuate,
-    click_table,
+    click_probability,
     coupler_mix,
+    detect,
     faraday_reflect,
     jones_apply,
     mzi_pass,
     phase_modulate,
-    sample_clicks,
     unit_jones,
 )
 from dpsqkd.phases import PHASE_0, PHASE_90, PHASE_180, QuantizedPhase
@@ -76,6 +76,11 @@ def test_train_rejects_bad_indices():
         PulseTrain.from_amplitudes({-1: 1.0})
     with pytest.raises(ValueError):
         PulseTrain.from_amplitudes({1.5: 1.0})
+    # a bool is no slot; a numpy integer is, as for the integer config fields
+    with pytest.raises(ValueError, match="slot index"):
+        PulseTrain.from_amplitudes({True: 1.0})
+    train = PulseTrain.from_amplitudes({np.int64(2): 1.0})
+    assert train.occupied_slots() == (2,) and train.amplitude(2) == 1.0
 
 
 def test_train_energy_and_vacuum():
@@ -214,8 +219,9 @@ def test_attenuate_identity():
 def test_attenuate_vacuum_to_positive_energy_fails():
     with pytest.raises(ValueError):
         attenuate(PulseTrain.vacuum(), 0.5)
-    with pytest.raises(ValueError):
-        attenuate(PulseTrain.single(1, 1.0), -0.1)
+    for target in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="target_mean_photons"):
+            attenuate(PulseTrain.single(1, 1.0), target)
 
 
 # --- jones_apply / faraday_reflect ---------------------------------------
@@ -316,18 +322,18 @@ def test_faraday_preserves_amplitudes():
         assert out.amplitude(k) == train.amplitude(k)
 
 
-# --- detection: sample_clicks of click_table ------------------------------
+# --- detection ------------------------------------------------------------
 
 
-def detect(train, params, rng):
+def detect_one(train, params, rng):
     """Clicks of one branch whose slot k reads uniform k of a hand-built row."""
-    table = click_table([("d", train)], params, (0,))
-    return sample_clicks(table, rng.random(max(train.occupied_slots(), default=0) + 2).tolist())
+    row = rng.random(max(train.occupied_slots(), default=0) + 2)
+    return detect([("d", train)], params, (0,), row)
 
 
 def test_detect_vacuum_never_clicks():
     rng = np.random.default_rng(0)
-    clicks = detect(PulseTrain.vacuum(), DetectorParams(), rng)
+    clicks = detect_one(PulseTrain.vacuum(), DetectorParams(), rng)
     assert clicks == []
 
 
@@ -335,7 +341,7 @@ def test_detect_saturated_slot_always_clicks():
     rng = np.random.default_rng(0)
     train = PulseTrain.single(2, 1000.0)  # |a|^2 = 1e6
     for _ in range(50):
-        clicks = detect(train, DetectorParams(), rng)
+        clicks = detect_one(train, DetectorParams(), rng)
         assert clicks == [("d", 2)]
 
 
@@ -343,7 +349,7 @@ def test_detect_zero_amplitude_slot_never_clicks():
     rng = np.random.default_rng(0)
     train = PulseTrain.from_amplitudes({5: 1e-200})  # occupied, energy 0
     for _ in range(200):
-        assert detect(train, DetectorParams(), rng) == []
+        assert detect_one(train, DetectorParams(), rng) == []
 
 
 def test_detect_click_frequency_matches_poisson_model():
@@ -357,7 +363,7 @@ def test_detect_click_frequency_matches_poisson_model():
     rounds = 100_000
     total = 0
     for _ in range(rounds):
-        total += len(detect(train, params, rng))
+        total += len(detect_one(train, params, rng))
     expected = -math.expm1(-0.1 / 8)
     measured = total / (8 * rounds)
     assert abs(measured - expected) / expected < 0.02
@@ -372,41 +378,50 @@ def test_detect_dark_counts_on_empty_window():
     counts = 0
     trials = 2000
     for _ in range(trials):
-        counts += len(detect(train, params, rng))
+        counts += len(detect_one(train, params, rng))
     # window = slots {2, 3, 4}, each dark-firing independently at 0.5
     assert counts / (3 * trials) == pytest.approx(0.5, abs=0.05)
 
 
-def test_click_table_gates_window_and_skips_empty_branches():
-    # dark counts widen each branch to the occupied slots and their
-    # neighbours; a branch with an empty window gets no entry and no draw;
-    # slot k of a branch reads position (its column) + k
+def test_detect_gates_window_and_skips_empty_branches():
+    # dark counts widen a branch to its occupied slots and their neighbours;
+    # slot k of a branch reads position (its column) + k, and no slot of an
+    # empty branch, nor any slot outside the window, reads a uniform
     train = PulseTrain.from_amplitudes({0: 1.0, 3: 1e-200})
     params = DetectorParams(quantum_efficiency=0.5, dark_count_prob=0.1)
-    table = click_table([("a", train), ("b", PulseTrain.vacuum())], params, (10, 20))
-    assert [(c.detector, c.slot) for c, _, _ in table] == [("a", k) for k in (0, 1, 2, 3, 4)]
-    assert [j for _, j, _ in table] == [10, 11, 12, 13, 14]
+    branches = [("a", train), ("b", PulseTrain.vacuum())]
     p0 = -math.expm1(-0.5)
-    assert tuple(p for _, _, p in table) == (p0 + 0.1 - p0 * 0.1, 0.1, 0.1, 0.1, 0.1)
+    probs = {0: p0 + 0.1 - p0 * 0.1, 1: 0.1, 2: 0.1, 3: 0.1, 4: 0.1}
+    for j in range(30):
+        u = np.full(30, 0.5)
+        u[j] = 0.0
+        expected = [("a", j - 10)] if j - 10 in probs else []
+        assert detect(branches, params, (10, 20), u) == expected, j
+    # each slot's probability exactly: no click at u = p, a click just below
+    for k, p in probs.items():
+        u = np.full(30, 0.5)
+        u[10 + k] = p
+        assert detect(branches, params, (10, 20), u) == []
+        u[10 + k] = np.nextafter(p, 0)
+        assert detect(branches, params, (10, 20), u) == [("a", k)]
 
 
-def test_sample_clicks_draws_one_uniform_per_gated_slot():
-    # branch by branch in table order, a slot clicks iff the uniform at its
+def test_detect_draws_one_uniform_per_gated_slot():
+    # branch by branch in slot order, a slot clicks iff the uniform at its
     # position is below its probability (0.47 per slot here); no other
     # uniform of the row is read
     train = PulseTrain.from_amplitudes({k: 0.8 for k in range(1, 6)})
-    table = click_table(
-        [("a", train), ("b", PulseTrain.single(2, 0.8))], DetectorParams(), (0, 6)
-    )
-    u = np.random.default_rng(5).random(9).tolist()
-    clicks = sample_clicks(table, u)
-    draws = u[1:6] + [u[8]]
-    gated = [("a", k) for k in range(1, 6)] + [("b", 2)]
-    probs = [p for _, _, p in table]
-    expected = [c for c, d, p in zip(gated, draws, probs) if d < p]
+    branches = [("a", train), ("b", PulseTrain.single(2, 0.8))]
+    u = np.random.default_rng(5).random(9)
+    clicks = detect(branches, DetectorParams(), (0, 6), u)
+    p = click_probability(0.8, DetectorParams())
+    gated = [("a", k, k) for k in range(1, 6)] + [("b", 2, 8)]
+    expected = [(d, k) for d, k, j in gated if u[j] < p]
     assert clicks == expected and 0 < len(expected) < 6
     for j in (0, 6, 7):
-        assert sample_clicks(table, u[:j] + [1.0 - u[j]] + u[j + 1 :]) == clicks
+        flipped = u.copy()
+        flipped[j] = 1.0 - u[j]
+        assert detect(branches, DetectorParams(), (0, 6), flipped) == clicks
 
 
 def test_detect_efficiency_scales_click_rate():
@@ -414,7 +429,7 @@ def test_detect_efficiency_scales_click_rate():
     train = PulseTrain.single(1, 1.0)
     half = DetectorParams(quantum_efficiency=0.5)
     rounds = 20_000
-    clicks = sum(len(detect(train, half, rng)) for _ in range(rounds))
+    clicks = sum(len(detect_one(train, half, rng)) for _ in range(rounds))
     assert clicks / rounds == pytest.approx(-math.expm1(-0.5), abs=0.01)
 
 

@@ -8,9 +8,8 @@ from dpsqkd.optics import (
     ClickEvent,
     DetectorParams,
     PulseTrain,
-    click_table,
+    detect,
     phase_modulate,
-    sample_clicks,
     unit_jones,
 )
 from dpsqkd.phases import (
@@ -275,8 +274,14 @@ def test_energy_monitor_blind_to_flat_phase_substitution():
 
 
 def test_energy_monitor_rejects_bad_expectation():
-    with pytest.raises(ValueError):
-        alice_energy_monitor(PulseTrain.single(1, 1.0), 0.0, 0.1)
+    # a NaN or infinite expectation or tolerance would never raise the alarm
+    train = PulseTrain.single(1, 1.0)
+    for expected, tolerance in ((0.0, 0.1), (math.nan, 0.05), (math.inf, 0.05)):
+        with pytest.raises(ValueError, match="expected_energy"):
+            alice_energy_monitor(train, expected, tolerance)
+    for tolerance in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rel_tolerance"):
+            alice_energy_monitor(train, 1.0, tolerance)
 
 
 # --- sampling check -------------------------------------------------------
@@ -285,8 +290,7 @@ def test_energy_monitor_rejects_bad_expectation():
 def check_clicks(train, check_phase, rng):
     """Sample the check interferometer's D3/D4 clicks for a 3-stage ``train``
     from a hand-built row: gate slots 0 .. 10 of D3, then of D4."""
-    table = click_table(alice_check_ports(train, check_phase), DetectorParams(), (0, 11))
-    return sample_clicks(table, rng.random(22).tolist())
+    return detect(alice_check_ports(train, check_phase), DetectorParams(), (0, 11), rng.random(22))
 
 
 def test_sample_prob_zero_never_diverts():
