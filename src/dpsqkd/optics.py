@@ -38,6 +38,7 @@ from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_MAX_AMPLITUDE = math.sqrt(np.finfo(float).max)
 
 #: Jones vector as a plain (complex, complex) pair; horizontal by default.
 Jones = tuple[complex, complex]
@@ -74,8 +75,12 @@ class PulseTrain:
     polarization: Jones = H_POL
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", np.array(self.amplitudes, np.complex128))
-        self.amplitudes.setflags(write=False)
+        object.__setattr__(self, "amplitudes", a := np.array(self.amplitudes, np.complex128))
+        a.setflags(write=False)
+        # the sum of |a|^2 is finite unless a slot is not finite or its |a|^2 overflows
+        if not math.isfinite(np.vdot(a, a).real):
+            if (bad := np.flatnonzero(~(np.abs(a) <= _MAX_AMPLITUDE))).size:
+                raise ValueError(f"slot {bad[0]}: |a|^2 of {a[bad[0]]} must be finite")
 
     @classmethod
     def from_amplitudes(

@@ -33,14 +33,17 @@ key phase, decoy phase and number of decoys; she resends the key train of
 her guess, which the round reads whole.
 
 The kernel runs a chunk of rounds as array work on their rows of uniforms:
-it indexes the phases, draws the sampling and decoy masks, gathers every
-gate slot's click probability from the tables, compares them with the click
-uniforms, picks among double clicks through a running count of the clicks,
-and reads bits and check scores from lookup arrays. It gives a
-:class:`RoundColumns`, one array per round field. :func:`session_stats`
-reduces the columns; a :class:`RoundRecord` per round is built only when
-``SessionResult.records`` is read, and :func:`run_round` runs one row as a
-chunk of one.
+it gathers every gate slot's click probability from the tables, compares
+them with the click uniforms and reads bits and check scores from lookup
+arrays. A click is one flat index into the chunk's (m, 2G) click mask: the
+index mod 2G is its gate position, a count of index // 2G gives the clicks
+per round, and their running sum finds each round's chosen click. Decoys
+(their mask and slot-by-slot gather), Eve's vote, sampling (check scores),
+dark counts (the window) and random picks (the pick rank) cost per-round
+work only when the config turns them on. It gives a :class:`RoundColumns`;
+:func:`session_stats` reduces it, a :class:`RoundRecord` per round is built
+only when ``SessionResult.records`` is read, and :func:`run_round` runs one
+row as a chunk of one.
 
 Stream contract. All of a session's rounds read one counter-based stream,
 ``np.random.Philox`` keyed by ``SeedSequence(master_seed,
@@ -481,86 +484,93 @@ class RoundColumns(NamedTuple):
 
 
 def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> RoundColumns:
-    """The kernel: the rounds whose rows of uniforms are the rows of ``u``,
-    as array work on the config's ``tables`` (module docstring)."""
-    block = config.block
-    m = len(u)
-    gated = block.columns[1] - block.columns[0]
-    half = tables.odd.shape[1]
+    """The kernel on the rounds whose rows of uniforms are the rows of ``u``
+    (module docstring): per-round work only for what the config turns on,
+    and every click one flat index into the chunk's click mask."""
+    block, m = config.block, len(u)
+    width = 2 * (block.columns[1] - block.columns[0])  # gate positions per round
     key = (u[:, 0] * 2).astype(np.int8)
     bob = (u[:, 1] * 4).astype(np.intp)
     check = (u[:, 2] * 2).astype(np.int8)
-    decoy_turns = (u[:, 3] * 2).astype(np.intp)  # CHECK_PHASES[i] is i quarter turns
     sampled = u[:, _SAMPLE] < config.sample_prob
-    keyed = ~sampled
+    with_decoys = config.decoy_prob > 0.0
 
-    # column ``half`` stays False: the slots that read no odd slot
-    decoys = np.zeros((m, half + 1), dtype=bool)
-    decoys[:, :half] = u[:, _DECOYS : _DECOYS + half] < config.decoy_prob
-    decoys[:, :half] &= tables.odd[bob]
-    decoys[sampled] = False
-    # Eve resends the key train of her guess, her vote over the odd slots
-    eve = np.where(sampled, -1, tables.eve[bob, key, decoy_turns, decoys.sum(axis=1)])
-    key_turns = 2 * np.where(eve >= 0, eve, key).astype(np.intp)  # KEY_PHASES[i] is 2i turns
+    # Eve's vote: with no decoy (m = 0) both decoy phases vote for the key
+    n_decoys, decoy_slots, vote = np.zeros(m, np.int32), np.zeros(0, np.int32), (0, 0)
+    if with_decoys:
+        half = tables.odd.shape[1]
+        decoy_turns = (u[:, 3] * 2).astype(np.intp)  # CHECK_PHASES[i] is i quarter turns
+        # column ``half`` stays False: the slots that read no odd slot
+        decoys = np.zeros((m, half + 1), dtype=bool)
+        drawn = u[:, _DECOYS : _DECOYS + half] < config.decoy_prob
+        decoys[:, :half] = drawn & tables.odd[bob] & ~sampled[:, None]
+        flat = np.flatnonzero(decoys)
+        n_decoys = np.bincount(flat // (half + 1), minlength=m).astype(np.int32)
+        decoy_slots = (2 * (flat % (half + 1)) + 1).astype(np.int32)
+        vote = decoy_turns, n_decoys
+    eve, resent = np.full(m, -1, dtype=np.int8), key
+    if config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE:
+        eve = np.where(sampled, -1, tables.eve[(bob, key, *vote)])
+        resent = np.where(eve >= 0, eve, key)
 
-    # the train each gate slot reads, as a row of the tables: the check train
-    # of a sampled round, else the key train; a decoy round's gate slots
-    # whose odd input carries a decoy read the train of the decoy phase
-    rows = bob * _TRAIN_ROWS + np.where(sampled, _CHECK_ROWS + check, _TURN_ROWS + key_turns)
-    index = rows
-    replaced = decoys & (eve < 0)[:, None]
-    if replaced.any():
+    # each gate slot reads a row of the tables: the check train of a sampled round, else
+    # the key train (KEY_PHASES[i] is 2i turns), or the decoy train where it reads a decoy
+    rows = bob * _TRAIN_ROWS + np.where(sampled, _CHECK_ROWS + check, _TURN_ROWS + 2 * resent)
+    index, axis = rows, 0
+    if with_decoys and (replaced := decoys & (eve < 0)[:, None]).any():
         decoy_rows = bob * _TRAIN_ROWS + _TURN_ROWS + decoy_turns
         by_slot = np.where(replaced[:, tables.decoy_of], decoy_rows[:, None], rows[:, None])
-        index = np.tile(by_slot, 2), np.arange(2 * gated)
-    p = tables.signal.reshape(-1, 2 * gated)[index]
-    dark = config.detector.dark_count_prob
-    if dark > 0.0:
-        lit = tables.occupied.reshape(-1, 2 * gated)[index].reshape(m, 2, gated)
+        index, axis = np.tile(by_slot, 2) * width + np.arange(width), None
+    p = np.take(tables.signal.reshape(-1, width), index, axis=axis)
+    if (dark := config.detector.dark_count_prob) > 0.0:
+        # lit slots and their neighbours in a column: shift the chunk, mend column ends
+        lit = np.take(tables.occupied.reshape(-1, width), index, axis=axis).reshape(2 * m, -1)
         window = lit.copy()
-        window[:, :, 1:] |= lit[:, :, :-1]
-        window[:, :, :-1] |= lit[:, :, 1:]
-        p[(window & ~lit).reshape(m, 2 * gated)] = dark
+        window.ravel()[1:] |= lit.ravel()[:-1]
+        window.ravel()[:-1] |= lit.ravel()[1:]
+        window[:, 0], window[:, -1] = lit[:, 0] | lit[:, 1], lit[:, -2] | lit[:, -1]
+        np.putmask(p, window & ~lit, dark)
 
-    clicked = u[:, block.columns[0] : block.columns[0] + 2 * gated] < p
-    n_clicks = clicked.sum(axis=1)
-    # the chosen click, in table order (D1 then D2, slots ascending): the
-    # only one, or the one the pick lands on
-    chosen = clicked.argmax(axis=1)
-    picked = keyed & (n_clicks == 1)
+    # every click as one flat index into the chunk's click mask, in table order
+    flat = np.flatnonzero(u[:, block.columns[0] : block.columns[0] + width] < p)
+    by_round = flat // width
+    clicks = flat - by_round * width
+    n_clicks = np.bincount(by_round, minlength=m)
+    # the chosen click's index in ``clicks``: the only one, or the one the pick lands on
+    nth = np.cumsum(n_clicks) - n_clicks
+    picked = ~sampled & (n_clicks == 1)
     if config.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
-        multi = keyed & (n_clicks >= 2)
-        rank = (u[multi, block.pick] * n_clicks[multi]).astype(np.intp)
-        chosen[multi] = (np.cumsum(clicked[multi], axis=1) > rank[:, None]).argmax(axis=1)
-        picked |= multi
-    bit = np.where(picked, tables.bit[bob, chosen], _NO_BIT).astype(np.int8)
-    decoy_hit = decoys[np.arange(m), tables.decoy_of[chosen % gated]]
-    decoy_hit &= (bit == 0) | (bit == 1)
-
-    check_matched = tables.check_matched[bob, check] & sampled
-    check_compared = np.zeros(m, dtype=np.int32)
-    check_errors = np.zeros(m, dtype=np.int32)
+        nth += (u[:, block.pick] * n_clicks).astype(np.intp)
+        picked = ~sampled & (n_clicks > 0)
+    chosen = clicks[nth[picked]]
+    bit = np.full(m, _NO_BIT, dtype=np.int8)
+    bit[picked] = np.take(tables.bit, bob[picked] * width + chosen)
+    decoy_hit, check_matched = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    if with_decoys:
+        hit = decoys[picked, tables.decoy_of[chosen % (width // 2)]]
+        decoy_hit[picked] = hit & (bit[picked] != _BITS.index(BitOutcome.DISCARD))
+    check_compared, check_errors = np.zeros(m, np.int32), np.zeros(m, np.int32)
     if sampled.any():
-        scored = clicked[sampled]
-        on = bob[sampled], check[sampled]
-        check_compared[sampled] = (scored & tables.check_compared[on]).sum(axis=1)
-        check_errors[sampled] = (scored & tables.check_error[on]).sum(axis=1)
-    # the dense masks stay in the chunk: the columns keep what happened
-    decoys = decoys[:, :half]
+        check_matched[sampled] = tables.check_matched[bob[sampled], check[sampled]]
+        scored = sampled[by_round]  # the D3/D4 clicks, their scores summed per round
+        rounds = by_round[scored]
+        at = (bob * len(CHECK_PHASES) + check)[rounds] * width + clicks[scored]
+        check_compared += np.bincount(rounds, tables.check_compared.take(at), m).astype(np.int32)
+        check_errors += np.bincount(rounds, tables.check_error.take(at), m).astype(np.int32)
     return RoundColumns(
         key=key,
         bob=bob.astype(np.int8),
         check=check,
         sampled=sampled,
-        energy_alarm=tables.energy_alarm[bob],
+        energy_alarm=np.take(tables.energy_alarm, bob),
         n_clicks=n_clicks.astype(np.int32),
-        clicks=np.nonzero(clicked)[1].astype(np.int32),
+        clicks=clicks.astype(np.int32),
         bit=bit,
         check_matched=check_matched,
         check_compared=check_compared,
         check_errors=check_errors,
-        n_decoys=decoys.sum(axis=1, dtype=np.int32),
-        decoy_slots=(2 * np.nonzero(decoys)[1] + 1).astype(np.int32),
+        n_decoys=n_decoys,
+        decoy_slots=decoy_slots,
         decoy_hit=decoy_hit,
         eve=eve,
     )
