@@ -77,8 +77,7 @@ class PulseTrain:
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", a := np.array(self.amplitudes, np.complex128))
         a.setflags(write=False)
-        # the sum of |a|^2 is finite unless a slot is not finite or its |a|^2 overflows
-        if not math.isfinite(np.vdot(a, a).real):
+        if not math.isfinite(np.vdot(a, a).real):  # a finite sum of |a|^2 clears every slot
             if (bad := np.flatnonzero(~(np.abs(a) <= _MAX_AMPLITUDE))).size:
                 raise ValueError(f"slot {bad[0]}: |a|^2 of {a[bad[0]]} must be finite")
 
@@ -211,11 +210,7 @@ def coupler_mix(a, b):
     return ((a + 1j * b) * _INV_SQRT2, (1j * a + b) * _INV_SQRT2)
 
 
-def mzi_pass(
-    train: PulseTrain,
-    delay_slots: int,
-    long_arm_phase,
-) -> tuple[PulseTrain, PulseTrain]:
+def mzi_pass(train: PulseTrain, delay_slots: int, long_arm_phase) -> tuple[PulseTrain, PulseTrain]:
     """One pass through an unbalanced interferometer.
 
     The input is split by a coupler, the long arm delays by ``delay_slots``
@@ -225,13 +220,18 @@ def mzi_pass(
     (port1, port2) in coupler order; port2 is the constructive port at zero
     phase. Energy over both ports equals the input energy.
     """
+    ports = _mzi_ports(train.amplitudes, delay_slots, long_arm_phase)
+    return tuple(PulseTrain(port, train.polarization) for port in ports)
+
+
+def _mzi_ports(amplitudes: np.ndarray, delay_slots: int, long_arm_phase):
+    """``mzi_pass`` on an amplitude array: the two ports' arrays."""
     if delay_slots < 1:
         raise ValueError(f"delay_slots must be >= 1, got {delay_slots}")
     f = long_arm_phase.factor
-    short = np.concatenate([train.amplitudes, np.zeros(delay_slots)])
-    long = np.concatenate([np.zeros(delay_slots), train.amplitudes])
-    ports = coupler_mix(short * _INV_SQRT2, f * (1j * long * _INV_SQRT2))
-    return tuple(PulseTrain(port, train.polarization) for port in ports)
+    short = np.concatenate([amplitudes, np.zeros(delay_slots)])
+    long = np.concatenate([np.zeros(delay_slots), amplitudes])
+    return coupler_mix(short * _INV_SQRT2, f * (1j * long * _INV_SQRT2))
 
 
 def phase_modulate(train: PulseTrain, slots, phase) -> PulseTrain:

@@ -35,15 +35,15 @@ her guess, which the round reads whole.
 The kernel runs a chunk of rounds as array work on their rows of uniforms:
 it gathers every gate slot's click probability from the tables, compares
 them with the click uniforms and reads bits and check scores from lookup
-arrays. A click is one flat index into the chunk's (m, 2G) click mask: the
-index mod 2G is its gate position, a count of index // 2G gives the clicks
-per round, and their running sum finds each round's chosen click. Decoys
-(their mask and slot-by-slot gather), Eve's vote, sampling (check scores),
-dark counts (the window) and random picks (the pick rank) cost per-round
-work only when the config turns them on. It gives a :class:`RoundColumns`;
-:func:`session_stats` reduces it, a :class:`RoundRecord` per round is built
-only when ``SessionResult.records`` is read, and :func:`run_round` runs one
-row as a chunk of one.
+arrays. A click is one flat index into the chunk's click mask of 2G gate
+positions per round: the index mod 2G is its gate position, a count of
+index // 2G the clicks per round, and their running sum finds the chosen
+click. Decoys (their mask and slot-by-slot gather), Eve's vote, sampling
+(check scores), dark counts (the window) and random picks (the pick rank)
+cost per-round work only when the config turns them on. It gives a
+:class:`RoundColumns`; :func:`session_stats` reduces it, a
+:class:`RoundRecord` per round is built only when ``SessionResult.records``
+is read, and :func:`run_round` runs one row as a chunk of one.
 
 Stream contract. All of a session's rounds read one counter-based stream,
 ``np.random.Philox`` keyed by ``SeedSequence(master_seed,
@@ -495,7 +495,7 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
     sampled = u[:, _SAMPLE] < config.sample_prob
     with_decoys = config.decoy_prob > 0.0
 
-    # Eve's vote: with no decoy (m = 0) both decoy phases vote for the key
+    # Eve's vote is ``tables.eve[bob, key, *vote]``: with no decoy, all vote for the key
     n_decoys, decoy_slots, vote = np.zeros(m, np.int32), np.zeros(0, np.int32), (0, 0)
     if with_decoys:
         half = tables.odd.shape[1]

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .optics import ClickEvent, PulseTrain, _int_field, mzi_pass, phase_modulate
+from .optics import ClickEvent, PulseTrain, _int_field, _mzi_ports, mzi_pass, phase_modulate
 from .phases import CHECK_PHASES, KEY_PHASES, PHASE_0, PHASE_180, QuantizedPhase
 
 
@@ -88,12 +88,11 @@ def bob_prepare(config: CascadeConfig, source_amplitude: complex) -> PulseTrain:
     train has relative phase 0 on odd slots and bob_phase on even slots.
     Each pass halves the kept field, so per-slot magnitude is |source|/2^n.
     """
-    train = PulseTrain.single(1, source_amplitude)
+    amplitudes = np.array([0, source_amplitude], np.complex128)  # slot 1
     last = len(config.delays) - 1
     for i, delay in enumerate(config.delays):
-        phase = config.bob_phase if i == last else QuantizedPhase(0)
-        _, train = mzi_pass(train, delay, phase)
-    return train
+        _, amplitudes = _mzi_ports(amplitudes, delay, config.bob_phase if i == last else PHASE_0)
+    return PulseTrain(amplitudes)
 
 
 def alice_encode(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +82,29 @@ def test_train_rejects_bad_indices():
         PulseTrain.from_amplitudes({True: 1.0})
     train = PulseTrain.from_amplitudes({np.int64(2): 1.0})
     assert train.occupied_slots() == (2,) and train.amplitude(2) == 1.0
+
+
+@pytest.mark.parametrize(
+    "make, slot",
+    [
+        (lambda: PulseTrain(np.array([1, np.nan])), 1),
+        (lambda: PulseTrain.from_amplitudes({0: 1.0, 3: complex(0.5, math.inf)}), 3),
+        # abs(a) ** 2 overflows: Python raises OverflowError on it
+        (lambda: PulseTrain.single(1, 1e200), 1),
+        (lambda: PulseTrain.single(2, math.nextafter(math.sqrt(sys.float_info.max), math.inf)), 2),
+    ],
+    ids=["nan", "inf", "1e200", "above-largest"],
+)
+def test_train_rejects_non_finite_or_overflowing_amplitudes(make, slot):
+    with pytest.raises(ValueError, match=f"slot {slot}: .* must be finite"):
+        make()
+
+
+def test_train_accepts_the_largest_amplitude_with_a_finite_energy():
+    largest = math.sqrt(sys.float_info.max)
+    assert math.isfinite(PulseTrain.single(0, largest * 1j).total_energy)
+    # each slot's energy is finite though their sum is not
+    assert PulseTrain(np.array([largest, largest])).total_energy == math.inf
 
 
 def test_train_energy_and_vacuum():

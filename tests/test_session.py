@@ -485,6 +485,52 @@ def test_round_uniforms_equal_the_chunked_session_rows(n):
     assert round_uniforms(cfg, np.int64(chunk)) == rows[chunk].tolist()
 
 
+ROUND_COLUMN_DTYPES = {
+    **dict.fromkeys(("key", "bob", "check", "bit", "eve"), np.int8),
+    **dict.fromkeys(("sampled", "energy_alarm", "check_matched", "decoy_hit"), np.bool_),
+    **dict.fromkeys(
+        ("n_clicks", "clicks", "check_compared", "check_errors", "n_decoys", "decoy_slots"),
+        np.int32,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("decoy_prob", [0.0, 0.3])
+@pytest.mark.parametrize("eve_kind", list(EveKind))
+@pytest.mark.parametrize("sample_prob", [0.0, 0.2])
+@pytest.mark.parametrize("dark", [0.0, 0.01])
+def test_round_columns_contract(n, decoy_prob, eve_kind, sample_prob, dark):
+    # the record and stats goldens compare values after ``tolist``, so they
+    # cannot see a column's dtype; every session here spans two chunks
+    probe = SessionConfig(n_stages=n)
+    cfg = SessionConfig(
+        n_stages=n,
+        rounds=probe.block.chunk_rounds + 7,
+        mean_photons_return=0.8,
+        sample_prob=sample_prob,
+        decoy_prob=decoy_prob,
+        eve_kind=eve_kind,
+        detector=DetectorParams(dark_count_prob=dark),
+        master_seed=41,
+    )
+    columns = run_session(cfg).columns
+    assert set(columns._fields) == set(ROUND_COLUMN_DTYPES)
+    for name, dtype in ROUND_COLUMN_DTYPES.items():
+        column = getattr(columns, name)
+        assert column.dtype == dtype, name
+        if name not in ("clicks", "decoy_slots"):
+            assert column.shape == (cfg.rounds,), name
+    assert columns.clicks.shape == (columns.n_clicks.sum(),)
+    assert columns.decoy_slots.shape == (columns.n_decoys.sum(),)
+    assert columns.n_clicks.any()
+    if decoy_prob == 0.0:
+        assert columns.decoy_slots.size == 0 and not columns.n_decoys.any()
+        assert not columns.decoy_hit.any()
+    else:
+        assert columns.n_decoys.any()
+
+
 @pytest.mark.parametrize("n", [1, 3, 6, MAX_STAGES])
 def test_round_block_layout(n):
     # phases, sampling, one decoy draw per odd slot, two detector columns of
