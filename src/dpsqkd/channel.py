@@ -19,12 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .optics import PulseTrain, _enum_field, _int_field, _real_field, attenuate, jones_product
+from .optics import PulseTrain, _enum_field, _real_field, attenuate, jones_product
 from .phases import KEY_PHASES, PHASE_0, QuantizedPhase
 from .stations import alice_encode
 
@@ -50,33 +49,32 @@ class ChannelParams:
 
     loss_db: float = 0.0
     birefringence_mode: BirefringenceMode = BirefringenceMode.NONE
-    seed: int = 0
 
     def __post_init__(self):
         _enum_field(self, "birefringence_mode", BirefringenceMode)
-        _int_field(self, "seed")
         _real_field(self, "loss_db", 0.0)
         if self.transmittance == 0.0:
             raise ValueError(f"loss_db must leave a nonzero transmittance, got {self.loss_db}")
-        if self.seed < 0:
-            raise ValueError(f"channel seed must be >= 0, got {self.seed}")
 
     @property
     def transmittance(self) -> float:
         return 10.0 ** (-self.loss_db / 10.0)
 
-    @cached_property
-    def fixed_unitary(self) -> np.ndarray:
-        return random_unitary(np.random.default_rng(self.seed))
+
+_FIBER_STREAM = 3  # spawn key under the master seed, beside those of ``session``
 
 
-def round_unitary(params: ChannelParams, rng: np.random.Generator) -> np.ndarray | None:
-    """Draw or look up the collective unitary for one round; None = identity."""
+def round_unitary(params: ChannelParams, master_seed: int, round_index: int) -> np.ndarray | None:
+    """Round ``round_index``'s fiber unitary (None = identity), drawn from the
+    master seed: once per session from spawn key (3,) under ``FIXED_UNITARY``,
+    per round from ``default_rng([master_seed, round_index])`` otherwise."""
     if params.birefringence_mode is BirefringenceMode.NONE:
         return None
     if params.birefringence_mode is BirefringenceMode.FIXED_UNITARY:
-        return params.fixed_unitary
-    return random_unitary(rng)
+        seed = np.random.SeedSequence(master_seed, spawn_key=(_FIBER_STREAM,))
+    else:
+        seed = [master_seed, round_index]
+    return random_unitary(np.random.default_rng(seed))
 
 
 def fiber_transmit(

@@ -24,13 +24,12 @@ session overrides. Recognized session keys: n_stages, rounds,
 source_mean_photons, mean_photons_return, sample_prob, decoy_prob,
 energy_tolerance, disclose_fraction, max_check_error, max_qber,
 quantum_efficiency, dark_count_prob, double_click_policy, loss_db,
-birefringence_mode, channel_seed. ``efficiency_scan`` also accepts
-``stages`` (list of cascade sizes, each in 1..16 like ``n_stages``;
-default 1..6).
+birefringence_mode. ``efficiency_scan`` also accepts ``stages`` (list of
+cascade sizes, each in 1..16 like ``n_stages``; default 1..6).
 
-``channel_seed`` and ``birefringence_mode`` change no table: they select
-only the fiber unitary of the field-level reference round, which the
-Faraday mirror cancels, so no click probability depends on them.
+``birefringence_mode`` changes no table: it selects only the fiber unitary
+of the field-level reference round, drawn from the master seed, which the
+Faraday mirror cancels, so no click probability depends on it.
 """
 
 from __future__ import annotations
@@ -101,7 +100,6 @@ _SESSION_KEYS = {
     "double_click_policy": ("detector", "double_click_policy"),
     "loss_db": ("channel", "loss_db"),
     "birefringence_mode": ("channel", "birefringence_mode"),
-    "channel_seed": ("channel", "seed"),
 }
 
 

@@ -252,6 +252,8 @@ def attenuate(train: PulseTrain, target_mean_photons: float) -> PulseTrain:
     if target_mean_photons == 0.0:
         return PulseTrain(np.zeros(0, dtype=np.complex128), train.polarization)
     energy = train.total_energy
+    if energy == math.inf:
+        raise ValueError("cannot rescale a train whose total energy overflows")
     if energy == 0.0:
         raise ValueError("cannot rescale a vacuum train to positive energy")
     scale = math.sqrt(target_mean_photons / energy)

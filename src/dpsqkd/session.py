@@ -22,10 +22,8 @@ carry that slot's phase: key phase 0 or pi, or decoy phase pi/2.
 ``SessionConfig.phase_tables`` runs the same legs once per Bob phase for
 each of those trains and for each check phase, and keeps the click
 probability of every gate slot in dense arrays (:class:`PhaseTables`).
-The system is static, so the tables depend on the link alone (the fields
-they read), never on the seed: they are built once per link, shared
-read-only by every config on it, and a bounded memo keeps the last 8 links
-(an n=16 link holds about 26 MiB).
+The tables depend only on the fields of the link that they read, never on
+the seed, and a bounded memo shares them read-only between configs.
 Under the intercept-resend attack Eve reads the odd slots and votes: keyed
 slots vote for the key phase, a decoy at 0 votes for 0 and one at pi/2 for
 neither (``channel.eve_key_phase``). The tables hold her guess for every
@@ -68,6 +66,9 @@ time when a row is longer); ``round_uniforms`` draws one round's row alone
 by advancing the counter.
 Both read the same numbers, so a round run alone equals the same round in
 its session, and two sessions with the same config are bit-identical.
+QBER disclosure draws from spawn key (2, 0) (``_STATS_STREAM``), and the
+reference round's fiber from spawn key (3,) or ``default_rng([master_seed,
+round_index])`` (``channel.round_unitary``), which no record reads.
 """
 
 from __future__ import annotations
@@ -205,19 +206,21 @@ class SessionConfig:
 
         The tables read only the link: ``n_stages``, the two mean photon
         numbers, ``energy_tolerance``, whether ``decoy_prob`` > 0, the
-        detector, the channel's loss and ``eve_kind``. Configs that agree on
-        those share one read-only table object, whatever their seed, rounds,
-        sampling, thresholds or birefringence; the memo keeps the last
+        detector's efficiency and dark-count probability, the channel's loss
+        and ``eve_kind``. Configs that agree on those share one read-only
+        table object, whatever their seed, rounds, sampling, thresholds,
+        double-click policy or birefringence; the memo keeps the last
         ``_phase_tables.cache_info().maxsize`` links (about 26 MiB each at
         n=16), and the config keeps no reference to them.
         """
+        detector = DetectorParams(self.detector.quantum_efficiency, self.detector.dark_count_prob)
         link = SessionConfig(
             n_stages=self.n_stages,
             source_mean_photons=self.source_mean_photons,
             mean_photons_return=self.mean_photons_return,
             decoy_prob=float(self.decoy_prob > 0.0),
             energy_tolerance=self.energy_tolerance,
-            detector=self.detector,
+            detector=detector,
             channel=ChannelParams(loss_db=self.channel.loss_db),
             eve_kind=self.eve_kind,
         )
@@ -523,12 +526,12 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
         index, axis = np.tile(by_slot, 2) * width + np.arange(width), None
     p = np.take(tables.signal.reshape(-1, width), index, axis=axis)
     if (dark := config.detector.dark_count_prob) > 0.0:
-        # lit slots and their neighbours in a column: shift the chunk, mend column ends
-        lit = np.take(tables.occupied.reshape(-1, width), index, axis=axis).reshape(2 * m, -1)
+        # lit slots and their neighbours in a column, shifting the whole chunk: the two
+        # readouts light only gate slots 1 .. 2^n + 1, so no light crosses a column end
+        lit = np.take(tables.occupied.reshape(-1, width), index, axis=axis)
         window = lit.copy()
         window.ravel()[1:] |= lit.ravel()[:-1]
         window.ravel()[:-1] |= lit.ravel()[1:]
-        window[:, 0], window[:, -1] = lit[:, 0] | lit[:, 1], lit[:, -2] | lit[:, -1]
         np.putmask(p, window & ~lit, dark)
 
     # every click as one flat index into the chunk's click mask, in table order
@@ -736,10 +739,9 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     """The field-level round: every optical element runs on this round's
     trains, and the clicks come from ``optics.detect``.
 
-    It reads the round's row of uniforms ``u`` at the positions of
-    ``config.block`` and draws the fiber unitary, which no record depends
-    on, from a substream of its own. The session kernel, and so
-    :func:`run_round`, must give the same record.
+    It reads the round's row ``u`` at the positions of ``config.block`` and
+    the fiber from ``channel.round_unitary``, which no record depends on. The
+    session kernel, and so :func:`run_round`, must give the same record.
     """
     u = _check_round(config, round_index, u)
     columns = config.block.columns
@@ -749,8 +751,7 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     decoy_phase = CHECK_PHASES[int(u[3] * 2)]
 
     cascade = CascadeConfig(config.n_stages, phase_b)
-    rng = np.random.default_rng([config.master_seed, round_index])
-    unitary = round_unitary(config.channel, rng)
+    unitary = round_unitary(config.channel, config.master_seed, round_index)
     prepared, sent, train, alarm = _forward_leg(config, cascade, unitary)
 
     if u[_SAMPLE] < config.sample_prob:

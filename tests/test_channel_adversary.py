@@ -57,14 +57,13 @@ def test_channel_params_validation():
         {"loss_db": math.nan},
         {"loss_db": math.inf},
         {"loss_db": 4000.0},  # the transmittance underflows to 0
-        {"seed": -1},
         {"loss_db": True},
         {"loss_db": "3"},
     ],
-    ids=["nan_loss", "inf_loss", "loss_4000_db", "negative_seed", "bool_loss", "str_loss"],
+    ids=["nan_loss", "inf_loss", "loss_4000_db", "bool_loss", "str_loss"],
 )
 def test_channel_params_rejects_bad_input(kwargs):
-    with pytest.raises(ValueError, match="loss_db|seed"):
+    with pytest.raises(ValueError, match="loss_db"):
         ChannelParams(**kwargs)
 
 
@@ -76,16 +75,17 @@ def test_random_unitary_is_unitary():
 
 
 def test_round_unitary_modes():
-    rng = np.random.default_rng(1)
-    assert round_unitary(ChannelParams(), rng) is None
-    fixed = ChannelParams(birefringence_mode=BirefringenceMode.FIXED_UNITARY, seed=5)
-    u1 = round_unitary(fixed, rng)
-    u2 = round_unitary(fixed, rng)
-    assert np.array_equal(u1, u2)
+    # the fiber is drawn from the master seed: none, one per session, or one per round
+    assert round_unitary(ChannelParams(), 5, 0) is None
+    fixed = ChannelParams(birefringence_mode=BirefringenceMode.FIXED_UNITARY)
+    u = round_unitary(fixed, 5, 0)
+    assert np.array_equal(round_unitary(fixed, 5, 7), u)
+    assert not np.allclose(round_unitary(fixed, 6, 0), u)
     per_train = ChannelParams(birefringence_mode=BirefringenceMode.RANDOM_PER_TRAIN)
-    v1 = round_unitary(per_train, rng)
-    v2 = round_unitary(per_train, rng)
-    assert not np.allclose(v1, v2)
+    for i in range(4):
+        expected = random_unitary(np.random.default_rng([5, i]))
+        assert np.array_equal(round_unitary(per_train, 5, i), expected)
+    assert not np.allclose(round_unitary(per_train, 5, 0), round_unitary(per_train, 5, 1))
 
 
 def test_roundtrip_returns_fiber_independent_statistics():

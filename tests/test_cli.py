@@ -55,7 +55,7 @@ def test_out_of_range_probability_is_named(tmp_path):
 
 #: the field that a config key sets, where the two names differ; the
 #: dataclass's error names the field
-FIELD_OF_KEY = {"channel_seed": "seed", "seed": "master_seed"}
+FIELD_OF_KEY = {"seed": "master_seed"}
 
 #: values of the wrong type, one per section: session, detector, channel and
 #: the top-level seed
@@ -63,7 +63,6 @@ WRONG_TYPES = [
     ("sample_prob", "0.1"),
     ("dark_count_prob", True),
     ("loss_db", None),
-    ("channel_seed", 1.5),
     ("seed", "7"),
 ]
 
@@ -145,11 +144,19 @@ def test_unknown_experiment_rejected(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    path = write_config(
-        tmp_path, {"experiments": [{"name": "baseline", "phton_number": 1}]}
-    )
-    with pytest.raises(ConfigError, match="phton_number"):
-        parse_config(path)
+    # channel_seed is no key: the fiber is drawn from the master seed
+    for key in ("phton_number", "channel_seed"):
+        path = write_config(tmp_path, {"experiments": [{"name": "baseline", key: 1}]})
+        with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+            parse_config(path)
+
+
+def test_main_unknown_key_exits_2(tmp_path, capsys):
+    doc = {"defaults": {"rounds": 20, "channel_seed": 4}, "experiments": ["baseline"]}
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown config key: channel_seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_file_and_malformed_json(tmp_path):
@@ -206,7 +213,6 @@ def test_detector_and_channel_keys(tmp_path):
                 "double_click_policy": "random_pick",
                 "loss_db": 3.0,
                 "birefringence_mode": "random_per_train",
-                "channel_seed": 9,
             }
         ]
     }
@@ -215,7 +221,6 @@ def test_detector_and_channel_keys(tmp_path):
     assert spec.base.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK
     assert spec.base.channel.loss_db == 3.0
     assert spec.base.channel.birefringence_mode is BirefringenceMode.RANDOM_PER_TRAIN
-    assert spec.base.channel.seed == 9
 
 
 def test_bad_enum_value_is_named(tmp_path):
@@ -301,7 +306,7 @@ def test_birefringence_sweep_rows_differ_only_in_mode(tmp_path):
     # fiber, so the sessions agree click for click, checks included
     spec = small_spec(
         tmp_path, "birefringence_sweep", rounds=600, mean_photons_return=0.5,
-        sample_prob=0.2, channel_seed=4,
+        sample_prob=0.2,
     )
     table = run_experiment(spec)
     assert [r[0] for r in table.rows] == [m.value for m in BirefringenceMode]
@@ -376,21 +381,6 @@ def test_main_seed_override_changes_output(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out1), "--seed", "99"]) == 0
     assert main(["--config", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "baseline.csv").read_bytes() != (out2 / "baseline.csv").read_bytes()
-
-
-def test_channel_seed_does_not_change_tables(tmp_path):
-    # channel_seed picks the fixed fiber unitary, which the Faraday mirror
-    # cancels: no click table, and so no output, depends on it
-    outs = []
-    for channel_seed in (1, 2):
-        doc = run_config_doc(tmp_path)
-        doc["experiments"] = ["baseline"]
-        doc["defaults"].update(birefringence_mode="fixed_unitary", channel_seed=channel_seed)
-        cfg = write_config(tmp_path, doc, name=f"channel_seed_{channel_seed}.json")
-        out = tmp_path / f"channel_seed_{channel_seed}"
-        assert main(["--config", str(cfg), "--out", str(out)]) == 0
-        outs.append((out / "baseline.csv").read_bytes())
-    assert outs[0] == outs[1]
 
 
 def test_main_experiment_filter_and_rounds(tmp_path):

@@ -248,6 +248,14 @@ def test_attenuate_vacuum_to_positive_energy_fails():
             attenuate(PulseTrain.single(1, 1.0), target)
 
 
+def test_attenuate_overflowing_train_fails():
+    # each slot's |a|^2 is finite, their sum is not: the scale would be 0 and
+    # the train would come back empty
+    m = math.sqrt(sys.float_info.max)
+    with pytest.raises(ValueError, match="total energy overflows"):
+        attenuate(PulseTrain(np.array([m, m])), 1.0)
+
+
 # --- jones_apply / faraday_reflect ---------------------------------------
 
 

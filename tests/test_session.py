@@ -289,7 +289,13 @@ UNREAD_CHANGES = {
     "birefringence_mode": dict(
         channel=ChannelParams(loss_db=3.0, birefringence_mode=BirefringenceMode.RANDOM_PER_TRAIN)
     ),
-    "channel_seed": dict(channel=ChannelParams(loss_db=3.0, seed=5)),
+    "double_click_policy": dict(
+        detector=DetectorParams(
+            quantum_efficiency=0.5,
+            dark_count_prob=0.01,
+            double_click_policy=DoubleClickPolicy.RANDOM_PICK,
+        )
+    ),
 }
 
 #: a change of each field the tables read
@@ -772,9 +778,7 @@ def test_session_config_accepts_lossy_but_representable_link():
             DoubleClickPolicy.RANDOM_PICK,
         ),
         (
-            lambda v: SessionConfig(
-                rounds=50, channel=ChannelParams(birefringence_mode=v, seed=3)
-            ),
+            lambda v: SessionConfig(rounds=50, channel=ChannelParams(birefringence_mode=v)),
             "birefringence_mode",
             BirefringenceMode.FIXED_UNITARY,
         ),
@@ -804,12 +808,6 @@ def test_enum_field_given_as_its_value_is_the_member(make, field, member):
 def test_session_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         SessionConfig(**{field: value})
-
-
-@pytest.mark.parametrize("value", [1.5, False])
-def test_channel_params_rejects_non_integer_seed(value):
-    with pytest.raises(ValueError, match="seed must be an integer"):
-        ChannelParams(birefringence_mode=BirefringenceMode.FIXED_UNITARY, seed=value)
 
 
 def test_numpy_integers_are_accepted_as_counts():
