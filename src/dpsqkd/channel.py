@@ -107,9 +107,10 @@ def intercept_forward(train: PulseTrain, substitute_phase: QuantizedPhase = PHAS
     energies but one common phase. She keeps a copy of the substitute too:
     it is her phase reference for :func:`intercept_backward`.
     """
-    # Python's abs() keeps the slot energy bit-for-bit equal, so the
-    # substitute passes Alice's energy monitor at zero tolerance
-    return PulseTrain(train.map_occupied(abs) * substitute_phase.factor, train.polarization)
+    # libm's hypot keeps each slot energy bit-for-bit (``np.abs`` may not),
+    # so the substitute passes Alice's energy monitor at zero tolerance
+    a = train.amplitudes
+    return PulseTrain(np.hypot(a.real, a.imag) * substitute_phase.factor, train.polarization)
 
 
 def eve_key_phase(votes: Sequence) -> np.ndarray:

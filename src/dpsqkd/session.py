@@ -77,7 +77,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -102,7 +102,7 @@ from .optics import (
     _is_int,
     _real_field,
     attenuate,
-    click_probability,
+    click_probabilities,
     detect,
     faraday_reflect,
 )
@@ -325,7 +325,6 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
     energy_alarm = np.zeros(len(QUATERNARY), dtype=bool)
     odd = np.zeros((len(QUATERNARY), half), dtype=bool)
     eve = np.full((len(QUATERNARY), len(KEY_PHASES), len(CHECK_PHASES), half + 1), -1, np.int8)
-    probability = partial(click_probability, params=config.detector)
     for b, bob_phase in enumerate(QUATERNARY):
         cascade = CascadeConfig(n, bob_phase)
         prepared, sent, train, energy_alarm[b] = _forward_leg(config, cascade)
@@ -359,7 +358,7 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
         for r, branches in by_row.items():
             for c, (_, branch) in enumerate(branches):
                 gate = slice(c * gated, c * gated + len(branch.amplitudes))
-                signal[b, r, gate] = branch.map_occupied(probability)
+                signal[b, r, gate] = click_probabilities(branch, config.detector)
                 occupied[b, r, gate] = branch.amplitudes != 0
 
     # the decoy index of the odd slot that output slot k reads; ``half``

@@ -10,7 +10,6 @@ from dpsqkd.optics import (
     DetectorParams,
     PulseTrain,
     attenuate,
-    click_probability,
     coupler_mix,
     detect,
     faraday_reflect,
@@ -107,11 +106,30 @@ def test_train_accepts_the_largest_amplitude_with_a_finite_energy():
     assert PulseTrain(np.array([largest, largest])).total_energy == math.inf
 
 
+def test_train_accepts_a_largest_slot_that_np_abs_rounds_up():
+    # libm's hypot, as in the slot energies, decides: np.abs reads this
+    # amplitude one ulp above the largest accepted magnitude
+    a = cmath.rect(math.sqrt(sys.float_info.max), 2.6960016621281517)
+    assert np.abs(a) > abs(a) == math.sqrt(sys.float_info.max)
+    # two such slots overflow the sum, which sends the train to its slot check
+    train = PulseTrain(np.array([a, a]))
+    assert train.energies.tolist() == [abs(a) ** 2] * 2 and train.total_energy == math.inf
+
+
 def test_train_energy_and_vacuum():
     t = PulseTrain.from_amplitudes({1: 1.0, 2: 1j, 5: -2.0})
     assert t.total_energy == pytest.approx(6.0)
     assert t.amplitude(3) == 0j
     assert len(PulseTrain.vacuum()) == 0
+
+
+def test_total_energy_is_an_uncompensated_left_fold():
+    # 1.0 + 1e-8 rounds back to 1.0 twice; a compensated sum, as Python
+    # 3.12's sum() is, gives 1.0000000000000002
+    train = PulseTrain(np.array([1.0, 1e-8, 1e-8]))
+    assert train.total_energy == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        train.energies[0] = 0.0
 
 
 def test_train_array_is_read_only_and_empty_slots_read_plus_zero():
@@ -446,7 +464,7 @@ def test_detect_draws_one_uniform_per_gated_slot():
     branches = [("a", train), ("b", PulseTrain.single(2, 0.8))]
     u = np.random.default_rng(5).random(9)
     clicks = detect(branches, DetectorParams(), (0, 6), u)
-    p = click_probability(0.8, DetectorParams())
+    p = -math.expm1(-(0.8**2))
     gated = [("a", k, k) for k in range(1, 6)] + [("b", 2, 8)]
     expected = [(d, k) for d, k, j in gated if u[j] < p]
     assert clicks == expected and 0 < len(expected) < 6

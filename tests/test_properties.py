@@ -1,5 +1,7 @@
 """Property tests for the optics invariants: energy conservation per
-interferometer pass, Faraday round-trip invariance, the readout rule, and
+interferometer pass, Faraday round-trip invariance, slot energies and click
+probabilities bit-for-bit equal to Python's ``abs``, ``**`` and
+``math.expm1`` per slot, the readout rule, and
 the equivalence of the session kernel with the field-level reference round
 (``session.reference_round``) over drawn session configs, round by round
 and over sessions of several chunks. The kernel's statistics are checked
@@ -17,6 +19,7 @@ Examples are derandomized so that every run of the suite checks the same
 cases; the fixed-example tests in the other files stay as goldens.
 """
 
+import cmath
 import dataclasses
 import math
 
@@ -27,10 +30,12 @@ from hypothesis import strategies as st
 
 from dpsqkd.channel import BirefringenceMode, ChannelParams, EveKind, random_unitary
 from dpsqkd.optics import (
+    _MAX_AMPLITUDE,
     ClickEvent,
     DetectorParams,
     DoubleClickPolicy,
     PulseTrain,
+    click_probabilities,
     faraday_reflect,
     jones_apply,
     mzi_pass,
@@ -91,6 +96,43 @@ def test_faraday_round_trip_is_fiber_independent(polarization, u):
     phase = np.vdot(b, a)
     assert abs(abs(phase) - 1) < 1e-10
     assert np.linalg.norm(a - phase / abs(phase) * b) < 1e-10
+
+
+# any phase and any magnitude a train accepts: 0, energies that underflow
+# (|a| below about 1.5e-162), the photon numbers where expm1 rounds in earnest,
+# the largest; and subnormal real and imaginary parts
+magnitudes = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-150),
+    st.floats(0.0, 4.0),
+    st.floats(0.0, _MAX_AMPLITUDE),
+)
+subnormals = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+slot_amplitudes = st.one_of(
+    st.builds(cmath.rect, magnitudes, st.floats(-math.pi, math.pi)).filter(
+        lambda a: abs(a) <= _MAX_AMPLITUDE
+    ),
+    st.builds(complex, subnormals, subnormals),
+)
+
+
+@PROPERTY
+@given(st.lists(slot_amplitudes, max_size=12), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+# np.expm1 rounds -0.7 * 0.8 ** 2 and -0.7 * 1.3 ** 2 otherwise than math.expm1
+@example([0j, 5e-324j, complex(1e-200, -1e-200), 0.8 + 0j, 1.3j, _MAX_AMPLITUDE + 0j], 0.7, 0.01)
+def test_energies_and_click_probabilities_follow_the_scalar_law(amplitudes, efficiency, dark):
+    # the contract that keeps table bytes equal: per slot, the energy is
+    # Python's abs(a) ** 2 and the click probability the closed form, exactly
+    train = PulseTrain(np.array(amplitudes, dtype=np.complex128))
+    p = click_probabilities(train, DetectorParams(efficiency, dark))
+    assert p.dtype == np.float64 and len(p) == len(amplitudes)
+    for k, a in enumerate(amplitudes):
+        energy = abs(a) ** 2
+        signal = -math.expm1(-efficiency * energy)
+        assert train.energies[k] == energy
+        assert p[k] == (signal + dark - signal * dark if a else 0.0)
+        if a and energy == 0.0:
+            assert p[k] == dark
 
 
 @pytest.mark.parametrize("n", range(1, 9))

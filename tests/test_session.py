@@ -212,7 +212,7 @@ def test_workload_stats_golden():
 
 def test_phase_table_bytes_golden():
     # every table array, dtype, shape and bytes, built without the memo: the
-    # goldens above stop at n=6 sessions, these pin the optics up to n=12
+    # goldens above stop at n=6 sessions, these pin the optics up to n=16
     configs = {
         "873aeb3c43d2a8f5ab1045fe718f67a35ebfc4d42a79bfdd3e62a48431f1aab2": SessionConfig(
             n_stages=1
@@ -229,6 +229,13 @@ def test_phase_table_bytes_golden():
         ),
         "a8bf16f95ba43f1238e3f8645e00cef7edfb98904652b206835b79bc56567927": SessionConfig(
             n_stages=12, decoy_prob=0.3
+        ),
+        # the attacked link of the CI's n=16 sessions, the largest Eve table
+        "631a030fefcd40e8657a516476e20b682b4b4a87b17082095ffd8537d45b5e47": SessionConfig(
+            n_stages=16,
+            decoy_prob=0.3,
+            eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
+            detector=DetectorParams(dark_count_prob=0.01),
         ),
     }
     for digest, cfg in configs.items():
