@@ -7,9 +7,10 @@ birefringence), so the pulses never differ in polarization. Couplers,
 delay-line interferometers, phase modulators, attenuators and the Faraday
 mirror are pure functions on immutable pulse trains, each a few operations
 on the whole array. Photon detection, ``detect``, gives each output train
-a column of a row of uniforms: a gated slot clicks when the uniform at its
-fixed position falls below its click probability, compared for the whole
-train at once.
+a column of a row of uniforms and gates a fixed range of slots: each gated
+slot, lit or empty, clicks when the uniform at its fixed position falls
+below its click probability, signal or-ed with a dark count, compared for
+the whole gate at once.
 
 Conventions fixed here (and relied on by the goldens in the test suite):
 
@@ -286,45 +287,40 @@ def faraday_reflect(train: PulseTrain) -> PulseTrain:
     return PulseTrain(train.amplitudes, (p2, -p1))
 
 
-def click_probabilities(train: PulseTrain, params: DetectorParams) -> np.ndarray:
-    """Each slot's click probability, 0.0 when empty: 1 - exp(-eta * |a|^2)
-    or-ed with an independent dark count, also when |a|^2 underflows to 0;
-    ``math.expm1`` runs once per distinct energy."""
-    energies, index = np.unique(train.energies, return_inverse=True)
-    signal = -np.array([math.expm1(x) for x in (-params.quantum_efficiency * energies).tolist()])
+def click_probabilities(train: PulseTrain, params: DetectorParams, gate: range) -> np.ndarray:
+    """The click probability of each slot of ``gate``, consecutive slots:
+    1 - (1 - s)(1 - dark) with signal s = 1 - exp(-eta * |a|^2), so a slot
+    that is empty, past the train's end or of an energy that underflows to
+    0 clicks with the dark-count probability; ``math.expm1`` runs once per
+    distinct energy."""
+    energies = np.zeros(len(gate))
+    inside = train.energies[gate.start : gate.stop]
+    energies[: len(inside)] = inside
+    levels, index = np.unique(energies, return_inverse=True)
+    signal = -np.array([math.expm1(x) for x in (-params.quantum_efficiency * levels).tolist()])
     dark = params.dark_count_prob
-    return np.where(train.amplitudes != 0, (signal + dark - signal * dark)[index], 0.0)
+    return (signal + dark - signal * dark)[index]
 
 
 def detect(
     branches: Iterable[tuple[Hashable, PulseTrain]],
     params: DetectorParams,
+    gate: range,
     columns: Sequence[int],
     uniforms: Sequence[float],
 ) -> list[ClickEvent]:
     """The clicks of each (detector, train) branch from one row of uniforms,
     branch by branch in slot order.
 
-    Per occupied slot the click probability is ``click_probabilities``; dark
-    counts add independently over the gated window (every occupied slot and
-    its immediate neighbours). Slot k of the j-th branch clicks when the
-    uniform at position ``columns[j] + k`` falls below its probability, so
-    the caller gives each branch a column wide enough for its window; no
-    other uniform is read.
+    Every slot k of ``gate`` is gated, lit or not: it clicks when the
+    uniform at position ``columns[j] + k`` of the j-th branch falls below
+    its ``click_probabilities``. The caller gives each branch a column wide
+    enough for the gate; no other uniform is read.
     """
     u = np.asarray(uniforms)
-    dark = params.dark_count_prob
+    slots = np.asarray(gate)
     clicks = []
     for (detector, train), start in zip(branches, columns, strict=True):
-        # one slot past the train, the right neighbour of its last slot
-        p = np.append(click_probabilities(train, params), 0.0)
-        lit = np.append(train.amplitudes != 0, False)
-        window = lit.copy()
-        if dark > 0.0:
-            window[1:] |= lit[:-1]
-            window[:-1] |= lit[1:]
-            p[window & ~lit] = dark
-        gated = np.flatnonzero(window)
-        clicked = gated[u[start + gated] < p[gated]]
+        clicked = slots[u[start + slots] < click_probabilities(train, params, gate)]
         clicks.extend(ClickEvent(detector, k) for k in clicked.tolist())
     return clicks

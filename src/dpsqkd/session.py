@@ -21,7 +21,8 @@ slot's click probability is the one it has in a train whose odd slots all
 carry that slot's phase: key phase 0 or pi, or decoy phase pi/2.
 ``SessionConfig.phase_tables`` runs the same legs once per Bob phase for
 each of those trains and for each check phase, and keeps the click
-probability of every gate slot in dense arrays (:class:`PhaseTables`).
+probability of every gated slot, lit or empty, dark counts included, in
+dense arrays (:class:`PhaseTables`): the gate is the return train's slots.
 The tables depend only on the fields of the link that they read, never on
 the seed, and a bounded memo shares them read-only between configs.
 Under the intercept-resend attack Eve reads the odd slots and votes: keyed
@@ -37,11 +38,12 @@ arrays. A click is one flat index into the chunk's click mask of 2G gate
 positions per round: the index mod 2G is its gate position, a count of
 index // 2G the clicks per round, and their running sum finds the chosen
 click. Decoys (their mask and slot-by-slot gather), Eve's vote, sampling
-(check scores), dark counts (the window) and random picks (the pick rank)
-cost per-round work only when the config turns them on. It gives a
-:class:`RoundColumns`; :func:`session_stats` reduces it, a
-:class:`RoundRecord` per round is built only when ``SessionResult.records``
-is read, and :func:`run_round` runs one row as a chunk of one.
+(check scores) and random picks (the pick rank) cost per-round work only
+when the config turns them on; dark counts are in the tables and cost
+none. It gives a :class:`RoundColumns`; :func:`session_stats` reduces it,
+a :class:`RoundRecord` per round is built only when
+``SessionResult.records`` is read, and :func:`run_round` runs one row as a
+chunk of one.
 
 Stream contract. All of a session's rounds read one counter-based stream,
 ``np.random.Philox`` keyed by ``SeedSequence(master_seed,
@@ -57,7 +59,8 @@ round's row u, whether or not the round uses it:
 * u[5 + j], 0 <= j < 2^(n-1): the decoy draw of odd slot 2j + 1;
 * u[C + c*G + k]: the click draw of detector column c at gate slot k;
   column 0 is D1 (key) or D3 (check), column 1 is D2 or D4, since a round
-  is either sampled or keyed;
+  is either sampled or keyed; the detectors are gated on slots 1 .. 2^n + 1,
+  so the positions of gate slots 0 and 2^n + 2 are reserved and never read;
 * u[C + 2G]: the double-click pick, clicks[int(u * len(clicks))];
 * the rest, up to W = 4 * ceil((C + 2G + 1) / 4), is padding.
 
@@ -266,12 +269,12 @@ class PhaseTables(NamedTuple):
     gate position g = c * G + k is gate slot k of detector column c, laid
     out like the click columns of a round's row (``SessionConfig.block``).
 
-    ``signal[b, r, g]`` is the click probability of gate position g in
-    train r (rows ``_CHECK_ROWS`` + check index, ``_TURN_ROWS`` + quarter
-    turns on the odd slots), and ``occupied[b, r, g]`` whether that slot
-    carries light; an empty slot has probability 0, and the kernel adds the
-    dark-count window (occupied slots and their neighbours) per round, as
-    ``optics.detect`` does. Decoy rounds need no row of their own:
+    ``signal[b, r, g]`` is the final click probability of gate position g
+    in train r (rows ``_CHECK_ROWS`` + check index, ``_TURN_ROWS`` + quarter
+    turns on the odd slots), dark counts included, for every gated slot
+    (``CascadeConfig.gate``), lit or empty, as ``optics.detect`` reads it;
+    it is 0 at the two positions outside the gate, which never click.
+    Decoy rounds need no row of their own:
     output slot k reads odd slot ``key_slot(k)``, whose decoy index is
     ``decoy_of[k]`` (2^(n-1) when slot k reads no odd slot that Alice can
     replace), so a decoy round gathers slot by slot from the rows of its key
@@ -295,7 +298,6 @@ class PhaseTables(NamedTuple):
     energy_alarm: np.ndarray
     odd: np.ndarray
     signal: np.ndarray
-    occupied: np.ndarray
     eve: np.ndarray
     decoy_of: np.ndarray
     bit: np.ndarray
@@ -321,7 +323,6 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
     half = 2 ** (n - 1)
     shape = (len(QUATERNARY), _TRAIN_ROWS, 2 * gated)
     signal = np.zeros(shape)
-    occupied = np.zeros(shape, dtype=bool)
     energy_alarm = np.zeros(len(QUATERNARY), dtype=bool)
     odd = np.zeros((len(QUATERNARY), half), dtype=bool)
     eve = np.full((len(QUATERNARY), len(KEY_PHASES), len(CHECK_PHASES), half + 1), -1, np.int8)
@@ -355,11 +356,11 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
             by_row[_TURN_ROWS + PHASE_90.quarter_turns], _ = _return_leg(
                 config, cascade, prepared, sent, decoy_train
             )
+        gate = cascade.gate
         for r, branches in by_row.items():
             for c, (_, branch) in enumerate(branches):
-                gate = slice(c * gated, c * gated + len(branch.amplitudes))
-                signal[b, r, gate] = click_probabilities(branch, config.detector)
-                occupied[b, r, gate] = branch.amplitudes != 0
+                at = slice(c * gated + gate.start, c * gated + gate.stop)
+                signal[b, r, at] = click_probabilities(branch, config.detector, gate)
 
     # the decoy index of the odd slot that output slot k reads; ``half``
     # where it reads none (slot 0, the last edge slot and the one after it)
@@ -403,7 +404,6 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
         energy_alarm=energy_alarm,
         odd=odd,
         signal=signal,
-        occupied=occupied,
         eve=eve,
         decoy_of=decoy_of,
         bit=bit.reshape(len(QUATERNARY), 2 * gated),
@@ -524,14 +524,6 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
         by_slot = np.where(replaced[:, tables.decoy_of], decoy_rows[:, None], rows[:, None])
         index, axis = np.tile(by_slot, 2) * width + np.arange(width), None
     p = np.take(tables.signal.reshape(-1, width), index, axis=axis)
-    if (dark := config.detector.dark_count_prob) > 0.0:
-        # lit slots and their neighbours in a column, shifting the whole chunk: the two
-        # readouts light only gate slots 1 .. 2^n + 1, so no light crosses a column end
-        lit = np.take(tables.occupied.reshape(-1, width), index, axis=axis)
-        window = lit.copy()
-        window.ravel()[1:] |= lit.ravel()[:-1]
-        window.ravel()[:-1] |= lit.ravel()[1:]
-        np.putmask(p, window & ~lit, dark)
 
     # every click as one flat index into the chunk's click mask, in table order
     flat = np.flatnonzero(u[:, block.columns[0] : block.columns[0] + width] < p)
@@ -755,7 +747,7 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
 
     if u[_SAMPLE] < config.sample_prob:
         check_ports = alice_check_ports(train, check_phase)
-        check_clicks = detect(check_ports, config.detector, columns, u)
+        check_clicks = detect(check_ports, config.detector, cascade.gate, columns, u)
         matched, compared, errors = alice_score_check(check_clicks, cascade, check_phase)
         return RoundRecord(
             index=round_index,
@@ -774,7 +766,7 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     decoy_positions = alice_decoy_positions(odd_slots(train), config.decoy_prob, u, _DECOYS)
     encoded = alice_encode(train, phase_a, decoy_positions, decoy_phase)
     branches, eve_phase = _return_leg(config, cascade, prepared, sent, encoded, unitary)
-    clicks = detect(branches, config.detector, columns, u)
+    clicks = detect(branches, config.detector, cascade.gate, columns, u)
 
     multi = len(clicks) >= 2
     chosen: ClickEvent | None = None

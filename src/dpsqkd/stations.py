@@ -79,6 +79,13 @@ class CascadeConfig:
         """The two return-train slots where no interference takes place."""
         return (1, 2 ** self.n_stages + 1)
 
+    @property
+    def gate(self) -> range:
+        """The slots every detector is gated on: the return train's, from
+        one edge slot to the other."""
+        first, last = self.edge_slots
+        return range(first, last + 1)
+
 
 def bob_prepare(config: CascadeConfig, source_amplitude: complex) -> PulseTrain:
     """Split one source pulse into 2^n equal-magnitude slots.

@@ -376,9 +376,10 @@ def test_faraday_preserves_amplitudes():
 
 
 def detect_one(train, params, rng):
-    """Clicks of one branch whose slot k reads uniform k of a hand-built row."""
-    row = rng.random(max(train.occupied_slots(), default=0) + 2)
-    return detect([("d", train)], params, (0,), row)
+    """Clicks of one branch gated on slots 0 .. (its last occupied slot) + 1,
+    whose slot k reads uniform k of a hand-built row."""
+    gate = range(max(train.occupied_slots(), default=0) + 2)
+    return detect([("d", train)], params, gate, (0,), rng.random(len(gate)))
 
 
 def test_detect_vacuum_never_clicks():
@@ -420,58 +421,64 @@ def test_detect_click_frequency_matches_poisson_model():
 
 
 def test_detect_dark_counts_on_empty_window():
-    # an occupied slot of zero energy gates its neighbourhood; dark counts
-    # then fire at the configured rate
+    # a gate with no light, its slots empty, of zero energy or past the
+    # train's end, dark-counts at the configured rate on every slot
     rng = np.random.default_rng(77)
     train = PulseTrain.from_amplitudes({3: 1e-200})
     params = DetectorParams(dark_count_prob=0.5)
+    gate = range(1, 8)
     counts = 0
     trials = 2000
     for _ in range(trials):
-        counts += len(detect_one(train, params, rng))
-    # window = slots {2, 3, 4}, each dark-firing independently at 0.5
-    assert counts / (3 * trials) == pytest.approx(0.5, abs=0.05)
+        counts += len(detect([("d", train)], params, gate, (0,), rng.random(8)))
+    assert counts / (7 * trials) == pytest.approx(0.5, abs=0.05)
 
 
-def test_detect_gates_window_and_skips_empty_branches():
-    # dark counts widen a branch to its occupied slots and their neighbours;
-    # slot k of a branch reads position (its column) + k, and no slot of an
-    # empty branch, nor any slot outside the window, reads a uniform
-    train = PulseTrain.from_amplitudes({0: 1.0, 3: 1e-200})
+def test_detect_gates_every_slot_of_every_branch():
+    # dark counts reach every gated slot, lit or empty, of every branch, an
+    # empty one included; slot k of a branch reads position (its column) + k,
+    # and no uniform outside the gate is read
+    train = PulseTrain.from_amplitudes({1: 1.0, 3: 1e-200})
     params = DetectorParams(quantum_efficiency=0.5, dark_count_prob=0.1)
     branches = [("a", train), ("b", PulseTrain.vacuum())]
-    p0 = -math.expm1(-0.5)
-    probs = {0: p0 + 0.1 - p0 * 0.1, 1: 0.1, 2: 0.1, 3: 0.1, 4: 0.1}
+    gate = range(1, 7)
+    p1 = -math.expm1(-0.5)
+    probs = {("a", k): 0.1 for k in gate} | {("b", k): 0.1 for k in gate}
+    probs["a", 1] = p1 + 0.1 - p1 * 0.1
+    columns = {"a": 10, "b": 20}
     for j in range(30):
         u = np.full(30, 0.5)
         u[j] = 0.0
-        expected = [("a", j - 10)] if j - 10 in probs else []
-        assert detect(branches, params, (10, 20), u) == expected, j
+        expected = [(d, j - c) for d, c in columns.items() if (d, j - c) in probs]
+        assert detect(branches, params, gate, (10, 20), u) == expected, j
     # each slot's probability exactly: no click at u = p, a click just below
-    for k, p in probs.items():
+    for (d, k), p in probs.items():
         u = np.full(30, 0.5)
-        u[10 + k] = p
-        assert detect(branches, params, (10, 20), u) == []
-        u[10 + k] = np.nextafter(p, 0)
-        assert detect(branches, params, (10, 20), u) == [("a", k)]
+        u[columns[d] + k] = p
+        assert detect(branches, params, gate, (10, 20), u) == []
+        u[columns[d] + k] = np.nextafter(p, 0)
+        assert detect(branches, params, gate, (10, 20), u) == [(d, k)]
 
 
 def test_detect_draws_one_uniform_per_gated_slot():
-    # branch by branch in slot order, a slot clicks iff the uniform at its
-    # position is below its probability (0.47 per slot here); no other
-    # uniform of the row is read
+    # branch by branch in slot order, a gated slot clicks iff the uniform at
+    # its position is below its probability (0.47 per lit slot here, 0 per
+    # empty one without dark counts); no other uniform of the row is read
     train = PulseTrain.from_amplitudes({k: 0.8 for k in range(1, 6)})
     branches = [("a", train), ("b", PulseTrain.single(2, 0.8))]
-    u = np.random.default_rng(5).random(9)
-    clicks = detect(branches, DetectorParams(), (0, 6), u)
+    u = np.random.default_rng(5).random(12)
+    gate = range(1, 6)
+    clicks = detect(branches, DetectorParams(), gate, (0, 6), u)
     p = -math.expm1(-(0.8**2))
     gated = [("a", k, k) for k in range(1, 6)] + [("b", 2, 8)]
     expected = [(d, k) for d, k, j in gated if u[j] < p]
     assert clicks == expected and 0 < len(expected) < 6
-    for j in (0, 6, 7):
+    # without dark counts an empty slot never clicks, gated (positions 7 and
+    # 9-11) or not (0 and 6), whatever its uniform
+    for j in (0, 6, 7, 9, 10, 11):
         flipped = u.copy()
-        flipped[j] = 1.0 - u[j]
-        assert detect(branches, DetectorParams(), (0, 6), flipped) == clicks
+        flipped[j] = 0.0
+        assert detect(branches, DetectorParams(), gate, (0, 6), flipped) == clicks
 
 
 def test_detect_efficiency_scales_click_rate():

@@ -12,7 +12,7 @@ import dpsqkd.optics
 import dpsqkd.session
 import dpsqkd.stations
 from dpsqkd.channel import BirefringenceMode, ChannelParams, EveKind
-from dpsqkd.optics import DetectorParams, DoubleClickPolicy
+from dpsqkd.optics import ClickEvent, DetectorParams, DoubleClickPolicy
 from dpsqkd.phases import PHASE_0, PHASE_180
 from dpsqkd.session import (
     MAX_STAGES,
@@ -80,6 +80,23 @@ def test_vacuum_return_round_records_no_detection():
     rec = run_round(cfg, 0, round_uniforms(cfg, 0))
     assert rec.clicks == ()
     assert rec.bit is None
+
+
+@pytest.mark.parametrize("round_fn", [run_round, reference_round])
+def test_dark_counts_reach_every_slot_of_the_return_train_and_no_other(round_fn):
+    # Bob's phase 0 and key phase 0 light D2 only at edge slots 1 and 9, yet
+    # its inner slot 5 dark-counts when its uniform is just below the dark
+    # probability; gate slots 0 and 2^n + 2 lie outside the return train and
+    # never click, not even at uniform 0
+    cfg = SessionConfig(sample_prob=0.0, detector=DetectorParams(dark_count_prob=0.01))
+    d1, d2 = cfg.block.columns
+    u = [0.0] * 4 + [0.999] * (cfg.block.width - 4)
+    u[d2 + 5] = float(np.nextafter(0.01, 0.0))
+    rec = round_fn(cfg, 0, u)
+    assert rec.clicks == (ClickEvent(Detector.D2, 5),) and rec.bit is BitOutcome.BIT1
+    for column in (d1, d2):
+        u[column] = u[column + 2**3 + 2] = 0.0
+    assert round_fn(cfg, 0, u) == rec
 
 
 def test_multi_click_policy_discard_vs_pick():
@@ -211,9 +228,8 @@ def test_workload_stats_golden():
 
 
 def test_phase_table_bytes_golden():
-    # every table array but ``occupied``, dtype, shape and bytes, built
-    # without the memo: the goldens above stop at n=6 sessions, these pin the
-    # optics up to n=16
+    # every table array, dtype, shape and bytes, built without the memo: the
+    # goldens above stop at n=6 sessions, these pin the optics up to n=16
     configs = {
         "743952125d126d5a5a60c615eeceebe6f480955554f9df76696a99cc8ef76d78": SessionConfig(
             n_stages=1
@@ -241,9 +257,7 @@ def test_phase_table_bytes_golden():
     }
     for digest, cfg in configs.items():
         h = hashlib.sha256()
-        for name, array in dpsqkd.session._phase_tables.__wrapped__(cfg)._asdict().items():
-            if name == "occupied":
-                continue
+        for array in dpsqkd.session._phase_tables.__wrapped__(cfg):
             h.update(f"{array.dtype.str}{array.shape}".encode())
             h.update(array.tobytes())
         assert h.hexdigest() == digest
@@ -652,6 +666,25 @@ def test_dark_counts_produce_qber_and_alarm():
     assert stats.mismatches > 0
     assert stats.qber is not None and stats.qber > 0.05
     assert stats.alarm is True
+
+
+def test_dark_counts_on_a_vacuum_return_fill_the_gate():
+    # with no light back, each of the 2 (2^n + 1) gated slots of a round
+    # dark-counts on its own, and no click lands outside the gate
+    n, rounds, dark = 3, 20_000, 0.01
+    cfg = SessionConfig(
+        n_stages=n,
+        rounds=rounds,
+        mean_photons_return=0.0,
+        sample_prob=0.0,
+        detector=DetectorParams(dark_count_prob=dark),
+        master_seed=12,
+    )
+    clicks = run_session(cfg).columns.clicks
+    trials = rounds * 2 * (2**n + 1)
+    assert abs(len(clicks) - trials * dark) < 5 * math.sqrt(trials * dark * (1 - dark))
+    gated = 2**n + 3
+    assert not np.isin(clicks % gated, (0, gated - 1)).any()
 
 
 def test_channel_immunity_statistics():

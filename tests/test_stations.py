@@ -60,6 +60,7 @@ def test_cascade_delays_halve_to_one():
     assert cfg.delays == (4, 2, 1)
     assert cfg.train_slots == 8
     assert cfg.edge_slots == (1, 9)
+    assert cfg.gate == range(1, 10)
     assert CascadeConfig(1, PHASE_0).delays == (1,)
     assert CascadeConfig(5, PHASE_0).delays == (16, 8, 4, 2, 1)
 
@@ -289,8 +290,11 @@ def test_energy_monitor_rejects_bad_expectation():
 
 def check_clicks(train, check_phase, rng):
     """Sample the check interferometer's D3/D4 clicks for a 3-stage ``train``
-    from a hand-built row: gate slots 0 .. 10 of D3, then of D4."""
-    return detect(alice_check_ports(train, check_phase), DetectorParams(), (0, 11), rng.random(22))
+    from a hand-built row: gate slots 0 .. 10 of D3, then of D4, gated on
+    slots 1 .. 9."""
+    gate = CascadeConfig(3, PHASE_0).gate
+    ports = alice_check_ports(train, check_phase)
+    return detect(ports, DetectorParams(), gate, (0, 11), rng.random(22))
 
 
 def test_sample_prob_zero_never_diverts():
