@@ -161,7 +161,7 @@ def test_decoy_session_records_golden():
             master_seed=31,
         ),
         # attacked decoy rounds with loss and dark counts
-        "c1b1db848451808cd32f259bd5cda9ca8491dc41cebb53ff1a7ef42c0b9768e2": SessionConfig(
+        "436839e3a01f9a5ab587ff09ebf8cd28fd826956c43dac3076b8664692eae500": SessionConfig(
             n_stages=4,
             rounds=1000,
             mean_photons_return=0.5,
@@ -189,7 +189,7 @@ def test_workload_stats_golden():
             rounds=10_000, mean_photons_return=0.8, sample_prob=0.0, master_seed=101
         ),
         # attack: intercept-resend with checks, loss, birefringence and dark counts
-        "89e05fd876d2fefbdf25cef21feb01883e318caade38f18554dd26b7bd1afc27": SessionConfig(
+        "3651d57afd7036c246052a14c9cc61e3d58dc828dfe49d11258f36ab76e30b12": SessionConfig(
             rounds=2_000,
             mean_photons_return=0.5,
             sample_prob=0.2,
@@ -210,7 +210,7 @@ def test_workload_stats_golden():
             master_seed=103,
         ),
         # n=6 with sampling, decoys and dark counts
-        "aa5370557b4d969cd5e5e68866d03d410f93eb177797cbc7839f43d4113e5a1b": SessionConfig(
+        "9fa936236a075dd36190e018744e8aabe7c898ac27037ed56de3666bae83ae54": SessionConfig(
             n_stages=6,
             rounds=1_000,
             mean_photons_return=0.5,
@@ -234,7 +234,7 @@ def test_phase_table_bytes_golden():
         "743952125d126d5a5a60c615eeceebe6f480955554f9df76696a99cc8ef76d78": SessionConfig(
             n_stages=1
         ),
-        "292eb7e6d88575d37e3a3c08ec60db776c32c68395eed21830f8d29cc2e2df8d": SessionConfig(
+        "e0df21243b848145c3ce1cbeb9230310a288687b7a99c9ee88817de259c05b1b": SessionConfig(
             n_stages=3,
             eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
             detector=DetectorParams(dark_count_prob=0.01),
@@ -248,7 +248,7 @@ def test_phase_table_bytes_golden():
             n_stages=12, decoy_prob=0.3
         ),
         # the attacked link of the CI's n=16 sessions, the largest Eve table
-        "8f0910ce06947501fc153ac9631625f0b15dbb814d696771a51988d057a29ea7": SessionConfig(
+        "9e4823c555cafc41185ea92073e09ff226142535f73be686a65f3aaa7927d805": SessionConfig(
             n_stages=16,
             decoy_prob=0.3,
             eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
