@@ -140,6 +140,10 @@ def parse_config(path) -> list[ExperimentSpec]:
     defaults = raw.get("defaults", {})
     if not isinstance(defaults, dict):
         raise ConfigError("defaults must be an object")
+    if "stages" in defaults:
+        raise ConfigError(
+            "unknown config key in defaults: stages (only an efficiency_scan entry takes it)"
+        )
     entries = raw.get("experiments")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("experiments must be a non-empty list")
@@ -166,7 +170,7 @@ def parse_config(path) -> list[ExperimentSpec]:
                 raise ConfigError("stages must be a non-empty list of integers")
             stages = tuple(raw_stages)
         elif "stages" in overrides:
-            raise ConfigError("unknown config key: stages (only efficiency_scan takes it)")
+            raise ConfigError("unknown config key: stages (only an efficiency_scan entry takes it)")
         base = _build_session({**defaults, **overrides}, seed)
         for n in stages:
             _replace(base, n_stages=n)

@@ -31,19 +31,23 @@ neither (``channel.eve_key_phase``). The tables hold her guess for every
 key phase, decoy phase and number of decoys; she resends the key train of
 her guess, which the round reads whole.
 
-The kernel runs a chunk of rounds as array work on their rows of uniforms:
-it gathers every gate slot's click probability from the tables, compares
-them with the click uniforms and reads bits and check scores from lookup
-arrays. A click is one flat index into the chunk's click mask of 2G gate
+The kernel runs a chunk of rounds as array work on their rows of uniforms.
+Each round takes one row of click probabilities from the tables whole: its
+check train, its key train or the key train Eve resent. In a round that
+Eve did not resend, each replaced odd slot s then overwrites, from the
+decoy row, only the four gate positions that read it, gate slots s and
+s + 1 of both detector columns (``_decoy_gate_positions``). The kernel
+compares the probabilities with the click uniforms and reads Eve's guess,
+bits, decoy hits and check scores from the tables by 1-D takes on flat
+indices. A click is one flat index into the chunk's click mask of 2G gate
 positions per round: the index mod 2G is its gate position, a count of
 index // 2G the clicks per round, and their running sum finds the chosen
-click. Decoys (their mask and slot-by-slot gather), Eve's vote, sampling
-(check scores) and random picks (the pick rank) cost per-round work only
-when the config turns them on; dark counts are in the tables and cost
-none. It gives a :class:`RoundColumns`; :func:`session_stats` reduces it,
-a :class:`RoundRecord` per round is built only when
-``SessionResult.records`` is read, and :func:`run_round` runs one row as a
-chunk of one.
+click. Decoys (their mask and scatter), Eve's vote, sampling (check
+scores) and random picks (the pick rank) cost per-round work only when
+the config turns them on; dark counts are in the tables and cost none.
+It gives a :class:`RoundColumns`; :func:`session_stats` reduces it, a
+:class:`RoundRecord` per round is built only when ``SessionResult.records``
+is read, and :func:`run_round` runs one row as a chunk of one.
 
 Stream contract. All of a session's rounds read one counter-based stream,
 ``np.random.Philox`` keyed by ``SeedSequence(master_seed,
@@ -277,8 +281,9 @@ class PhaseTables(NamedTuple):
     Decoy rounds need no row of their own:
     output slot k reads odd slot ``key_slot(k)``, whose decoy index is
     ``decoy_of[k]`` (2^(n-1) when slot k reads no odd slot that Alice can
-    replace), so a decoy round gathers slot by slot from the rows of its key
-    and decoy phases.
+    replace), so a decoy round takes the row of its key phase and
+    overwrites the gate positions that read a replaced odd slot from the
+    row of its decoy phase.
 
     ``eve[b, i, d, m]`` is Eve's guess, an index into ``KEY_PHASES``, when
     Alice's key index is i and m of her odd slots carry decoy phase d
@@ -362,10 +367,6 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
                 at = slice(c * gated + gate.start, c * gated + gate.stop)
                 signal[b, r, at] = click_probabilities(branch, config.detector, gate)
 
-    # the decoy index of the odd slot that output slot k reads; ``half``
-    # where it reads none (slot 0, the last edge slot and the one after it)
-    read = key_slot(np.arange(gated)) // 2
-    decoy_of = np.where((read >= 0) & (read < half), read, half)
     # the readout rules read a gate slot only through its parity and whether
     # it is an edge slot: each rule runs on one slot per class (inner even,
     # inner odd, first edge, last edge), and ``classes`` spreads the result
@@ -405,7 +406,7 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
         odd=odd,
         signal=signal,
         eve=eve,
-        decoy_of=decoy_of,
+        decoy_of=_decoy_of(n),
         bit=bit.reshape(len(QUATERNARY), 2 * gated),
         check_matched=scores[:, :, 0, 0, 0],
         check_compared=scores[..., 1].reshape(checks),
@@ -414,6 +415,22 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
     for array in tables:
         array.setflags(write=False)
     return tables
+
+
+def _decoy_of(n: int) -> np.ndarray:
+    """``PhaseTables.decoy_of`` at n stages: the decoy index of the odd slot
+    that gate slot k reads, 2^(n-1) where it reads none (slot 0, the last
+    edge slot and the one after it)."""
+    half = 2 ** (n - 1)
+    read = key_slot(np.arange(2**n + 3)) // 2
+    return np.where((read >= 0) & (read < half), read, half)
+
+
+def _decoy_gate_positions(gated: int) -> np.ndarray:
+    """The gate positions that read odd slot s are s plus these offsets:
+    gate slots s and s + 1 (the k with ``key_slot(k) == s``) of both
+    detector columns, ``gated`` positions apart."""
+    return np.array([0, 1, gated, gated + 1])
 
 
 def _forward_leg(
@@ -488,42 +505,57 @@ class RoundColumns(NamedTuple):
 def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> RoundColumns:
     """The kernel on the rounds whose rows of uniforms are the rows of ``u``
     (module docstring): per-round work only for what the config turns on,
-    and every click one flat index into the chunk's click mask."""
+    every table read a 1-D ``take`` and every click one flat index into the
+    chunk's click mask."""
     block, m = config.block, len(u)
-    width = 2 * (block.columns[1] - block.columns[0])  # gate positions per round
+    gated = block.columns[1] - block.columns[0]
+    width = 2 * gated  # gate positions per round
     key = (u[:, 0] * 2).astype(np.int8)
     bob = (u[:, 1] * 4).astype(np.intp)
     check = (u[:, 2] * 2).astype(np.int8)
     sampled = u[:, _SAMPLE] < config.sample_prob
     with_decoys = config.decoy_prob > 0.0
+    attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
 
-    # Eve's vote is ``tables.eve[bob, key, *vote]``: with no decoy, all vote for the key
-    n_decoys, decoy_slots, vote = np.zeros(m, np.int32), np.zeros(0, np.int32), (0, 0)
+    # Eve's guess is ``tables.eve[bob, key, turns, count]``, and ``vote`` the flat offset
+    # of (turns, count): with no decoy, all vote for the key, (0, 0)
+    n_decoys, decoy_slots, vote = np.zeros(m, np.int32), np.zeros(0, np.int32), 0
     if with_decoys:
         half = tables.odd.shape[1]
         decoy_turns = (u[:, 3] * 2).astype(np.intp)  # CHECK_PHASES[i] is i quarter turns
-        # column ``half`` stays False: the slots that read no odd slot
-        decoys = np.zeros((m, half + 1), dtype=bool)
-        drawn = u[:, _DECOYS : _DECOYS + half] < config.decoy_prob
-        decoys[:, :half] = drawn & tables.odd[bob] & ~sampled[:, None]
-        flat = np.flatnonzero(decoys)
-        n_decoys = np.bincount(flat // (half + 1), minlength=m).astype(np.int32)
-        decoy_slots = (2 * (flat % (half + 1)) + 1).astype(np.int32)
-        vote = decoy_turns, n_decoys
+        # Alice's odd slots in each round, none in a sampled round (the last row)
+        odd = np.zeros((len(QUATERNARY) + 1, half), dtype=bool)
+        odd[:-1] = tables.odd
+        decoys = odd.take(np.where(sampled, len(QUATERNARY), bob), axis=0)
+        decoys &= u[:, _DECOYS : _DECOYS + half] < config.decoy_prob
+        flat = np.flatnonzero(decoys)  # round r's odd slot 2j + 1 at r * half + j
+        decoy_round = flat // half
+        slots = 2 * (flat - decoy_round * half) + 1
+        n_decoys = np.bincount(decoy_round, minlength=m).astype(np.int32)
+        decoy_slots = slots.astype(np.int32)
+        vote = decoy_turns * (half + 1) + n_decoys
     eve, resent = np.full(m, -1, dtype=np.int8), key
-    if config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE:
-        eve = np.where(sampled, -1, tables.eve[(bob, key, *vote)])
+    if attack:
+        guess = tables.eve.take((bob * len(KEY_PHASES) + key) * tables.eve[0, 0].size + vote)
+        eve = np.where(sampled, -1, guess)
         resent = np.where(eve >= 0, eve, key)
 
-    # each gate slot reads a row of the tables: the check train of a sampled round, else
-    # the key train (KEY_PHASES[i] is 2i turns), or the decoy train where it reads a decoy
+    # every round reads one row of the tables: the check train of a sampled round,
+    # else the key train (KEY_PHASES[i] is 2i turns) or the one Eve resent
+    signal = tables.signal.reshape(-1, width)
     rows = bob * _TRAIN_ROWS + np.where(sampled, _CHECK_ROWS + check, _TURN_ROWS + 2 * resent)
-    index, axis = rows, 0
-    if with_decoys and (replaced := decoys & (eve < 0)[:, None]).any():
+    p = signal.take(rows, axis=0)
+    if with_decoys:
+        # the gate positions that read a replaced odd slot read the decoy train
+        # instead, except in the rounds that Eve resent
+        if attack:
+            kept = eve.take(decoy_round) < 0
+            decoy_round, slots = decoy_round[kept], slots[kept]
         decoy_rows = bob * _TRAIN_ROWS + _TURN_ROWS + decoy_turns
-        by_slot = np.where(replaced[:, tables.decoy_of], decoy_rows[:, None], rows[:, None])
-        index, axis = np.tile(by_slot, 2) * width + np.arange(width), None
-    p = np.take(tables.signal.reshape(-1, width), index, axis=axis)
+        reading = _decoy_gate_positions(gated)
+        into = (decoy_round * width + slots)[:, None] + reading
+        source = (decoy_rows.take(decoy_round) * width + slots)[:, None] + reading
+        np.put(p, into, signal.take(source))
 
     # every click as one flat index into the chunk's click mask, in table order
     flat = np.flatnonzero(u[:, block.columns[0] : block.columns[0] + width] < p)
@@ -536,33 +568,40 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
     if config.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
         nth += (u[:, block.pick] * n_clicks).astype(np.intp)
         picked = ~sampled & (n_clicks > 0)
-    chosen = clicks[nth[picked]]
+    picked = np.flatnonzero(picked)
+    chosen = clicks.take(nth.take(picked))
+    chosen_bit = tables.bit.take(bob.take(picked) * width + chosen)
     bit = np.full(m, _NO_BIT, dtype=np.int8)
-    bit[picked] = np.take(tables.bit, bob[picked] * width + chosen)
-    decoy_hit, check_matched = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    bit[picked] = chosen_bit
+    decoy_hit = np.zeros(m, dtype=bool)
     if with_decoys:
-        hit = decoys[picked, tables.decoy_of[chosen % (width // 2)]]
-        decoy_hit[picked] = hit & (bit[picked] != _BITS.index(BitOutcome.DISCARD))
+        # a chosen inner-slot click (one that reads a key bit) hits a replaced odd slot
+        inner = chosen_bit != _BITS.index(BitOutcome.DISCARD)
+        hit_rounds = picked[inner]
+        read = tables.decoy_of.take(chosen[inner] % gated)
+        decoy_hit[hit_rounds] = decoys.take(hit_rounds * half + read)
+    check_matched = np.zeros(m, dtype=bool)
     check_compared, check_errors = np.zeros(m, np.int32), np.zeros(m, np.int32)
     if sampled.any():
-        check_matched[sampled] = tables.check_matched[bob[sampled], check[sampled]]
-        scored = sampled[by_round]  # the D3/D4 clicks, their scores summed per round
-        rounds = by_round[scored]
-        at = (bob * len(CHECK_PHASES) + check)[rounds] * width + clicks[scored]
-        check_compared += np.bincount(rounds, tables.check_compared.take(at), m).astype(np.int32)
-        check_errors += np.bincount(rounds, tables.check_error.take(at), m).astype(np.int32)
+        scored = bob * len(CHECK_PHASES) + check
+        check_matched = sampled & tables.check_matched.take(scored)
+        on_check = sampled.take(by_round)  # the D3/D4 clicks
+        rounds = by_round[on_check]
+        at = scored.take(rounds) * width + clicks[on_check]
+        check_compared = np.bincount(rounds[tables.check_compared.take(at)], minlength=m)
+        check_errors = np.bincount(rounds[tables.check_error.take(at)], minlength=m)
     return RoundColumns(
         key=key,
         bob=bob.astype(np.int8),
         check=check,
         sampled=sampled,
-        energy_alarm=np.take(tables.energy_alarm, bob),
+        energy_alarm=tables.energy_alarm.take(bob),
         n_clicks=n_clicks.astype(np.int32),
         clicks=clicks.astype(np.int32),
         bit=bit,
         check_matched=check_matched,
-        check_compared=check_compared,
-        check_errors=check_errors,
+        check_compared=check_compared.astype(np.int32),
+        check_errors=check_errors.astype(np.int32),
         n_decoys=n_decoys,
         decoy_slots=decoy_slots,
         decoy_hit=decoy_hit,

@@ -184,8 +184,18 @@ def test_stages_only_valid_for_scan(tmp_path):
     path = write_config(
         tmp_path, {"experiments": [{"name": "baseline", "stages": [1]}]}
     )
-    with pytest.raises(ConfigError, match="stages"):
+    with pytest.raises(ConfigError, match=r"stages \(only an efficiency_scan entry takes it\)"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("experiment", ["baseline", "efficiency_scan"])
+def test_stages_in_defaults_exits_2_naming_the_scan_entry(tmp_path, capsys, experiment):
+    doc = {"defaults": {"rounds": 20, "stages": [1, 2]}, "experiments": [experiment]}
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown config key in defaults: stages (only an efficiency_scan entry takes it)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_defaults_merge_with_overrides(tmp_path):

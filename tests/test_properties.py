@@ -290,6 +290,48 @@ def test_chunked_session_rounds_equal_field_level_rounds(config, fractions):
         assert records[i] == reference_round(config, i, round_uniforms(config, i))
 
 
+def _every_odd_slot_replaced(eve_kind, mu, policy):
+    """A session of two whole n=3 chunks and a partial one in which Alice
+    replaces every odd slot of every round."""
+    config = SessionConfig(
+        n_stages=3,
+        rounds=2500,
+        mean_photons_return=mu,
+        sample_prob=0.0,
+        decoy_prob=1.0,
+        detector=DetectorParams(double_click_policy=policy),
+        eve_kind=eve_kind,
+        master_seed=29,
+    )
+    chunk = config.block.chunk_rounds
+    assert config.rounds > 2 * chunk
+    result = run_session(config)
+    for i in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, config.rounds - 1):
+        assert result.records[i] == reference_round(config, i, round_uniforms(config, i))
+    assert result.columns.n_decoys.sum() == 4 * config.rounds
+    return result.columns
+
+
+@pytest.mark.parametrize("eve_kind", list(EveKind))
+def test_sessions_with_every_odd_slot_replaced_and_no_click(eve_kind):
+    # the scatter replaces every odd slot and the pick has no click to
+    # choose from; under attack Eve still reads a phase and resends
+    columns = _every_odd_slot_replaced(eve_kind, 1e-300, DoubleClickPolicy.RANDOM_PICK)
+    assert not columns.n_clicks.any() and columns.clicks.size == 0
+    attacked = eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
+    assert (columns.eve >= 0).all() if attacked else (columns.eve < 0).all()
+
+
+@pytest.mark.parametrize("eve_kind", list(EveKind))
+@pytest.mark.parametrize("policy", list(DoubleClickPolicy))
+def test_sessions_with_every_odd_slot_replaced_and_clicks(eve_kind, policy):
+    columns = _every_odd_slot_replaced(eve_kind, 0.8, policy)
+    # every chosen inner-slot click reads a replaced slot, so no round keeps a key bit
+    inner = (columns.bit == 0) | (columns.bit == 1)
+    assert inner.any()
+    assert (columns.decoy_hit == inner).all()
+
+
 def _stats_rng(master_seed: int) -> np.random.Generator:
     """The session's statistics stream: spawn key (2, 0) under the master seed."""
     seed = np.random.SeedSequence(master_seed, spawn_key=(2, 0))

@@ -574,6 +574,27 @@ def test_round_block_layout(n):
     assert len(round_uniforms(cfg, 5)) == cfg.block.width
 
 
+@pytest.mark.parametrize("n", range(1, MAX_STAGES + 1))
+def test_decoy_scatter_overwrites_the_gate_positions_that_read_each_odd_slot(n):
+    # the kernel's scatter writes a replaced odd slot s at s + these offsets;
+    # they must be the positions whose gate slot k has key_slot(k) == s, that
+    # is decoy_of[k] == j for s = 2j + 1, and no others
+    gated, half = 2**n + 3, 2 ** (n - 1)
+    decoy_of = dpsqkd.session._decoy_of(n)
+    slots = 2 * np.arange(half) + 1
+    positions = slots[:, None] + dpsqkd.session._decoy_gate_positions(gated)
+    assert (positions // gated == [0, 0, 1, 1]).all()  # both detector columns
+    k = positions % gated
+    assert (dpsqkd.stations.key_slot(k) == slots[:, None]).all()
+    assert (decoy_of[k] == np.arange(half)[:, None]).all()
+    # every gate slot that reads an odd slot is written: two per slot and column
+    assert np.array_equal(np.bincount(decoy_of, minlength=half + 1)[:half], np.full(half, 2))
+    assert len(np.unique(positions)) == 4 * half
+    if n <= 6:
+        tables = SessionConfig(n_stages=n, decoy_prob=0.3).phase_tables
+        assert np.array_equal(tables.decoy_of, decoy_of)
+
+
 def test_round_uniforms_golden():
     # a change of numpy's Philox or SeedSequence output changes every record
     assert round_uniforms(SessionConfig(master_seed=0), 0)[:8] == [
