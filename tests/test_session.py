@@ -147,84 +147,131 @@ def test_decoy_contaminated_clicks_are_sifted_out():
     assert stats.mismatches == 0
 
 
+#: Sessions whose records are pinned: decoy rounds are built from per-slot
+#: tables, not their own optics, and the records must stay what running every
+#: optical element on them gave.
+DECOY_RECORD_CONFIGS = {
+    # the perfbench decoy workload's shape
+    "decoy": SessionConfig(
+        rounds=2000,
+        mean_photons_return=0.8,
+        sample_prob=0.1,
+        decoy_prob=0.25,
+        detector=DetectorParams(double_click_policy=DoubleClickPolicy.RANDOM_PICK),
+        master_seed=31,
+    ),
+    # attacked decoy rounds with loss and dark counts
+    "attacked n=4": SessionConfig(
+        n_stages=4,
+        rounds=1000,
+        mean_photons_return=0.5,
+        decoy_prob=0.3,
+        eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
+        channel=ChannelParams(loss_db=3.0),
+        detector=DetectorParams(dark_count_prob=0.02),
+        master_seed=32,
+    ),
+    "n=6": SessionConfig(
+        n_stages=6, rounds=300, mean_photons_return=0.5, decoy_prob=0.3, master_seed=33
+    ),
+}
+
+#: Sessions whose statistics are pinned: the four benchmark workload shapes,
+#: pinned before rounds became array work over chunks.
+WORKLOAD_CONFIGS = {
+    # keygen: the acceptance big_run shape
+    "keygen": SessionConfig(
+        rounds=10_000, mean_photons_return=0.8, sample_prob=0.0, master_seed=101
+    ),
+    # attack: intercept-resend with checks, loss, birefringence and dark counts
+    "attack": SessionConfig(
+        rounds=2_000,
+        mean_photons_return=0.5,
+        sample_prob=0.2,
+        eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
+        channel=ChannelParams(loss_db=3.0, birefringence_mode=BirefringenceMode.RANDOM_PER_TRAIN),
+        detector=DetectorParams(dark_count_prob=1e-3),
+        master_seed=102,
+    ),
+    # decoy: decoys with random-pick double clicks
+    "decoy": SessionConfig(
+        rounds=2_000,
+        mean_photons_return=0.8,
+        sample_prob=0.1,
+        decoy_prob=0.25,
+        detector=DetectorParams(double_click_policy=DoubleClickPolicy.RANDOM_PICK),
+        master_seed=103,
+    ),
+    # n=6 with sampling, decoys and dark counts
+    "n=6": SessionConfig(
+        n_stages=6,
+        rounds=1_000,
+        mean_photons_return=0.5,
+        sample_prob=0.2,
+        decoy_prob=0.3,
+        detector=DetectorParams(
+            dark_count_prob=0.01, double_click_policy=DoubleClickPolicy.RANDOM_PICK
+        ),
+        master_seed=104,
+    ),
+}
+
+
+def sha256_of_repr(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 def test_decoy_session_records_golden():
-    # decoy rounds are built from per-slot tables, not their own optics; the
-    # records must stay what running every optical element on them gave
-    configs = {
-        # the perfbench decoy workload's shape
-        "fbff9023e70ca64fc36d0ed0ea04b973eda04458f4e6fc95927452002c4f84a9": SessionConfig(
-            rounds=2000,
-            mean_photons_return=0.8,
-            sample_prob=0.1,
-            decoy_prob=0.25,
-            detector=DetectorParams(double_click_policy=DoubleClickPolicy.RANDOM_PICK),
-            master_seed=31,
-        ),
-        # attacked decoy rounds with loss and dark counts
-        "436839e3a01f9a5ab587ff09ebf8cd28fd826956c43dac3076b8664692eae500": SessionConfig(
-            n_stages=4,
-            rounds=1000,
-            mean_photons_return=0.5,
-            decoy_prob=0.3,
-            eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
-            channel=ChannelParams(loss_db=3.0),
-            detector=DetectorParams(dark_count_prob=0.02),
-            master_seed=32,
-        ),
-        "ab0109c3dfbc83c12a5c6f1c41fcf1159774faf85934a2ed1a0f516878499356": SessionConfig(
-            n_stages=6, rounds=300, mean_photons_return=0.5, decoy_prob=0.3, master_seed=33
-        ),
+    digests = {
+        "decoy": "fbff9023e70ca64fc36d0ed0ea04b973eda04458f4e6fc95927452002c4f84a9",
+        "attacked n=4": "436839e3a01f9a5ab587ff09ebf8cd28fd826956c43dac3076b8664692eae500",
+        "n=6": "ab0109c3dfbc83c12a5c6f1c41fcf1159774faf85934a2ed1a0f516878499356",
     }
-    for digest, cfg in configs.items():
-        records = run_session(cfg).records
-        assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
+    for name, cfg in DECOY_RECORD_CONFIGS.items():
+        assert sha256_of_repr(run_session(cfg).records) == digests[name], name
 
 
 def test_workload_stats_golden():
-    # the statistics of the four benchmark workload shapes, pinned before
-    # rounds became array work over chunks
-    configs = {
-        # keygen: the acceptance big_run shape
-        "5c4347f011dda0d2fdb8049cf129a6381399442b0a230fb06be2fd08256c2662": SessionConfig(
-            rounds=10_000, mean_photons_return=0.8, sample_prob=0.0, master_seed=101
-        ),
-        # attack: intercept-resend with checks, loss, birefringence and dark counts
-        "3651d57afd7036c246052a14c9cc61e3d58dc828dfe49d11258f36ab76e30b12": SessionConfig(
-            rounds=2_000,
-            mean_photons_return=0.5,
-            sample_prob=0.2,
-            eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
-            channel=ChannelParams(
-                loss_db=3.0, birefringence_mode=BirefringenceMode.RANDOM_PER_TRAIN
-            ),
-            detector=DetectorParams(dark_count_prob=1e-3),
-            master_seed=102,
-        ),
-        # decoy: decoys with random-pick double clicks
-        "be2b457a703a1d345754d57f4d2d3c9f9444c6ea5cf2d3e7bd8deb6e9f64c56e": SessionConfig(
-            rounds=2_000,
-            mean_photons_return=0.8,
-            sample_prob=0.1,
-            decoy_prob=0.25,
-            detector=DetectorParams(double_click_policy=DoubleClickPolicy.RANDOM_PICK),
-            master_seed=103,
-        ),
-        # n=6 with sampling, decoys and dark counts
-        "9fa936236a075dd36190e018744e8aabe7c898ac27037ed56de3666bae83ae54": SessionConfig(
-            n_stages=6,
-            rounds=1_000,
-            mean_photons_return=0.5,
-            sample_prob=0.2,
-            decoy_prob=0.3,
-            detector=DetectorParams(
-                dark_count_prob=0.01, double_click_policy=DoubleClickPolicy.RANDOM_PICK
-            ),
-            master_seed=104,
-        ),
+    digests = {
+        "keygen": "5c4347f011dda0d2fdb8049cf129a6381399442b0a230fb06be2fd08256c2662",
+        "attack": "3651d57afd7036c246052a14c9cc61e3d58dc828dfe49d11258f36ab76e30b12",
+        "decoy": "be2b457a703a1d345754d57f4d2d3c9f9444c6ea5cf2d3e7bd8deb6e9f64c56e",
+        "n=6": "9fa936236a075dd36190e018744e8aabe7c898ac27037ed56de3666bae83ae54",
     }
-    for digest, cfg in configs.items():
-        stats = run_session(cfg).stats
-        assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
+    for name, cfg in WORKLOAD_CONFIGS.items():
+        assert sha256_of_repr(run_session(cfg).stats) == digests[name], name
+
+
+def philox_rows(cfg):
+    """Every round's row as the retired Philox round stream drew it: keyed by
+    ``SeedSequence(master_seed, spawn_key=(1,)).generate_state(2, np.uint64)``,
+    each row padded to whole counters of four 64-bit outputs."""
+    key = np.random.SeedSequence(cfg.master_seed, spawn_key=(1,)).generate_state(2, np.uint64)
+    width = (cfg.block.pick + 4) // 4 * 4
+    return np.random.Generator(np.random.Philox(key=key)).random((cfg.rounds, width))
+
+
+def test_kernel_on_philox_rows_gives_the_philox_goldens():
+    # the record and stats digests that the goldens above held while the round
+    # stream was Philox: the kernel still gives them on the rows that stream
+    # drew, so a change of those goldens is a change of stream, not of kernel
+    records = {
+        "decoy": "fbff9023e70ca64fc36d0ed0ea04b973eda04458f4e6fc95927452002c4f84a9",
+        "attacked n=4": "436839e3a01f9a5ab587ff09ebf8cd28fd826956c43dac3076b8664692eae500",
+        "n=6": "ab0109c3dfbc83c12a5c6f1c41fcf1159774faf85934a2ed1a0f516878499356",
+    }
+    stats = {
+        "keygen": "5c4347f011dda0d2fdb8049cf129a6381399442b0a230fb06be2fd08256c2662",
+        "attack": "3651d57afd7036c246052a14c9cc61e3d58dc828dfe49d11258f36ab76e30b12",
+        "decoy": "be2b457a703a1d345754d57f4d2d3c9f9444c6ea5cf2d3e7bd8deb6e9f64c56e",
+        "n=6": "9fa936236a075dd36190e018744e8aabe7c898ac27037ed56de3666bae83ae54",
+    }
+    for name, cfg in DECOY_RECORD_CONFIGS.items():
+        columns = dpsqkd.session._run_chunk(cfg, cfg.phase_tables, philox_rows(cfg))
+        assert sha256_of_repr(dpsqkd.session._records(cfg, columns)) == records[name], name
+    for name, cfg in WORKLOAD_CONFIGS.items():
+        columns = dpsqkd.session._run_chunk(cfg, cfg.phase_tables, philox_rows(cfg))
+        assert sha256_of_repr(session_stats(columns, cfg)) == stats[name], name
 
 
 def test_phase_table_bytes_golden():
