@@ -49,13 +49,13 @@ It gives a :class:`RoundColumns`; :func:`session_stats` reduces it, a
 :class:`RoundRecord` per round is built only when ``SessionResult.records``
 is read, and :func:`run_round` runs one row as a chunk of one.
 
-Stream contract. All of a session's rounds read one counter-based stream,
-``np.random.Philox`` keyed by ``SeedSequence(master_seed,
-spawn_key=(1,)).generate_state(2, np.uint64)``. Round i owns the W
-uniforms (``Generator.random``, one 64-bit output each) that start at
-counter i * W / 4, W a multiple of 4. With n stages, G = 2^n + 3 gate slots
-(0 .. 2^n + 2) and C = 5 + 2^(n-1), every draw has a fixed position in the
-round's row u, whether or not the round uses it:
+Stream contract. All of a session's rounds read one stream,
+``np.random.PCG64`` seeded with ``SeedSequence(master_seed,
+spawn_key=(1,))``. Round i owns the W uniforms (``Generator.random``, one
+64-bit output each) that start at output i * W, W = C + 2G + 1. With n
+stages, G = 2^n + 3 gate slots (0 .. 2^n + 2) and C = 5 + 2^(n-1), every
+draw has a fixed position in the round's row u, whether or not the round
+uses it:
 
 * u[0], u[1], u[2], u[3]: Alice's key phase, Bob's phase, the check phase
   and the decoy phase;
@@ -65,12 +65,12 @@ round's row u, whether or not the round uses it:
   column 0 is D1 (key) or D3 (check), column 1 is D2 or D4, since a round
   is either sampled or keyed; the detectors are gated on slots 1 .. 2^n + 1,
   so the positions of gate slots 0 and 2^n + 2 are reserved and never read;
-* u[C + 2G]: the double-click pick, clicks[int(u * len(clicks))];
-* the rest, up to W = 4 * ceil((C + 2G + 1) / 4), is padding.
+* u[C + 2G]: the double-click pick, clicks[int(u * len(clicks))], the
+  row's last uniform.
 
 A session draws its rows as arrays of at most 2^15 uniforms (one row at a
 time when a row is longer); ``round_uniforms`` draws one round's row alone
-by advancing the counter.
+after ``PCG64.advance(i * W)``, which jumps ahead in O(log i) steps.
 Both read the same numbers, so a round run alone equals the same round in
 its session, and two sessions with the same config are bit-identical.
 QBER disclosure draws from spawn key (2, 0) (``_STATS_STREAM``), and the
@@ -202,8 +202,8 @@ class SessionConfig:
         gated = 2**self.n_stages + 3
         column0 = _DECOYS + 2 ** (self.n_stages - 1)
         pick = column0 + 2 * gated
-        # whole Philox counters of 4 outputs, so row i starts at counter i * width / 4
-        width = (pick + 4) // 4 * 4
+        # the pick is a row's last uniform; row i starts at output i * width of the stream
+        width = pick + 1
         return RoundBlock((column0, column0 + gated), pick, width, max(1, _CHUNK_UNIFORMS // width))
 
     @property
@@ -703,10 +703,9 @@ def _records(
     return tuple(records)
 
 
-def _round_stream(master_seed: int) -> np.random.Philox:
-    """The session's round stream at counter 0 (module docstring)."""
-    key = np.random.SeedSequence(master_seed, spawn_key=(_ROUND_STREAM,))
-    return np.random.Philox(key=key.generate_state(2, np.uint64))
+def _round_stream(master_seed: int) -> np.random.PCG64:
+    """The session's round stream at its first output (module docstring)."""
+    return np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(_ROUND_STREAM,)))
 
 
 def _check_round(
@@ -734,7 +733,7 @@ def round_uniforms(config: SessionConfig, round_index: int) -> list[float]:
     _check_round(config, round_index)
     width = config.block.width
     stream = _round_stream(config.master_seed)
-    stream.advance(int(round_index) * width // 4)
+    stream.advance(int(round_index) * width)
     return np.random.Generator(stream).random(width).tolist()
 
 
