@@ -544,22 +544,34 @@ def test_rounds_are_order_independent_under_attack():
     assert any(r.eve_phase is not None for r in records)
 
 
-@pytest.mark.parametrize("n", [1, 6])
+@pytest.mark.parametrize("n", [1, 2, 6, MAX_STAGES])
 def test_round_uniforms_equal_the_chunked_session_rows(n):
     # first and last round of the first chunk, first round of the second and
-    # the last round of the session, which falls in a partial chunk
+    # the last round of the session, which falls in a partial chunk; at
+    # MAX_STAGES a row is longer than 2^15 uniforms and every chunk one row
     probe = SessionConfig(n_stages=n, master_seed=21)
     chunk = probe.block.chunk_rounds
-    cfg = replace(probe, rounds=2 * chunk + chunk // 2)
+    last = max(1, chunk // 2)
+    cfg = replace(probe, rounds=2 * chunk + last)
     chunks = list(session_uniforms(cfg))
-    assert [len(rows) for rows in chunks] == [chunk, chunk, chunk // 2]
-    assert all(rows.size <= 2**15 for rows in chunks)
+    assert [len(rows) for rows in chunks] == [chunk, chunk, last]
+    assert all(rows.size <= 2**15 or len(rows) == 1 for rows in chunks)
     rows = np.concatenate(chunks)
     assert len(rows) == cfg.rounds
     for i in (0, chunk - 1, chunk, cfg.rounds - 1):
         assert round_uniforms(cfg, i) == rows[i].tolist()
     # a numpy integer index advances the stream like a Python int
     assert round_uniforms(cfg, np.int64(chunk)) == rows[chunk].tolist()
+
+
+def test_round_uniforms_far_ahead_are_one_contiguous_draw():
+    # rows 2^40 and 2^40 + 1 are the 2W outputs that follow 2^40 rows of W
+    cfg = SessionConfig(master_seed=22)
+    width, i = cfg.block.width, 2**40
+    stream = np.random.PCG64(np.random.SeedSequence(22, spawn_key=(1,)))
+    stream.advance(i * width)
+    draw = np.random.Generator(stream).random(2 * width).tolist()
+    assert round_uniforms(cfg, i) + round_uniforms(cfg, i + 1) == draw
 
 
 ROUND_COLUMN_DTYPES = {
