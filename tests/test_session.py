@@ -568,7 +568,7 @@ def test_round_uniforms_far_ahead_are_one_contiguous_draw():
     # rows 2^40 and 2^40 + 1 are the 2W outputs that follow 2^40 rows of W
     cfg = SessionConfig(master_seed=22)
     width, i = cfg.block.width, 2**40
-    stream = np.random.PCG64(np.random.SeedSequence(22, spawn_key=(1,)))
+    stream = np.random.PCG64(np.random.SeedSequence(cfg.master_seed, spawn_key=(1,)))
     stream.advance(i * width)
     draw = np.random.Generator(stream).random(2 * width).tolist()
     assert round_uniforms(cfg, i) + round_uniforms(cfg, i + 1) == draw
