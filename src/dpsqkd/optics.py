@@ -45,7 +45,6 @@ _MAX_AMPLITUDE = math.sqrt(np.finfo(float).max)
 #: Jones vector as a plain (complex, complex) pair; horizontal by default.
 Jones = tuple[complex, complex]
 H_POL: Jones = (1 + 0j, 0j)
-V_POL: Jones = (0j, 1 + 0j)
 
 
 def unit_jones(p1: complex, p2: complex) -> Jones:

@@ -849,48 +849,36 @@ def sift(columns: RoundColumns) -> tuple[np.ndarray, np.ndarray]:
     return columns.key[usable], columns.bit[usable]
 
 
-@dataclass(frozen=True)
-class QberEstimate:
-    """Error rate over a disclosed subset; disclosed bits leave the key."""
-
-    qber: float | None
-    disclosed: int
-    alice_remaining: tuple[int, ...]
-    bob_remaining: tuple[int, ...]
-
-
 def estimate_qber(
-    alice_key,
-    bob_key,
+    alice,
+    bob,
     disclose_fraction: float,
     rng: np.random.Generator,
-) -> QberEstimate:
+) -> tuple[float | None, int]:
     """Compare a random subset of both keys publicly.
 
-    Returns None (no data) rather than 0 for empty keys. The subset size is
-    round(fraction * length), at least one bit for nonempty keys.
+    Returns ``(qber, disclosed)``: the error rate over the disclosed bits and
+    their number, which leave the key. The rate is None (no data) rather than
+    0 for empty keys. The subset size is round(fraction * length), at least
+    one bit for nonempty keys.
     """
-    if len(alice_key) != len(bob_key):
+    if len(alice) != len(bob):
         raise ValueError("keys must have equal length")
     if not 0.0 < disclose_fraction <= 1.0:
         raise ValueError(f"disclose_fraction must be in (0, 1], got {disclose_fraction}")
-    n = len(alice_key)
+    n = len(alice)
     if n == 0:
-        return QberEstimate(None, 0, (), ())
+        return None, 0
     size = min(n, max(1, round(disclose_fraction * n)))
-    disclosed = np.zeros(n, dtype=bool)
-    disclosed[rng.choice(n, size=size, replace=False)] = True
-    alice, bob = np.asarray(alice_key), np.asarray(bob_key)
-    mismatches = int(np.count_nonzero(alice[disclosed] != bob[disclosed]))
-    kept = ~disclosed
-    return QberEstimate(
-        mismatches / size, size, tuple(alice[kept].tolist()), tuple(bob[kept].tolist())
-    )
+    disclosed = rng.choice(n, size=size, replace=False)
+    alice, bob = np.asarray(alice), np.asarray(bob)
+    return int(np.count_nonzero(alice[disclosed] != bob[disclosed])) / size, size
 
 
 @dataclass(frozen=True)
 class SessionStats:
-    """Aggregates over one session's rounds."""
+    """Counts and rates over one session's rounds; the sifted key itself is
+    ``sift(result.columns)``."""
 
     rounds: int
     n_sampled: int
@@ -901,8 +889,6 @@ class SessionStats:
     efficiency: float | None
     edge_fraction: float | None
     sifted_length: int
-    alice_key: tuple[int, ...]
-    bob_key: tuple[int, ...]
     mismatches: int
     qber: float | None
     qber_disclosed: int
@@ -936,19 +922,14 @@ def session_stats(columns: RoundColumns, config: SessionConfig) -> SessionStats:
     check_errors = int(columns.check_errors.sum())
     energy_alarms = count(columns.energy_alarm)
 
-    alice_key, bob_key = sift(columns)
+    alice, bob = sift(columns)
     attacked = _keyed_bits(columns) & (columns.eve >= 0)
     eve_total = count(attacked)
     eve_hits = count(attacked & (columns.eve == columns.key))
 
-    if len(alice_key):
-        est = estimate_qber(
-            alice_key, bob_key, config.disclose_fraction, _stats_rng(config.master_seed)
-        )
-        qber, disclosed = est.qber, est.disclosed
-        final_len = len(est.alice_remaining)
-    else:
-        qber, disclosed, final_len = None, 0, 0
+    qber, disclosed = estimate_qber(
+        alice, bob, config.disclose_fraction, _stats_rng(config.master_seed)
+    )
 
     efficiency = (n_single - n_edge) / n_single if n_single else None
     edge_fraction = n_edge / n_single if n_single else None
@@ -967,13 +948,11 @@ def session_stats(columns: RoundColumns, config: SessionConfig) -> SessionStats:
         n_edge_single=n_edge,
         efficiency=efficiency,
         edge_fraction=edge_fraction,
-        sifted_length=len(alice_key),
-        alice_key=tuple(alice_key.tolist()),
-        bob_key=tuple(bob_key.tolist()),
-        mismatches=count(alice_key != bob_key),
+        sifted_length=len(alice),
+        mismatches=count(alice != bob),
         qber=qber,
         qber_disclosed=disclosed,
-        final_key_length=final_len,
+        final_key_length=len(alice) - disclosed,
         check_rounds_matched=count(columns.check_matched),
         check_compared=check_compared,
         check_errors=check_errors,

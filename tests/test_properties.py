@@ -345,8 +345,8 @@ def fold_stats(records, config: SessionConfig) -> SessionStats:
     check_matched_rounds = check_compared = check_errors = 0
     energy_alarms = 0
     eve_hits = eve_total = 0
-    alice_key: list[int] = []
-    bob_key: list[int] = []
+    alice: list[int] = []
+    bob: list[int] = []
     for r in records:
         if r.energy_alarm:
             energy_alarms += 1
@@ -370,22 +370,20 @@ def fold_stats(records, config: SessionConfig) -> SessionStats:
         # sifting: one usable inner-slot click, untouched by decoys
         if r.decoy_hit or r.bit not in (BitOutcome.BIT0, BitOutcome.BIT1):
             continue
-        alice_key.append(r.alice_bit)
-        bob_key.append(r.bit.value)
+        alice.append(r.alice_bit)
+        bob.append(r.bit.value)
         if r.eve_phase is not None:
             eve_total += 1
             eve_bit = 0 if r.eve_phase.quarter_turns == 0 else 1
             eve_hits += eve_bit == r.alice_bit
 
-    mismatches = sum(1 for a, b in zip(alice_key, bob_key) if a != b)
-    if alice_key:
-        est = estimate_qber(
-            alice_key, bob_key, config.disclose_fraction, _stats_rng(config.master_seed)
+    mismatches = sum(1 for a, b in zip(alice, bob) if a != b)
+    if alice:
+        qber, disclosed = estimate_qber(
+            alice, bob, config.disclose_fraction, _stats_rng(config.master_seed)
         )
-        qber, disclosed = est.qber, est.disclosed
-        final_len = len(est.alice_remaining)
     else:
-        qber, disclosed, final_len = None, 0, 0
+        qber, disclosed = None, 0
 
     efficiency = (n_single - n_edge) / n_single if n_single else None
     edge_fraction = n_edge / n_single if n_single else None
@@ -404,13 +402,11 @@ def fold_stats(records, config: SessionConfig) -> SessionStats:
         n_edge_single=n_edge,
         efficiency=efficiency,
         edge_fraction=edge_fraction,
-        sifted_length=len(alice_key),
-        alice_key=tuple(alice_key),
-        bob_key=tuple(bob_key),
+        sifted_length=len(alice),
         mismatches=mismatches,
         qber=qber,
         qber_disclosed=disclosed,
-        final_key_length=final_len,
+        final_key_length=len(alice) - disclosed,
         check_rounds_matched=check_matched_rounds,
         check_compared=check_compared,
         check_errors=check_errors,
@@ -427,6 +423,12 @@ def test_stats_reductions_equal_the_record_fold(config):
     result = run_session(dataclasses.replace(config, rounds=300))
     folded = fold_stats(result.records, result.config)
     assert repr(result.stats) == repr(folded)
+    # the statistics are counts and rates: no field holds a sequence
+    for field in dataclasses.fields(result.stats):
+        value = getattr(result.stats, field.name)
+        assert value is None or type(value) in (int, float, bool), field.name
+    stats = result.stats
+    assert stats.final_key_length == stats.sifted_length - stats.qber_disclosed
 
 
 @PROPERTY
@@ -438,25 +440,17 @@ def test_stats_reductions_equal_the_record_fold(config):
 def test_estimate_qber_equals_a_plain_loop(pairs, fraction, seed):
     alice = [a for a, _ in pairs]
     bob = [b for _, b in pairs]
-    est = estimate_qber(alice, bob, fraction, np.random.default_rng(seed))
+    qber, disclosed = estimate_qber(alice, bob, fraction, np.random.default_rng(seed))
     n = len(pairs)
     if n == 0:
-        assert (est.qber, est.disclosed, est.alice_remaining, est.bob_remaining) == (
-            None,
-            0,
-            (),
-            (),
-        )
+        assert (qber, disclosed) == (None, 0)
         return
     size = min(n, max(1, round(fraction * n)))
     rng = np.random.default_rng(seed)
-    disclosed = set(rng.choice(n, size=size, replace=False).tolist())
-    mismatches = sum(1 for i in disclosed if alice[i] != bob[i])
-    assert est.qber == mismatches / size
-    assert est.disclosed == size
-    assert est.alice_remaining == tuple(alice[i] for i in range(n) if i not in disclosed)
-    assert est.bob_remaining == tuple(bob[i] for i in range(n) if i not in disclosed)
-    assert all(type(bit) is int for bit in est.alice_remaining + est.bob_remaining)
+    drawn = set(rng.choice(n, size=size, replace=False).tolist())
+    mismatches = sum(1 for i in drawn if alice[i] != bob[i])
+    assert qber == mismatches / size
+    assert disclosed == size
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

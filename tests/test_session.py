@@ -439,16 +439,12 @@ def test_phase_table_memo_is_bounded():
 
 def test_qber_identical_keys():
     rng = np.random.default_rng(0)
-    est = estimate_qber([0, 1] * 50, [0, 1] * 50, 0.5, rng)
-    assert est.qber == 0.0
-    assert est.disclosed == 50
-    assert len(est.alice_remaining) == 50
+    assert estimate_qber([0, 1] * 50, [0, 1] * 50, 0.5, rng) == (0.0, 50)
 
 
 def test_qber_complementary_keys():
     rng = np.random.default_rng(0)
-    est = estimate_qber([0] * 40, [1] * 40, 0.25, rng)
-    assert est.qber == 1.0
+    assert estimate_qber([0] * 40, [1] * 40, 0.25, rng) == (1.0, 10)
 
 
 def test_qber_five_percent_flips():
@@ -457,15 +453,14 @@ def test_qber_five_percent_flips():
     alice = rng.integers(0, 2, n).tolist()
     flips = rng.random(n) < 0.05
     bob = [a ^ int(f) for a, f in zip(alice, flips)]
-    est = estimate_qber(alice, bob, 0.5, rng)  # 1e4 disclosed
-    assert est.disclosed == 10_000
-    assert est.qber == pytest.approx(0.05, abs=0.007)
+    qber, disclosed = estimate_qber(alice, bob, 0.5, rng)
+    assert disclosed == 10_000
+    assert qber == pytest.approx(0.05, abs=0.007)
 
 
 def test_qber_empty_keys_report_no_data():
     rng = np.random.default_rng(0)
-    est = estimate_qber([], [], 0.5, rng)
-    assert est.qber is None and est.disclosed == 0
+    assert estimate_qber([], [], 0.5, rng) == (None, 0)
 
 
 def test_qber_validates_inputs():
@@ -478,9 +473,9 @@ def test_qber_validates_inputs():
 
 def test_qber_disclosure_shrinks_final_key():
     rng = np.random.default_rng(7)
-    est = estimate_qber([0] * 100, [0] * 100, 0.1, rng)
-    assert est.disclosed == 10
-    assert len(est.alice_remaining) == 90 and len(est.bob_remaining) == 90
+    # the disclosed bits leave the key: a session's final key is
+    # sifted_length - qber_disclosed
+    assert estimate_qber([0] * 100, [0] * 100, 0.1, rng) == (0.0, 10)
 
 
 # --- session statistics --------------------------------------------------------
