@@ -233,10 +233,10 @@ def test_decoy_session_records_golden():
 
 def test_workload_stats_golden():
     digests = {
-        "keygen": "ae8ac5c90d66b78420066e994008bd2e407b86aa88b56c85e32ccb20b20eef2b",
-        "attack": "f10003d7156ab900df81ee90467ae61c96ed7cdb1d46cacbc6514b8694728bac",
-        "decoy": "c635b188b15adba358b01d67e4babc5830a2e7dff3a5ab49dafebed0b33c4fa7",
-        "n=6": "ca02b5ea2f6e03635fdd3a0cab4a4e82e7b2082abaa5bd45c1770cf69d2ab594",
+        "keygen": "4c454de81dca409488a76092e890bf815b8ec9390c7b603045cc78aefd3b630f",
+        "attack": "7c2c137d073f03a5090dd0c0f5670a979e2c290d2358c4807cfd039588c909fb",
+        "decoy": "18c428e8b9c48d57e63c774b4f83b0a0139ea2eeb5ff0c78c7fe552c01880208",
+        "n=6": "cd78244865634a12246f2355be7275b24c8cc028531baa3fcd513245c32d3c68",
     }
     for name, cfg in WORKLOAD_CONFIGS.items():
         assert sha256_of_repr(run_session(cfg).stats) == digests[name], name
@@ -253,18 +253,19 @@ def philox_rows(cfg):
 
 def test_kernel_on_philox_rows_gives_the_philox_goldens():
     # the record and stats digests that the goldens above held while the round
-    # stream was Philox: the kernel still gives them on the rows that stream
-    # drew, so a change of those goldens is a change of stream, not of kernel
+    # stream was Philox (the stats ones in the repr of the present fields): the
+    # kernel still gives them on the rows that stream drew, so a change of
+    # those goldens is a change of stream, not of kernel
     records = {
         "decoy": "fbff9023e70ca64fc36d0ed0ea04b973eda04458f4e6fc95927452002c4f84a9",
         "attacked n=4": "436839e3a01f9a5ab587ff09ebf8cd28fd826956c43dac3076b8664692eae500",
         "n=6": "ab0109c3dfbc83c12a5c6f1c41fcf1159774faf85934a2ed1a0f516878499356",
     }
     stats = {
-        "keygen": "5c4347f011dda0d2fdb8049cf129a6381399442b0a230fb06be2fd08256c2662",
-        "attack": "3651d57afd7036c246052a14c9cc61e3d58dc828dfe49d11258f36ab76e30b12",
-        "decoy": "be2b457a703a1d345754d57f4d2d3c9f9444c6ea5cf2d3e7bd8deb6e9f64c56e",
-        "n=6": "9fa936236a075dd36190e018744e8aabe7c898ac27037ed56de3666bae83ae54",
+        "keygen": "93745c6a7b9eca3bb9e135abcc676cac58703f9c548c21089a068d339af017b0",
+        "attack": "e26429f554d6f00bc828377a4b1d3a83777866c0cc186750510a9b13461708b4",
+        "decoy": "54b2bd9b084382ab0490b0276168d1c47c90f1ed14e371246a309e54a2ce7b3c",
+        "n=6": "ffd02496f5be5b4345dab969a39fa38c2440fef6937ff689a342ed5b9e495118",
     }
     for name, cfg in DECOY_RECORD_CONFIGS.items():
         columns = dpsqkd.session._run_chunk(cfg, cfg.phase_tables, philox_rows(cfg))
