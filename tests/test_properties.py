@@ -345,8 +345,8 @@ def fold_stats(records, config: SessionConfig) -> SessionStats:
     check_matched_rounds = check_compared = check_errors = 0
     energy_alarms = 0
     eve_hits = eve_total = 0
-    alice: list[int] = []
-    bob: list[int] = []
+    alice_key: list[int] = []
+    bob_key: list[int] = []
     for r in records:
         if r.energy_alarm:
             energy_alarms += 1
@@ -370,17 +370,17 @@ def fold_stats(records, config: SessionConfig) -> SessionStats:
         # sifting: one usable inner-slot click, untouched by decoys
         if r.decoy_hit or r.bit not in (BitOutcome.BIT0, BitOutcome.BIT1):
             continue
-        alice.append(r.alice_bit)
-        bob.append(r.bit.value)
+        alice_key.append(r.alice_bit)
+        bob_key.append(r.bit.value)
         if r.eve_phase is not None:
             eve_total += 1
             eve_bit = 0 if r.eve_phase.quarter_turns == 0 else 1
             eve_hits += eve_bit == r.alice_bit
 
-    mismatches = sum(1 for a, b in zip(alice, bob) if a != b)
-    if alice:
+    mismatches = sum(1 for a, b in zip(alice_key, bob_key) if a != b)
+    if alice_key:
         qber, disclosed = estimate_qber(
-            alice, bob, config.disclose_fraction, _stats_rng(config.master_seed)
+            alice_key, bob_key, config.disclose_fraction, _stats_rng(config.master_seed)
         )
     else:
         qber, disclosed = None, 0
@@ -402,11 +402,11 @@ def fold_stats(records, config: SessionConfig) -> SessionStats:
         n_edge_single=n_edge,
         efficiency=efficiency,
         edge_fraction=edge_fraction,
-        sifted_length=len(alice),
+        sifted_length=len(alice_key),
         mismatches=mismatches,
         qber=qber,
         qber_disclosed=disclosed,
-        final_key_length=len(alice) - disclosed,
+        final_key_length=len(alice_key) - disclosed,
         check_rounds_matched=check_matched_rounds,
         check_compared=check_compared,
         check_errors=check_errors,
@@ -423,11 +423,11 @@ def test_stats_reductions_equal_the_record_fold(config):
     result = run_session(dataclasses.replace(config, rounds=300))
     folded = fold_stats(result.records, result.config)
     assert repr(result.stats) == repr(folded)
-    # the statistics are counts and rates: no field holds a sequence
-    for field in dataclasses.fields(result.stats):
-        value = getattr(result.stats, field.name)
-        assert value is None or type(value) in (int, float, bool), field.name
     stats = result.stats
+    # the statistics are counts and rates: no field holds a sequence
+    for field in dataclasses.fields(stats):
+        value = getattr(stats, field.name)
+        assert value is None or type(value) in (int, float, bool), field.name
     assert stats.final_key_length == stats.sifted_length - stats.qber_disclosed
 
 
