@@ -25,11 +25,14 @@ probability of every gated slot, lit or empty, dark counts included, in
 dense arrays (:class:`PhaseTables`): the gate is the return train's slots.
 The tables depend only on the fields of the link that they read, never on
 the seed, and a bounded memo shares them read-only between configs.
-Under the intercept-resend attack Eve reads the odd slots and votes: keyed
-slots vote for the key phase, a decoy at 0 votes for 0 and one at pi/2 for
-neither (``channel.eve_key_phase``). The tables hold her guess for every
-key phase, decoy phase and number of decoys; she resends the key train of
-her guess, which the round reads whole.
+Bob's phase moves no slot's energy, so the energy monitor's alarm, whether
+Alice's odd slots are lit and whether Eve reads anything back are one flag
+each per link. Under the intercept-resend attack Eve reads the odd slots
+and votes: keyed slots vote for the key phase, a decoy at 0 votes for 0
+and one at pi/2 for neither (``channel.eve_key_phase``, also the reference
+round's rule). The kernel counts each round's votes from its key phase
+and decoys; Eve resends the key train of her guess, which the round reads
+whole.
 
 The kernel runs a chunk of rounds as array work on their rows of uniforms.
 Each round takes one row of click probabilities from the tables whole: its
@@ -37,14 +40,14 @@ check train, its key train or the key train Eve resent. In a round that
 Eve did not resend, each replaced odd slot s then overwrites, from the
 decoy row, only the four gate positions that read it, gate slots s and
 s + 1 of both detector columns (``_decoy_gate_positions``). The kernel
-compares the probabilities with the click uniforms and reads Eve's guess,
-bits, decoy hits and check scores from the tables by 1-D takes on flat
-indices. A click is one flat index into the chunk's click mask of 2G gate
-positions per round: the index mod 2G is its gate position, a count of
-index // 2G the clicks per round, and their running sum finds the chosen
-click. Decoys (their mask and scatter), Eve's vote, sampling (check
-scores) and random picks (the pick rank) cost per-round work only when
-the config turns them on; dark counts are in the tables and cost none.
+compares the probabilities with the click uniforms and reads bits, decoy
+hits and check scores from the tables by 1-D takes on flat indices. A
+click is one flat index into the chunk's click mask of 2G gate positions
+per round: the index mod 2G is its gate position, a count of index // 2G
+the clicks per round, and their running sum finds the chosen click.
+Decoys (their mask and scatter), Eve's vote, sampling (check scores) and
+random picks (the pick rank) cost per-round work only when the config
+turns them on; dark counts are in the tables and cost none.
 It gives a :class:`RoundColumns`; :func:`session_stats` reduces it, a
 :class:`RoundRecord` per round is built only when ``SessionResult.records``
 is read, and :func:`run_round` runs one row as a chunk of one.
@@ -217,7 +220,7 @@ class SessionConfig:
         and ``eve_kind``. Configs that agree on those share one read-only
         table object, whatever their seed, rounds, sampling, thresholds,
         double-click policy or birefringence; the memo keeps the last
-        ``_phase_tables.cache_info().maxsize`` links (about 26 MiB each at
+        ``_phase_tables.cache_info().maxsize`` links (about 23 MiB each at
         n=16), and the config keeps no reference to them.
         """
         detector = DetectorParams(self.detector.quantum_efficiency, self.detector.dark_count_prob)
@@ -273,6 +276,15 @@ class PhaseTables(NamedTuple):
     gate position g = c * G + k is gate slot k of detector column c, laid
     out like the click columns of a round's row (``SessionConfig.block``).
 
+    Bob's phase sits on the even slots of a train whose slots all have one
+    magnitude, so it moves no slot's energy on the way to Alice and back.
+    Three 0-d flags hold for every Bob phase: ``energy_alarm``, the energy
+    monitor's verdict; ``odd``, whether Alice's odd slots are lit (every one
+    of them is a decoy candidate, or none is); ``eve_reads``, whether Eve
+    reads a phase back and so resends every unsampled round, false with no
+    attack. The kernel counts her vote from the round's key phase and
+    decoys (``channel.eve_key_phase``).
+
     ``signal[b, r, g]`` is the final click probability of gate position g
     in train r (rows ``_CHECK_ROWS`` + check index, ``_TURN_ROWS`` + quarter
     turns on the odd slots), dark counts included, for every gated slot
@@ -283,16 +295,9 @@ class PhaseTables(NamedTuple):
     ``decoy_of[k]`` (2^(n-1) when slot k reads no odd slot that Alice can
     replace), so a decoy round takes the row of its key phase and
     overwrites the gate positions that read a replaced odd slot from the
-    row of its decoy phase.
-
-    ``eve[b, i, d, m]`` is Eve's guess, an index into ``KEY_PHASES``, when
-    Alice's key index is i and m of her odd slots carry decoy phase d
-    quarter turns (m = 0 gives i); it is -1 where Eve resends nothing (no
-    attack, or nothing came back to her). Only such rounds read the decoy
-    row (1 quarter turn), so it is filled only when ``decoy_prob`` > 0 and
-    ``eve[b]`` holds a -1. ``odd[b, j]`` marks the odd slots 2j + 1 of
-    Alice's train (the decoy candidates), ``energy_alarm[b]`` the energy
-    monitor's verdict.
+    row of its decoy phase (1 quarter turn). Only rounds Eve does not
+    resend read that row, so it is filled only when ``decoy_prob`` > 0 and
+    ``eve_reads`` is false.
     ``bit[b, g]`` is the ``RoundColumns.bit`` code of a D1/D2 click at g
     (``infer_bit``); ``check_matched[b, i]`` says whether check index i
     scores against Bob's phase, and ``check_compared`` and ``check_error``
@@ -302,8 +307,8 @@ class PhaseTables(NamedTuple):
 
     energy_alarm: np.ndarray
     odd: np.ndarray
+    eve_reads: np.ndarray
     signal: np.ndarray
-    eve: np.ndarray
     decoy_of: np.ndarray
     bit: np.ndarray
     check_matched: np.ndarray
@@ -317,7 +322,7 @@ Branches = tuple[tuple[Detector, PulseTrain], tuple[Detector, PulseTrain]]
 
 # ``configs/experiments.json`` runs 7 distinct links, and a smaller memo would
 # evict links that recur within one ``dps-qkd`` run; at n=16 an entry holds
-# about 26 MiB (1.6 MiB at n=12)
+# about 23 MiB (1.4 MiB at n=12)
 @lru_cache(maxsize=8)
 def _phase_tables(config: SessionConfig) -> PhaseTables:
     """Bob's preparation, the forward leg, Alice's station and the return
@@ -325,38 +330,23 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
     read-only since sessions share them."""
     n = config.n_stages
     gated = 2**n + 3
-    half = 2 ** (n - 1)
-    shape = (len(QUATERNARY), _TRAIN_ROWS, 2 * gated)
-    signal = np.zeros(shape)
-    energy_alarm = np.zeros(len(QUATERNARY), dtype=bool)
-    odd = np.zeros((len(QUATERNARY), half), dtype=bool)
-    eve = np.full((len(QUATERNARY), len(KEY_PHASES), len(CHECK_PHASES), half + 1), -1, np.int8)
+    signal = np.zeros((len(QUATERNARY), _TRAIN_ROWS, 2 * gated))
     for b, bob_phase in enumerate(QUATERNARY):
         cascade = CascadeConfig(n, bob_phase)
-        prepared, sent, train, energy_alarm[b] = _forward_leg(config, cascade)
+        prepared, sent, train, energy_alarm = _forward_leg(config, cascade)
         # the (detector, train) branches of every row of the tables
         by_row = {
             _CHECK_ROWS + i: alice_check_ports(train, phase) for i, phase in enumerate(CHECK_PHASES)
         }
         attenuated = attenuate(train, config.mean_photons_return)
         odd_in_train = odd_slots(attenuated)
-        odd[b, np.array(odd_in_train, dtype=np.intp) // 2] = True
-        for i, phase in enumerate(KEY_PHASES):
-            branches, eve_phase = _return_leg(
+        for phase in KEY_PHASES:
+            by_row[_TURN_ROWS + phase.quarter_turns], eve_phase = _return_leg(
                 config, cascade, prepared, sent, alice_encode(attenuated, phase)
             )
-            by_row[_TURN_ROWS + phase.quarter_turns] = branches
-            if eve_phase is None:
-                continue
-            # Eve's vote when m = 0, 1, .. of the odd slots carry decoy phase d
-            m = np.arange(len(odd_in_train) + 1)
-            for d, decoy_phase in enumerate(CHECK_PHASES):
-                votes = [0, 0, 0, 0]
-                votes[phase.quarter_turns] = len(odd_in_train) - m
-                votes[decoy_phase.quarter_turns] += m
-                eve[b, i, d, : len(m)] = eve_key_phase(votes)
         # only rounds where Eve resends nothing read the decoy row
-        if config.decoy_prob > 0.0 and (eve[b] < 0).any():
+        eve_reads = eve_phase is not None
+        if config.decoy_prob > 0.0 and not eve_reads:
             decoy_train = alice_encode(attenuated, PHASE_0, odd_in_train, PHASE_90)
             by_row[_TURN_ROWS + PHASE_90.quarter_turns], _ = _return_leg(
                 config, cascade, prepared, sent, decoy_train
@@ -401,11 +391,12 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
         dtype=bool,
     )[:, :, :, classes]
     checks = (len(QUATERNARY), len(CHECK_PHASES), 2 * gated)
+    # Bob's phase moves no slot's energy, so the last one's flags are the link's
     tables = PhaseTables(
-        energy_alarm=energy_alarm,
-        odd=odd,
+        energy_alarm=np.array(energy_alarm),
+        odd=np.array(bool(odd_in_train)),
+        eve_reads=np.array(eve_reads),
         signal=signal,
-        eve=eve,
         decoy_of=_decoy_of(n),
         bit=bit.reshape(len(QUATERNARY), 2 * gated),
         check_matched=scores[:, :, 0, 0, 0],
@@ -510,47 +501,43 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
     block, m = config.block, len(u)
     gated = block.columns[1] - block.columns[0]
     width = 2 * gated  # gate positions per round
+    half = 2 ** (config.n_stages - 1)  # Alice's odd slots
     key = (u[:, 0] * 2).astype(np.int8)
     bob = (u[:, 1] * 4).astype(np.intp)
     check = (u[:, 2] * 2).astype(np.int8)
     sampled = u[:, _SAMPLE] < config.sample_prob
     with_decoys = config.decoy_prob > 0.0
-    attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
 
-    # Eve's guess is ``tables.eve[bob, key, turns, count]``, and ``vote`` the flat offset
-    # of (turns, count): with no decoy, all vote for the key, (0, 0)
-    n_decoys, decoy_slots, vote = np.zeros(m, np.int32), np.zeros(0, np.int32), 0
+    n_decoys, decoy_slots = np.zeros(m, np.int32), np.zeros(0, np.int32)
     if with_decoys:
-        half = tables.odd.shape[1]
         decoy_turns = (u[:, 3] * 2).astype(np.intp)  # CHECK_PHASES[i] is i quarter turns
-        # Alice's odd slots in each round, none in a sampled round (the last row)
-        odd = np.zeros((len(QUATERNARY) + 1, half), dtype=bool)
-        odd[:-1] = tables.odd
-        decoys = odd.take(np.where(sampled, len(QUATERNARY), bob), axis=0)
-        decoys &= u[:, _DECOYS : _DECOYS + half] < config.decoy_prob
+        # Alice's lit odd slots, none in a sampled round
+        decoys = u[:, _DECOYS : _DECOYS + half] < config.decoy_prob
+        decoys &= ~sampled[:, None] & tables.odd
         flat = np.flatnonzero(decoys)  # round r's odd slot 2j + 1 at r * half + j
         decoy_round = flat // half
         slots = 2 * (flat - decoy_round * half) + 1
         n_decoys = np.bincount(decoy_round, minlength=m).astype(np.int32)
         decoy_slots = slots.astype(np.int32)
-        vote = decoy_turns * (half + 1) + n_decoys
     eve, resent = np.full(m, -1, dtype=np.int8), key
-    if attack:
-        guess = tables.eve.take((bob * len(KEY_PHASES) + key) * tables.eve[0, 0].size + vote)
-        eve = np.where(sampled, -1, guess)
-        resent = np.where(eve >= 0, eve, key)
+    if tables.eve_reads:
+        # Eve reads all of Alice's odd slots: the keyed ones vote for the key
+        # phase (KEY_PHASES[i] is 2i turns), each decoy for its decoy phase
+        turns = np.arange(len(QUATERNARY))[:, None]
+        votes = (turns == 2 * key) * (half - n_decoys)
+        if with_decoys:
+            votes += (turns == decoy_turns) * n_decoys
+        eve = np.where(sampled, -1, eve_key_phase(votes)).astype(np.int8)
+        resent = np.where(sampled, key, eve)
 
     # every round reads one row of the tables: the check train of a sampled round,
     # else the key train (KEY_PHASES[i] is 2i turns) or the one Eve resent
     signal = tables.signal.reshape(-1, width)
     rows = bob * _TRAIN_ROWS + np.where(sampled, _CHECK_ROWS + check, _TURN_ROWS + 2 * resent)
     p = signal.take(rows, axis=0)
-    if with_decoys:
+    if with_decoys and not tables.eve_reads:
         # the gate positions that read a replaced odd slot read the decoy train
-        # instead, except in the rounds that Eve resent
-        if attack:
-            kept = eve.take(decoy_round) < 0
-            decoy_round, slots = decoy_round[kept], slots[kept]
+        # instead; where Eve reads, she resends every unsampled round whole
         decoy_rows = bob * _TRAIN_ROWS + _TURN_ROWS + decoy_turns
         reading = _decoy_gate_positions(gated)
         into = (decoy_round * width + slots)[:, None] + reading
@@ -595,7 +582,7 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
         bob=bob.astype(np.int8),
         check=check,
         sampled=sampled,
-        energy_alarm=tables.energy_alarm.take(bob),
+        energy_alarm=np.full(m, tables.energy_alarm),
         n_clicks=n_clicks.astype(np.int32),
         clicks=clicks.astype(np.int32),
         bit=bit,

@@ -9,7 +9,9 @@ against a fold over the record view (``fold_stats`` below). Faraday
 compensation is also checked at the protocol level: a session's records do
 not depend on the birefringence mode. The memoized phase tables of a config
 equal a fresh build of them, also right after the tables of a link that
-differs in one field they read.
+differs in one field they read. Bob's phase changes none of what the
+tables keep once per link: the slot energies reaching Alice, her energy
+monitor, her lit odd slots and the phase Eve reads back.
 
 It also checks that every real-valued config field takes a float or names
 itself in a ValueError, whatever value it is given, and that
@@ -28,24 +30,33 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpsqkd.channel import BirefringenceMode, ChannelParams, EveKind, random_unitary
+from dpsqkd.channel import (
+    BirefringenceMode,
+    ChannelParams,
+    EveKind,
+    eve_key_phase,
+    random_unitary,
+)
 from dpsqkd.optics import (
     _MAX_AMPLITUDE,
     ClickEvent,
     DetectorParams,
     DoubleClickPolicy,
     PulseTrain,
+    attenuate,
     click_probabilities,
     faraday_reflect,
     jones_apply,
     mzi_pass,
     unit_jones,
 )
-from dpsqkd.phases import KEY_PHASES, QUATERNARY, QuantizedPhase
+from dpsqkd.phases import CHECK_PHASES, KEY_PHASES, QUATERNARY, QuantizedPhase
 from dpsqkd.session import (
     SessionConfig,
     SessionStats,
+    _forward_leg,
     _phase_tables,
+    _return_leg,
     estimate_qber,
     reference_round,
     round_uniforms,
@@ -60,6 +71,7 @@ from dpsqkd.stations import (
     bob_measure,
     bob_prepare,
     infer_bit,
+    odd_slots,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -243,6 +255,21 @@ decoy_session_configs = st.builds(
     ),
     0,
 )
+@example(
+    # Alice's odd slots are lit, but at 40 dB nothing comes back to Eve:
+    # she resends nothing, and the decoys read the decoy row
+    SessionConfig(
+        n_stages=3,
+        rounds=1,
+        mean_photons_return=1e-320,
+        sample_prob=0.0,
+        decoy_prob=0.3,
+        detector=DetectorParams(dark_count_prob=0.02),
+        channel=ChannelParams(loss_db=40.0),
+        eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
+    ),
+    0,
+)
 def test_decoy_rounds_equal_field_level_rounds(config, first_round):
     # decoy rounds gather their tables per slot or follow Eve's vote; the
     # reference runs their optics
@@ -330,6 +357,58 @@ def test_sessions_with_every_odd_slot_replaced_and_clicks(eve_kind, policy):
     inner = (columns.bit == 0) | (columns.bit == 1)
     assert inner.any()
     assert (columns.decoy_hit == inner).all()
+
+
+#: links whose return train is lit, subnormal or empty, with energy monitors
+#: that trip on rounding and on loss
+forward_configs = st.builds(
+    lambda n, eve, mu, loss, tolerance: SessionConfig(
+        n_stages=n,
+        mean_photons_return=mu,
+        energy_tolerance=tolerance,
+        channel=ChannelParams(loss_db=loss),
+        eve_kind=eve,
+    ),
+    st.integers(1, 8),
+    st.sampled_from(EveKind),
+    st.sampled_from((0.0, 5e-324, 1e-320, 1e-300, 0.1, 0.8)),
+    st.one_of(st.sampled_from((0.0, 40.0)), st.floats(0.0, 40.0)),
+    st.sampled_from((0.05, 0.0)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    forward_configs,
+    st.sampled_from(KEY_PHASES),
+    st.sampled_from(CHECK_PHASES),
+    st.integers(0, 2**128 - 1),
+)
+def test_bob_phase_changes_no_energy_alarm_odd_slot_or_eve_phase(
+    config, key_phase, decoy_phase, decoy_bits
+):
+    # Bob's phase sits on even slots of equal magnitude: the slot energies
+    # reaching Alice, her monitor, her lit odd slots and Eve's reading are
+    # the same for every Bob phase, which is why the phase tables keep one
+    # flag of each per link and the kernel counts Eve's vote without it
+    seen = set()
+    for bob_phase in QUATERNARY:
+        cascade = CascadeConfig(config.n_stages, bob_phase)
+        prepared, sent, train, alarm = _forward_leg(config, cascade)
+        attenuated = attenuate(train, config.mean_photons_return)
+        odd = odd_slots(attenuated)
+        decoys = [s for s in odd if decoy_bits >> (s // 2) & 1]
+        encoded = alice_encode(attenuated, key_phase, decoys, decoy_phase)
+        _, eve_phase = _return_leg(config, cascade, prepared, sent, encoded)
+        seen.add((train.energies.tobytes(), alarm, odd, eve_phase))
+        if eve_phase is not None:
+            # she reads every odd slot Alice holds, as the kernel's vote assumes
+            assert len(odd) == 2 ** (config.n_stages - 1)
+            votes = [0, 0, 0, 0]
+            votes[key_phase.quarter_turns] += len(odd) - len(decoys)
+            votes[decoy_phase.quarter_turns] += len(decoys)
+            assert eve_phase is KEY_PHASES[eve_key_phase(votes)]
+    assert len(seen) == 1
 
 
 def _stats_rng(master_seed: int) -> np.random.Generator:
