@@ -276,39 +276,54 @@ def test_kernel_on_philox_rows_gives_the_philox_goldens():
 
 
 def test_phase_table_bytes_golden():
-    # every table array, dtype, shape and bytes, built without the memo: the
-    # goldens above stop at n=6 sessions, these pin the optics up to n=16
+    # the arrays over Bob's phase, dtype, shape and bytes, built without the
+    # memo, and the per-link (energy_alarm, odd, eve_reads) flags: the goldens
+    # above stop at n=6 sessions, these pin the optics up to n=16
     configs = {
-        "743952125d126d5a5a60c615eeceebe6f480955554f9df76696a99cc8ef76d78": SessionConfig(
-            n_stages=1
+        "9e8467d5eaf1228cb503dfeed9859c8757242128877b6bb2feafd3213520addf": (
+            (False, True, False),
+            SessionConfig(n_stages=1),
         ),
-        "e0df21243b848145c3ce1cbeb9230310a288687b7a99c9ee88817de259c05b1b": SessionConfig(
-            n_stages=3,
-            eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
-            detector=DetectorParams(dark_count_prob=0.01),
-            channel=ChannelParams(loss_db=3.0),
+        "e9f487eb61926ae535d6f364b7b5f4b1447a6d73c9bb65a0fada516328e642f0": (
+            (False, True, True),
+            SessionConfig(
+                n_stages=3,
+                eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
+                detector=DetectorParams(dark_count_prob=0.01),
+                channel=ChannelParams(loss_db=3.0),
+            ),
         ),
         # return slots occupied but with an energy that underflows to zero
-        "7ff1f7ebbae269a9786a8e49ccc798878aa7ef8d99858bfd424e70398c44fa16": SessionConfig(
-            n_stages=8, decoy_prob=0.3, mean_photons_return=5e-324
+        "153565daaa5b03e1ead0f9e84133388a4d217df1355aad61e378e5e02ab575ff": (
+            (False, True, False),
+            SessionConfig(n_stages=8, decoy_prob=0.3, mean_photons_return=5e-324),
         ),
-        "8cf5ab351b5cdb3e4af956b75b1b63179f783bb0ed80d03a1c914ec86a1bec6f": SessionConfig(
-            n_stages=12, decoy_prob=0.3
+        "1b99804e1cd999d8e118c65ee5c88e9661f92700319d0ce8785fad138a18f659": (
+            (False, True, False),
+            SessionConfig(n_stages=12, decoy_prob=0.3),
         ),
-        # the attacked link of the CI's n=16 sessions, the largest Eve table
-        "9e4823c555cafc41185ea92073e09ff226142535f73be686a65f3aaa7927d805": SessionConfig(
-            n_stages=16,
-            decoy_prob=0.3,
-            eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
-            detector=DetectorParams(dark_count_prob=0.01),
+        # the attacked link of the CI's n=16 sessions
+        "f53d50a467c709f6b7c8cdddec1cdb063d75c1cbe1601a65b55a0feb496b1726": (
+            (False, True, True),
+            SessionConfig(
+                n_stages=16,
+                decoy_prob=0.3,
+                eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
+                detector=DetectorParams(dark_count_prob=0.01),
+            ),
         ),
     }
-    for digest, cfg in configs.items():
+    for digest, (flags, cfg) in configs.items():
+        tables = dpsqkd.session._phase_tables.__wrapped__(cfg)
         h = hashlib.sha256()
-        for array in dpsqkd.session._phase_tables.__wrapped__(cfg):
+        for name in ("signal", "decoy_of", "bit", "check_matched", "check_compared", "check_error"):
+            array = getattr(tables, name)
             h.update(f"{array.dtype.str}{array.shape}".encode())
             h.update(array.tobytes())
         assert h.hexdigest() == digest
+        per_link = (tables.energy_alarm, tables.odd, tables.eve_reads)
+        assert [(a.dtype, a.shape) for a in per_link] == [(np.dtype(bool), ())] * 3
+        assert tuple(bool(a) for a in per_link) == flags
 
 
 @pytest.mark.parametrize("eve_kind", list(EveKind))
