@@ -44,9 +44,10 @@ from pathlib import Path
 import numpy as np
 
 from .channel import BirefringenceMode, EveKind
+from .optics import ClickEvent
 from .phases import KEY_PHASES, QUATERNARY
 from .session import SessionConfig, competitor_efficiency, run_session, theoretical_efficiency
-from .stations import CascadeConfig, alice_encode, bob_measure, bob_prepare
+from .stations import CascadeConfig, Detector, alice_encode, bob_measure, bob_prepare, infer_bit
 
 
 class ConfigError(ValueError):
@@ -321,7 +322,7 @@ def _run_truth_table(spec: ExperimentSpec) -> ResultTable:
     slots = list(range(1, 2 ** n + 2))
     norm = 2.0 ** (n + 1)
     rows = []
-    for phase_a in KEY_PHASES:
+    for bit, phase_a in enumerate(KEY_PHASES):
         for phase_b in QUATERNARY:
             cascade = CascadeConfig(n, phase_b)
             encoded = alice_encode(bob_prepare(cascade, 1 + 0j), phase_a)
@@ -329,8 +330,12 @@ def _run_truth_table(spec: ExperimentSpec) -> ResultTable:
             c1 = [abs(d1.amplitude(k)) * norm for k in slots]
             c2 = [abs(d2.amplitude(k)) * norm for k in slots]
             odd_inner_d1 = all(c1[k - 1] > 1e-9 for k in slots[2:-1:2])
-            rule_holds = odd_inner_d1 == (
-                phase_b.doubled().quarter_turns == phase_a.quarter_turns
+            lit = [Detector.D1 if c > 1e-9 else Detector.D2 for c in c1]
+            # every inner slot lights one port, and Bob reads Alice's bit off it
+            rule_holds = all(
+                (c1[k - 1] > 1e-9) != (c2[k - 1] > 1e-9)
+                and infer_bit(ClickEvent(lit[k - 1], k), cascade).value == bit
+                for k in slots[1:-1]
             )
             rows.append(
                 (str(phase_a), str(phase_b), *c1, *c2, odd_inner_d1, rule_holds)

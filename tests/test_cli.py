@@ -254,17 +254,19 @@ def small_spec(tmp_path, name, **overrides):
     return spec
 
 
-def test_truth_table_rows(tmp_path):
-    table = run_experiment(small_spec(tmp_path, "truth_table"))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_truth_table_rows(tmp_path, n):
+    table = run_experiment(small_spec(tmp_path, "truth_table", n_stages=n))
     assert len(table.rows) == 8
     by_phase = {(r[0], r[1]): r for r in table.rows}
     row = by_phase[("0", "0")]
     cols = dict(zip(table.columns, row))
     # both phases zero: inner slots all at D1 with coefficient 2, edges split
-    for k in range(2, 9):
+    last = 2**n + 1
+    for k in range(2, last):
         assert cols[f"d1_t{k}"] == pytest.approx(2.0, abs=1e-9)
         assert cols[f"d2_t{k}"] == pytest.approx(0.0, abs=1e-9)
-    for k in (1, 9):
+    for k in (1, last):
         assert cols[f"d1_t{k}"] == pytest.approx(1.0, abs=1e-9)
         assert cols[f"d2_t{k}"] == pytest.approx(1.0, abs=1e-9)
     assert all(r[-1] is True for r in table.rows)
