@@ -973,13 +973,13 @@ def run_session(config: SessionConfig) -> SessionResult:
 
 def theoretical_efficiency(n: int) -> Fraction:
     """Key-creation efficiency of the n-stage cascade: (2^n - 1) / 2^n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return Fraction(2 ** n - 1, 2 ** n)
 
 
 def competitor_efficiency(n: int) -> Fraction:
     """Reference efficiency n / (n + 1) of the compared n-stage system."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return Fraction(n, n + 1)

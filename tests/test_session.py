@@ -821,11 +821,11 @@ def test_cascade_beats_competitor_for_n_above_one():
     assert theoretical_efficiency(1) == competitor_efficiency(1)
 
 
-def test_efficiency_formulas_reject_bad_n():
-    with pytest.raises(ValueError):
-        theoretical_efficiency(0)
-    with pytest.raises(ValueError):
-        competitor_efficiency(0)
+@pytest.mark.parametrize("formula", [theoretical_efficiency, competitor_efficiency])
+@pytest.mark.parametrize("n", [0, -1, 3.0, 2.5, True, "3", None])
+def test_efficiency_formulas_reject_bad_n(formula, n):
+    with pytest.raises(ValueError, match="n must be"):
+        formula(n)
 
 
 # --- config validation ---------------------------------------------------------
