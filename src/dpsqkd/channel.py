@@ -133,8 +133,9 @@ def intercept_backward(
     The reflected substitute differs from the kept ``substitute`` only by
     Alice's modulation, so the phase of every odd slot is read off exactly,
     and :func:`eve_key_phase` turns them into a guess of the key phase.
-    The stored original is re-encoded with that phase and matched in energy
-    to the reflected train, so the legitimate readout sees nothing unusual.
+    The stored original is re-encoded with that phase, matched in energy to
+    the reflected train and sent in its polarization, the one an honest
+    return reaches Bob in, so the legitimate readout sees nothing unusual.
     Returns the resent train and the inferred phase, or the vacuum train and
     None when nothing came back.
     """
@@ -146,4 +147,5 @@ def intercept_backward(
     # reflected slot = sent * (positive real) * exp(-i * modulation)
     turns = np.rint(-np.angle(back[read] / sent[read]) / (math.pi / 2)).astype(np.intp) % 4
     inferred = KEY_PHASES[eve_key_phase(np.bincount(turns, minlength=4))]
-    return attenuate(alice_encode(stored, inferred), reflected.total_energy), inferred
+    resent = alice_encode(PulseTrain(stored.amplitudes, reflected.polarization), inferred)
+    return attenuate(resent, reflected.total_energy), inferred

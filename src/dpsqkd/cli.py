@@ -279,8 +279,10 @@ def _run_attack_demo(spec: ExperimentSpec) -> ResultTable:
 
 
 def _run_birefringence_sweep(spec: ExperimentSpec) -> ResultTable:
-    """One session per birefringence mode, all on one seed: the Faraday
-    mirror compensates the fiber, so the rows differ only in ``mode``."""
+    """One session per birefringence mode, all on one seed. A session never
+    draws a fiber unitary (its tables do not read the mode), so the rows
+    differ only in ``mode``; the Faraday compensation that makes this exact
+    is checked on the reference round's legs, not by this table."""
     rows = []
     seed = _variant_seed(spec, 0)
     for mode in BirefringenceMode:
@@ -293,7 +295,7 @@ def _run_birefringence_sweep(spec: ExperimentSpec) -> ResultTable:
         columns = result.columns
         # detector column 0 is D1 in a keyed round and D3 in a sampled one,
         # column 1 is D2 or D4
-        first = columns.clicks < cfg.block.columns[1] - cfg.block.columns[0]
+        first = columns.clicks < cfg.block.gated
         sampled = np.repeat(columns.sampled, columns.n_clicks)
         stats = result.stats
         rows.append(
@@ -317,9 +319,11 @@ def _run_birefringence_sweep(spec: ExperimentSpec) -> ResultTable:
 
 def _run_truth_table(spec: ExperimentSpec) -> ResultTable:
     """Exact interference coefficients per phase pair, normalized so a
-    non-interfering (edge) slot has magnitude 1."""
+    non-interfering (edge) slot has magnitude 1; ``odd_slots_click_d1`` is
+    None at n=1, where no inner slot is odd."""
     n = spec.base.n_stages
     slots = list(range(1, 2 ** n + 2))
+    odd_inner = slots[2:-1:2]
     norm = 2.0 ** (n + 1)
     rows = []
     for bit, phase_a in enumerate(KEY_PHASES):
@@ -329,7 +333,7 @@ def _run_truth_table(spec: ExperimentSpec) -> ResultTable:
             d1, d2 = bob_measure(encoded, cascade)
             c1 = [abs(d1.amplitude(k)) * norm for k in slots]
             c2 = [abs(d2.amplitude(k)) * norm for k in slots]
-            odd_inner_d1 = all(c1[k - 1] > 1e-9 for k in slots[2:-1:2])
+            odd_inner_d1 = all(c1[k - 1] > 1e-9 for k in odd_inner) if odd_inner else None
             lit = [Detector.D1 if c > 1e-9 else Detector.D2 for c in c1]
             # every inner slot lights one port, and Bob reads Alice's bit off it
             rule_holds = all(

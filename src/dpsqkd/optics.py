@@ -47,14 +47,6 @@ Jones = tuple[complex, complex]
 H_POL: Jones = (1 + 0j, 0j)
 
 
-def unit_jones(p1: complex, p2: complex) -> Jones:
-    """Normalize a Jones vector; rejects the zero vector."""
-    norm = math.sqrt(abs(p1) ** 2 + abs(p2) ** 2)
-    if norm == 0.0:
-        raise ValueError("polarization vector must be nonzero")
-    return (p1 / norm, p2 / norm)
-
-
 def jones_product(matrix: np.ndarray, polarization: Jones) -> Jones:
     """The 2x2 matrix times the Jones vector, unchecked."""
     (u00, u01), (u10, u11) = matrix.tolist()
@@ -257,21 +249,6 @@ def attenuate(train: PulseTrain, target_mean_photons: float) -> PulseTrain:
         raise ValueError("cannot rescale a vacuum train to positive energy")
     scale = math.sqrt(target_mean_photons / energy)
     return PulseTrain(train.amplitudes * scale, train.polarization)
-
-
-def _check_unitary(transform: np.ndarray) -> np.ndarray:
-    u = np.asarray(transform, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"polarization transform must be 2x2, got shape {u.shape}")
-    if np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-10:
-        raise ValueError("polarization transform is not unitary")
-    return u
-
-
-def jones_apply(train: PulseTrain, transform: np.ndarray) -> PulseTrain:
-    """Apply a unitary Jones matrix to the train's polarization."""
-    u = _check_unitary(transform)
-    return PulseTrain(train.amplitudes, jones_product(u, train.polarization))
 
 
 def faraday_reflect(train: PulseTrain) -> PulseTrain:

@@ -207,7 +207,7 @@ class SessionConfig:
         pick = column0 + 2 * gated
         # the pick is a row's last uniform; row i starts at output i * width of the stream
         width = pick + 1
-        return RoundBlock((column0, column0 + gated), pick, width, max(1, _CHUNK_UNIFORMS // width))
+        return RoundBlock(column0, gated, pick, width, max(1, _CHUNK_UNIFORMS // width))
 
     @property
     def phase_tables(self) -> PhaseTables:
@@ -220,7 +220,7 @@ class SessionConfig:
         and ``eve_kind``. Configs that agree on those share one read-only
         table object, whatever their seed, rounds, sampling, thresholds,
         double-click policy or birefringence; the memo keeps the last
-        ``_phase_tables.cache_info().maxsize`` links (about 23 MiB each at
+        ``_phase_tables.cache_info().maxsize`` links (about 22.5 MiB each at
         n=16), and the config keeps no reference to them.
         """
         detector = DetectorParams(self.detector.quantum_efficiency, self.detector.dark_count_prob)
@@ -240,15 +240,22 @@ class SessionConfig:
 class RoundBlock(NamedTuple):
     """The layout of a round's row of uniforms (see the module docstring).
 
-    Gate slot k of detector column c reads position ``columns[c] + k``;
-    ``pick`` is the double-click pick; a row is ``width`` uniforms, and a
-    session draws ``chunk_rounds`` rows per array call.
+    A detector column holds the ``gated`` = 2^n + 3 gate slots, and column
+    0 starts at ``column0``: gate slot k of column c reads position
+    ``columns[c] + k``; ``pick`` is the double-click pick; a row is
+    ``width`` uniforms, and a session draws ``chunk_rounds`` rows per array
+    call.
     """
 
-    columns: tuple[int, int]
+    column0: int
+    gated: int
     pick: int
     width: int
     chunk_rounds: int
+
+    @property
+    def columns(self) -> tuple[int, int]:
+        return (self.column0, self.column0 + self.gated)
 
 
 #: Rows of ``PhaseTables.signal``: the check trains at check phase 0 and
@@ -290,10 +297,8 @@ class PhaseTables(NamedTuple):
     turns on the odd slots), dark counts included, for every gated slot
     (``CascadeConfig.gate``), lit or empty, as ``optics.detect`` reads it;
     it is 0 at the two positions outside the gate, which never click.
-    Decoy rounds need no row of their own:
-    output slot k reads odd slot ``key_slot(k)``, whose decoy index is
-    ``decoy_of[k]`` (2^(n-1) when slot k reads no odd slot that Alice can
-    replace), so a decoy round takes the row of its key phase and
+    Decoy rounds need no row of their own: output slot k reads odd slot
+    ``key_slot(k)``, so a decoy round takes the row of its key phase and
     overwrites the gate positions that read a replaced odd slot from the
     row of its decoy phase (1 quarter turn). Only rounds Eve does not
     resend read that row, so it is filled only when ``decoy_prob`` > 0 and
@@ -309,7 +314,6 @@ class PhaseTables(NamedTuple):
     odd: np.ndarray
     eve_reads: np.ndarray
     signal: np.ndarray
-    decoy_of: np.ndarray
     bit: np.ndarray
     check_matched: np.ndarray
     check_compared: np.ndarray
@@ -322,14 +326,13 @@ Branches = tuple[tuple[Detector, PulseTrain], tuple[Detector, PulseTrain]]
 
 # ``configs/experiments.json`` runs 7 distinct links, and a smaller memo would
 # evict links that recur within one ``dps-qkd`` run; at n=16 an entry holds
-# about 23 MiB (1.4 MiB at n=12)
+# about 22.5 MiB (1.4 MiB at n=12)
 @lru_cache(maxsize=8)
 def _phase_tables(config: SessionConfig) -> PhaseTables:
     """Bob's preparation, the forward leg, Alice's station and the return
     leg for every Bob phase, as the dense arrays of :class:`PhaseTables`,
     read-only since sessions share them."""
-    n = config.n_stages
-    gated = 2**n + 3
+    n, gated = config.n_stages, config.block.gated
     signal = np.zeros((len(QUATERNARY), _TRAIN_ROWS, 2 * gated))
     for b, bob_phase in enumerate(QUATERNARY):
         cascade = CascadeConfig(n, bob_phase)
@@ -397,7 +400,6 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
         odd=np.array(bool(odd_in_train)),
         eve_reads=np.array(eve_reads),
         signal=signal,
-        decoy_of=_decoy_of(n),
         bit=bit.reshape(len(QUATERNARY), 2 * gated),
         check_matched=scores[:, :, 0, 0, 0],
         check_compared=scores[..., 1].reshape(checks),
@@ -406,15 +408,6 @@ def _phase_tables(config: SessionConfig) -> PhaseTables:
     for array in tables:
         array.setflags(write=False)
     return tables
-
-
-def _decoy_of(n: int) -> np.ndarray:
-    """``PhaseTables.decoy_of`` at n stages: the decoy index of the odd slot
-    that gate slot k reads, 2^(n-1) where it reads none (slot 0, the last
-    edge slot and the one after it)."""
-    half = 2 ** (n - 1)
-    read = key_slot(np.arange(2**n + 3)) // 2
-    return np.where((read >= 0) & (read < half), read, half)
 
 
 def _decoy_gate_positions(gated: int) -> np.ndarray:
@@ -499,7 +492,7 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
     every table read a 1-D ``take`` and every click one flat index into the
     chunk's click mask."""
     block, m = config.block, len(u)
-    gated = block.columns[1] - block.columns[0]
+    gated = block.gated
     width = 2 * gated  # gate positions per round
     half = 2 ** (config.n_stages - 1)  # Alice's odd slots
     key = (u[:, 0] * 2).astype(np.int8)
@@ -545,7 +538,7 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
         np.put(p, into, signal.take(source))
 
     # every click as one flat index into the chunk's click mask, in table order
-    flat = np.flatnonzero(u[:, block.columns[0] : block.columns[0] + width] < p)
+    flat = np.flatnonzero(u[:, block.column0 : block.column0 + width] < p)
     by_round = flat // width
     clicks = flat - by_round * width
     n_clicks = np.bincount(by_round, minlength=m)
@@ -562,10 +555,12 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
     bit[picked] = chosen_bit
     decoy_hit = np.zeros(m, dtype=bool)
     if with_decoys:
-        # a chosen inner-slot click (one that reads a key bit) hits a replaced odd slot
+        # a chosen inner-slot click (one that reads a key bit) at gate slot k
+        # reads odd slot key_slot(k), replaced when the round's decoy draw
+        # key_slot(k) // 2 fell below decoy_prob
         inner = chosen_bit != _BITS.index(BitOutcome.DISCARD)
         hit_rounds = picked[inner]
-        read = tables.decoy_of.take(chosen[inner] % gated)
+        read = key_slot(chosen[inner] % gated) // 2
         decoy_hit[hit_rounds] = decoys.take(hit_rounds * half + read)
     check_matched = np.zeros(m, dtype=bool)
     check_compared, check_errors = np.zeros(m, np.int32), np.zeros(m, np.int32)
@@ -634,7 +629,7 @@ def _records(
     config: SessionConfig, columns: RoundColumns, first_index: int = 0
 ) -> tuple[RoundRecord, ...]:
     """The record view of ``columns``, whose first round is ``first_index``."""
-    gated = config.block.columns[1] - config.block.columns[0]
+    gated = config.block.gated
     # a click's code is its gate position, two columns further in a sampled
     # round; one event per code that occurs, shared by the rounds it occurs in
     codes = columns.clicks + 2 * gated * np.repeat(columns.sampled, columns.n_clicks)

@@ -179,6 +179,22 @@ def test_attack_reads_and_replays_alice_key(key_phase, expected_bit):
         assert infer_bit(ClickEvent(lit, k), cfg) is expected_bit
 
 
+def test_attack_resends_in_the_reflected_polarization():
+    # the train Eve resends reaches Bob in the polarization of the one she
+    # took off the fiber, whatever the fiber; Bob's stored train keeps its
+    # prepared polarization, orthogonal to that of an honest return
+    rng = np.random.default_rng(21)
+    prepared = bob_prepare(CascadeConfig(3, PHASE_90), 2.0)
+    to_alice = intercept_forward(prepared)
+    for _ in range(10):
+        u = random_unitary(rng)
+        arriving = fiber_transmit(to_alice, ChannelParams(), u)
+        encoded = alice_encode(attenuate(arriving, 0.3), PHASE_180)
+        reflected = fiber_transmit(faraday_reflect(encoded), ChannelParams(), u.T)
+        to_bob, _ = intercept_backward(reflected, prepared, to_alice)
+        assert to_bob.polarization == reflected.polarization
+
+
 def test_attack_handles_vacuum_return():
     prepared = bob_prepare(CascadeConfig(2, PHASE_0), 1.0)
     substitute = intercept_forward(prepared)

@@ -270,6 +270,16 @@ def test_truth_table_rows(tmp_path, n):
         assert cols[f"d1_t{k}"] == pytest.approx(1.0, abs=1e-9)
         assert cols[f"d2_t{k}"] == pytest.approx(1.0, abs=1e-9)
     assert all(r[-1] is True for r in table.rows)
+    # the odd inner slots are 3, 5, .., 2^n - 1: none at n = 1
+    odd_inner = range(3, last, 2)
+    for r in table.rows:
+        cols = dict(zip(table.columns, r))
+        if n == 1:
+            assert cols["odd_slots_click_d1"] is None
+        else:
+            assert cols["odd_slots_click_d1"] is all(cols[f"d1_t{k}"] > 1e-9 for k in odd_inner)
+    if n > 1:
+        assert {r[-2] for r in table.rows} == {True, False}
 
 
 def test_efficiency_scan_exact_column(tmp_path):
@@ -314,8 +324,9 @@ def test_birefringence_sweep_rows(tmp_path):
 
 
 def test_birefringence_sweep_rows_differ_only_in_mode(tmp_path):
-    # every mode runs on one seed and the Faraday mirror compensates the
-    # fiber, so the sessions agree click for click, checks included
+    # every mode runs on one seed and a session never draws a fiber, so the
+    # sessions agree click for click, checks included; that the mirror
+    # compensates the fiber is checked on the legs in test_properties.py
     spec = small_spec(
         tmp_path, "birefringence_sweep", rounds=600, mean_photons_return=0.5,
         sample_prob=0.2,

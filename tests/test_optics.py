@@ -5,22 +5,24 @@ import sys
 import numpy as np
 import pytest
 
-from dpsqkd.channel import random_unitary
+from dpsqkd.channel import ChannelParams, fiber_transmit, random_unitary
 from dpsqkd.optics import (
+    H_POL,
     DetectorParams,
     PulseTrain,
     attenuate,
     coupler_mix,
     detect,
     faraday_reflect,
-    jones_apply,
+    jones_product,
     mzi_pass,
     phase_modulate,
-    unit_jones,
 )
 from dpsqkd.phases import PHASE_0, PHASE_90, PHASE_180, QuantizedPhase
 
 ISQ2 = 1 / math.sqrt(2)
+#: right-circular: a unit Jones vector with a complex component
+CIRCULAR = (ISQ2 + 0j, 1j * ISQ2)
 
 # the coupler convention as an explicit matrix, used as an independent check
 COUPLER_MATRIX = np.array([[1, 1j], [1j, 1]]) * ISQ2
@@ -145,13 +147,6 @@ def test_train_array_is_read_only_and_empty_slots_read_plus_zero():
         assert type(port.amplitude(2)) is complex and port.amplitude(2) != 0j
 
 
-def test_unit_jones():
-    p = unit_jones(3, 4j)
-    assert abs(abs(p[0]) ** 2 + abs(p[1]) ** 2 - 1) < 1e-12
-    with pytest.raises(ValueError):
-        unit_jones(0, 0)
-
-
 # --- mzi_pass ------------------------------------------------------------
 
 
@@ -274,12 +269,14 @@ def test_attenuate_overflowing_train_fails():
         attenuate(PulseTrain(np.array([m, m])), 1.0)
 
 
-# --- jones_apply / faraday_reflect ---------------------------------------
+# --- the fiber's Jones step / faraday_reflect ----------------------------
+
+LOSSLESS = ChannelParams()
 
 
 def test_jones_identity():
-    train = PulseTrain.from_amplitudes({1: 1.0, 2: 1j}, polarization=unit_jones(1, 1j))
-    out = jones_apply(train, np.eye(2))
+    train = PulseTrain.from_amplitudes({1: 1.0, 2: 1j}, polarization=CIRCULAR)
+    out = fiber_transmit(train, LOSSLESS, np.eye(2))
     for k in (1, 2):
         assert out.amplitude(k) == train.amplitude(k)
     assert out.polarization == train.polarization
@@ -288,26 +285,22 @@ def test_jones_identity():
 def test_jones_rotation_h_to_v():
     rot = np.array([[0, -1], [1, 0]], dtype=complex)  # 90 degree rotation
     train = PulseTrain.single(1, 1.0, polarization=(1 + 0j, 0j))
-    out = jones_apply(train, rot)
+    out = fiber_transmit(train, LOSSLESS, rot)
     p1, p2 = out.polarization
     assert abs(p1) < 1e-12 and abs(abs(p2) - 1) < 1e-12
 
 
 def test_jones_inverse_roundtrip():
     rng = np.random.default_rng(5)
-    train = PulseTrain.from_amplitudes({1: 1.0, 4: 2j}, polarization=unit_jones(1, 2 - 1j))
+    polarization = jones_product(random_unitary(rng), H_POL)
+    train = PulseTrain.from_amplitudes({1: 1.0, 4: 2j}, polarization=polarization)
     for _ in range(20):
         u = random_unitary(rng)
-        back = jones_apply(jones_apply(train, u), u.conj().T)
+        back = fiber_transmit(fiber_transmit(train, LOSSLESS, u), LOSSLESS, u.conj().T)
         assert np.array_equal(back.amplitudes, train.amplitudes)
         pa, pb = back.polarization
         qa, qb = train.polarization
         assert abs(pa - qa) < 1e-10 and abs(pb - qb) < 1e-10
-
-
-def test_jones_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        jones_apply(PulseTrain.single(1, 1.0), np.array([[1, 0], [0, 2]]))
 
 
 def test_faraday_image_of_horizontal():
@@ -321,7 +314,8 @@ def test_faraday_image_is_orthogonal_for_linear_states():
     # the rotation image is orthogonal to every linearly polarized input
     rng = np.random.default_rng(9)
     for _ in range(50):
-        pol = unit_jones(complex(rng.normal()), complex(rng.normal()))
+        angle = rng.uniform(0.0, 2 * math.pi)
+        pol = (complex(math.cos(angle)), complex(math.sin(angle)))
         out = faraday_reflect(PulseTrain.single(1, 1.0, polarization=pol))
         q1, q2 = out.polarization
         inner = pol[0].conjugate() * q1 + pol[1].conjugate() * q2
@@ -333,11 +327,11 @@ def test_faraday_roundtrip_cancels_fiber_unitary():
     # must give a polarization independent of the fiber, up to one global
     # phase; exact because M^T R M = det(M) R for the rotation image R
     rng = np.random.default_rng(11)
-    train = PulseTrain.from_amplitudes({1: 1.0, 2: 1j}, polarization=unit_jones(1, 1j))
+    train = PulseTrain.from_amplitudes({1: 1.0, 2: 1j}, polarization=CIRCULAR)
     reference = faraday_reflect(train)
     for _ in range(100):
         u = random_unitary(rng)
-        out = jones_apply(faraday_reflect(jones_apply(train, u)), u.T)
+        out = fiber_transmit(faraday_reflect(fiber_transmit(train, LOSSLESS, u)), LOSSLESS, u.T)
         assert np.array_equal(out.amplitudes, reference.amplitudes)
         a = np.array(out.polarization)
         b = np.array(reference.polarization)
@@ -350,12 +344,12 @@ def test_plain_reflection_does_not_compensate():
     # dropping the mirror image breaks the cancellation: the round trip
     # then depends on the fiber (this is what the mirror is for)
     rng = np.random.default_rng(13)
-    pol = unit_jones(1, 1j)
+    pol = CIRCULAR
     train = PulseTrain.single(1, 1.0, polarization=pol)
     drifted = 0
     for _ in range(20):
         u = random_unitary(rng)
-        out = jones_apply(jones_apply(train, u), u.T)
+        out = fiber_transmit(fiber_transmit(train, LOSSLESS, u), LOSSLESS, u.T)
         a = np.array(out.polarization)
         b = np.array(pol)
         phase = np.vdot(b, a)

@@ -1,13 +1,14 @@
 """Property tests for the optics invariants: energy conservation per
-interferometer pass, Faraday round-trip invariance, slot energies and click
+interferometer pass, Faraday round-trip invariance (of the fiber's Jones
+step, and of the two legs a reference round runs), slot energies and click
 probabilities bit-for-bit equal to Python's ``abs``, ``**`` and
 ``math.expm1`` per slot, the readout rule, and
 the equivalence of the session kernel with the field-level reference round
 (``session.reference_round``) over drawn session configs, round by round
 and over sessions of several chunks. The kernel's statistics are checked
-against a fold over the record view (``fold_stats`` below). Faraday
-compensation is also checked at the protocol level: a session's records do
-not depend on the birefringence mode. The memoized phase tables of a config
+against a fold over the record view (``fold_stats`` below). A
+session's records do not depend on the birefringence mode, since a session
+never draws a fiber. The memoized phase tables of a config
 equal a fresh build of them, also right after the tables of a link that
 differs in one field they read. Bob's phase changes none of what the
 tables keep once per link: the slot energies reaching Alice, her energy
@@ -35,10 +36,13 @@ from dpsqkd.channel import (
     ChannelParams,
     EveKind,
     eve_key_phase,
+    fiber_transmit,
     random_unitary,
+    round_unitary,
 )
 from dpsqkd.optics import (
     _MAX_AMPLITUDE,
+    H_POL,
     ClickEvent,
     DetectorParams,
     DoubleClickPolicy,
@@ -46,9 +50,8 @@ from dpsqkd.optics import (
     attenuate,
     click_probabilities,
     faraday_reflect,
-    jones_apply,
+    jones_product,
     mzi_pass,
-    unit_jones,
 )
 from dpsqkd.phases import CHECK_PHASES, KEY_PHASES, QUATERNARY, QuantizedPhase
 from dpsqkd.session import (
@@ -79,10 +82,8 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 amplitudes = st.builds(complex, finite, finite)
 sparse_trains = st.dictionaries(st.integers(0, 40), amplitudes, max_size=12)
-jones_vectors = st.tuples(amplitudes, amplitudes).filter(
-    lambda p: abs(p[0]) ** 2 + abs(p[1]) ** 2 > 1e-6
-).map(lambda p: unit_jones(*p))
 haar_unitaries = st.integers(0, 2**32 - 1).map(lambda s: random_unitary(np.random.default_rng(s)))
+jones_vectors = haar_unitaries.map(lambda u: jones_product(u, H_POL))
 
 
 @PROPERTY
@@ -102,7 +103,8 @@ def test_faraday_round_trip_is_fiber_independent(polarization, u):
     # the mirror image of the input up to one global phase, whatever U is
     train = PulseTrain.from_amplitudes({1: 1.0, 2: 1j}, polarization)
     reference = faraday_reflect(train)
-    out = jones_apply(faraday_reflect(jones_apply(train, u)), u.T)
+    fiber = ChannelParams()
+    out = fiber_transmit(faraday_reflect(fiber_transmit(train, fiber, u)), fiber, u.T)
     assert np.array_equal(out.amplitudes, train.amplitudes)
     a, b = np.array(out.polarization), np.array(reference.polarization)
     phase = np.vdot(b, a)
@@ -212,6 +214,39 @@ def test_table_rounds_equal_field_level_rounds(config, first_round):
     for i in range(first_round, first_round + 10):
         u = round_uniforms(config, i)
         assert run_round(config, i, u) == reference_round(config, i, u)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    session_configs,
+    st.integers(0, 2**20),
+    st.sampled_from(QUATERNARY),
+    st.sampled_from(KEY_PHASES),
+)
+def test_round_legs_compensate_every_fiber(config, round_index, bob_phase, key_phase):
+    # the legs reference_round runs, through the fiber of the round's
+    # birefringence mode and through none: the mirror makes the D1/D2 trains
+    # agree slot for slot, and both Eve's resent train and an honest one
+    # reach Bob in the mirror image of the prepared polarization
+    cascade = CascadeConfig(config.n_stages, bob_phase)
+
+    def legs(unitary):
+        prepared, sent, train, alarm = _forward_leg(config, cascade, unitary)
+        encoded = alice_encode(attenuate(train, config.mean_photons_return), key_phase)
+        branches, eve_phase = _return_leg(config, cascade, prepared, sent, encoded, unitary)
+        return prepared, alarm, eve_phase, [port for _, port in branches]
+
+    unitary = round_unitary(config.channel, config.master_seed, round_index)
+    prepared, alarm, eve_phase, ports = legs(unitary)
+    _, bare_alarm, bare_eve_phase, bare_ports = legs(None)
+    assert (alarm, eve_phase) == (bare_alarm, bare_eve_phase)
+    mirrored = np.array(faraday_reflect(prepared).polarization)
+    for port, bare in zip(ports, bare_ports, strict=True):
+        assert np.array_equal(port.energies, bare.energies)
+        a = np.array(port.polarization)
+        phase = np.vdot(mirrored, a)
+        assert abs(abs(phase) - 1) < 1e-10
+        assert np.linalg.norm(a - phase / abs(phase) * mirrored) < 1e-10
 
 
 #: unsampled rounds with decoys: each one takes the kernel's decoy path; the
@@ -535,8 +570,9 @@ def test_estimate_qber_equals_a_plain_loop(pairs, fraction, seed):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(session_configs)
 def test_records_do_not_depend_on_birefringence(config):
-    # the Faraday mirror compensates the fiber for every unitary, so a
-    # session's records are bit-identical under every birefringence mode
+    # a session never draws a fiber (its tables do not read the mode), so its
+    # records are bit-identical under every birefringence mode; the mirror's
+    # compensation is checked on the legs, test_round_legs_compensate_every_fiber
     config = dataclasses.replace(config, rounds=30)
     records = {
         run_session(

@@ -638,6 +638,7 @@ def test_round_block_layout(n):
     cfg = SessionConfig(n_stages=n)
     column0 = 5 + 2 ** (n - 1)
     gated = 2**n + 3
+    assert cfg.block.gated == gated
     assert cfg.block.columns == (column0, column0 + gated)
     assert cfg.block.pick == column0 + 2 * gated
     assert cfg.block.width == cfg.block.pick + 1
@@ -647,22 +648,21 @@ def test_round_block_layout(n):
 @pytest.mark.parametrize("n", range(1, MAX_STAGES + 1))
 def test_decoy_scatter_overwrites_the_gate_positions_that_read_each_odd_slot(n):
     # the kernel's scatter writes a replaced odd slot s at s + these offsets;
-    # they must be the positions whose gate slot k has key_slot(k) == s, that
-    # is decoy_of[k] == j for s = 2j + 1, and no others
-    gated, half = 2**n + 3, 2 ** (n - 1)
-    decoy_of = dpsqkd.session._decoy_of(n)
+    # they must be the positions whose gate slot k has key_slot(k) == s, and
+    # no others
+    gated, half = SessionConfig(n_stages=n).block.gated, 2 ** (n - 1)
     slots = 2 * np.arange(half) + 1
     positions = slots[:, None] + dpsqkd.session._decoy_gate_positions(gated)
     assert (positions // gated == [0, 0, 1, 1]).all()  # both detector columns
     k = positions % gated
     assert (dpsqkd.stations.key_slot(k) == slots[:, None]).all()
-    assert (decoy_of[k] == np.arange(half)[:, None]).all()
-    # every gate slot that reads an odd slot is written: two per slot and column
-    assert np.array_equal(np.bincount(decoy_of, minlength=half + 1)[:half], np.full(half, 2))
+    # every gate slot that reads one of Alice's odd slots is written: two per
+    # slot and column
+    read = dpsqkd.stations.key_slot(np.arange(gated))
+    reads_odd = np.isin(read, slots)
+    assert np.array_equal(np.bincount(read[reads_odd] // 2, minlength=half), np.full(half, 2))
     assert len(np.unique(positions)) == 4 * half
-    if n <= 6:
-        tables = SessionConfig(n_stages=n, decoy_prob=0.3).phase_tables
-        assert np.array_equal(tables.decoy_of, decoy_of)
+    assert np.array_equal(np.unique(k), np.flatnonzero(reads_odd))
 
 
 def test_round_uniforms_golden():

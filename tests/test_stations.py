@@ -10,7 +10,6 @@ from dpsqkd.optics import (
     PulseTrain,
     detect,
     phase_modulate,
-    unit_jones,
 )
 from dpsqkd.phases import (
     KEY_PHASES,
@@ -471,7 +470,7 @@ def test_decoy_keeps_polarization_and_energy():
     # every slot keeps its Jones vector and energy; odd slots carry exactly
     # the key or the decoy modulation, as the returned positions say
     u = np.random.default_rng(2).random(16).tolist()
-    pol = unit_jones(0.6, 0.3 + 0.7j)
+    pol = (0.6 + 0j, 0.48 + 0.64j)  # a unit Jones vector: 0.36 + 0.2304 + 0.4096 = 1
     prepared = bob_prepare(CascadeConfig(5, PHASE_90), 1.0)
     train = PulseTrain.from_amplitudes(
         {k: prepared.amplitude(k) for k in prepared.occupied_slots()}, pol
