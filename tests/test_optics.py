@@ -21,7 +21,7 @@ from dpsqkd.optics import (
 from dpsqkd.phases import PHASE_0, PHASE_90, PHASE_180, QuantizedPhase
 
 ISQ2 = 1 / math.sqrt(2)
-#: right-circular: a unit Jones vector with a complex component
+#: a circular polarization: a unit Jones vector with a complex component
 CIRCULAR = (ISQ2 + 0j, 1j * ISQ2)
 
 # the coupler convention as an explicit matrix, used as an independent check
