@@ -273,11 +273,11 @@ def test_truth_table_rows(tmp_path, n):
     # the odd inner slots are 3, 5, .., 2^n - 1: none at n = 1
     odd_inner = range(3, last, 2)
     for r in table.rows:
-        cols = dict(zip(table.columns, r))
+        cells = dict(zip(table.columns, r))
         if n == 1:
-            assert cols["odd_slots_click_d1"] is None
+            assert cells["odd_slots_click_d1"] is None
         else:
-            assert cols["odd_slots_click_d1"] is all(cols[f"d1_t{k}"] > 1e-9 for k in odd_inner)
+            assert cells["odd_slots_click_d1"] is all(cells[f"d1_t{k}"] > 1e-9 for k in odd_inner)
     if n > 1:
         assert {r[-2] for r in table.rows} == {True, False}
 
