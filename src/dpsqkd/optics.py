@@ -137,7 +137,10 @@ def _enum_field(obj, name: str, enum_type: type[Enum]) -> None:
 def _is_int(value) -> bool:
     """Whether ``value`` is integral but not a bool: the rule for counts,
     seeds, slots and round indices."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # an exact int first, before the slower ABC check
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def _int_field(obj, name: str) -> None:
@@ -157,7 +160,10 @@ def _real_field(
     a finite real value but a bool in [low, high], or in (low, high] with
     ``open_low``, is accepted, anything else is rejected naming the field."""
     value = getattr(obj, name)
-    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+    # an exact float or int first, before the ABC check
+    if type(value) in (float, int) or (
+        not isinstance(value, bool) and isinstance(value, numbers.Real)
+    ):
         try:
             x = float(value)
         except OverflowError:
@@ -220,8 +226,13 @@ def _mzi_ports(amplitudes: np.ndarray, delay_slots: int, long_arm_phase):
     if delay_slots < 1:
         raise ValueError(f"delay_slots must be >= 1, got {delay_slots}")
     f = long_arm_phase.factor
-    short = np.concatenate([amplitudes, np.zeros(delay_slots)])
-    long = np.concatenate([np.zeros(delay_slots), amplitudes])
+    # each arm is the input padded with delay_slots empty slots, after it on
+    # the short arm and before it on the long one
+    size = len(amplitudes)
+    short = np.zeros(size + delay_slots, np.complex128)
+    long = np.zeros(size + delay_slots, np.complex128)
+    short[:size] = amplitudes
+    long[delay_slots:] = amplitudes
     return coupler_mix(short * _INV_SQRT2, f * (1j * long * _INV_SQRT2))
 
 

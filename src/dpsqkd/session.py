@@ -215,26 +215,31 @@ class SessionConfig:
         with the field-level functions.
 
         The tables read only the link: ``n_stages``, the two mean photon
-        numbers, ``energy_tolerance``, whether ``decoy_prob`` > 0, the
+        numbers, whether ``decoy_prob`` > 0, ``energy_tolerance``, the
         detector's efficiency and dark-count probability, the channel's loss
-        and ``eve_kind``. Configs that agree on those share one read-only
-        table object, whatever their seed, rounds, sampling, thresholds,
-        double-click policy or birefringence; the memo keeps the last
+        and ``eve_kind``. The memo is looked up by the tuple of those fields,
+        and a config of the link alone is built only when the memo misses.
+        Configs that agree on them share one read-only table object, whatever
+        their seed, rounds, sampling, thresholds, double-click policy or
+        birefringence; the memo keeps the last
         ``_phase_tables.cache_info().maxsize`` links (about 22.5 MiB each at
         n=16), and the config keeps no reference to them.
         """
-        detector = DetectorParams(self.detector.quantum_efficiency, self.detector.dark_count_prob)
-        link = SessionConfig(
-            n_stages=self.n_stages,
-            source_mean_photons=self.source_mean_photons,
-            mean_photons_return=self.mean_photons_return,
-            decoy_prob=float(self.decoy_prob > 0.0),
-            energy_tolerance=self.energy_tolerance,
-            detector=detector,
-            channel=ChannelParams(loss_db=self.channel.loss_db),
-            eve_kind=self.eve_kind,
+        detector, channel = self.detector, self.channel
+        # in the order that _phase_tables unpacks
+        return _phase_tables(
+            (
+                self.n_stages,
+                self.source_mean_photons,
+                self.mean_photons_return,
+                self.decoy_prob > 0.0,
+                self.energy_tolerance,
+                detector.quantum_efficiency,
+                detector.dark_count_prob,
+                channel.loss_db,
+                self.eve_kind,
+            )
         )
-        return _phase_tables(link)
 
 
 class RoundBlock(NamedTuple):
@@ -328,10 +333,28 @@ Branches = tuple[tuple[Detector, PulseTrain], tuple[Detector, PulseTrain]]
 # evict links that recur within one ``dps-qkd`` run; at n=16 an entry holds
 # about 22.5 MiB (1.4 MiB at n=12)
 @lru_cache(maxsize=8)
-def _phase_tables(config: SessionConfig) -> PhaseTables:
+def _phase_tables(link: tuple | SessionConfig) -> PhaseTables:
     """Bob's preparation, the forward leg, Alice's station and the return
     leg for every Bob phase, as the dense arrays of :class:`PhaseTables`,
-    read-only since sessions share them."""
+    read-only since sessions share them.
+
+    ``link`` is the memo's key, the tuple of the fields the tables read that
+    ``SessionConfig.phase_tables`` gives, or a config of the link.
+    """
+    if isinstance(link, SessionConfig):
+        config = link
+    else:
+        n, mu, mu_return, decoys, tolerance, efficiency, dark, loss, eve_kind = link
+        config = SessionConfig(
+            n_stages=n,
+            source_mean_photons=mu,
+            mean_photons_return=mu_return,
+            decoy_prob=float(decoys),
+            energy_tolerance=tolerance,
+            detector=DetectorParams(efficiency, dark),
+            channel=ChannelParams(loss_db=loss),
+            eve_kind=eve_kind,
+        )
     n, gated = config.n_stages, config.block.gated
     signal = np.zeros((len(QUATERNARY), _TRAIN_ROWS, 2 * gated))
     for b, bob_phase in enumerate(QUATERNARY):
@@ -895,19 +918,27 @@ def session_stats(columns: RoundColumns, config: SessionConfig) -> SessionStats:
     def count(mask: np.ndarray) -> int:
         return int(np.count_nonzero(mask))
 
-    keyed = ~columns.sampled
+    # keyed rounds with no click, one click and more clicks, then the same
+    # for the sampled rounds
     n_clicks = columns.n_clicks
-    n_single = count(keyed & (n_clicks == 1))
-    # a single click is the chosen one, so its bit is its readout
-    n_edge = count(keyed & (n_clicks == 1) & (columns.bit == _BITS.index(BitOutcome.DISCARD)))
-    check_compared = int(columns.check_compared.sum())
-    check_errors = int(columns.check_errors.sum())
+    by_kind = np.bincount(np.minimum(n_clicks, 2) + 3 * columns.sampled, minlength=6).tolist()
+    n_no_click, n_single, n_multi = by_kind[:3]
+    n_sampled = sum(by_kind[3:])
+    # a single keyed click is the chosen one, so its bit is its readout; a
+    # sampled round has no bit
+    n_edge = count(columns.bit[n_clicks == 1] == _BITS.index(BitOutcome.DISCARD))
+    check_compared = check_errors = check_matched = 0
+    if n_sampled:
+        check_compared = int(columns.check_compared.sum())
+        check_errors = int(columns.check_errors.sum())
+        check_matched = count(columns.check_matched)
     energy_alarms = count(columns.energy_alarm)
 
-    alice, bob = sift(columns)
-    attacked = _keyed_bits(columns) & (columns.eve >= 0)
+    usable = _keyed_bits(columns)
+    alice, bob, eve = columns.key[usable], columns.bit[usable], columns.eve[usable]
+    attacked = eve >= 0
     eve_total = count(attacked)
-    eve_hits = count(attacked & (columns.eve == columns.key))
+    eve_hits = count(attacked & (eve == alice))
 
     qber, disclosed = estimate_qber(
         alice, bob, config.disclose_fraction, _stats_rng(config.master_seed)
@@ -923,10 +954,10 @@ def session_stats(columns: RoundColumns, config: SessionConfig) -> SessionStats:
     )
     return SessionStats(
         rounds=len(columns.key),
-        n_sampled=count(columns.sampled),
-        n_no_click=count(keyed & (n_clicks == 0)),
+        n_sampled=n_sampled,
+        n_no_click=n_no_click,
         n_single_click=n_single,
-        n_multi_click=count(keyed & (n_clicks >= 2)),
+        n_multi_click=n_multi,
         n_edge_single=n_edge,
         efficiency=efficiency,
         edge_fraction=edge_fraction,
@@ -935,7 +966,7 @@ def session_stats(columns: RoundColumns, config: SessionConfig) -> SessionStats:
         qber=qber,
         qber_disclosed=disclosed,
         final_key_length=len(alice) - disclosed,
-        check_rounds_matched=count(columns.check_matched),
+        check_rounds_matched=check_matched,
         check_compared=check_compared,
         check_errors=check_errors,
         check_error_rate=check_rate,
@@ -962,7 +993,12 @@ def run_session(config: SessionConfig) -> SessionResult:
     reduce them."""
     tables = config.phase_tables
     chunks = [_run_chunk(config, tables, u) for u in session_uniforms(config)]
-    columns = RoundColumns(*(np.concatenate(field) for field in zip(*chunks)))
+    if len(chunks) == 1:
+        # a chunk's columns are fresh arrays that share no memory with its
+        # uniforms or the tables, so a kept result pins neither
+        columns = chunks[0]
+    else:
+        columns = RoundColumns(*(np.concatenate(field) for field in zip(*chunks)))
     return SessionResult(config, columns, session_stats(columns, config))
 
 
