@@ -918,15 +918,17 @@ def session_stats(columns: RoundColumns, config: SessionConfig) -> SessionStats:
     def count(mask: np.ndarray) -> int:
         return int(np.count_nonzero(mask))
 
-    # keyed rounds with no click, one click and more clicks, then the same
-    # for the sampled rounds
-    n_clicks = columns.n_clicks
-    by_kind = np.bincount(np.minimum(n_clicks, 2) + 3 * columns.sampled, minlength=6).tolist()
-    n_no_click, n_single, n_multi = by_kind[:3]
-    n_sampled = sum(by_kind[3:])
-    # a single keyed click is the chosen one, so its bit is its readout; a
-    # sampled round has no bit
-    n_edge = count(columns.bit[n_clicks == 1] == _BITS.index(BitOutcome.DISCARD))
+    # every count is one pass over a column or a boolean mask: a bincount or
+    # a gather per count would cost several times more per round
+    sampled, n_clicks = columns.sampled, columns.n_clicks
+    n_sampled = count(sampled)
+    keyed = ~sampled
+    single = keyed & (n_clicks == 1)
+    n_single = count(single)
+    n_no_click = count(keyed & (n_clicks == 0))
+    n_multi = len(n_clicks) - n_sampled - n_single - n_no_click
+    # a single click is the chosen one, so its bit is its readout
+    n_edge = count(single & (columns.bit == _BITS.index(BitOutcome.DISCARD)))
     check_compared = check_errors = check_matched = 0
     if n_sampled:
         check_compared = int(columns.check_compared.sum())
@@ -935,10 +937,10 @@ def session_stats(columns: RoundColumns, config: SessionConfig) -> SessionStats:
     energy_alarms = count(columns.energy_alarm)
 
     usable = _keyed_bits(columns)
-    alice, bob, eve = columns.key[usable], columns.bit[usable], columns.eve[usable]
-    attacked = eve >= 0
+    alice, bob = columns.key[usable], columns.bit[usable]
+    attacked = usable & (columns.eve >= 0)
     eve_total = count(attacked)
-    eve_hits = count(attacked & (eve == alice))
+    eve_hits = count(attacked & (columns.eve == columns.key))
 
     qber, disclosed = estimate_qber(
         alice, bob, config.disclose_fraction, _stats_rng(config.master_seed)
