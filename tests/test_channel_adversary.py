@@ -88,36 +88,6 @@ def test_round_unitary_modes():
     assert not np.allclose(round_unitary(per_train, 5, 0), round_unitary(per_train, 5, 1))
 
 
-def test_roundtrip_returns_fiber_independent_statistics():
-    # full mirror trip through 50 random fibers: detector-level energies and
-    # polarizations must match the identity channel to 1e-10
-    rng = np.random.default_rng(4)
-    cfg = CascadeConfig(3, PHASE_90)
-    prepared = bob_prepare(cfg, 1.0)
-
-    def trip(unitary, params):
-        t = fiber_transmit(prepared, params, unitary)
-        t = alice_encode(attenuate(t, 0.1), PHASE_180)
-        t = faraday_reflect(t)
-        t = fiber_transmit(t, params, None if unitary is None else unitary.T)
-        return bob_measure(t, cfg)
-
-    ref1, ref2 = trip(None, ChannelParams())
-    params = ChannelParams(birefringence_mode=BirefringenceMode.RANDOM_PER_TRAIN)
-    for _ in range(50):
-        u = random_unitary(rng)
-        d1, d2 = trip(u, params)
-        for ref, port in ((ref1, d1), (ref2, d2)):
-            assert port.occupied_slots() == ref.occupied_slots()
-            for k in ref.occupied_slots():
-                assert abs(abs(port.amplitude(k)) - abs(ref.amplitude(k))) < 1e-10
-            a = np.array(port.polarization)
-            b = np.array(ref.polarization)
-            phase = np.vdot(b, a)
-            phase /= abs(phase)
-            assert np.linalg.norm(a - phase * b) < 1e-10
-
-
 # --- intercept-resend forward leg --------------------------------------------
 
 

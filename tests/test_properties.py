@@ -15,7 +15,10 @@ tables keep once per link: the slot energies reaching Alice, her energy
 monitor, her lit odd slots and the phase Eve reads back.
 
 It also checks that every real-valued config field takes a float or names
-itself in a ValueError, whatever value it is given, and that
+itself in a ValueError, whatever value it is given; that every real and
+integral config field takes each spelling of a number (int, float, numpy
+scalars, Fraction) alike, down to one shared table object, and rejects
+bools, NaN, infinities, strings and None by name; and that
 ``estimate_qber`` equals a plain loop over the disclosed bits.
 
 Examples are derandomized so that every run of the suite checks the same
@@ -25,6 +28,7 @@ cases; the fixed-example tests in the other files stay as goldens.
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,9 +102,12 @@ def test_mzi_pass_conserves_energy(slots, delay, quarter_turns, polarization):
 
 @PROPERTY
 @given(jones_vectors, haar_unitaries)
+# a circular input, whose Jones vector has a complex component
+@example((1 / math.sqrt(2) + 0j, 1j / math.sqrt(2)), random_unitary(np.random.default_rng(11)))
 def test_faraday_round_trip_is_fiber_independent(polarization, u):
     # U forward, mirror, U transposed backward: the returned polarization is
-    # the mirror image of the input up to one global phase, whatever U is
+    # the mirror image of the input up to one global phase, whatever U is;
+    # the amplitudes come back bit for bit, so Bob's readout of them does too
     train = PulseTrain.from_amplitudes({1: 1.0, 2: 1j}, polarization)
     reference = faraday_reflect(train)
     fiber = ChannelParams()
@@ -690,3 +697,84 @@ def test_real_config_field_stores_a_float_or_names_itself(field, value):
         return
     stored = getattr(config, name)
     assert type(stored) is float and stored == float(value) and math.isfinite(stored)
+
+
+#: (dataclass, field, integral) for every real and integral field of the three configs
+NUMBER_CONFIG_FIELDS = [
+    (cls, f.name, f.type in ("int", int))
+    for cls in (SessionConfig, DetectorParams, ChannelParams)
+    for f in dataclasses.fields(cls)
+    if f.type in ("float", float, "int", int)
+]
+
+#: numbers that every spelling holds exactly (k/8 fits a float32), in and out
+#: of each field's range; no integral one builds tables beyond n = 12
+exact_numbers = st.builds(
+    Fraction, st.sampled_from((-8, -1, 0, 1, 2, 3, 5, 12, 40, 32000)), st.sampled_from((1, 2, 8))
+)
+
+
+def spellings(x: Fraction) -> list:
+    """``x`` as each type a config field may be given; as integral types only
+    when it is an integer."""
+    values = [float(x), np.float64(float(x)), np.float32(float(x)), x]
+    if x.denominator == 1:
+        values += [int(x), np.int64(int(x))]
+    return values
+
+
+#: the session config field that holds each parameter class
+PARTS = {DetectorParams: "detector", ChannelParams: "channel"}
+
+
+def config_with(cls, name: str, value) -> SessionConfig:
+    """A session config whose field ``name`` of ``cls`` is ``value``."""
+    if cls is SessionConfig:
+        return SessionConfig(**{name: value})
+    return SessionConfig(**{PARTS[cls]: cls(**{name: value})})
+
+
+def field_of(config: SessionConfig, cls, name: str):
+    holder = config if cls is SessionConfig else getattr(config, PARTS[cls])
+    return getattr(holder, name)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(NUMBER_CONFIG_FIELDS), exact_numbers)
+def test_every_spelling_of_a_number_gives_one_config(field, x):
+    # an int, float, numpy scalar or Fraction of one value is accepted or
+    # rejected together, coerced to the plain Python value, and shares one
+    # table object; an integral field takes only integral types
+    cls, name, integral = field
+    plain = float(x)
+    if integral:
+        plain = int(x) if x.denominator == 1 else None
+    expected = None
+    if plain is not None:
+        try:
+            expected = config_with(cls, name, plain)
+        except ValueError as e:
+            assert name in str(e)
+    for value in spellings(x):
+        if expected is None or (integral and not isinstance(value, (int, np.integer))):
+            with pytest.raises(ValueError, match=name):
+                config_with(cls, name, value)
+            continue
+        config = config_with(cls, name, value)
+        stored = field_of(config, cls, name)
+        assert type(stored) is type(plain) and stored == plain
+        assert config == expected
+        assert config.phase_tables is expected.phase_tables
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(NUMBER_CONFIG_FIELDS),
+    st.sampled_from(
+        (True, False, np.True_, math.nan, math.inf, -math.inf, np.float64(math.nan), "1", None)
+    ),
+)
+def test_a_non_number_is_rejected_naming_the_field(field, value):
+    cls, name, _ = field
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})

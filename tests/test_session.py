@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import math
@@ -448,6 +449,79 @@ def test_kept_results_do_not_pin_evicted_tables():
 def test_phase_table_memo_is_bounded():
     # configs/experiments.json runs 7 distinct links
     assert dpsqkd.session._phase_tables.cache_info().maxsize == 8
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts, by class name, the SessionConfig, DetectorParams and
+    ChannelParams built while the test runs."""
+    counts = collections.Counter()
+    for cls in (SessionConfig, DetectorParams, ChannelParams):
+
+        def counting(self, check=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return counts
+
+
+def test_phase_tables_build_a_link_config_only_on_a_miss(built):
+    # the memo is looked up by the fields the tables read: a hit builds no
+    # config or parameter object, a miss exactly one link
+    memo = dpsqkd.session._phase_tables
+    memo.cache_clear()
+    config = replace(MEMO_LINK, mean_photons_return=0.375)
+    sibling = replace(config, **UNREAD_CHANGES["double_click_policy"], master_seed=3)
+    built.clear()
+    tables = config.phase_tables
+    assert memo.cache_info().misses == 1
+    assert built == {"SessionConfig": 1, "DetectorParams": 1, "ChannelParams": 1}
+    built.clear()
+    assert config.phase_tables is tables
+    assert sibling.phase_tables is tables
+    assert memo.cache_info().hits == 2
+    assert not built
+
+
+def test_run_session_builds_one_config_per_table_miss(built):
+    config = replace(MEMO_LINK, mean_photons_return=0.625)
+    dpsqkd.session._phase_tables.cache_clear()
+    built.clear()
+    run_session(config)
+    run_session(config)
+    assert built == {"SessionConfig": 1, "DetectorParams": 1, "ChannelParams": 1}
+
+
+@pytest.mark.parametrize("eve_kind", list(EveKind))
+def test_a_kept_one_chunk_result_pins_no_chunk(monkeypatch, eve_kind):
+    # a one-chunk session keeps its chunk's columns without a copy: none of
+    # them may be a view of the chunk's uniforms or of the shared tables
+    chunks = []
+    draw = dpsqkd.session.session_uniforms
+
+    def capture(config):
+        for u in draw(config):
+            chunks.append(u)
+            yield u
+
+    monkeypatch.setattr(dpsqkd.session, "session_uniforms", capture)
+    config = SessionConfig(
+        rounds=600,
+        mean_photons_return=0.8,
+        sample_prob=0.3,
+        decoy_prob=0.3,
+        eve_kind=eve_kind,
+        detector=DetectorParams(
+            dark_count_prob=0.01, double_click_policy=DoubleClickPolicy.RANDOM_PICK
+        ),
+        master_seed=4,
+    )
+    result = run_session(config)
+    assert len(chunks) == 1
+    for name, column in result.columns._asdict().items():
+        for source in (chunks[0], *config.phase_tables):
+            assert not np.shares_memory(column, source), name
 
 
 # --- estimate_qber ----------------------------------------------------------------
