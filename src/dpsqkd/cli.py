@@ -279,41 +279,31 @@ def _run_attack_demo(spec: ExperimentSpec) -> ResultTable:
 
 
 def _run_birefringence_sweep(spec: ExperimentSpec) -> ResultTable:
-    """One session per birefringence mode, all on one seed. A session never
+    """One row per birefringence mode, all from one session. A session never
     draws a fiber unitary (its tables do not read the mode), so the rows
     differ only in ``mode``; the Faraday compensation that makes this exact
     is checked on the reference round's legs, not by this table."""
-    rows = []
-    seed = _variant_seed(spec, 0)
-    for mode in BirefringenceMode:
-        cfg = replace(
-            spec.base,
-            channel=replace(spec.base.channel, birefringence_mode=mode),
-            master_seed=seed,
-        )
-        result = run_session(cfg)
-        columns = result.columns
-        # detector column 0 is D1 in a keyed round and D3 in a sampled one,
-        # column 1 is D2 or D4
-        first = columns.clicks < cfg.block.gated
-        sampled = np.repeat(columns.sampled, columns.n_clicks)
-        stats = result.stats
-        rows.append(
-            (
-                mode.value,
-                stats.rounds,
-                int(np.count_nonzero(first & ~sampled)),
-                int(np.count_nonzero(~first & ~sampled)),
-                int(np.count_nonzero(first & sampled)),
-                int(np.count_nonzero(~first & sampled)),
-                stats.efficiency,
-                stats.mismatches,
-            )
-        )
+    cfg = replace(spec.base, master_seed=_variant_seed(spec, 0))
+    result = run_session(cfg)
+    columns = result.columns
+    # detector column 0 is D1 in a keyed round and D3 in a sampled one,
+    # column 1 is D2 or D4
+    first = columns.clicks < cfg.block.gated
+    sampled = np.repeat(columns.sampled, columns.n_clicks)
+    stats = result.stats
+    counts = (
+        stats.rounds,
+        int(np.count_nonzero(first & ~sampled)),
+        int(np.count_nonzero(~first & ~sampled)),
+        int(np.count_nonzero(first & sampled)),
+        int(np.count_nonzero(~first & sampled)),
+        stats.efficiency,
+        stats.mismatches,
+    )
     return ResultTable(
         "birefringence_sweep",
         ("mode", "rounds", "d1", "d2", "d3", "d4", "efficiency", "mismatches"),
-        tuple(rows),
+        tuple((mode.value, *counts) for mode in BirefringenceMode),
     )
 
 

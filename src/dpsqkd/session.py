@@ -19,12 +19,14 @@ shift): output slot k reads input slots k - 1 and k, of which exactly one,
 ``key_slot(k)``, is odd and carries Alice's modulation. So each output
 slot's click probability is the one it has in a train whose odd slots all
 carry that slot's phase: key phase 0 or pi, or decoy phase pi/2.
-``SessionConfig.phase_tables`` runs the same legs once per Bob phase for
-each of those trains and for each check phase, and keeps the click
-probability of every gated slot, lit or empty, dark counts included, in
-dense arrays (:class:`PhaseTables`): the gate is the return train's slots.
-The tables depend only on the fields of the link that they read, never on
-the seed, and a bounded memo shares them read-only between configs.
+:func:`build_phase_tables` runs the same legs once per Bob phase for each
+of those trains and for each check phase, and keeps the click probability
+of every gated slot, lit or empty, dark counts included, in dense arrays
+(:class:`PhaseTables`): the gate is the return train's slots. Its one
+input is a config's :class:`Link` (``SessionConfig.link``), the fields the
+tables depend on, never the seed; ``SessionConfig.phase_tables`` looks the
+tables up in a bounded memo keyed on the link, which shares them read-only
+between configs.
 Bob's phase moves no slot's energy, so the energy monitor's alarm, whether
 Alice's odd slots are lit and whether Eve reads anything back are one flag
 each per link. Under the intercept-resend attack Eve reads the odd slots
@@ -209,37 +211,57 @@ class SessionConfig:
         width = pick + 1
         return RoundBlock(column0, gated, pick, width, max(1, _CHUNK_UNIFORMS // width))
 
+    @cached_property
+    def link(self) -> Link:
+        """The fields of this config that the phase tables read."""
+        return Link(
+            n_stages=self.n_stages,
+            source_mean_photons=self.source_mean_photons,
+            mean_photons_return=self.mean_photons_return,
+            decoys=self.decoy_prob > 0.0,
+            energy_tolerance=self.energy_tolerance,
+            quantum_efficiency=self.detector.quantum_efficiency,
+            dark_count_prob=self.detector.dark_count_prob,
+            loss_db=self.channel.loss_db,
+            eve_kind=self.eve_kind,
+        )
+
     @property
     def phase_tables(self) -> PhaseTables:
         """The optics of a round for each of Bob's phases, run once per link
-        with the field-level functions.
+        with the field-level functions: ``build_phase_tables(self.link)``
+        through a memo keyed on the :class:`Link`.
 
-        The tables read only the link: ``n_stages``, the two mean photon
-        numbers, whether ``decoy_prob`` > 0, ``energy_tolerance``, the
-        detector's efficiency and dark-count probability, the channel's loss
-        and ``eve_kind``. The memo is looked up by the tuple of those fields,
-        and a config of the link alone is built only when the memo misses.
-        Configs that agree on them share one read-only table object, whatever
-        their seed, rounds, sampling, thresholds, double-click policy or
-        birefringence; the memo keeps the last
-        ``_phase_tables.cache_info().maxsize`` links (about 22.5 MiB each at
-        n=16), and the config keeps no reference to them.
+        Configs with one link share one read-only table object; the memo
+        keeps the last ``_phase_tables.cache_info().maxsize`` links (about
+        22.5 MiB each at n=16), and the config keeps no reference to them.
         """
-        detector, channel = self.detector, self.channel
-        # in the order that _phase_tables unpacks
-        return _phase_tables(
-            (
-                self.n_stages,
-                self.source_mean_photons,
-                self.mean_photons_return,
-                self.decoy_prob > 0.0,
-                self.energy_tolerance,
-                detector.quantum_efficiency,
-                detector.dark_count_prob,
-                channel.loss_db,
-                self.eve_kind,
-            )
-        )
+        return _phase_tables(self.link)
+
+
+class Link(NamedTuple):
+    """The fields of a config that the phase tables read, and all that
+    :func:`build_phase_tables` and the legs of a round read of a config.
+
+    Configs that agree on them share one table object, whatever their seed,
+    rounds, sampling, thresholds, double-click policy or birefringence. The
+    detector fields keep the names of ``DetectorParams`` and
+    ``transmittance`` is that of ``ChannelParams``, so a link stands for the
+    detector in ``click_probabilities`` and for the channel in
+    ``fiber_transmit``.
+    """
+
+    n_stages: int
+    source_mean_photons: float
+    mean_photons_return: float
+    decoys: bool  # decoy_prob > 0
+    energy_tolerance: float
+    quantum_efficiency: float
+    dark_count_prob: float
+    loss_db: float
+    eve_kind: EveKind
+
+    transmittance = ChannelParams.transmittance
 
 
 class RoundBlock(NamedTuple):
@@ -329,59 +351,38 @@ class PhaseTables(NamedTuple):
 Branches = tuple[tuple[Detector, PulseTrain], tuple[Detector, PulseTrain]]
 
 
-# ``configs/experiments.json`` runs 7 distinct links, and a smaller memo would
-# evict links that recur within one ``dps-qkd`` run; at n=16 an entry holds
-# about 22.5 MiB (1.4 MiB at n=12)
-@lru_cache(maxsize=8)
-def _phase_tables(link: tuple | SessionConfig) -> PhaseTables:
+def build_phase_tables(link: Link) -> PhaseTables:
     """Bob's preparation, the forward leg, Alice's station and the return
-    leg for every Bob phase, as the dense arrays of :class:`PhaseTables`,
-    read-only since sessions share them.
-
-    ``link`` is the memo's key, the tuple of the fields the tables read that
-    ``SessionConfig.phase_tables`` gives, or a config of the link.
-    """
-    if isinstance(link, SessionConfig):
-        config = link
-    else:
-        n, mu, mu_return, decoys, tolerance, efficiency, dark, loss, eve_kind = link
-        config = SessionConfig(
-            n_stages=n,
-            source_mean_photons=mu,
-            mean_photons_return=mu_return,
-            decoy_prob=float(decoys),
-            energy_tolerance=tolerance,
-            detector=DetectorParams(efficiency, dark),
-            channel=ChannelParams(loss_db=loss),
-            eve_kind=eve_kind,
-        )
-    n, gated = config.n_stages, config.block.gated
+    leg of ``link`` for every Bob phase, as the dense arrays of
+    :class:`PhaseTables`, read-only since sessions share them."""
+    n = link.n_stages
+    gated = 2**n + 3  # RoundBlock.gated
     signal = np.zeros((len(QUATERNARY), _TRAIN_ROWS, 2 * gated))
     for b, bob_phase in enumerate(QUATERNARY):
         cascade = CascadeConfig(n, bob_phase)
-        prepared, sent, train, energy_alarm = _forward_leg(config, cascade)
+        prepared, sent, train, energy_alarm = _forward_leg(link, cascade)
         # the (detector, train) branches of every row of the tables
         by_row = {
             _CHECK_ROWS + i: alice_check_ports(train, phase) for i, phase in enumerate(CHECK_PHASES)
         }
-        attenuated = attenuate(train, config.mean_photons_return)
+        attenuated = attenuate(train, link.mean_photons_return)
         odd_in_train = odd_slots(attenuated)
         for phase in KEY_PHASES:
             by_row[_TURN_ROWS + phase.quarter_turns], eve_phase = _return_leg(
-                config, cascade, prepared, sent, alice_encode(attenuated, phase)
+                link, cascade, prepared, sent, alice_encode(attenuated, phase)
             )
         # only rounds where Eve resends nothing read the decoy row
         eve_reads = eve_phase is not None
-        if config.decoy_prob > 0.0 and not eve_reads:
+        if link.decoys and not eve_reads:
             decoy_train = alice_encode(attenuated, PHASE_0, odd_in_train, PHASE_90)
             by_row[_TURN_ROWS + PHASE_90.quarter_turns], _ = _return_leg(
-                config, cascade, prepared, sent, decoy_train
+                link, cascade, prepared, sent, decoy_train
             )
         gate = cascade.gate
         for r, branches in by_row.items():
             for c, (_, branch) in enumerate(branches):
                 at = slice(c * gated + gate.start, c * gated + gate.stop)
-                signal[b, r, at] = click_probabilities(branch, config.detector, gate)
+                signal[b, r, at] = click_probabilities(branch, link, gate)
 
     # the readout rules read a gate slot only through its parity and whether
     # it is an edge slot: each rule runs on one slot per class (inner even,
@@ -433,6 +434,13 @@ def _phase_tables(link: tuple | SessionConfig) -> PhaseTables:
     return tables
 
 
+# ``configs/experiments.json`` runs 7 distinct links, and a smaller memo would
+# evict links that recur within one ``dps-qkd`` run; at n=16 an entry holds
+# about 22.5 MiB (1.4 MiB at n=12); typed, so that a plain tuple of the same
+# fields is not taken for a link
+_phase_tables = lru_cache(maxsize=8, typed=True)(build_phase_tables)
+
+
 def _decoy_gate_positions(gated: int) -> np.ndarray:
     """The gate positions that read odd slot s are s plus these offsets:
     gate slots s and s + 1 (the k with ``key_slot(k) == s``) of both
@@ -441,22 +449,22 @@ def _decoy_gate_positions(gated: int) -> np.ndarray:
 
 
 def _forward_leg(
-    config: SessionConfig, cascade: CascadeConfig, unitary: np.ndarray | None = None
+    link: Link, cascade: CascadeConfig, unitary: np.ndarray | None = None
 ) -> tuple[PulseTrain, PulseTrain, PulseTrain, bool]:
     """Bob's preparation, Eve's forward leg, the fiber with polarization
     transform ``unitary`` and Alice's energy monitor: the prepared train,
     the train sent into the fiber, the train arriving at Alice and the
     monitor's alarm."""
-    prepared = bob_prepare(cascade, complex(math.sqrt(config.source_mean_photons)))
-    attack = config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
+    prepared = bob_prepare(cascade, complex(math.sqrt(link.source_mean_photons)))
+    attack = link.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
     sent = intercept_forward(prepared) if attack else prepared
-    train = fiber_transmit(sent, config.channel, unitary)
-    expected = config.source_mean_photons / cascade.train_slots * config.channel.transmittance
-    return prepared, sent, train, alice_energy_monitor(train, expected, config.energy_tolerance)
+    train = fiber_transmit(sent, link, unitary)
+    expected = link.source_mean_photons / cascade.train_slots * link.transmittance
+    return prepared, sent, train, alice_energy_monitor(train, expected, link.energy_tolerance)
 
 
 def _return_leg(
-    config: SessionConfig,
+    link: Link,
     cascade: CascadeConfig,
     prepared: PulseTrain,
     sent: PulseTrain,
@@ -467,9 +475,9 @@ def _return_leg(
     backward leg and Bob's readout for Alice's encoded train: the D1/D2
     branches and Eve's inferred phase."""
     back = None if unitary is None else unitary.T
-    train = fiber_transmit(faraday_reflect(encoded), config.channel, back)
+    train = fiber_transmit(faraday_reflect(encoded), link, back)
     eve_phase = None
-    if config.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE:
+    if link.eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE:
         train, eve_phase = intercept_backward(train, prepared, sent)
     d1, d2 = bob_measure(train, cascade)
     return ((Detector.D1, d1), (Detector.D2, d2)), eve_phase
@@ -786,7 +794,7 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
 
     cascade = CascadeConfig(config.n_stages, phase_b)
     unitary = round_unitary(config.channel, config.master_seed, round_index)
-    prepared, sent, train, alarm = _forward_leg(config, cascade, unitary)
+    prepared, sent, train, alarm = _forward_leg(config.link, cascade, unitary)
 
     if u[_SAMPLE] < config.sample_prob:
         check_ports = alice_check_ports(train, check_phase)
@@ -808,7 +816,7 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     train = attenuate(train, config.mean_photons_return)
     decoy_positions = alice_decoy_positions(odd_slots(train), config.decoy_prob, u, _DECOYS)
     encoded = alice_encode(train, phase_a, decoy_positions, decoy_phase)
-    branches, eve_phase = _return_leg(config, cascade, prepared, sent, encoded, unitary)
+    branches, eve_phase = _return_leg(config.link, cascade, prepared, sent, encoded, unitary)
     clicks = detect(branches, config.detector, cascade.gate, columns, u)
 
     multi = len(clicks) >= 2

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per release criterion, at its stated tolerance.
 
 Run `pytest tests/test_acceptance.py -s` to get one [PASS]/[FAIL] line per
-criterion, with the measured runtime against its budget. Monte Carlo
+criterion, with the measured runtime against its budget in microseconds,
+so the headroom shows even for the sub-millisecond criteria. Monte Carlo
 criteria share one large seeded simulation (fixture ``big_run``) whose
 wall time is charged against each criterion that uses it.
 """
@@ -34,7 +35,7 @@ def report(num: int, label: str, elapsed: float, budget: float):
     assert elapsed < budget, (
         f"criterion {num} took {elapsed:.3f} s, budget {budget} s"
     )
-    print(f"\n[PASS] criterion {num}: {label}  ({elapsed:.3f} s < {budget} s)")
+    print(f"\n[PASS] criterion {num}: {label}  ({elapsed * 1e6:.0f} us < {budget * 1e6:.0f} us)")
 
 
 def fail_line(num: int, label: str):
@@ -201,9 +202,9 @@ def test_criterion_6_faraday_mirror_compensation():
 
         def trip(u):
             # the reference round's legs, fiber unitary u forward and u^T back
-            prepared, sent, train, _ = _forward_leg(config, cascade, u)
+            prepared, sent, train, _ = _forward_leg(config.link, cascade, u)
             encoded = alice_encode(attenuate(train, config.mean_photons_return), KEY_PHASES[1])
-            ((_, d1), (_, d2)), _ = _return_leg(config, cascade, prepared, sent, encoded, u)
+            ((_, d1), (_, d2)), _ = _return_leg(config.link, cascade, prepared, sent, encoded, u)
             return d1, d2
 
         ref1, ref2 = trip(None)

@@ -324,8 +324,8 @@ def test_birefringence_sweep_rows(tmp_path):
 
 
 def test_birefringence_sweep_rows_differ_only_in_mode(tmp_path):
-    # every mode runs on one seed and a session never draws a fiber, so the
-    # sessions agree click for click, checks included; that the mirror
+    # a session never draws a fiber, so one session gives every mode's row
+    # and the rows agree click for click, checks included; that the mirror
     # compensates the fiber is checked on the legs in test_properties.py
     spec = small_spec(
         tmp_path, "birefringence_sweep", rounds=600, mean_photons_return=0.5,

@@ -62,8 +62,8 @@ from dpsqkd.session import (
     SessionConfig,
     SessionStats,
     _forward_leg,
-    _phase_tables,
     _return_leg,
+    build_phase_tables,
     estimate_qber,
     reference_round,
     round_uniforms,
@@ -238,9 +238,9 @@ def test_round_legs_compensate_every_fiber(config, round_index, bob_phase, key_p
     cascade = CascadeConfig(config.n_stages, bob_phase)
 
     def legs(unitary):
-        prepared, sent, train, alarm = _forward_leg(config, cascade, unitary)
+        prepared, sent, train, alarm = _forward_leg(config.link, cascade, unitary)
         encoded = alice_encode(attenuate(train, config.mean_photons_return), key_phase)
-        branches, eve_phase = _return_leg(config, cascade, prepared, sent, encoded, unitary)
+        branches, eve_phase = _return_leg(config.link, cascade, prepared, sent, encoded, unitary)
         return prepared, alarm, eve_phase, [port for _, port in branches]
 
     unitary = round_unitary(config.channel, config.master_seed, round_index)
@@ -436,12 +436,12 @@ def test_bob_phase_changes_no_energy_alarm_odd_slot_or_eve_phase(
     seen = set()
     for bob_phase in QUATERNARY:
         cascade = CascadeConfig(config.n_stages, bob_phase)
-        prepared, sent, train, alarm = _forward_leg(config, cascade)
+        prepared, sent, train, alarm = _forward_leg(config.link, cascade)
         attenuated = attenuate(train, config.mean_photons_return)
         odd = odd_slots(attenuated)
         decoys = [s for s in odd if decoy_bits >> (s // 2) & 1]
         encoded = alice_encode(attenuated, key_phase, decoys, decoy_phase)
-        _, eve_phase = _return_leg(config, cascade, prepared, sent, encoded)
+        _, eve_phase = _return_leg(config.link, cascade, prepared, sent, encoded)
         seen.add((train.energies.tobytes(), alarm, odd, eve_phase))
         if eve_phase is not None:
             # she reads every odd slot Alice holds, as the kernel's vote assumes
@@ -656,9 +656,9 @@ def test_memoized_phase_tables_equal_a_fresh_build(field, config, unread):
     # the memo returns each link's own tables: the sibling's are read right
     # after config's, from which it differs in one read field and the unread ones
     sibling = dataclasses.replace(config, **READ_FIELD_CHANGES[field](config), **unread)
-    for link in (config, sibling):
-        fresh = _phase_tables.__wrapped__(link)
-        for name, array in link.phase_tables._asdict().items():
+    for cfg in (config, sibling):
+        fresh = build_phase_tables(cfg.link)
+        for name, array in cfg.phase_tables._asdict().items():
             assert np.array_equal(array, getattr(fresh, name)), name
 
 
