@@ -33,8 +33,8 @@ each per link. Under the intercept-resend attack Eve reads the odd slots
 and votes: keyed slots vote for the key phase, a decoy at 0 votes for 0
 and one at pi/2 for neither (``channel.eve_key_phase``, also the reference
 round's rule). The kernel counts each round's votes from its key phase
-and decoys; Eve resends the key train of her guess, which the round reads
-whole.
+and decoys, and with no decoys takes her guess to be the key phase; Eve
+resends the key train of her guess, which the round reads whole.
 
 The kernel runs a chunk of rounds as array work on their rows of uniforms.
 Each round takes one row of click probabilities from the tables whole: its
@@ -546,13 +546,15 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
     eve, resent = np.full(m, -1, dtype=np.int8), key
     if tables.eve_reads:
         # Eve reads all of Alice's odd slots: the keyed ones vote for the key
-        # phase (KEY_PHASES[i] is 2i turns), each decoy for its decoy phase
-        turns = np.arange(len(QUATERNARY))[:, None]
-        votes = (turns == 2 * key) * (half - n_decoys)
+        # phase (KEY_PHASES[i] is 2i turns), each decoy for its decoy phase;
+        # with no decoys every slot votes for the key phase, which she resends
+        guess = key
         if with_decoys:
-            votes += (turns == decoy_turns) * n_decoys
-        eve = np.where(sampled, -1, eve_key_phase(votes)).astype(np.int8)
-        resent = np.where(sampled, key, eve)
+            turns = np.arange(len(QUATERNARY))[:, None]
+            votes = (turns == 2 * key) * (half - n_decoys) + (turns == decoy_turns) * n_decoys
+            guess = eve_key_phase(votes)
+            resent = np.where(sampled, key, guess)
+        eve = np.where(sampled, -1, guess).astype(np.int8)
 
     # every round reads one row of the tables: the check train of a sampled round,
     # else the key train (KEY_PHASES[i] is 2i turns) or the one Eve resent
