@@ -57,21 +57,23 @@ is read, and :func:`run_round` runs one row as a chunk of one.
 Stream contract. All of a session's rounds read one stream,
 ``np.random.PCG64`` seeded with ``SeedSequence(master_seed,
 spawn_key=(1,))``. Round i owns the W uniforms (``Generator.random``, one
-64-bit output each) that start at output i * W, W = C + 2G + 1. With n
-stages, G = 2^n + 3 gate slots (0 .. 2^n + 2) and C = 5 + 2^(n-1), every
-draw has a fixed position in the round's row u, whether or not the round
-uses it:
+64-bit output each) that start at output i * W. A row holds only the draws
+that the config's rounds can read, each at a fixed position in the round's
+row u whether or not the round uses it (``SessionConfig.block``). With n
+stages and G = 2^n + 1 gated slots 1 .. 2^n + 1 (``CascadeConfig.gate``):
 
-* u[0], u[1], u[2], u[3]: Alice's key phase, Bob's phase, the check phase
-  and the decoy phase;
-* u[4]: the sampling draw, the train is diverted when u[4] < sample_prob;
-* u[5 + j], 0 <= j < 2^(n-1): the decoy draw of odd slot 2j + 1;
-* u[C + c*G + k]: the click draw of detector column c at gate slot k;
+* u[0], u[1], u[2]: Alice's key phase, Bob's phase and the check phase;
+* u[3]: the sampling draw, the train is diverted when u[3] < sample_prob;
+* u[4 + c*G + k - 1]: the click draw of detector column c at gate slot k;
   column 0 is D1 (key) or D3 (check), column 1 is D2 or D4, since a round
-  is either sampled or keyed; the detectors are gated on slots 1 .. 2^n + 1,
-  so the positions of gate slots 0 and 2^n + 2 are reserved and never read;
-* u[C + 2G]: the double-click pick, clicks[int(u * len(clicks))], the
-  row's last uniform.
+  is either sampled or keyed;
+* u[4 + 2G]: the double-click pick, clicks[int(u * len(clicks))], only
+  under ``DoubleClickPolicy.RANDOM_PICK``;
+* then, only when decoy_prob > 0, the decoy phase and the decoy draw of
+  each odd slot 2j + 1, 0 <= j < 2^(n-1), in that order.
+
+So W = 4 + 2G with neither the pick nor decoys: 10, 14, 22, 38, 70 and 134
+at n = 1 .. 6.
 
 A session draws its rows as arrays of at most 2^15 uniforms (one row at a
 time when a row is longer); ``round_uniforms`` draws one round's row alone
@@ -139,9 +141,8 @@ from .stations import (
 _ROUND_STREAM = 1
 _STATS_STREAM = 2
 
-# fixed positions in a round's row of uniforms (module docstring)
-_SAMPLE = 4
-_DECOYS = 5
+# the sampling draw, after the key, Bob's and the check phase (module docstring)
+_SAMPLE = 3
 # uniforms per array call of a session, so chunk memory stays bounded for any
 # n; 2^16 ran a few percent faster but left about 1 MiB more peak RSS
 _CHUNK_UNIFORMS = 2**15
@@ -203,13 +204,20 @@ class SessionConfig:
 
     @cached_property
     def block(self) -> RoundBlock:
-        """Where a round's draws sit in its row of uniforms."""
-        gated = 2**self.n_stages + 3
-        column0 = _DECOYS + 2 ** (self.n_stages - 1)
-        pick = column0 + 2 * gated
-        # the pick is a row's last uniform; row i starts at output i * width of the stream
-        width = pick + 1
-        return RoundBlock(column0, gated, pick, width, max(1, _CHUNK_UNIFORMS // width))
+        """Where a round's draws sit in its row of uniforms: only those that
+        this config's rounds can read."""
+        gated = 2**self.n_stages + 1
+        column0 = _SAMPLE + 1
+        width = column0 + 2 * gated
+        pick = decoy_phase = decoys = None
+        if self.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
+            pick, width = width, width + 1
+        if self.decoy_prob > 0.0:
+            decoy_phase, decoys = width, width + 1
+            width = decoys + 2 ** (self.n_stages - 1)
+        # row i starts at output i * width of the stream
+        chunk_rounds = max(1, _CHUNK_UNIFORMS // width)
+        return RoundBlock(_SAMPLE, column0, gated, pick, decoy_phase, decoys, width, chunk_rounds)
 
     @cached_property
     def link(self) -> Link:
@@ -267,16 +275,21 @@ class Link(NamedTuple):
 class RoundBlock(NamedTuple):
     """The layout of a round's row of uniforms (see the module docstring).
 
-    A detector column holds the ``gated`` = 2^n + 3 gate slots, and column
-    0 starts at ``column0``: gate slot k of column c reads position
-    ``columns[c] + k``; ``pick`` is the double-click pick; a row is
-    ``width`` uniforms, and a session draws ``chunk_rounds`` rows per array
-    call.
+    ``sample`` is the sampling draw. A detector column holds the ``gated``
+    = 2^n + 1 gate slots 1 .. 2^n + 1 (``CascadeConfig.gate``), and column
+    c starts at ``columns[c]``: gate slot k of column c reads position
+    ``columns[c] + k - 1``. ``pick`` is the double-click pick,
+    ``decoy_phase`` the decoy phase and ``decoys`` the first decoy draw,
+    each None when the config draws none. A row is ``width`` uniforms, and
+    a session draws ``chunk_rounds`` rows per array call.
     """
 
+    sample: int
     column0: int
     gated: int
-    pick: int
+    pick: int | None
+    decoy_phase: int | None
+    decoys: int | None
     width: int
     chunk_rounds: int
 
@@ -307,8 +320,9 @@ class PhaseTables(NamedTuple):
     The Faraday mirror undoes the fiber's polarization transform, and no
     amplitude depends on the polarization, so these hold for every fiber
     unitary. Arrays are indexed by Bob's phase in quarter turns first. A
-    gate position g = c * G + k is gate slot k of detector column c, laid
-    out like the click columns of a round's row (``SessionConfig.block``).
+    gate position g = c * G + k - 1 is gate slot k of detector column c
+    (G = 2^n + 1 gate slots 1 .. 2^n + 1, ``CascadeConfig.gate``), laid out
+    like the click columns of a round's row (``SessionConfig.block``).
 
     Bob's phase sits on the even slots of a train whose slots all have one
     magnitude, so it moves no slot's energy on the way to Alice and back.
@@ -321,9 +335,8 @@ class PhaseTables(NamedTuple):
 
     ``signal[b, r, g]`` is the final click probability of gate position g
     in train r (rows ``_CHECK_ROWS`` + check index, ``_TURN_ROWS`` + quarter
-    turns on the odd slots), dark counts included, for every gated slot
-    (``CascadeConfig.gate``), lit or empty, as ``optics.detect`` reads it;
-    it is 0 at the two positions outside the gate, which never click.
+    turns on the odd slots), dark counts included, for every gated slot,
+    lit or empty, as ``optics.detect`` reads it.
     Decoy rounds need no row of their own: output slot k reads odd slot
     ``key_slot(k)``, so a decoy round takes the row of its key phase and
     overwrites the gate positions that read a replaced odd slot from the
@@ -356,7 +369,7 @@ def build_phase_tables(link: Link) -> PhaseTables:
     leg of ``link`` for every Bob phase, as the dense arrays of
     :class:`PhaseTables`, read-only since sessions share them."""
     n = link.n_stages
-    gated = 2**n + 3  # RoundBlock.gated
+    gated = 2**n + 1  # RoundBlock.gated
     signal = np.zeros((len(QUATERNARY), _TRAIN_ROWS, 2 * gated))
     for b, bob_phase in enumerate(QUATERNARY):
         cascade = CascadeConfig(n, bob_phase)
@@ -381,17 +394,18 @@ def build_phase_tables(link: Link) -> PhaseTables:
         gate = cascade.gate
         for r, branches in by_row.items():
             for c, (_, branch) in enumerate(branches):
-                at = slice(c * gated + gate.start, c * gated + gate.stop)
+                at = slice(c * gated, (c + 1) * gated)
                 signal[b, r, at] = click_probabilities(branch, link, gate)
 
     # the readout rules read a gate slot only through its parity and whether
     # it is an edge slot: each rule runs on one slot per class (inner even,
     # inner odd, first edge, last edge), and ``classes`` spreads the result
+    # over the gate, whose ends are the edge slots
     cascades = [CascadeConfig(n, phase) for phase in QUATERNARY]
     first, last = cascades[0].edge_slots
-    representatives = (0, 3, first, last)
-    classes = np.arange(gated) % 2
-    classes[[first, last]] = (2, 3)
+    representatives = (2, 3, first, last)
+    classes = np.array(cascades[0].gate) % 2
+    classes[[0, -1]] = (2, 3)
     bit = np.array(
         [
             [
@@ -443,9 +457,9 @@ _phase_tables = lru_cache(maxsize=8, typed=True)(build_phase_tables)
 
 def _decoy_gate_positions(gated: int) -> np.ndarray:
     """The gate positions that read odd slot s are s plus these offsets:
-    gate slots s and s + 1 (the k with ``key_slot(k) == s``) of both
-    detector columns, ``gated`` positions apart."""
-    return np.array([0, 1, gated, gated + 1])
+    gate slots s and s + 1 (the k with ``key_slot(k) == s``, at positions
+    k - 1) of both detector columns, ``gated`` positions apart."""
+    return np.array([-1, 0, gated - 1, gated])
 
 
 def _forward_leg(
@@ -490,8 +504,8 @@ class RoundColumns(NamedTuple):
 
     ``key``, ``check``: indices into ``KEY_PHASES`` and ``CHECK_PHASES``;
     ``bob``: Bob's phase in quarter turns. ``clicks``: the gate position
-    c * G + k of every click (gate slot k of detector column c: D1/D2 in a
-    keyed round, D3/D4 in a sampled one), round by round and ascending
+    c * G + k - 1 of every click (gate slot k of detector column c: D1/D2
+    in a keyed round, D3/D4 in a sampled one), round by round and ascending
     within a round, ``n_clicks`` per round. ``bit``: ``_NO_BIT`` when no
     click was chosen, else an index into ``_BITS``. ``decoy_slots``: the
     odd slots that carried a decoy, listed like ``clicks``, ``n_decoys``
@@ -529,14 +543,15 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
     key = (u[:, 0] * 2).astype(np.int8)
     bob = (u[:, 1] * 4).astype(np.intp)
     check = (u[:, 2] * 2).astype(np.int8)
-    sampled = u[:, _SAMPLE] < config.sample_prob
+    sampled = u[:, block.sample] < config.sample_prob
     with_decoys = config.decoy_prob > 0.0
 
     n_decoys, decoy_slots = np.zeros(m, np.int32), np.zeros(0, np.int32)
     if with_decoys:
-        decoy_turns = (u[:, 3] * 2).astype(np.intp)  # CHECK_PHASES[i] is i quarter turns
+        # CHECK_PHASES[i] is i quarter turns
+        decoy_turns = (u[:, block.decoy_phase] * 2).astype(np.intp)
         # Alice's lit odd slots, none in a sampled round
-        decoys = u[:, _DECOYS : _DECOYS + half] < config.decoy_prob
+        decoys = u[:, block.decoys : block.decoys + half] < config.decoy_prob
         decoys &= ~sampled[:, None] & tables.odd
         flat = np.flatnonzero(decoys)  # round r's odd slot 2j + 1 at r * half + j
         decoy_round = flat // half
@@ -588,12 +603,12 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
     bit[picked] = chosen_bit
     decoy_hit = np.zeros(m, dtype=bool)
     if with_decoys:
-        # a chosen inner-slot click (one that reads a key bit) at gate slot k
-        # reads odd slot key_slot(k), replaced when the round's decoy draw
-        # key_slot(k) // 2 fell below decoy_prob
+        # a chosen inner-slot click (one that reads a key bit) at gate slot
+        # k = position mod G + 1 reads odd slot key_slot(k), replaced when the
+        # round's decoy draw key_slot(k) // 2 fell below decoy_prob
         inner = chosen_bit != _BITS.index(BitOutcome.DISCARD)
         hit_rounds = picked[inner]
-        read = key_slot(chosen[inner] % gated) // 2
+        read = key_slot(chosen[inner] % gated + 1) // 2
         decoy_hit[hit_rounds] = decoys.take(hit_rounds * half + read)
     check_matched = np.zeros(m, dtype=bool)
     check_compared, check_errors = np.zeros(m, np.int32), np.zeros(m, np.int32)
@@ -664,10 +679,13 @@ def _records(
     """The record view of ``columns``, whose first round is ``first_index``."""
     gated = config.block.gated
     # a click's code is its gate position, two columns further in a sampled
-    # round; one event per code that occurs, shared by the rounds it occurs in
+    # round, and reads gate slot code mod G + 1; one event per code that
+    # occurs, shared by the rounds it occurs in
     codes = columns.clicks + 2 * gated * np.repeat(columns.sampled, columns.n_clicks)
     detectors = _KEY_DETECTORS + _CHECK_DETECTORS
-    events = {c: ClickEvent(detectors[c // gated], c % gated) for c in np.unique(codes).tolist()}
+    events = {
+        c: ClickEvent(detectors[c // gated], c % gated + 1) for c in np.unique(codes).tolist()
+    }
     clicks = _by_round(codes, columns.n_clicks)
     decoys = _by_round(columns.decoy_slots, columns.n_decoys)
     fields = (
@@ -788,17 +806,18 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     session kernel, and so :func:`run_round`, must give the same record.
     """
     u = _check_round(config, round_index, u)
-    columns = config.block.columns
+    block = config.block
     phase_a = KEY_PHASES[int(u[0] * 2)]
     phase_b = QUATERNARY[int(u[1] * 4)]
     check_phase = CHECK_PHASES[int(u[2] * 2)]
-    decoy_phase = CHECK_PHASES[int(u[3] * 2)]
 
     cascade = CascadeConfig(config.n_stages, phase_b)
+    # detect reads gate slot k of branch j at columns[j] + k
+    columns = [column - cascade.gate.start for column in block.columns]
     unitary = round_unitary(config.channel, config.master_seed, round_index)
     prepared, sent, train, alarm = _forward_leg(config.link, cascade, unitary)
 
-    if u[_SAMPLE] < config.sample_prob:
+    if u[block.sample] < config.sample_prob:
         check_ports = alice_check_ports(train, check_phase)
         check_clicks = detect(check_ports, config.detector, cascade.gate, columns, u)
         matched, compared, errors = alice_score_check(check_clicks, cascade, check_phase)
@@ -816,7 +835,12 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
         )
 
     train = attenuate(train, config.mean_photons_return)
-    decoy_positions = alice_decoy_positions(odd_slots(train), config.decoy_prob, u, _DECOYS)
+    decoy_positions, decoy_phase = (), PHASE_0
+    if block.decoys is not None:
+        decoy_positions = alice_decoy_positions(
+            odd_slots(train), config.decoy_prob, u, block.decoys
+        )
+        decoy_phase = CHECK_PHASES[int(u[block.decoy_phase] * 2)]
     encoded = alice_encode(train, phase_a, decoy_positions, decoy_phase)
     branches, eve_phase = _return_leg(config.link, cascade, prepared, sent, encoded, unitary)
     clicks = detect(branches, config.detector, cascade.gate, columns, u)
@@ -826,7 +850,7 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     if len(clicks) == 1:
         chosen = clicks[0]
     elif multi and config.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
-        chosen = clicks[int(u[config.block.pick] * len(clicks))]
+        chosen = clicks[int(u[block.pick] * len(clicks))]
 
     bit: BitOutcome | None = None
     decoy_hit = False

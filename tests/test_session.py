@@ -39,7 +39,7 @@ def scripted_row(cfg, seed, first4):
     return u
 
 
-FORCE_A0_B0 = (0.0, 0.0, 0.0, 0.0)  # alice 0, bob 0, check 0, decoy 0
+FORCE_A0_B0 = (0.0, 0.0, 0.0, 0.0)  # alice 0, bob 0, check 0, sampling draw 0
 
 
 # --- run_round ----------------------------------------------------------------
@@ -86,18 +86,21 @@ def test_vacuum_return_round_records_no_detection():
 @pytest.mark.parametrize("round_fn", [run_round, reference_round])
 def test_dark_counts_reach_every_slot_of_the_return_train_and_no_other(round_fn):
     # Bob's phase 0 and key phase 0 light D2 only at edge slots 1 and 9, yet
-    # its inner slot 5 dark-counts when its uniform is just below the dark
-    # probability; gate slots 0 and 2^n + 2 lie outside the return train and
-    # never click, not even at uniform 0
+    # its inner slot 5 (position 4 of its column) dark-counts when its uniform
+    # is just below the dark probability; with every click uniform at 0 each
+    # detector clicks on exactly the return train's slots, the gate
     cfg = SessionConfig(sample_prob=0.0, detector=DetectorParams(dark_count_prob=0.01))
-    d1, d2 = cfg.block.columns
-    u = [0.0] * 4 + [0.999] * (cfg.block.width - 4)
-    u[d2 + 5] = float(np.nextafter(0.01, 0.0))
+    block = cfg.block
+    d1, d2 = block.columns
+    u = [0.0] * 4 + [0.999] * (block.width - 4)
+    u[d2 + 5 - 1] = float(np.nextafter(0.01, 0.0))
     rec = round_fn(cfg, 0, u)
     assert rec.clicks == (ClickEvent(Detector.D2, 5),) and rec.bit is BitOutcome.BIT1
-    for column in (d1, d2):
-        u[column] = u[column + 2**3 + 2] = 0.0
-    assert round_fn(cfg, 0, u) == rec
+    u[d1 : d1 + 2 * block.gated] = [0.0] * (2 * block.gated)
+    gate = dpsqkd.stations.CascadeConfig(3, PHASE_0).gate
+    assert round_fn(cfg, 0, u).clicks == tuple(
+        ClickEvent(d, k) for d in (Detector.D1, Detector.D2) for k in gate
+    )
 
 
 def test_multi_click_policy_discard_vs_pick():
@@ -243,13 +246,63 @@ def test_workload_stats_golden():
         assert sha256_of_repr(run_session(cfg).stats) == digests[name], name
 
 
+def retired_width(cfg):
+    """A row's width in the retired dense layout: the four phase draws, the
+    sampling draw, a decoy draw per odd slot, two columns of the 2^n + 3
+    gate slots 0 .. 2^n + 2 and the pick, drawn whatever the config."""
+    return 5 + 2 ** (cfg.n_stages - 1) + 2 * (2**cfg.n_stages + 3) + 1
+
+
+def project_retired_rows(cfg, rows):
+    """Rows of the retired dense layout, moved to the positions that
+    ``cfg.block`` reads them at: the phases and the sampling draw, the
+    gated slots 1 .. 2^n + 1 of both columns, then the pick and the decoy
+    phase and draws where the block has them. The reserved gate slots are
+    dropped, and so are the draws the config does not read."""
+    half, old_gated = 2 ** (cfg.n_stages - 1), 2**cfg.n_stages + 3
+    old_column0 = 5 + half
+    block = cfg.block
+    out = np.empty((len(rows), block.width))
+    out[:, :3] = rows[:, :3]
+    out[:, block.sample] = rows[:, 4]
+    for c, start in enumerate(block.columns):
+        first = old_column0 + c * old_gated + 1
+        out[:, start : start + block.gated] = rows[:, first : first + block.gated]
+    if block.pick is not None:
+        out[:, block.pick] = rows[:, old_column0 + 2 * old_gated]
+    if block.decoys is not None:
+        out[:, block.decoy_phase] = rows[:, 3]
+        out[:, block.decoys : block.decoys + half] = rows[:, 5 : 5 + half]
+    return out
+
+
 def philox_rows(cfg):
     """Every round's row as the retired Philox round stream drew it: keyed by
     ``SeedSequence(master_seed, spawn_key=(1,)).generate_state(2, np.uint64)``,
-    each row padded to whole counters of four 64-bit outputs."""
+    each retired dense row padded to whole counters of four 64-bit outputs."""
     key = np.random.SeedSequence(cfg.master_seed, spawn_key=(1,)).generate_state(2, np.uint64)
-    width = (cfg.block.pick + 4) // 4 * 4
+    width = (retired_width(cfg) + 3) // 4 * 4
     return np.random.Generator(np.random.Philox(key=key)).random((cfg.rounds, width))
+
+
+def dense_pcg64_rows(cfg):
+    """Every round's row as the PCG64 round stream drew it in the retired
+    dense layout, one row after the other."""
+    stream = np.random.PCG64(np.random.SeedSequence(cfg.master_seed, spawn_key=(1,)))
+    return np.random.Generator(stream).random((cfg.rounds, retired_width(cfg)))
+
+
+def assert_kernel_goldens(retired_rows, records, stats):
+    """The kernel on each golden config's rows of the retired dense layout,
+    moved to the present positions, gives the record and stats digests."""
+    for name, cfg in DECOY_RECORD_CONFIGS.items():
+        u = project_retired_rows(cfg, retired_rows(cfg))
+        columns = dpsqkd.session._run_chunk(cfg, cfg.phase_tables, u)
+        assert sha256_of_repr(dpsqkd.session._records(cfg, columns)) == records[name], name
+    for name, cfg in WORKLOAD_CONFIGS.items():
+        u = project_retired_rows(cfg, retired_rows(cfg))
+        columns = dpsqkd.session._run_chunk(cfg, cfg.phase_tables, u)
+        assert sha256_of_repr(session_stats(columns, cfg)) == stats[name], name
 
 
 def test_kernel_on_philox_rows_gives_the_philox_goldens():
@@ -268,12 +321,25 @@ def test_kernel_on_philox_rows_gives_the_philox_goldens():
         "decoy": "54b2bd9b084382ab0490b0276168d1c47c90f1ed14e371246a309e54a2ce7b3c",
         "n=6": "ffd02496f5be5b4345dab969a39fa38c2440fef6937ff689a342ed5b9e495118",
     }
-    for name, cfg in DECOY_RECORD_CONFIGS.items():
-        columns = dpsqkd.session._run_chunk(cfg, cfg.phase_tables, philox_rows(cfg))
-        assert sha256_of_repr(dpsqkd.session._records(cfg, columns)) == records[name], name
-    for name, cfg in WORKLOAD_CONFIGS.items():
-        columns = dpsqkd.session._run_chunk(cfg, cfg.phase_tables, philox_rows(cfg))
-        assert sha256_of_repr(session_stats(columns, cfg)) == stats[name], name
+    assert_kernel_goldens(philox_rows, records, stats)
+
+
+def test_kernel_on_dense_pcg64_rows_gives_the_dense_goldens():
+    # the digests the goldens above held while PCG64 drew every row in the
+    # retired dense layout: the kernel still gives them on those rows, so the
+    # change of layout moved which uniforms a round reads, not what it does
+    records = {
+        "decoy": "73c3dfc69522d16da1375aeda5739af8b4ab14a23e763e9a586e794da91d7b08",
+        "attacked n=4": "4a8d418f0f0d512835fa90368d9982dddef78f124fc3d4859767d6ab725c3966",
+        "n=6": "05317e8e6e5ac19b382c9abb9b44c98eab775f841e2ce3fd112d37381afce47f",
+    }
+    stats = {
+        "keygen": "4c454de81dca409488a76092e890bf815b8ec9390c7b603045cc78aefd3b630f",
+        "attack": "7c2c137d073f03a5090dd0c0f5670a979e2c290d2358c4807cfd039588c909fb",
+        "decoy": "18c428e8b9c48d57e63c774b4f83b0a0139ea2eeb5ff0c78c7fe552c01880208",
+        "n=6": "cd78244865634a12246f2355be7275b24c8cc028531baa3fcd513245c32d3c68",
+    }
+    assert_kernel_goldens(dense_pcg64_rows, records, stats)
 
 
 def test_phase_table_bytes_golden():
@@ -708,36 +774,58 @@ def test_round_columns_contract(n, decoy_prob, eve_kind, sample_prob, dark):
 
 @pytest.mark.parametrize("n", [1, 3, 6, MAX_STAGES])
 def test_round_block_layout(n):
-    # phases, sampling, one decoy draw per odd slot, two detector columns of
-    # gate slots 0 .. 2^n + 2, and the pick as the row's last uniform
-    cfg = SessionConfig(n_stages=n)
-    column0 = 5 + 2 ** (n - 1)
-    gated = 2**n + 3
-    assert cfg.block.gated == gated
-    assert cfg.block.columns == (column0, column0 + gated)
-    assert cfg.block.pick == column0 + 2 * gated
-    assert cfg.block.width == cfg.block.pick + 1
-    assert len(round_uniforms(cfg, 5)) == cfg.block.width
+    # three phases and the sampling draw, two detector columns of the gate
+    # slots 1 .. 2^n + 1, then the pick only under random pick, then the
+    # decoy phase and one decoy draw per odd slot only with decoys
+    gated = 2**n + 1
+    for decoy_prob in (0.0, 0.3):
+        for policy in DoubleClickPolicy:
+            cfg = SessionConfig(
+                n_stages=n,
+                decoy_prob=decoy_prob,
+                detector=DetectorParams(double_click_policy=policy),
+            )
+            block = cfg.block
+            assert (block.sample, block.gated, block.columns) == (3, gated, (4, 4 + gated))
+            end = 4 + 2 * gated
+            if policy is DoubleClickPolicy.RANDOM_PICK:
+                assert block.pick == end
+                end += 1
+            else:
+                assert block.pick is None
+            if decoy_prob:
+                assert (block.decoy_phase, block.decoys) == (end, end + 1)
+                end += 1 + 2 ** (n - 1)
+            else:
+                assert block.decoy_phase is None and block.decoys is None
+            assert block.width == end
+            assert block.chunk_rounds == max(1, 2**15 // end)
+            assert len(round_uniforms(cfg, 5)) == end
+    # the rows of the keygen shape at n = 1 .. 6
+    widths = [SessionConfig(n_stages=k, sample_prob=0.0).block.width for k in range(1, 7)]
+    assert widths == [10, 14, 22, 38, 70, 134]
 
 
 @pytest.mark.parametrize("n", range(1, MAX_STAGES + 1))
 def test_decoy_scatter_overwrites_the_gate_positions_that_read_each_odd_slot(n):
     # the kernel's scatter writes a replaced odd slot s at s + these offsets;
-    # they must be the positions whose gate slot k has key_slot(k) == s, and
-    # no others
+    # they must be the positions whose gate slot k (position mod G + 1) has
+    # key_slot(k) == s, and no others
     gated, half = SessionConfig(n_stages=n).block.gated, 2 ** (n - 1)
     slots = 2 * np.arange(half) + 1
     positions = slots[:, None] + dpsqkd.session._decoy_gate_positions(gated)
     assert (positions // gated == [0, 0, 1, 1]).all()  # both detector columns
-    k = positions % gated
+    k = positions % gated + 1
     assert (dpsqkd.stations.key_slot(k) == slots[:, None]).all()
     # every gate slot that reads one of Alice's odd slots is written: two per
     # slot and column
-    read = dpsqkd.stations.key_slot(np.arange(gated))
+    gate = np.array(dpsqkd.stations.CascadeConfig(n, PHASE_0).gate)
+    assert len(gate) == gated
+    read = dpsqkd.stations.key_slot(gate)
     reads_odd = np.isin(read, slots)
     assert np.array_equal(np.bincount(read[reads_odd] // 2, minlength=half), np.full(half, 2))
     assert len(np.unique(positions)) == 4 * half
-    assert np.array_equal(np.unique(k), np.flatnonzero(reads_odd))
+    assert np.array_equal(np.unique(k), gate[reads_odd])
 
 
 def test_round_uniforms_golden():
@@ -758,8 +846,8 @@ def test_round_uniforms_golden():
 @pytest.mark.parametrize(
     "index, edit, match",
     [
-        (0, lambda u: u[:10], "u must hold 32 uniforms"),
-        (0, lambda u: u + [0.5], "u must hold 32 uniforms"),
+        (0, lambda u: u[:10], "u must hold 22 uniforms"),
+        (0, lambda u: u + [0.5], "u must hold 22 uniforms"),
         (0, lambda u: [1.0] + u[1:], r"\[0, 1\)"),
         (0, lambda u: u[:5] + [math.nan] + u[6:], r"\[0, 1\)"),
         (0, lambda u: u[:-1] + [-0.25], r"\[0, 1\)"),
@@ -836,7 +924,7 @@ def test_dark_counts_produce_qber_and_alarm():
 
 def test_dark_counts_on_a_vacuum_return_fill_the_gate():
     # with no light back, each of the 2 (2^n + 1) gated slots of a round
-    # dark-counts on its own, and no click lands outside the gate
+    # dark-counts on its own, and every click's slot lies in the gate
     n, rounds, dark = 3, 20_000, 0.01
     cfg = SessionConfig(
         n_stages=n,
@@ -846,11 +934,12 @@ def test_dark_counts_on_a_vacuum_return_fill_the_gate():
         detector=DetectorParams(dark_count_prob=dark),
         master_seed=12,
     )
-    clicks = run_session(cfg).columns.clicks
+    result = run_session(cfg)
+    clicks = result.columns.clicks
     trials = rounds * 2 * (2**n + 1)
     assert abs(len(clicks) - trials * dark) < 5 * math.sqrt(trials * dark * (1 - dark))
-    gated = 2**n + 3
-    assert not np.isin(clicks % gated, (0, gated - 1)).any()
+    slots = {click.slot for record in result.records for click in record.clicks}
+    assert slots == set(dpsqkd.stations.CascadeConfig(n, PHASE_0).gate)
 
 
 def test_channel_immunity_statistics():
