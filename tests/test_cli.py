@@ -445,7 +445,7 @@ def test_experiments_tree_golden(tmp_path):
     tree = hashlib.sha256()
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         tree.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
-    assert tree.hexdigest() == "9a539e05718c80d9f816abff9d75c9f1f3b161e53c8f2ca855c439e5e350cd13"
+    assert tree.hexdigest() == "bd6ab80d157cce9f34fa2e0b082a7158914fc810781b94fde14dd1ee6c166e04"
 
 
 def test_experiments_build_no_record_view(tmp_path, monkeypatch):

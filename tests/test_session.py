@@ -227,9 +227,9 @@ def sha256_of_repr(value) -> str:
 
 def test_decoy_session_records_golden():
     digests = {
-        "decoy": "73c3dfc69522d16da1375aeda5739af8b4ab14a23e763e9a586e794da91d7b08",
-        "attacked n=4": "4a8d418f0f0d512835fa90368d9982dddef78f124fc3d4859767d6ab725c3966",
-        "n=6": "05317e8e6e5ac19b382c9abb9b44c98eab775f841e2ce3fd112d37381afce47f",
+        "decoy": "e17afced9687d9842b53189cc220c8d0a8434cb297f9be17f17f88f4aacc8fac",
+        "attacked n=4": "340db50ef105ad3dca2342b846fa70ce3fa663d1407c396e95e81e5e22539a30",
+        "n=6": "fdb34cf4774aa8c41ad7d516cf26108183667d432d632216b9a674626253d92a",
     }
     for name, cfg in DECOY_RECORD_CONFIGS.items():
         assert sha256_of_repr(run_session(cfg).records) == digests[name], name
@@ -237,10 +237,10 @@ def test_decoy_session_records_golden():
 
 def test_workload_stats_golden():
     digests = {
-        "keygen": "4c454de81dca409488a76092e890bf815b8ec9390c7b603045cc78aefd3b630f",
-        "attack": "7c2c137d073f03a5090dd0c0f5670a979e2c290d2358c4807cfd039588c909fb",
-        "decoy": "18c428e8b9c48d57e63c774b4f83b0a0139ea2eeb5ff0c78c7fe552c01880208",
-        "n=6": "cd78244865634a12246f2355be7275b24c8cc028531baa3fcd513245c32d3c68",
+        "keygen": "de748277baf14299ddbaf826ede395c695eacd31b01ec38f2a2c6c7f8787f38a",
+        "attack": "bab1be9fac6dc5169ee6c15bc66560f3eaa79e310fb534892a55b26da60610db",
+        "decoy": "f3d6629860afd659b559cc84ea00370d8ce5ce01fbe00fcf095e76907c4cc908",
+        "n=6": "0d72cd703516ef9c2358efa24e5a8384e16d6c84c399d1c3a287ef0b95718455",
     }
     for name, cfg in WORKLOAD_CONFIGS.items():
         assert sha256_of_repr(run_session(cfg).stats) == digests[name], name
@@ -347,11 +347,11 @@ def test_phase_table_bytes_golden():
     # memo, and the per-link (energy_alarm, odd, eve_reads) flags: the goldens
     # above stop at n=6 sessions, these pin the optics up to n=16
     configs = {
-        "18ac2184dae5fdb869ff9e57cbcc72626b1652d5dfc1580c131de510594252ff": (
+        "c1c8e4f6e33648b7acad62ae5a59d8beeec059ac44f753d9f116829c824ad2b6": (
             (False, True, False),
             SessionConfig(n_stages=1),
         ),
-        "2baa719019508d3fd671ebaf2eb9947a69b72198a97ac9972f8dfb143644e5a2": (
+        "7fae8b18a137caf9b35822603857f8da94cacc7d37db5a1306b331445bd8e6fb": (
             (False, True, True),
             SessionConfig(
                 n_stages=3,
@@ -361,16 +361,16 @@ def test_phase_table_bytes_golden():
             ),
         ),
         # return slots occupied but with an energy that underflows to zero
-        "90709c0d2a869bb1b80c6a8a71cabdcaa9711b0d58663d978f8c3473a1d2156f": (
+        "01d90d3105fbdf9c4e36224fef0b4e22f186c5e582b72bcbec61a4f9cd750241": (
             (False, True, False),
             SessionConfig(n_stages=8, decoy_prob=0.3, mean_photons_return=5e-324),
         ),
-        "fd5b6be804d13d690b9ddb0cd6ccb7170b926ad71a661cd6d3cb63dd1a9b9668": (
+        "52f0e7c3295af0521c8eac9b49f0f3f49653cb5cfa1138f006fc9639db5be7e2": (
             (False, True, False),
             SessionConfig(n_stages=12, decoy_prob=0.3),
         ),
         # the attacked link of the CI's n=16 sessions
-        "48ad76e8e821720af93cae4448a18cb0dea705d363a3f4ad4761cdf9862ebf8c": (
+        "34f69e5b08c042e12f31719c1080c2ec03f285e3812bf1edb394cef335e0a9ab": (
             (False, True, True),
             SessionConfig(
                 n_stages=16,
