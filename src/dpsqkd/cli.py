@@ -20,12 +20,12 @@ Config format::
     }
 
 Experiment entries are either a bare name or an object with ``name`` plus
-session overrides. Recognized session keys: n_stages, rounds,
-source_mean_photons, mean_photons_return, sample_prob, decoy_prob,
-energy_tolerance, disclose_fraction, max_check_error, max_qber,
-quantum_efficiency, dark_count_prob, double_click_policy, loss_db,
-birefringence_mode. ``efficiency_scan`` also accepts ``stages`` (list of
-cascade sizes, each in 1..16 like ``n_stages``; default 1..6).
+session overrides. The session keys are the fields of ``SessionConfig``,
+``DetectorParams`` and ``ChannelParams``, less four of ``SessionConfig``:
+``master_seed`` (the file's ``seed``), ``eve_kind`` (set by ``attack_demo``)
+and the ``detector`` and ``channel`` sections, whose fields are keys
+themselves. ``efficiency_scan`` also accepts ``stages`` (list of cascade
+sizes, each in 1..16 like ``n_stages``; default 1..6).
 
 ``birefringence_mode`` changes no table: it selects only the fiber unitary
 of the field-level reference round, drawn from the master seed, which the
@@ -38,13 +38,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .channel import BirefringenceMode, EveKind
-from .optics import ClickEvent
+from .channel import BirefringenceMode, ChannelParams, EveKind
+from .optics import ClickEvent, DetectorParams
 from .phases import KEY_PHASES, QUATERNARY
 from .session import SessionConfig, competitor_efficiency, run_session, theoretical_efficiency
 from .stations import CascadeConfig, Detector, alice_encode, bob_measure, bob_prepare, infer_bit
@@ -82,43 +82,30 @@ def _replace(obj, **changes):
         raise ConfigError(str(e)) from None
 
 
-#: Each session key of the config file and the (section, field) it sets:
-#: a ``SessionConfig`` field, or a field of its ``detector`` or ``channel``.
-#: The dataclasses check the values and name the field in their errors.
-_SESSION_KEYS = {
-    "n_stages": ("session", "n_stages"),
-    "rounds": ("session", "rounds"),
-    "source_mean_photons": ("session", "source_mean_photons"),
-    "mean_photons_return": ("session", "mean_photons_return"),
-    "sample_prob": ("session", "sample_prob"),
-    "decoy_prob": ("session", "decoy_prob"),
-    "energy_tolerance": ("session", "energy_tolerance"),
-    "disclose_fraction": ("session", "disclose_fraction"),
-    "max_check_error": ("session", "max_check_error"),
-    "max_qber": ("session", "max_qber"),
-    "quantum_efficiency": ("detector", "quantum_efficiency"),
-    "dark_count_prob": ("detector", "dark_count_prob"),
-    "double_click_policy": ("detector", "double_click_policy"),
-    "loss_db": ("channel", "loss_db"),
-    "birefringence_mode": ("channel", "birefringence_mode"),
+#: The ``SessionConfig`` fields that no config key sets: ``master_seed`` is
+#: the file's top-level ``seed``, ``attack_demo`` sets ``eve_kind``, and
+#: ``detector`` and ``channel`` are sections whose own fields are keys.
+_NOT_KEYS = ("master_seed", "eve_kind", "detector", "channel")
+_SECTIONS = {"detector": DetectorParams, "channel": ChannelParams}
+#: The section each session key of the config file sets ("session" for a
+#: ``SessionConfig`` field). The dataclasses check the values and name the
+#: field in their errors.
+_KEY_SECTION = {
+    **{f.name: "session" for f in fields(SessionConfig) if f.name not in _NOT_KEYS},
+    **{f.name: section for section, kind in _SECTIONS.items() for f in fields(kind)},
 }
 
 
 def _build_session(overrides: dict, seed: int) -> SessionConfig:
     """The session an experiment's merged defaults and overrides describe."""
-    sections: dict[str, dict] = {"session": {}, "detector": {}, "channel": {}}
+    sections: dict[str, dict] = {"session": {}, **{section: {} for section in _SECTIONS}}
     for key, value in overrides.items():
-        if key not in _SESSION_KEYS:
+        if key not in _KEY_SECTION:
             raise ConfigError(f"unknown config key: {key}")
-        section, name = _SESSION_KEYS[key]
-        sections[section][name] = value
+        sections[_KEY_SECTION[key]][key] = value
     cfg = _replace(SessionConfig(), master_seed=seed)
-    return _replace(
-        cfg,
-        detector=_replace(cfg.detector, **sections["detector"]),
-        channel=_replace(cfg.channel, **sections["channel"]),
-        **sections["session"],
-    )
+    parts = {section: _replace(getattr(cfg, section), **sections[section]) for section in _SECTIONS}
+    return _replace(cfg, **parts, **sections["session"])
 
 
 def parse_config(path) -> list[ExperimentSpec]:
@@ -201,13 +188,31 @@ _SESSION_COLUMNS = (
 )
 
 
+#: (column, ``SessionStats`` attribute) of the attack_demo table, after ``variant``
+_ATTACK_COLUMNS = (
+    ("rounds", "rounds"),
+    ("sifted_length", "sifted_length"),
+    ("qber", "qber"),
+    ("mismatches", "mismatches"),
+    ("eve_key_agreement", "eve_agreement"),
+    ("check_rounds_matched", "check_rounds_matched"),
+    ("check_error_rate", "check_error_rate"),
+    ("alarm", "alarm"),
+)
+
+
+def _session_row(cfg: SessionConfig, columns) -> tuple:
+    """The row of ``columns`` that ``cfg``'s session statistics give."""
+    stats = run_session(cfg).stats
+    return tuple(getattr(stats, attr) for _, attr in columns)
+
+
 def _run_baseline(spec: ExperimentSpec) -> ResultTable:
     cfg = replace(spec.base, master_seed=_variant_seed(spec, 0))
-    stats = run_session(cfg).stats
     return ResultTable(
         "baseline",
         tuple(column for column, _ in _SESSION_COLUMNS),
-        (tuple(getattr(stats, attr) for _, attr in _SESSION_COLUMNS),),
+        (_session_row(cfg, _SESSION_COLUMNS),),
     )
 
 
@@ -233,48 +238,16 @@ def _run_efficiency_scan(spec: ExperimentSpec) -> ResultTable:
 
 
 def _run_attack_demo(spec: ExperimentSpec) -> ResultTable:
-    off = replace(
-        spec.base,
-        eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
-        sample_prob=0.0,
-        decoy_prob=0.0,
-        master_seed=_variant_seed(spec, 0),
-    )
-    on = replace(
-        spec.base,
-        eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
-        master_seed=_variant_seed(spec, 1),
-    )
-    rows = []
-    for label, cfg in (("checks_off", off), ("checks_on", on)):
-        stats = run_session(cfg).stats
-        rows.append(
-            (
-                label,
-                stats.rounds,
-                stats.sifted_length,
-                stats.qber,
-                stats.mismatches,
-                stats.eve_agreement,
-                stats.check_rounds_matched,
-                stats.check_error_rate,
-                stats.alarm,
-            )
-        )
+    attacked = replace(spec.base, eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE)
+    off = replace(attacked, sample_prob=0.0, decoy_prob=0.0, master_seed=_variant_seed(spec, 0))
+    on = replace(attacked, master_seed=_variant_seed(spec, 1))
     return ResultTable(
         "attack_demo",
-        (
-            "variant",
-            "rounds",
-            "sifted_length",
-            "qber",
-            "mismatches",
-            "eve_key_agreement",
-            "check_rounds_matched",
-            "check_error_rate",
-            "alarm",
+        ("variant", *(column for column, _ in _ATTACK_COLUMNS)),
+        tuple(
+            (label, *_session_row(cfg, _ATTACK_COLUMNS))
+            for label, cfg in (("checks_off", off), ("checks_on", on))
         ),
-        tuple(rows),
     )
 
 
@@ -312,7 +285,7 @@ def _run_truth_table(spec: ExperimentSpec) -> ResultTable:
     non-interfering (edge) slot has magnitude 1; ``odd_slots_click_d1`` is
     None at n=1, where no inner slot is odd."""
     n = spec.base.n_stages
-    slots = list(range(1, 2 ** n + 2))
+    slots = CascadeConfig(n, QUATERNARY[0]).gate
     odd_inner = slots[2:-1:2]
     norm = 2.0 ** (n + 1)
     rows = []
@@ -368,8 +341,6 @@ def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return f"{value:.6g}"
     return str(value)
 

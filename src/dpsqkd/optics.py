@@ -117,9 +117,6 @@ class PulseTrain:
     def __len__(self) -> int:
         return int(np.count_nonzero(self.amplitudes))
 
-    def __contains__(self, slot: int) -> bool:
-        return self.amplitude(slot) != 0
-
 
 def _enum_field(obj, name: str, enum_type: type[Enum]) -> None:
     """Coerce a frozen dataclass field to ``enum_type``; a member or its
@@ -258,7 +255,12 @@ def attenuate(train: PulseTrain, target_mean_photons: float) -> PulseTrain:
         raise ValueError("cannot rescale a train whose total energy overflows")
     if energy == 0.0:
         raise ValueError("cannot rescale a vacuum train to positive energy")
-    scale = math.sqrt(target_mean_photons / energy)
+    ratio = target_mean_photons / energy
+    # a ratio that overflows is taken root by root, and each root is finite
+    if ratio == math.inf:
+        scale = math.sqrt(target_mean_photons) / math.sqrt(energy)
+    else:
+        scale = math.sqrt(ratio)
     return PulseTrain(train.amplitudes * scale, train.polarization)
 
 

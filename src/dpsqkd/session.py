@@ -562,14 +562,13 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
     if tables.eve_reads:
         # Eve reads all of Alice's odd slots: the keyed ones vote for the key
         # phase (KEY_PHASES[i] is 2i turns), each decoy for its decoy phase;
-        # with no decoys every slot votes for the key phase, which she resends
-        guess = key
+        # with no decoys every slot votes for the key phase. She resends her
+        # guess, which a sampled round never reads: it reads its check train
         if with_decoys:
             turns = np.arange(len(QUATERNARY))[:, None]
             votes = (turns == 2 * key) * (half - n_decoys) + (turns == decoy_turns) * n_decoys
-            guess = eve_key_phase(votes)
-            resent = np.where(sampled, key, guess)
-        eve = np.where(sampled, -1, guess).astype(np.int8)
+            resent = eve_key_phase(votes)
+        eve = np.where(sampled, -1, resent).astype(np.int8)
 
     # every round reads one row of the tables: the check train of a sampled round,
     # else the key train (KEY_PHASES[i] is 2i turns) or the one Eve resent

@@ -144,8 +144,11 @@ def test_unknown_experiment_rejected(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    # channel_seed is no key: the fiber is drawn from the master seed
-    for key in ("phton_number", "channel_seed"):
+    # channel_seed is no key: the fiber is drawn from the master seed; nor
+    # are the SessionConfig fields that the seed, attack_demo and the
+    # detector and channel keys set
+    keys = ("phton_number", "channel_seed", "master_seed", "eve_kind", "detector", "channel")
+    for key in keys:
         path = write_config(tmp_path, {"experiments": [{"name": "baseline", key: 1}]})
         with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
             parse_config(path)
@@ -157,6 +160,35 @@ def test_main_unknown_key_exits_2(tmp_path, capsys):
     assert code == 2
     assert "unknown config key: channel_seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (["baseline"], [], "config root must be an object"),
+        ({"sed": 3, "experiments": ["baseline"]}, [], "unknown config key: sed"),
+        ({"defaults": [], "experiments": ["baseline"]}, [], "defaults must be an object"),
+        ({"seed": 3}, [], "experiments must be a non-empty list"),
+        ({"experiments": []}, [], "experiments must be a non-empty list"),
+        ({"experiments": [3]}, [], "experiment entry must be a name or object, got 3"),
+        ({"experiments": [{"rounds": 5}]}, [], "experiment entry is missing the name key"),
+        (
+            {"experiments": [{"name": "efficiency_scan", "stages": 3}]},
+            [],
+            "stages must be a non-empty list of integers",
+        ),
+        (
+            {"experiments": ["baseline"]},
+            ["--experiment", "truth_table"],
+            "experiment 'truth_table' is not in the config",
+        ),
+    ],
+)
+def test_main_config_shape_errors_exit_2(tmp_path, capsys, doc, argv, message):
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(out), *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_missing_file_and_malformed_json(tmp_path):
@@ -432,6 +464,24 @@ def test_main_decoy_session_end_to_end(tmp_path, capsys):
     row = (out / "baseline.csv").read_text().splitlines()[1]
     assert row.startswith("300,")
     assert "baseline" in capsys.readouterr().out
+
+
+def test_main_return_far_above_the_arriving_light_runs(tmp_path):
+    # 1e300 photons out of 5e-28 arriving at Alice: the attenuator's ratio
+    # overflows a float, and the session still runs, with Eve and without
+    doc = {
+        "defaults": {
+            "n_stages": 1,
+            "rounds": 10,
+            "mean_photons_return": 1e300,
+            "loss_db": 300.0,
+        },
+        "experiments": ["baseline", "attack_demo"],
+    }
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    assert (out / "baseline.csv").read_text().splitlines()[1].startswith("10,")
 
 
 def test_experiments_tree_golden(tmp_path):

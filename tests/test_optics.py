@@ -261,6 +261,15 @@ def test_attenuate_vacuum_to_positive_energy_fails():
             attenuate(PulseTrain.single(1, 1.0), target)
 
 
+def test_attenuate_far_above_the_train_energy():
+    # target / energy overflows to inf, whose scale would make every slot
+    # inf; the roots of target and energy are each finite
+    train = PulseTrain.from_amplitudes({1: 1e-150, 2: 1e-150})  # energy 2e-300
+    out = attenuate(train, 1e300)
+    assert out.amplitude(1) == out.amplitude(2)
+    assert out.total_energy == pytest.approx(1e300, rel=1e-12)
+
+
 def test_attenuate_overflowing_train_fails():
     # each slot's |a|^2 is finite, their sum is not: the scale would be 0 and
     # the train would come back empty

@@ -215,6 +215,14 @@ session_configs = st.builds(
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(session_configs, st.integers(0, 2**20))
+@example(
+    # Alice's attenuator raises the train 1e300 / 5e-28 times, a ratio that
+    # overflows a float
+    SessionConfig(
+        n_stages=1, rounds=10, mean_photons_return=1e300, channel=ChannelParams(loss_db=300.0)
+    ),
+    0,
+)
 def test_table_rounds_equal_field_level_rounds(config, first_round):
     # run_round is the kernel on a chunk of one row; both read the same row
     # of uniforms at the same positions
