@@ -256,8 +256,9 @@ def attenuate(train: PulseTrain, target_mean_photons: float) -> PulseTrain:
     if energy == 0.0:
         raise ValueError("cannot rescale a vacuum train to positive energy")
     ratio = target_mean_photons / energy
-    # a ratio that overflows is taken root by root, and each root is finite
-    if ratio == math.inf:
+    # a ratio that overflows or underflows to 0 is taken root by root: each
+    # root is finite and nonzero (a subnormal ratio keeps the one root)
+    if ratio == math.inf or ratio == 0.0:
         scale = math.sqrt(target_mean_photons) / math.sqrt(energy)
     else:
         scale = math.sqrt(ratio)

@@ -270,6 +270,15 @@ def test_attenuate_far_above_the_train_energy():
     assert out.total_energy == pytest.approx(1e300, rel=1e-12)
 
 
+def test_attenuate_far_below_the_train_energy():
+    # target / energy underflows to 0, whose scale would empty every slot;
+    # the roots of target and energy are each nonzero
+    train = PulseTrain.from_amplitudes({1: 1e150, 2: 1e150})  # energy 2e300
+    out = attenuate(train, 1e-300)
+    assert out.amplitude(1) == out.amplitude(2) != 0
+    assert out.total_energy == pytest.approx(1e-300, rel=1e-12)
+
+
 def test_attenuate_overflowing_train_fails():
     # each slot's |a|^2 is finite, their sum is not: the scale would be 0 and
     # the train would come back empty

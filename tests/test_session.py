@@ -151,6 +151,23 @@ def test_decoy_contaminated_clicks_are_sifted_out():
     assert stats.mismatches == 0
 
 
+def test_a_return_far_below_the_arriving_light_keeps_the_odd_slots_lit():
+    # Alice attenuates 1e300 photons to 1e-300, a ratio that underflows to 0:
+    # her odd slots stay lit, so she places the decoys the same draws place
+    # at the default source energy
+    cfg = SessionConfig(
+        source_mean_photons=1e300,
+        mean_photons_return=1e-300,
+        decoy_prob=0.5,
+        rounds=1000,
+        sample_prob=0.0,
+    )
+    assert cfg.phase_tables.odd
+    placed = run_session(cfg).columns.n_decoys.sum()
+    assert placed > 0
+    assert placed == run_session(replace(cfg, source_mean_photons=512.0)).columns.n_decoys.sum()
+
+
 #: Sessions whose records are pinned: decoy rounds are built from per-slot
 #: tables, not their own optics, and the records must stay what running every
 #: optical element on them gave.
