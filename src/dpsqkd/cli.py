@@ -259,9 +259,9 @@ def _run_birefringence_sweep(spec: ExperimentSpec) -> ResultTable:
     cfg = replace(spec.base, master_seed=_variant_seed(spec, 0))
     result = run_session(cfg)
     columns = result.columns
-    # detector column 0 is D1 in a keyed round and D3 in a sampled one,
-    # column 1 is D2 or D4
-    first = columns.clicks < cfg.block.gated
+    # a click at gate position 2(k - 1) + c is D1 (c = 0) or D2 in a keyed
+    # round, D3 or D4 in a sampled one
+    first = columns.clicks % 2 == 0
     sampled = np.repeat(columns.sampled, columns.n_clicks)
     stats = result.stats
     counts = (

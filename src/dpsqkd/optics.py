@@ -6,11 +6,12 @@ every pulse of a train sees the same fiber unitary (collective
 birefringence), so the pulses never differ in polarization. Couplers,
 delay-line interferometers, phase modulators, attenuators and the Faraday
 mirror are pure functions on immutable pulse trains, each a few operations
-on the whole array. Photon detection, ``detect``, gives each output train
-a column of a row of uniforms and gates a fixed range of slots: each gated
-slot, lit or empty, clicks when the uniform at its fixed position falls
-below its click probability, signal or-ed with a dark count, compared for
-the whole gate at once.
+on the whole array. Photon detection, ``detect``, gives each pair of output
+trains a column of a row of uniforms and gates a fixed range of slots: each
+gated slot, lit or empty, has one uniform at its fixed position, and it
+clicks the pair's two detectors with their click probabilities (signal
+or-ed with a dark count) independently (``click_thresholds``), compared
+for the whole gate at once.
 
 Conventions fixed here (and relied on by the goldens in the test suite):
 
@@ -35,7 +36,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -292,25 +293,44 @@ def click_probabilities(train: PulseTrain, params: DetectorParams, gate: range) 
     return (signal + dark - signal * dark)[index]
 
 
+def click_thresholds(p1, p2):
+    """The thresholds ``(first, low, any)`` that click the two detectors of a
+    gate slot, of click probabilities ``p1`` and ``p2`` (floats or arrays),
+    from the slot's one uniform u: the first detector clicks when u < first,
+    the second when low <= u < any. The intervals measure p1, p2 and, where
+    they overlap, p1 * p2: two independent clicks. With p2 = 0 the second
+    interval is empty and the first is u < p1."""
+    low = p1 * (1.0 - p2)
+    return p1, low, p1 + p2 * (1.0 - p1)
+
+
 def detect(
-    branches: Iterable[tuple[Hashable, PulseTrain]],
+    branches: Sequence[tuple[Hashable, PulseTrain]],
     params: DetectorParams,
     gate: range,
     columns: Sequence[int],
     uniforms: Sequence[float],
 ) -> list[ClickEvent]:
-    """The clicks of each (detector, train) branch from one row of uniforms,
-    branch by branch in slot order.
+    """The clicks of each pair of (detector, train) branches from one row of
+    uniforms, pair by pair in slot order, the first detector of a slot first.
 
-    Every slot k of ``gate`` is gated, lit or not: it clicks when the
-    uniform at position ``columns[j] + k`` of the j-th branch falls below
-    its ``click_probabilities``. The caller gives each branch a column wide
-    enough for the gate; no other uniform is read.
+    Every slot k of ``gate`` is gated, lit or not. The j-th pair reads the
+    uniform at position ``columns[j] + k`` for both its detectors, which
+    click by the ``click_thresholds`` of their ``click_probabilities``. A
+    lone last branch clicks when the uniform falls below its probability.
+    The caller gives each pair a column wide enough for the gate; no other
+    uniform is read.
     """
     u = np.asarray(uniforms)
     slots = np.asarray(gate)
+    pairs = [branches[j : j + 2] for j in range(0, len(branches), 2)]
     clicks = []
-    for (detector, train), start in zip(branches, columns, strict=True):
-        clicked = slots[u[start + slots] < click_probabilities(train, params, gate)]
-        clicks.extend(ClickEvent(detector, k) for k in clicked.tolist())
+    for pair, start in zip(pairs, columns, strict=True):
+        p = [click_probabilities(train, params, gate) for _, train in pair]
+        first, low, reach = click_thresholds(p[0], p[1] if len(p) == 2 else 0.0)
+        x = u[start + slots]
+        # (slot, detector) in slot order, the first detector first
+        clicked = np.stack((x < first, (low <= x) & (x < reach)), axis=1)
+        for i in np.flatnonzero(clicked).tolist():
+            clicks.append(ClickEvent(pair[i % 2][0], int(slots[i // 2])))
     return clicks

@@ -37,16 +37,19 @@ and decoys, and with no decoys takes her guess to be the key phase; Eve
 resends the key train of her guess, which the round reads whole.
 
 The kernel runs a chunk of rounds as array work on their rows of uniforms.
-Each round takes one row of click probabilities from the tables whole: its
-check train, its key train or the key train Eve resent. In a round that
-Eve did not resend, each replaced odd slot s then overwrites, from the
-decoy row, only the four gate positions that read it, gate slots s and
-s + 1 of both detector columns (``_decoy_gate_positions``). The kernel
-compares the probabilities with the click uniforms and reads bits, decoy
-hits and check scores from the tables by 1-D takes on flat indices. A
-click is one flat index into the chunk's click mask of 2G gate positions
-per round: the index mod 2G is its gate position, a count of index // 2G
-the clicks per round, and their running sum finds the chosen click.
+Each round takes one row of the tables whole: its check train, its key
+train or the key train Eve resent. A gate slot's one uniform clicks both of
+its detectors (``optics.click_thresholds``), so the kernel (``_clicks``)
+compares each slot's uniform with the threshold below which either
+detector clicks. In a round that Eve did not resend, each replaced odd
+slot s first overwrites, from the decoy row, the two gate slots that read
+it, s and s + 1. Only the few slots below it are then split into their
+detectors, by their (first, low) thresholds from the same row, or from
+the decoy row where the slot reads a replaced odd slot. The kernel reads
+bits, decoy hits and check scores from the tables by 1-D takes on flat
+indices. A click is its round and its gate position, one of 2G per round,
+two per gate slot: a count of rounds gives the clicks per round, and their
+running sum finds the chosen click.
 Decoys (their mask and scatter), Eve's vote, sampling (check scores) and
 random picks (the pick rank) cost per-round work only when the config
 turns them on; dark counts are in the tables and cost none.
@@ -64,16 +67,18 @@ stages and G = 2^n + 1 gated slots 1 .. 2^n + 1 (``CascadeConfig.gate``):
 
 * u[0], u[1], u[2]: Alice's key phase, Bob's phase and the check phase;
 * u[3]: the sampling draw, the train is diverted when u[3] < sample_prob;
-* u[4 + c*G + k - 1]: the click draw of detector column c at gate slot k;
-  column 0 is D1 (key) or D3 (check), column 1 is D2 or D4, since a round
-  is either sampled or keyed;
-* u[4 + 2G]: the double-click pick, clicks[int(u * len(clicks))], only
+* u[4 + k - 1]: the click draw of gate slot k, one uniform for both of its
+  detectors, D1 and D2 in a keyed round, D3 and D4 in a sampled one: with
+  (first, low, any) the ``optics.click_thresholds`` of their click
+  probabilities, the first clicks when u < first and the second when
+  low <= u < any;
+* u[4 + G]: the double-click pick, clicks[int(u * len(clicks))], only
   under ``DoubleClickPolicy.RANDOM_PICK``;
 * then, only when decoy_prob > 0, the decoy phase and the decoy draw of
   each odd slot 2j + 1, 0 <= j < 2^(n-1), in that order.
 
-So W = 4 + 2G with neither the pick nor decoys: 10, 14, 22, 38, 70 and 134
-at n = 1 .. 6.
+So W = 4 + G with neither the pick nor decoys: 7, 9, 13, 21, 37 and 69 at
+n = 1 .. 6.
 
 A session draws its rows as arrays of at most 2^15 uniforms (one row at a
 time when a row is longer); ``round_uniforms`` draws one round's row alone
@@ -117,6 +122,7 @@ from .optics import (
     _real_field,
     attenuate,
     click_probabilities,
+    click_thresholds,
     detect,
     faraday_reflect,
 )
@@ -147,7 +153,7 @@ _SAMPLE = 3
 # n; 2^16 ran a few percent faster but left about 1 MiB more peak RSS
 _CHUNK_UNIFORMS = 2**15
 
-#: The largest cascade a session accepts: a round's row holds about 2^(n+1)
+#: The largest cascade a session accepts: a round's row holds about 2^n
 #: uniforms, and the field-level tables build trains of 2^n slots.
 MAX_STAGES = 16
 
@@ -207,8 +213,8 @@ class SessionConfig:
         """Where a round's draws sit in its row of uniforms: only those that
         this config's rounds can read."""
         gated = 2**self.n_stages + 1
-        column0 = _SAMPLE + 1
-        width = column0 + 2 * gated
+        column = _SAMPLE + 1
+        width = column + gated
         pick = decoy_phase = decoys = None
         if self.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
             pick, width = width, width + 1
@@ -217,7 +223,7 @@ class SessionConfig:
             width = decoys + 2 ** (self.n_stages - 1)
         # row i starts at output i * width of the stream
         chunk_rounds = max(1, _CHUNK_UNIFORMS // width)
-        return RoundBlock(_SAMPLE, column0, gated, pick, decoy_phase, decoys, width, chunk_rounds)
+        return RoundBlock(_SAMPLE, column, gated, pick, decoy_phase, decoys, width, chunk_rounds)
 
     @cached_property
     def link(self) -> Link:
@@ -242,7 +248,7 @@ class SessionConfig:
 
         Configs with one link share one read-only table object; the memo
         keeps the last ``_phase_tables.cache_info().maxsize`` links (about
-        22.5 MiB each at n=16), and the config keeps no reference to them.
+        34 MiB each at n=16), and the config keeps no reference to them.
         """
         return _phase_tables(self.link)
 
@@ -275,17 +281,17 @@ class Link(NamedTuple):
 class RoundBlock(NamedTuple):
     """The layout of a round's row of uniforms (see the module docstring).
 
-    ``sample`` is the sampling draw. A detector column holds the ``gated``
-    = 2^n + 1 gate slots 1 .. 2^n + 1 (``CascadeConfig.gate``), and column
-    c starts at ``columns[c]``: gate slot k of column c reads position
-    ``columns[c] + k - 1``. ``pick`` is the double-click pick,
+    ``sample`` is the sampling draw. The click column holds one draw for
+    each of the ``gated`` = 2^n + 1 gate slots 1 .. 2^n + 1
+    (``CascadeConfig.gate``), both of its detectors: gate slot k reads
+    position ``column + k - 1``. ``pick`` is the double-click pick,
     ``decoy_phase`` the decoy phase and ``decoys`` the first decoy draw,
     each None when the config draws none. A row is ``width`` uniforms, and
     a session draws ``chunk_rounds`` rows per array call.
     """
 
     sample: int
-    column0: int
+    column: int
     gated: int
     pick: int | None
     decoy_phase: int | None
@@ -293,19 +299,15 @@ class RoundBlock(NamedTuple):
     width: int
     chunk_rounds: int
 
-    @property
-    def columns(self) -> tuple[int, int]:
-        return (self.column0, self.column0 + self.gated)
 
-
-#: Rows of ``PhaseTables.signal``: the check trains at check phase 0 and
+#: Rows of ``PhaseTables.any`` and ``split``: the check trains at check phase 0 and
 #: pi/2, then the return trains whose odd slots all carry 0, 1 or 2 quarter
 #: turns (key phase 0, decoy phase pi/2, key phase pi).
 _CHECK_ROWS = 0
 _TURN_ROWS = 2
 _TRAIN_ROWS = 5
 
-#: The detectors of gate-position columns 0 and 1 in a keyed and a sampled round.
+#: The detectors c = 0 and 1 of gate position 2(k - 1) + c in a keyed and a sampled round.
 _KEY_DETECTORS = (Detector.D1, Detector.D2)
 _CHECK_DETECTORS = (Detector.D3, Detector.D4)
 
@@ -319,10 +321,11 @@ class PhaseTables(NamedTuple):
 
     The Faraday mirror undoes the fiber's polarization transform, and no
     amplitude depends on the polarization, so these hold for every fiber
-    unitary. Arrays are indexed by Bob's phase in quarter turns first. A
-    gate position g = c * G + k - 1 is gate slot k of detector column c
-    (G = 2^n + 1 gate slots 1 .. 2^n + 1, ``CascadeConfig.gate``), laid out
-    like the click columns of a round's row (``SessionConfig.block``).
+    unitary. Arrays are indexed by Bob's phase in quarter turns first. Of
+    the G = 2^n + 1 gate slots 1 .. 2^n + 1 (``CascadeConfig.gate``), gate
+    slot k is at k - 1, as in the click column of a round's row
+    (``SessionConfig.block``); its two detectors c = 0 and 1 are at gate
+    position 2(k - 1) + c.
 
     Bob's phase sits on the even slots of a train whose slots all have one
     magnitude, so it moves no slot's energy on the way to Alice and back.
@@ -333,17 +336,22 @@ class PhaseTables(NamedTuple):
     attack. The kernel counts her vote from the round's key phase and
     decoys (``channel.eve_key_phase``).
 
-    ``signal[b, r, g]`` is the final click probability of gate position g
-    in train r (rows ``_CHECK_ROWS`` + check index, ``_TURN_ROWS`` + quarter
-    turns on the odd slots), dark counts included, for every gated slot,
-    lit or empty, as ``optics.detect`` reads it.
+    ``any[b, r, k - 1]`` is the threshold below which gate slot k's uniform
+    clicks a detector in train r (rows ``_CHECK_ROWS`` + check index,
+    ``_TURN_ROWS`` + quarter turns on the odd slots), and ``split[b, r, k -
+    1]`` its (first, low) pair, packed so that one take reads both: the
+    ``optics.click_thresholds`` of the slot's two click probabilities, dark
+    counts included, for every gated slot, lit or empty, as
+    ``optics.detect`` reads them. At n=16 they hold about 30 MiB of a
+    link's 34 MiB, three floats per slot.
     Decoy rounds need no row of their own: output slot k reads odd slot
     ``key_slot(k)``, so a decoy round takes the row of its key phase and
-    overwrites the gate positions that read a replaced odd slot from the
-    row of its decoy phase (1 quarter turn). Only rounds Eve does not
+    reads the gate slots that read a replaced odd slot from the row of its
+    decoy phase (1 quarter turn). Only rounds Eve does not
     resend read that row, so it is filled only when ``decoy_prob`` > 0 and
     ``eve_reads`` is false.
-    ``bit[b, g]`` is the ``RoundColumns.bit`` code of a D1/D2 click at g
+    ``bit[b, g]`` is the ``RoundColumns.bit`` code of a D1/D2 click at gate
+    position g
     (``infer_bit``); ``check_matched[b, i]`` says whether check index i
     scores against Bob's phase, and ``check_compared`` and ``check_error``
     mark the D3/D4 clicks that it compares and counts as errors
@@ -353,7 +361,8 @@ class PhaseTables(NamedTuple):
     energy_alarm: np.ndarray
     odd: np.ndarray
     eve_reads: np.ndarray
-    signal: np.ndarray
+    any: np.ndarray
+    split: np.ndarray
     bit: np.ndarray
     check_matched: np.ndarray
     check_compared: np.ndarray
@@ -370,7 +379,8 @@ def build_phase_tables(link: Link) -> PhaseTables:
     :class:`PhaseTables`, read-only since sessions share them."""
     n = link.n_stages
     gated = 2**n + 1  # RoundBlock.gated
-    signal = np.zeros((len(QUATERNARY), _TRAIN_ROWS, 2 * gated))
+    reach = np.zeros((len(QUATERNARY), _TRAIN_ROWS, gated))
+    split = np.zeros((len(QUATERNARY), _TRAIN_ROWS, gated, 2))
     for b, bob_phase in enumerate(QUATERNARY):
         cascade = CascadeConfig(n, bob_phase)
         prepared, sent, train, energy_alarm = _forward_leg(link, cascade)
@@ -392,10 +402,9 @@ def build_phase_tables(link: Link) -> PhaseTables:
                 link, cascade, prepared, sent, decoy_train
             )
         gate = cascade.gate
-        for r, branches in by_row.items():
-            for c, (_, branch) in enumerate(branches):
-                at = slice(c * gated, (c + 1) * gated)
-                signal[b, r, at] = click_probabilities(branch, link, gate)
+        for r, ((_, first), (_, second)) in by_row.items():
+            p = (click_probabilities(train, link, gate) for train in (first, second))
+            split[b, r, :, 0], split[b, r, :, 1], reach[b, r] = click_thresholds(*p)
 
     # the readout rules read a gate slot only through its parity and whether
     # it is an edge slot: each rule runs on one slot per class (inner even,
@@ -409,35 +418,36 @@ def build_phase_tables(link: Link) -> PhaseTables:
     bit = np.array(
         [
             [
-                [_BITS.index(infer_bit(ClickEvent(d, k), cascade)) for k in representatives]
-                for d in _KEY_DETECTORS
+                [_BITS.index(infer_bit(ClickEvent(d, k), cascade)) for d in _KEY_DETECTORS]
+                for k in representatives
             ]
             for cascade in cascades
         ],
         dtype=np.int8,
-    )[..., classes]
+    )[:, classes]
     # (matched, compared, errors) of a lone D3/D4 click, per Bob phase,
-    # check phase, detector and slot
+    # check phase, slot and detector
     scores = np.array(
         [
             [
                 [
-                    [alice_score_check([ClickEvent(d, k)], cascade, phase) for k in representatives]
-                    for d in _CHECK_DETECTORS
+                    [alice_score_check([ClickEvent(d, k)], cascade, phase) for d in _CHECK_DETECTORS]
+                    for k in representatives
                 ]
                 for phase in CHECK_PHASES
             ]
             for cascade in cascades
         ],
         dtype=bool,
-    )[:, :, :, classes]
+    )[:, :, classes]
     checks = (len(QUATERNARY), len(CHECK_PHASES), 2 * gated)
     # Bob's phase moves no slot's energy, so the last one's flags are the link's
     tables = PhaseTables(
         energy_alarm=np.array(energy_alarm),
         odd=np.array(bool(odd_in_train)),
         eve_reads=np.array(eve_reads),
-        signal=signal,
+        any=reach,
+        split=split,
         bit=bit.reshape(len(QUATERNARY), 2 * gated),
         check_matched=scores[:, :, 0, 0, 0],
         check_compared=scores[..., 1].reshape(checks),
@@ -450,16 +460,9 @@ def build_phase_tables(link: Link) -> PhaseTables:
 
 # ``configs/experiments.json`` runs 7 distinct links, and a smaller memo would
 # evict links that recur within one ``dps-qkd`` run; at n=16 an entry holds
-# about 22.5 MiB (1.4 MiB at n=12); typed, so that a plain tuple of the same
+# about 34 MiB (2.1 MiB at n=12); typed, so that a plain tuple of the same
 # fields is not taken for a link
 _phase_tables = lru_cache(maxsize=8, typed=True)(build_phase_tables)
-
-
-def _decoy_gate_positions(gated: int) -> np.ndarray:
-    """The gate positions that read odd slot s are s plus these offsets:
-    gate slots s and s + 1 (the k with ``key_slot(k) == s``, at positions
-    k - 1) of both detector columns, ``gated`` positions apart."""
-    return np.array([-1, 0, gated - 1, gated])
 
 
 def _forward_leg(
@@ -504,8 +507,8 @@ class RoundColumns(NamedTuple):
 
     ``key``, ``check``: indices into ``KEY_PHASES`` and ``CHECK_PHASES``;
     ``bob``: Bob's phase in quarter turns. ``clicks``: the gate position
-    c * G + k - 1 of every click (gate slot k of detector column c: D1/D2
-    in a keyed round, D3/D4 in a sampled one), round by round and ascending
+    2(k - 1) + c of every click (detector c of gate slot k: D1/D2 in a
+    keyed round, D3/D4 in a sampled one), round by round and ascending
     within a round, ``n_clicks`` per round. ``bit``: ``_NO_BIT`` when no
     click was chosen, else an index into ``_BITS``. ``decoy_slots``: the
     odd slots that carried a decoy, listed like ``clicks``, ``n_decoys``
@@ -531,18 +534,72 @@ class RoundColumns(NamedTuple):
     eve: np.ndarray
 
 
+def _clicks(
+    tables: PhaseTables,
+    block: RoundBlock,
+    u: np.ndarray,
+    rows: np.ndarray,
+    decoy_reads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every click of the rounds whose rows of uniforms are the rows of
+    ``u`` and whose table rows are ``rows``: its round and its gate position
+    2(k - 1) + c (detector c of gate slot k), round by round and ascending
+    within a round. With ``decoy_reads``, (the chunk's decoy mask, the round
+    and odd index j of each decoy, each round's decoy row), the gate slots
+    that read a replaced odd slot read its round's decoy row instead.
+
+    Each gate slot's uniform is compared with the threshold below which
+    either detector clicks, and only the slots below it are split into their
+    detectors, by their (first, low) thresholds (``optics.click_thresholds``).
+    """
+    gated = block.gated
+    reach = tables.any.reshape(-1, gated)
+    p = reach.take(rows, axis=0)
+    if decoy_reads is not None:
+        decoys, decoy_round, odd_index, decoy_rows = decoy_reads
+        # odd slot 2j + 1 is read by gate slots 2j + 1 and 2j + 2, at 2j and 2j + 1
+        into = decoy_round * gated + 2 * odd_index
+        read = decoy_rows.take(decoy_round) * gated + 2 * odd_index
+        flat_p, flat_reach = p.reshape(-1), reach.reshape(-1)
+        flat_p[into], flat_p[into + 1] = flat_reach[read], flat_reach[read + 1]
+    # every gate slot that clicks either detector, as one flat index r * G + k - 1
+    lit = np.flatnonzero(u[:, block.column : block.column + gated] < p)
+    del p  # the largest array, freed before the lit slots' arrays
+    lit_round = lit // gated
+    at = lit - lit_round * gated  # gate slot k - 1
+    source = rows.take(lit_round)
+    if decoy_reads is not None:
+        # gate slot k reads odd slot 2j + 1 for j = (k - 1) // 2, but for the
+        # last, k = 2^n + 1, which reads none
+        half = decoys.shape[1]
+        odd = np.minimum(at >> 1, half - 1)
+        replaced = decoys.take(lit_round * half + odd) & (at < gated - 1)
+        source = np.where(replaced, decoy_rows.take(lit_round), source)
+    split = tables.split.reshape(-1, 2).take(source * gated + at, axis=0)
+    # the lit slot's uniform against its (first, low): the first detector
+    # clicks below first, the second at or above low
+    x = u.reshape(-1).take(lit + lit_round * (block.width - gated) + block.column)
+    clicked = np.empty((len(lit), 2), dtype=bool)
+    np.less(x, split[:, 0], out=clicked[:, 0])
+    np.greater_equal(x, split[:, 1], out=clicked[:, 1])
+    detector = np.flatnonzero(clicked)  # 2i + c for lit slot i
+    slot = detector >> 1
+    return lit_round.take(slot), 2 * at.take(slot) + (detector & 1)
+
+
 def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> RoundColumns:
     """The kernel on the rounds whose rows of uniforms are the rows of ``u``
     (module docstring): per-round work only for what the config turns on,
-    every table read a 1-D ``take`` and every click one flat index into the
-    chunk's click mask."""
+    every table read a 1-D ``take`` and every click its round and gate
+    position (``_clicks``)."""
     block, m = config.block, len(u)
     gated = block.gated
-    width = 2 * gated  # gate positions per round
+    width = 2 * gated  # gate positions per round, two detectors per gate slot
     half = 2 ** (config.n_stages - 1)  # Alice's odd slots
-    key = (u[:, 0] * 2).astype(np.int8)
+    # int(u * 2) is u >= 0.5
+    key = (u[:, 0] >= 0.5).view(np.int8)
     bob = (u[:, 1] * 4).astype(np.intp)
-    check = (u[:, 2] * 2).astype(np.int8)
+    check = (u[:, 2] >= 0.5).view(np.int8)
     sampled = u[:, block.sample] < config.sample_prob
     with_decoys = config.decoy_prob > 0.0
 
@@ -555,9 +612,9 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
         decoys &= ~sampled[:, None] & tables.odd
         flat = np.flatnonzero(decoys)  # round r's odd slot 2j + 1 at r * half + j
         decoy_round = flat // half
-        slots = 2 * (flat - decoy_round * half) + 1
+        odd_index = flat - decoy_round * half
         n_decoys = np.bincount(decoy_round, minlength=m).astype(np.int32)
-        decoy_slots = slots.astype(np.int32)
+        decoy_slots = (2 * odd_index + 1).astype(np.int32)
     eve, resent = np.full(m, -1, dtype=np.int8), key
     if tables.eve_reads:
         # Eve reads all of Alice's odd slots: the keyed ones vote for the key
@@ -572,22 +629,13 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
 
     # every round reads one row of the tables: the check train of a sampled round,
     # else the key train (KEY_PHASES[i] is 2i turns) or the one Eve resent
-    signal = tables.signal.reshape(-1, width)
     rows = bob * _TRAIN_ROWS + np.where(sampled, _CHECK_ROWS + check, _TURN_ROWS + 2 * resent)
-    p = signal.take(rows, axis=0)
+    decoy_reads = None
     if with_decoys and not tables.eve_reads:
-        # the gate positions that read a replaced odd slot read the decoy train
-        # instead; where Eve reads, she resends every unsampled round whole
+        # where Eve reads, she resends every unsampled round whole
         decoy_rows = bob * _TRAIN_ROWS + _TURN_ROWS + decoy_turns
-        reading = _decoy_gate_positions(gated)
-        into = (decoy_round * width + slots)[:, None] + reading
-        source = (decoy_rows.take(decoy_round) * width + slots)[:, None] + reading
-        np.put(p, into, signal.take(source))
-
-    # every click as one flat index into the chunk's click mask, in table order
-    flat = np.flatnonzero(u[:, block.column0 : block.column0 + width] < p)
-    by_round = flat // width
-    clicks = flat - by_round * width
+        decoy_reads = (decoys, decoy_round, odd_index, decoy_rows)
+    by_round, clicks = _clicks(tables, block, u, rows, decoy_reads)
     n_clicks = np.bincount(by_round, minlength=m)
     # the chosen click's index in ``clicks``: the only one, or the one the pick lands on
     nth = np.cumsum(n_clicks) - n_clicks
@@ -602,13 +650,12 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
     bit[picked] = chosen_bit
     decoy_hit = np.zeros(m, dtype=bool)
     if with_decoys:
-        # a chosen inner-slot click (one that reads a key bit) at gate slot
-        # k = position mod G + 1 reads odd slot key_slot(k), replaced when the
-        # round's decoy draw key_slot(k) // 2 fell below decoy_prob
+        # a chosen inner-slot click (one that reads a key bit) at gate
+        # position 2(k - 1) + c reads odd slot 2j + 1 for j = (k - 1) // 2,
+        # replaced when the round's decoy draw j fell below decoy_prob
         inner = chosen_bit != _BITS.index(BitOutcome.DISCARD)
         hit_rounds = picked[inner]
-        read = key_slot(chosen[inner] % gated + 1) // 2
-        decoy_hit[hit_rounds] = decoys.take(hit_rounds * half + read)
+        decoy_hit[hit_rounds] = decoys.take(hit_rounds * half + (chosen[inner] >> 2))
     check_matched = np.zeros(m, dtype=bool)
     check_compared, check_errors = np.zeros(m, np.int32), np.zeros(m, np.int32)
     if sampled.any():
@@ -676,14 +723,15 @@ def _records(
     config: SessionConfig, columns: RoundColumns, first_index: int = 0
 ) -> tuple[RoundRecord, ...]:
     """The record view of ``columns``, whose first round is ``first_index``."""
-    gated = config.block.gated
-    # a click's code is its gate position, two columns further in a sampled
-    # round, and reads gate slot code mod G + 1; one event per code that
-    # occurs, shared by the rounds it occurs in
-    codes = columns.clicks + 2 * gated * np.repeat(columns.sampled, columns.n_clicks)
+    width = 2 * config.block.gated
+    # a click's code is its gate position 2(k - 1) + c, one round's 2G
+    # positions further in a sampled round, whose detectors come two later;
+    # one event per code that occurs, shared by the rounds it occurs in
+    codes = columns.clicks + width * np.repeat(columns.sampled, columns.n_clicks)
     detectors = _KEY_DETECTORS + _CHECK_DETECTORS
     events = {
-        c: ClickEvent(detectors[c // gated], c % gated + 1) for c in np.unique(codes).tolist()
+        c: ClickEvent(detectors[c // width * 2 + c % 2], c % width // 2 + 1)
+        for c in np.unique(codes).tolist()
     }
     clicks = _by_round(codes, columns.n_clicks)
     decoys = _by_round(columns.decoy_slots, columns.n_decoys)
@@ -811,8 +859,8 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     check_phase = CHECK_PHASES[int(u[2] * 2)]
 
     cascade = CascadeConfig(config.n_stages, phase_b)
-    # detect reads gate slot k of branch j at columns[j] + k
-    columns = [column - cascade.gate.start for column in block.columns]
+    # detect reads gate slot k of both branches at columns[0] + k
+    columns = [block.column - cascade.gate.start]
     unitary = round_unitary(config.channel, config.master_seed, round_index)
     prepared, sent, train, alarm = _forward_leg(config.link, cascade, unitary)
 

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 import sys
 
@@ -11,6 +12,7 @@ from dpsqkd.optics import (
     DetectorParams,
     PulseTrain,
     attenuate,
+    click_thresholds,
     coupler_mix,
     detect,
     faraday_reflect,
@@ -429,50 +431,82 @@ def test_detect_dark_counts_on_empty_window():
 
 
 def test_detect_gates_every_slot_of_every_branch():
-    # dark counts reach every gated slot, lit or empty, of every branch, an
-    # empty one included; slot k of a branch reads position (its column) + k,
-    # and no uniform outside the gate is read
+    # dark counts reach every gated slot, lit or empty, of both branches of
+    # a pair, an empty one included; slot k of the pair reads position
+    # (its column) + k, and no uniform outside the gate is read
     train = PulseTrain.from_amplitudes({1: 1.0, 3: 1e-200})
     params = DetectorParams(quantum_efficiency=0.5, dark_count_prob=0.1)
     branches = [("a", train), ("b", PulseTrain.vacuum())]
     gate = range(1, 7)
-    p1 = -math.expm1(-0.5)
-    probs = {("a", k): 0.1 for k in gate} | {("b", k): 0.1 for k in gate}
-    probs["a", 1] = p1 + 0.1 - p1 * 0.1
-    columns = {"a": 10, "b": 20}
+    p1 = {k: 0.1 for k in gate}
+    p1[1] = -math.expm1(-0.5) + 0.1 + math.expm1(-0.5) * 0.1
     for j in range(30):
-        u = np.full(30, 0.5)
+        u = np.full(30, 0.99)
         u[j] = 0.0
-        expected = [(d, j - c) for d, c in columns.items() if (d, j - c) in probs]
-        assert detect(branches, params, gate, (10, 20), u) == expected, j
-    # each slot's probability exactly: no click at u = p, a click just below
-    for (d, k), p in probs.items():
-        u = np.full(30, 0.5)
-        u[columns[d] + k] = p
-        assert detect(branches, params, gate, (10, 20), u) == []
-        u[columns[d] + k] = np.nextafter(p, 0)
-        assert detect(branches, params, gate, (10, 20), u) == [(d, k)]
+        expected = [("a", j - 10)] if j - 10 in gate else []
+        assert detect(branches, params, gate, (10,), u) == expected, j
+    # each slot's thresholds exactly: a first only below low, both below
+    # first, b only below any, none at any
+    for k in gate:
+        first, low, reach = click_thresholds(p1[k], 0.1)
+        for x, expected in (
+            (np.nextafter(low, 0), [("a", k)]),
+            (low, [("a", k), ("b", k)]),
+            (np.nextafter(first, 0), [("a", k), ("b", k)]),
+            (first, [("b", k)]),
+            (np.nextafter(reach, 0), [("b", k)]),
+            (reach, []),
+        ):
+            u = np.full(30, 0.99)
+            u[10 + k] = x
+            assert detect(branches, params, gate, (10,), u) == expected, (k, x)
 
 
 def test_detect_draws_one_uniform_per_gated_slot():
-    # branch by branch in slot order, a gated slot clicks iff the uniform at
-    # its position is below its probability (0.47 per lit slot here, 0 per
-    # empty one without dark counts); no other uniform of the row is read
-    train = PulseTrain.from_amplitudes({k: 0.8 for k in range(1, 6)})
-    branches = [("a", train), ("b", PulseTrain.single(2, 0.8))]
+    # pair by pair in slot order, the first detector of a slot first, a
+    # gated slot's one uniform clicks each detector by the joint law (0.47
+    # per lit slot here, 0 per empty one without dark counts), and a lone
+    # last branch clicks below its probability; no other uniform is read
+    lit = PulseTrain.from_amplitudes({k: 0.8 for k in range(1, 6)})
+    branches = [("a", lit), ("b", PulseTrain.single(2, 0.8)), ("c", lit)]
     u = np.random.default_rng(5).random(12)
     gate = range(1, 6)
     clicks = detect(branches, DetectorParams(), gate, (0, 6), u)
     p = -math.expm1(-(0.8**2))
-    gated = [("a", k, k) for k in range(1, 6)] + [("b", 2, 8)]
-    expected = [(d, k) for d, k, j in gated if u[j] < p]
-    assert clicks == expected and 0 < len(expected) < 6
-    # without dark counts an empty slot never clicks, gated (positions 7 and
-    # 9-11) or not (0 and 6), whatever its uniform
-    for j in (0, 6, 7, 9, 10, 11):
+    expected = []
+    for k in gate:
+        first, low, reach = click_thresholds(p, p if k == 2 else 0.0)
+        expected += [(d, k) for d, hit in (("a", u[k] < first), ("b", low <= u[k] < reach)) if hit]
+    expected += [("c", k) for k in gate if u[6 + k] < p]
+    assert clicks == expected and 0 < len(expected) < 10
+    # positions 0 and 6 are not gated, and without dark counts b's empty
+    # slots never click: at u = 0 only the first detector of a pair does
+    for j in (0, 6):
         flipped = u.copy()
         flipped[j] = 0.0
         assert detect(branches, DetectorParams(), gate, (0, 6), flipped) == clicks
+    zeros = detect(branches, DetectorParams(), gate, (0, 6), np.zeros(12))
+    assert zeros == [("a", k) for k in gate] + [("c", k) for k in gate]
+
+
+def test_detect_pair_follows_the_joint_law():
+    # the one uniform of a slot clicks its two detectors independently:
+    # over 5 slots of 8000 rows, each of a-only, b-only and both falls within
+    # 5 binomial standard deviations of p1 (1 - p2), (1 - p1) p2 and p1 p2
+    a = PulseTrain.from_amplitudes({k: math.sqrt(0.5) for k in range(1, 6)})
+    b = PulseTrain.from_amplitudes({k: math.sqrt(1.2) for k in range(1, 6)})
+    p1, p2 = -math.expm1(-0.5), -math.expm1(-1.2)
+    gate, rows = range(1, 6), 8000
+    rng = np.random.default_rng(29)
+    counts = collections.Counter()
+    for _ in range(rows):
+        by_slot = collections.defaultdict(str)
+        for d, k in detect([("a", a), ("b", b)], DetectorParams(), gate, (0,), rng.random(6)):
+            by_slot[k] += d
+        counts.update(by_slot.values())
+    trials = rows * len(gate)
+    for outcome, p in (("a", p1 * (1 - p2)), ("b", (1 - p1) * p2), ("ab", p1 * p2)):
+        assert abs(counts[outcome] - trials * p) < 5 * math.sqrt(trials * p * (1 - p)), outcome
 
 
 def test_detect_efficiency_scales_click_rate():

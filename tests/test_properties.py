@@ -2,7 +2,8 @@
 interferometer pass, Faraday round-trip invariance (of the fiber's Jones
 step, and of the two legs a reference round runs), slot energies and click
 probabilities bit-for-bit equal to Python's ``abs``, ``**`` and
-``math.expm1`` per slot, the readout rule, and
+``math.expm1`` per slot, the joint law by which one uniform clicks a slot's
+two detectors, the readout rule, and
 the equivalence of the session kernel with the field-level reference round
 (``session.reference_round``) over drawn session configs, round by round
 and over sessions of several chunks. The kernel's statistics are checked
@@ -53,6 +54,7 @@ from dpsqkd.optics import (
     PulseTrain,
     attenuate,
     click_probabilities,
+    click_thresholds,
     faraday_reflect,
     jones_product,
     mzi_pass,
@@ -156,6 +158,35 @@ def test_energies_and_click_probabilities_follow_the_scalar_law(amplitudes, effi
         if energy == 0.0:
             assert p[k] == dark
     assert p[len(amplitudes) :].tolist() == [dark, dark]
+
+
+#: click probabilities: the ends, dark-count sizes, the smallest normal and
+#: subnormal floats, and any value in [0, 1]
+click_probability_values = st.one_of(
+    st.sampled_from((0.0, 1.0, 1e-6, 1e-3, 0.02, 2.2250738585072014e-308, 5e-324)),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(0.0, 1.0),
+)
+
+
+@PROPERTY
+@given(click_probability_values, click_probability_values)
+def test_click_thresholds_follow_the_joint_law(p1, p2):
+    # one uniform below first clicks the first detector, one in [low, any)
+    # the second: the intervals must measure p1, p2 and p1 p2, each within a
+    # few ulp of the largest threshold, the scale of their rounding
+    first, low, reach = (a.item() for a in click_thresholds(np.array([p1]), np.array([p2])))
+    assert 0.0 <= low <= first <= reach <= 1.0
+    ulps = 4 * math.ulp(reach)
+    assert first == p1
+    assert abs((reach - low) - p2) <= ulps
+    assert abs((first - low) - p1 * p2) <= ulps
+    # a lone detector (p2 = 0) clicks below its own probability, and so does
+    # the second when the first cannot click
+    if p2 == 0.0:
+        assert low == reach == p1
+    if p1 == 0.0:
+        assert low == 0.0 and reach == p2
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -372,7 +403,6 @@ def _every_odd_slot_replaced(eve_kind, mu, policy):
     replaces every odd slot of every round."""
     config = SessionConfig(
         n_stages=3,
-        rounds=2500,
         mean_photons_return=mu,
         sample_prob=0.0,
         decoy_prob=1.0,
@@ -381,6 +411,7 @@ def _every_odd_slot_replaced(eve_kind, mu, policy):
         master_seed=29,
     )
     chunk = config.block.chunk_rounds
+    config = dataclasses.replace(config, rounds=2 * chunk + chunk // 2)
     assert config.rounds > 2 * chunk
     result = run_session(config)
     for i in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, config.rounds - 1):

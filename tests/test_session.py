@@ -24,7 +24,6 @@ from dpsqkd.session import (
     round_uniforms,
     run_round,
     run_session,
-    session_stats,
     session_uniforms,
     sift,
     theoretical_efficiency,
@@ -86,20 +85,23 @@ def test_vacuum_return_round_records_no_detection():
 @pytest.mark.parametrize("round_fn", [run_round, reference_round])
 def test_dark_counts_reach_every_slot_of_the_return_train_and_no_other(round_fn):
     # Bob's phase 0 and key phase 0 light D2 only at edge slots 1 and 9, yet
-    # its inner slot 5 (position 4 of its column) dark-counts when its uniform
-    # is just below the dark probability; with every click uniform at 0 each
-    # detector clicks on exactly the return train's slots, the gate
+    # at its inner slot 5 (position 4 of the click column) D2 alone
+    # dark-counts when the slot's uniform is just below the threshold of
+    # either detector; with every click uniform at its slot's low threshold
+    # both detectors click on exactly the return train's slots, the gate
     cfg = SessionConfig(sample_prob=0.0, detector=DetectorParams(dark_count_prob=0.01))
     block = cfg.block
-    d1, d2 = block.columns
+    tables = cfg.phase_tables  # Bob's phase 0, key phase 0
+    reach = tables.any[0, dpsqkd.session._TURN_ROWS]
+    low = tables.split[0, dpsqkd.session._TURN_ROWS, :, 1]
     u = [0.0] * 4 + [0.999] * (block.width - 4)
-    u[d2 + 5 - 1] = float(np.nextafter(0.01, 0.0))
+    u[block.column + 5 - 1] = float(np.nextafter(reach[5 - 1], 0.0))
     rec = round_fn(cfg, 0, u)
     assert rec.clicks == (ClickEvent(Detector.D2, 5),) and rec.bit is BitOutcome.BIT1
-    u[d1 : d1 + 2 * block.gated] = [0.0] * (2 * block.gated)
+    u[block.column : block.column + block.gated] = low.tolist()
     gate = dpsqkd.stations.CascadeConfig(3, PHASE_0).gate
     assert round_fn(cfg, 0, u).clicks == tuple(
-        ClickEvent(d, k) for d in (Detector.D1, Detector.D2) for k in gate
+        ClickEvent(d, k) for k in gate for d in (Detector.D1, Detector.D2)
     )
 
 
@@ -263,102 +265,6 @@ def test_workload_stats_golden():
         assert sha256_of_repr(run_session(cfg).stats) == digests[name], name
 
 
-def retired_width(cfg):
-    """A row's width in the retired dense layout: the four phase draws, the
-    sampling draw, a decoy draw per odd slot, two columns of the 2^n + 3
-    gate slots 0 .. 2^n + 2 and the pick, drawn whatever the config."""
-    return 5 + 2 ** (cfg.n_stages - 1) + 2 * (2**cfg.n_stages + 3) + 1
-
-
-def project_retired_rows(cfg, rows):
-    """Rows of the retired dense layout, moved to the positions that
-    ``cfg.block`` reads them at: the phases and the sampling draw, the
-    gated slots 1 .. 2^n + 1 of both columns, then the pick and the decoy
-    phase and draws where the block has them. The reserved gate slots are
-    dropped, and so are the draws the config does not read."""
-    half, old_gated = 2 ** (cfg.n_stages - 1), 2**cfg.n_stages + 3
-    old_column0 = 5 + half
-    block = cfg.block
-    out = np.empty((len(rows), block.width))
-    out[:, :3] = rows[:, :3]
-    out[:, block.sample] = rows[:, 4]
-    for c, start in enumerate(block.columns):
-        first = old_column0 + c * old_gated + 1
-        out[:, start : start + block.gated] = rows[:, first : first + block.gated]
-    if block.pick is not None:
-        out[:, block.pick] = rows[:, old_column0 + 2 * old_gated]
-    if block.decoys is not None:
-        out[:, block.decoy_phase] = rows[:, 3]
-        out[:, block.decoys : block.decoys + half] = rows[:, 5 : 5 + half]
-    return out
-
-
-def philox_rows(cfg):
-    """Every round's row as the retired Philox round stream drew it: keyed by
-    ``SeedSequence(master_seed, spawn_key=(1,)).generate_state(2, np.uint64)``,
-    each retired dense row padded to whole counters of four 64-bit outputs."""
-    key = np.random.SeedSequence(cfg.master_seed, spawn_key=(1,)).generate_state(2, np.uint64)
-    width = (retired_width(cfg) + 3) // 4 * 4
-    return np.random.Generator(np.random.Philox(key=key)).random((cfg.rounds, width))
-
-
-def dense_pcg64_rows(cfg):
-    """Every round's row as the PCG64 round stream drew it in the retired
-    dense layout, one row after the other."""
-    stream = np.random.PCG64(np.random.SeedSequence(cfg.master_seed, spawn_key=(1,)))
-    return np.random.Generator(stream).random((cfg.rounds, retired_width(cfg)))
-
-
-def assert_kernel_goldens(retired_rows, records, stats):
-    """The kernel on each golden config's rows of the retired dense layout,
-    moved to the present positions, gives the record and stats digests."""
-    for name, cfg in DECOY_RECORD_CONFIGS.items():
-        u = project_retired_rows(cfg, retired_rows(cfg))
-        columns = dpsqkd.session._run_chunk(cfg, cfg.phase_tables, u)
-        assert sha256_of_repr(dpsqkd.session._records(cfg, columns)) == records[name], name
-    for name, cfg in WORKLOAD_CONFIGS.items():
-        u = project_retired_rows(cfg, retired_rows(cfg))
-        columns = dpsqkd.session._run_chunk(cfg, cfg.phase_tables, u)
-        assert sha256_of_repr(session_stats(columns, cfg)) == stats[name], name
-
-
-def test_kernel_on_philox_rows_gives_the_philox_goldens():
-    # the record and stats digests that the goldens above held while the round
-    # stream was Philox (the stats ones in the repr of the present fields): the
-    # kernel still gives them on the rows that stream drew, so a change of
-    # those goldens is a change of stream, not of kernel
-    records = {
-        "decoy": "fbff9023e70ca64fc36d0ed0ea04b973eda04458f4e6fc95927452002c4f84a9",
-        "attacked n=4": "436839e3a01f9a5ab587ff09ebf8cd28fd826956c43dac3076b8664692eae500",
-        "n=6": "ab0109c3dfbc83c12a5c6f1c41fcf1159774faf85934a2ed1a0f516878499356",
-    }
-    stats = {
-        "keygen": "93745c6a7b9eca3bb9e135abcc676cac58703f9c548c21089a068d339af017b0",
-        "attack": "e26429f554d6f00bc828377a4b1d3a83777866c0cc186750510a9b13461708b4",
-        "decoy": "54b2bd9b084382ab0490b0276168d1c47c90f1ed14e371246a309e54a2ce7b3c",
-        "n=6": "ffd02496f5be5b4345dab969a39fa38c2440fef6937ff689a342ed5b9e495118",
-    }
-    assert_kernel_goldens(philox_rows, records, stats)
-
-
-def test_kernel_on_dense_pcg64_rows_gives_the_dense_goldens():
-    # the digests the goldens above held while PCG64 drew every row in the
-    # retired dense layout: the kernel still gives them on those rows, so the
-    # change of layout moved which uniforms a round reads, not what it does
-    records = {
-        "decoy": "73c3dfc69522d16da1375aeda5739af8b4ab14a23e763e9a586e794da91d7b08",
-        "attacked n=4": "4a8d418f0f0d512835fa90368d9982dddef78f124fc3d4859767d6ab725c3966",
-        "n=6": "05317e8e6e5ac19b382c9abb9b44c98eab775f841e2ce3fd112d37381afce47f",
-    }
-    stats = {
-        "keygen": "4c454de81dca409488a76092e890bf815b8ec9390c7b603045cc78aefd3b630f",
-        "attack": "7c2c137d073f03a5090dd0c0f5670a979e2c290d2358c4807cfd039588c909fb",
-        "decoy": "18c428e8b9c48d57e63c774b4f83b0a0139ea2eeb5ff0c78c7fe552c01880208",
-        "n=6": "cd78244865634a12246f2355be7275b24c8cc028531baa3fcd513245c32d3c68",
-    }
-    assert_kernel_goldens(dense_pcg64_rows, records, stats)
-
-
 def test_phase_table_bytes_golden():
     # the arrays over Bob's phase, dtype, shape and bytes, built without the
     # memo, and the per-link (energy_alarm, odd, eve_reads) flags: the goldens
@@ -400,7 +306,7 @@ def test_phase_table_bytes_golden():
     for digest, (flags, cfg) in configs.items():
         tables = dpsqkd.session.build_phase_tables(cfg.link)
         h = hashlib.sha256()
-        for name in ("signal", "bit", "check_matched", "check_compared", "check_error"):
+        for name in ("any", "split", "bit", "check_matched", "check_compared", "check_error"):
             array = getattr(tables, name)
             h.update(f"{array.dtype.str}{array.shape}".encode())
             h.update(array.tobytes())
@@ -523,7 +429,7 @@ def test_kept_results_do_not_pin_evicted_tables():
     # a config or result keeps no reference to its tables: once the memo
     # lets a link go, its tables are freed even while its results are kept
     links = [SessionConfig(n_stages=4, rounds=20, mean_photons_return=i / 10) for i in range(1, 10)]
-    first = weakref.ref(links[0].phase_tables.signal)
+    first = weakref.ref(links[0].phase_tables.any)
     results = [run_session(link) for link in links]
     dpsqkd.session._phase_tables.cache_clear()
     gc.collect()
@@ -791,9 +697,9 @@ def test_round_columns_contract(n, decoy_prob, eve_kind, sample_prob, dark):
 
 @pytest.mark.parametrize("n", [1, 3, 6, MAX_STAGES])
 def test_round_block_layout(n):
-    # three phases and the sampling draw, two detector columns of the gate
-    # slots 1 .. 2^n + 1, then the pick only under random pick, then the
-    # decoy phase and one decoy draw per odd slot only with decoys
+    # three phases and the sampling draw, one click column of the gate slots
+    # 1 .. 2^n + 1, then the pick only under random pick, then the decoy
+    # phase and one decoy draw per odd slot only with decoys
     gated = 2**n + 1
     for decoy_prob in (0.0, 0.3):
         for policy in DoubleClickPolicy:
@@ -803,8 +709,8 @@ def test_round_block_layout(n):
                 detector=DetectorParams(double_click_policy=policy),
             )
             block = cfg.block
-            assert (block.sample, block.gated, block.columns) == (3, gated, (4, 4 + gated))
-            end = 4 + 2 * gated
+            assert (block.sample, block.gated, block.column) == (3, gated, 4)
+            end = 4 + gated
             if policy is DoubleClickPolicy.RANDOM_PICK:
                 assert block.pick == end
                 end += 1
@@ -820,29 +726,24 @@ def test_round_block_layout(n):
             assert len(round_uniforms(cfg, 5)) == end
     # the rows of the keygen shape at n = 1 .. 6
     widths = [SessionConfig(n_stages=k, sample_prob=0.0).block.width for k in range(1, 7)]
-    assert widths == [10, 14, 22, 38, 70, 134]
+    assert widths == [7, 9, 13, 21, 37, 69]
 
 
 @pytest.mark.parametrize("n", range(1, MAX_STAGES + 1))
 def test_decoy_scatter_overwrites_the_gate_positions_that_read_each_odd_slot(n):
-    # the kernel's scatter writes a replaced odd slot s at s + these offsets;
-    # they must be the positions whose gate slot k (position mod G + 1) has
-    # key_slot(k) == s, and no others
+    # the kernel reads the first 2^n gate slots in pairs: pair j, gate slots
+    # 2j + 1 and 2j + 2 at 2j and 2j + 1, must be the slots k with
+    # key_slot(k) == 2j + 1, and the last gate slot must read no odd slot;
+    # so a gate slot at k - 1 reads odd slot 2j + 1 with j = (k - 1) // 2
     gated, half = SessionConfig(n_stages=n).block.gated, 2 ** (n - 1)
-    slots = 2 * np.arange(half) + 1
-    positions = slots[:, None] + dpsqkd.session._decoy_gate_positions(gated)
-    assert (positions // gated == [0, 0, 1, 1]).all()  # both detector columns
-    k = positions % gated + 1
-    assert (dpsqkd.stations.key_slot(k) == slots[:, None]).all()
-    # every gate slot that reads one of Alice's odd slots is written: two per
-    # slot and column
     gate = np.array(dpsqkd.stations.CascadeConfig(n, PHASE_0).gate)
-    assert len(gate) == gated
+    assert len(gate) == gated == 2 * half + 1
     read = dpsqkd.stations.key_slot(gate)
-    reads_odd = np.isin(read, slots)
-    assert np.array_equal(np.bincount(read[reads_odd] // 2, minlength=half), np.full(half, 2))
-    assert len(np.unique(positions)) == 4 * half
-    assert np.array_equal(np.unique(k), gate[reads_odd])
+    pairs = read[:-1].reshape(half, 2)
+    assert (pairs == 2 * np.arange(half)[:, None] + 1).all()
+    assert read[-1] not in 2 * np.arange(half) + 1
+    assert ((gate - 1) // 2 == np.arange(gated) // 2).all()
+    assert (read[:-1] == 2 * ((gate[:-1] - 1) // 2) + 1).all()
 
 
 def test_round_uniforms_golden():
@@ -863,8 +764,8 @@ def test_round_uniforms_golden():
 @pytest.mark.parametrize(
     "index, edit, match",
     [
-        (0, lambda u: u[:10], "u must hold 22 uniforms"),
-        (0, lambda u: u + [0.5], "u must hold 22 uniforms"),
+        (0, lambda u: u[:10], "u must hold 13 uniforms"),
+        (0, lambda u: u + [0.5], "u must hold 13 uniforms"),
         (0, lambda u: [1.0] + u[1:], r"\[0, 1\)"),
         (0, lambda u: u[:5] + [math.nan] + u[6:], r"\[0, 1\)"),
         (0, lambda u: u[:-1] + [-0.25], r"\[0, 1\)"),
