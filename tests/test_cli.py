@@ -495,7 +495,7 @@ def test_experiments_tree_golden(tmp_path):
     tree = hashlib.sha256()
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         tree.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
-    assert tree.hexdigest() == "bd6ab80d157cce9f34fa2e0b082a7158914fc810781b94fde14dd1ee6c166e04"
+    assert tree.hexdigest() == "2730c5bb8b7ae54023eac369d65232e725651fa2eee024d1537cb7c46b20e52c"
 
 
 def test_experiments_build_no_record_view(tmp_path, monkeypatch):

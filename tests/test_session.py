@@ -246,9 +246,9 @@ def sha256_of_repr(value) -> str:
 
 def test_decoy_session_records_golden():
     digests = {
-        "decoy": "e17afced9687d9842b53189cc220c8d0a8434cb297f9be17f17f88f4aacc8fac",
-        "attacked n=4": "340db50ef105ad3dca2342b846fa70ce3fa663d1407c396e95e81e5e22539a30",
-        "n=6": "fdb34cf4774aa8c41ad7d516cf26108183667d432d632216b9a674626253d92a",
+        "decoy": "2aeb74e1bc4630c0ca2831872d608971e5a34ca14c0017a3d836e7c2b00c69eb",
+        "attacked n=4": "d672d15e5dd1579c1c2a33f2fb34ce6732e0af97b1bc91956cbcc6f046fcbe66",
+        "n=6": "9af58362f868cedc4c5f8d733fdb69ed29ac5ac55dc828c49fbf41b00c810bfb",
     }
     for name, cfg in DECOY_RECORD_CONFIGS.items():
         assert sha256_of_repr(run_session(cfg).records) == digests[name], name
@@ -256,10 +256,10 @@ def test_decoy_session_records_golden():
 
 def test_workload_stats_golden():
     digests = {
-        "keygen": "de748277baf14299ddbaf826ede395c695eacd31b01ec38f2a2c6c7f8787f38a",
-        "attack": "bab1be9fac6dc5169ee6c15bc66560f3eaa79e310fb534892a55b26da60610db",
-        "decoy": "f3d6629860afd659b559cc84ea00370d8ce5ce01fbe00fcf095e76907c4cc908",
-        "n=6": "0d72cd703516ef9c2358efa24e5a8384e16d6c84c399d1c3a287ef0b95718455",
+        "keygen": "bbc588bde4f12909260722da6d1a1467f15ccc98ca37f15cf08b26c1c286350f",
+        "attack": "02347cf2741270b0bb559ed0e24270f718411b3796ca5c8f6faeccd4ced7605b",
+        "decoy": "8f58bcd1c0291c84f729e263b880203cf2277c4eb79e78f58420e6290c547089",
+        "n=6": "a250c8d5563763d2b964f55101bb17db3e25b4da23f03121d78a6acf4c879c10",
     }
     for name, cfg in WORKLOAD_CONFIGS.items():
         assert sha256_of_repr(run_session(cfg).stats) == digests[name], name
@@ -270,11 +270,11 @@ def test_phase_table_bytes_golden():
     # memo, and the per-link (energy_alarm, odd, eve_reads) flags: the goldens
     # above stop at n=6 sessions, these pin the optics up to n=16
     configs = {
-        "c1c8e4f6e33648b7acad62ae5a59d8beeec059ac44f753d9f116829c824ad2b6": (
+        "f2fc348fdf663d84ac25c31955de3cee78b7f5f62ef55bd77f52ca327a6f8758": (
             (False, True, False),
             SessionConfig(n_stages=1),
         ),
-        "7fae8b18a137caf9b35822603857f8da94cacc7d37db5a1306b331445bd8e6fb": (
+        "2e0e681d73d443212c08a77cb97201cd2792e5309751b16d84b87e9cae62683e": (
             (False, True, True),
             SessionConfig(
                 n_stages=3,
@@ -284,16 +284,16 @@ def test_phase_table_bytes_golden():
             ),
         ),
         # return slots occupied but with an energy that underflows to zero
-        "01d90d3105fbdf9c4e36224fef0b4e22f186c5e582b72bcbec61a4f9cd750241": (
+        "fbeb8e44533c2f21f990a40aeb245fd52c5b5557694f9d2ab80cc37f6f83ae2d": (
             (False, True, False),
             SessionConfig(n_stages=8, decoy_prob=0.3, mean_photons_return=5e-324),
         ),
-        "52f0e7c3295af0521c8eac9b49f0f3f49653cb5cfa1138f006fc9639db5be7e2": (
+        "69b79c3bb89a4bb9e3607d383dea45700ab1dc4a7d6349da604cf46e4280d72c": (
             (False, True, False),
             SessionConfig(n_stages=12, decoy_prob=0.3),
         ),
         # the attacked link of the CI's n=16 sessions
-        "34f69e5b08c042e12f31719c1080c2ec03f285e3812bf1edb394cef335e0a9ab": (
+        "36ee2c48af78cc39398b9b6224dea9bef165dbefb6d6ef1e0e9cd099266d47ea": (
             (False, True, True),
             SessionConfig(
                 n_stages=16,
