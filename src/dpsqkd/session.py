@@ -248,7 +248,7 @@ class SessionConfig:
 
         Configs with one link share one read-only table object; the memo
         keeps the last ``_phase_tables.cache_info().maxsize`` links (about
-        34 MiB each at n=16), and the config keeps no reference to them.
+        32.5 MiB each at n=16), and the config keeps no reference to them.
         """
         return _phase_tables(self.link)
 
@@ -300,14 +300,14 @@ class RoundBlock(NamedTuple):
     chunk_rounds: int
 
 
-#: Rows of ``PhaseTables.any`` and ``split``: the check trains at check phase 0 and
-#: pi/2, then the return trains whose odd slots all carry 0, 1 or 2 quarter
-#: turns (key phase 0, decoy phase pi/2, key phase pi).
+#: Rows of ``PhaseTables.any`` and ``split``: the check trains at check phase
+#: 0 and pi/2, then the return trains whose odd slots all carry 0, 1 or 2
+#: quarter turns (key phase 0, decoy phase pi/2, key phase pi).
 _CHECK_ROWS = 0
 _TURN_ROWS = 2
 _TRAIN_ROWS = 5
 
-#: The detectors c = 0 and 1 of gate position 2(k - 1) + c in a keyed and a sampled round.
+#: Detectors c = 0 and 1 of gate position 2(k - 1) + c, in a keyed and a sampled round.
 _KEY_DETECTORS = (Detector.D1, Detector.D2)
 _CHECK_DETECTORS = (Detector.D3, Detector.D4)
 
@@ -338,21 +338,20 @@ class PhaseTables(NamedTuple):
 
     ``any[b, r, k - 1]`` is the threshold below which gate slot k's uniform
     clicks a detector in train r (rows ``_CHECK_ROWS`` + check index,
-    ``_TURN_ROWS`` + quarter turns on the odd slots), and ``split[b, r, k -
-    1]`` its (first, low) pair, packed so that one take reads both: the
-    ``optics.click_thresholds`` of the slot's two click probabilities, dark
-    counts included, for every gated slot, lit or empty, as
-    ``optics.detect`` reads them. At n=16 they hold about 30 MiB of a
-    link's 34 MiB, three floats per slot.
+    ``_TURN_ROWS`` + quarter turns on the odd slots), and
+    ``split[b, r, k - 1]`` its (first, low) pair, packed so that one take
+    reads both: the ``optics.click_thresholds`` of the slot's two click
+    probabilities, dark counts included, for every gated slot, lit or
+    empty, as ``optics.detect`` reads them. Three floats per slot: at n=16
+    they hold 30 MiB of a link's 32.5 MiB.
     Decoy rounds need no row of their own: output slot k reads odd slot
     ``key_slot(k)``, so a decoy round takes the row of its key phase and
     reads the gate slots that read a replaced odd slot from the row of its
-    decoy phase (1 quarter turn). Only rounds Eve does not
-    resend read that row, so it is filled only when ``decoy_prob`` > 0 and
-    ``eve_reads`` is false.
+    decoy phase (1 quarter turn). Only rounds Eve does not resend read that
+    row, so it is filled only when ``decoy_prob`` > 0 and ``eve_reads`` is
+    false.
     ``bit[b, g]`` is the ``RoundColumns.bit`` code of a D1/D2 click at gate
-    position g
-    (``infer_bit``); ``check_matched[b, i]`` says whether check index i
+    position g (``infer_bit``); ``check_matched[b, i]`` says whether check index i
     scores against Bob's phase, and ``check_compared`` and ``check_error``
     mark the D3/D4 clicks that it compares and counts as errors
     (``alice_score_check``).
@@ -431,7 +430,10 @@ def build_phase_tables(link: Link) -> PhaseTables:
         [
             [
                 [
-                    [alice_score_check([ClickEvent(d, k)], cascade, phase) for d in _CHECK_DETECTORS]
+                    [
+                        alice_score_check([ClickEvent(d, k)], cascade, phase)
+                        for d in _CHECK_DETECTORS
+                    ]
                     for k in representatives
                 ]
                 for phase in CHECK_PHASES
@@ -460,7 +462,7 @@ def build_phase_tables(link: Link) -> PhaseTables:
 
 # ``configs/experiments.json`` runs 7 distinct links, and a smaller memo would
 # evict links that recur within one ``dps-qkd`` run; at n=16 an entry holds
-# about 34 MiB (2.1 MiB at n=12); typed, so that a plain tuple of the same
+# about 32.5 MiB (2.0 MiB at n=12); typed, so that a plain tuple of the same
 # fields is not taken for a link
 _phase_tables = lru_cache(maxsize=8, typed=True)(build_phase_tables)
 
