@@ -746,6 +746,29 @@ def test_decoy_scatter_overwrites_the_gate_positions_that_read_each_odd_slot(n):
     assert (read[:-1] == 2 * ((gate[:-1] - 1) // 2) + 1).all()
 
 
+@pytest.mark.parametrize("round_fn", [run_round, reference_round])
+def test_both_gate_slots_of_a_replaced_odd_slot_read_the_decoy_row(round_fn):
+    # a slot's threshold for either detector is nearly the same in the key
+    # and the decoy train (one slot's energy), but not to the last bit: each
+    # gate slot's uniform sits at the lower of the two, so it is lit under
+    # the higher only, and the round clicks where the decoy row is the higher
+    cfg = SessionConfig(sample_prob=0.0, decoy_prob=1.0, mean_photons_return=0.8)
+    block, tables = cfg.block, cfg.phase_tables
+    turns = dpsqkd.session._TURN_ROWS
+    key_row, decoy_row = tables.any[0, turns], tables.any[0, turns + 1]  # Bob 0, key 0, pi/2
+    reading = np.arange(block.gated - 1)  # the gate slots that read an odd slot
+    differ = reading[key_row[reading] != decoy_row[reading]]
+    assert {0, 1} <= set(differ % 2)  # both slots of a pair are checked
+    u = [0.0] * 4 + [0.999] * (block.width - 4)
+    u[block.decoy_phase] = 0.75  # pi/2, and every decoy draw 0 replaces its slot
+    for k in range(block.gated):
+        u[block.column + k] = 0.999
+    for at in differ.tolist():
+        u[block.column + at] = float(min(key_row[at], decoy_row[at]))
+    expected = [at + 1 for at in differ.tolist() if decoy_row[at] > key_row[at]]
+    assert sorted({c.slot for c in round_fn(cfg, 0, u).clicks}) == expected
+
+
 def test_round_uniforms_golden():
     # a change of numpy's PCG64 or SeedSequence output changes every record
     assert round_uniforms(SessionConfig(master_seed=0), 0)[:8] == [
