@@ -160,6 +160,11 @@ MAX_STAGES = 16
 
 @dataclass(frozen=True)
 class SessionConfig:
+    """A session's settings. A config also holds two values derived from its
+    fields when it is made, neither of them a field: ``block``, where a
+    round's draws sit in its row of uniforms (:class:`RoundBlock`), and
+    ``link``, the fields that the phase tables read (:class:`Link`)."""
+
     n_stages: int = 3
     rounds: int = 100_000
     source_mean_photons: float = 512.0
@@ -207,38 +212,11 @@ class SessionConfig:
             )
         if self.n_stages > MAX_STAGES:
             raise ValueError(f"n_stages must be <= {MAX_STAGES}, got {self.n_stages}")
+        # computed once here, not as cached properties: on Python 3.11 the
+        # first read of a cached_property takes a lock, about 2 us each
+        object.__setattr__(self, "block", _round_block(self))
+        object.__setattr__(self, "link", _link(self))
 
-    @cached_property
-    def block(self) -> RoundBlock:
-        """Where a round's draws sit in its row of uniforms: only those that
-        this config's rounds can read."""
-        gated = 2**self.n_stages + 1
-        column = _SAMPLE + 1
-        width = column + gated
-        pick = decoy_phase = decoys = None
-        if self.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
-            pick, width = width, width + 1
-        if self.decoy_prob > 0.0:
-            decoy_phase, decoys = width, width + 1
-            width = decoys + 2 ** (self.n_stages - 1)
-        # row i starts at output i * width of the stream
-        chunk_rounds = max(1, _CHUNK_UNIFORMS // width)
-        return RoundBlock(_SAMPLE, column, gated, pick, decoy_phase, decoys, width, chunk_rounds)
-
-    @cached_property
-    def link(self) -> Link:
-        """The fields of this config that the phase tables read."""
-        return Link(
-            n_stages=self.n_stages,
-            source_mean_photons=self.source_mean_photons,
-            mean_photons_return=self.mean_photons_return,
-            decoys=self.decoy_prob > 0.0,
-            energy_tolerance=self.energy_tolerance,
-            quantum_efficiency=self.detector.quantum_efficiency,
-            dark_count_prob=self.detector.dark_count_prob,
-            loss_db=self.channel.loss_db,
-            eve_kind=self.eve_kind,
-        )
 
     @property
     def phase_tables(self) -> PhaseTables:
@@ -298,6 +276,38 @@ class RoundBlock(NamedTuple):
     decoys: int | None
     width: int
     chunk_rounds: int
+
+
+def _round_block(config: SessionConfig) -> RoundBlock:
+    """Where a round's draws sit in its row of uniforms: only those that
+    ``config``'s rounds can read."""
+    gated = 2**config.n_stages + 1
+    column = _SAMPLE + 1
+    width = column + gated
+    pick = decoy_phase = decoys = None
+    if config.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
+        pick, width = width, width + 1
+    if config.decoy_prob > 0.0:
+        decoy_phase, decoys = width, width + 1
+        width = decoys + 2 ** (config.n_stages - 1)
+    # row i starts at output i * width of the stream
+    chunk_rounds = max(1, _CHUNK_UNIFORMS // width)
+    return RoundBlock(_SAMPLE, column, gated, pick, decoy_phase, decoys, width, chunk_rounds)
+
+
+def _link(config: SessionConfig) -> Link:
+    """The fields of ``config`` that the phase tables read."""
+    return Link(
+        n_stages=config.n_stages,
+        source_mean_photons=config.source_mean_photons,
+        mean_photons_return=config.mean_photons_return,
+        decoys=config.decoy_prob > 0.0,
+        energy_tolerance=config.energy_tolerance,
+        quantum_efficiency=config.detector.quantum_efficiency,
+        dark_count_prob=config.detector.dark_count_prob,
+        loss_db=config.channel.loss_db,
+        eve_kind=config.eve_kind,
+    )
 
 
 #: Rows of ``PhaseTables.any`` and ``split``: the check trains at check phase
