@@ -80,7 +80,7 @@ stages and G = 2^n + 1 gated slots 1 .. 2^n + 1 (``CascadeConfig.gate``):
 So W = 4 + G with neither the pick nor decoys: 7, 9, 13, 21, 37 and 69 at
 n = 1 .. 6.
 
-A session draws its rows as arrays of at most 2^15 uniforms (one row at a
+A session draws its rows as arrays of at most 2^17 uniforms (one row at a
 time when a row is longer); ``round_uniforms`` draws one round's row alone
 after ``PCG64.advance(i * W)``, which jumps ahead in O(log i) steps.
 Both read the same numbers, so a round run alone equals the same round in
@@ -149,9 +149,13 @@ _STATS_STREAM = 2
 
 # the sampling draw, after the key, Bob's and the check phase (module docstring)
 _SAMPLE = 3
-# uniforms per array call of a session, so chunk memory stays bounded for any
-# n; 2^16 ran a few percent faster but left about 1 MiB more peak RSS
-_CHUNK_UNIFORMS = 2**15
+# uniforms per array call of a session (1 MiB of draws), so chunk memory
+# stays bounded for any n. A chunk's kernel calls cost a fixed 45 us at n=3
+# and 80 us with decoys (2-vCPU Xeon), and whole sessions ran 50 and 220 us
+# faster per chunk saved, so a 10 000-round n=3 session runs as one chunk.
+# 2^16 would split that session into 5041 + 4959 rows, which took about 220
+# minor page faults per session, against 0.3 at 2^15 and 1.1 at 2^17.
+_CHUNK_UNIFORMS = 2**17
 
 #: The largest cascade a session accepts: a round's row holds about 2^n
 #: uniforms, and the field-level tables build trains of 2^n slots.

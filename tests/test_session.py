@@ -623,14 +623,16 @@ def test_rounds_are_order_independent_under_attack():
 def test_round_uniforms_equal_the_chunked_session_rows(n):
     # first and last round of the first chunk, first round of the second and
     # the last round of the session, which falls in a partial chunk; at
-    # MAX_STAGES a row is longer than 2^15 uniforms and every chunk one row
+    # MAX_STAGES a row is longer than half the chunk budget and every chunk
+    # one row
     probe = SessionConfig(n_stages=n, master_seed=21)
     chunk = probe.block.chunk_rounds
     last = max(1, chunk // 2)
     cfg = replace(probe, rounds=2 * chunk + last)
     chunks = list(session_uniforms(cfg))
     assert [len(rows) for rows in chunks] == [chunk, chunk, last]
-    assert all(rows.size <= 2**15 or len(rows) == 1 for rows in chunks)
+    budget = dpsqkd.session._CHUNK_UNIFORMS
+    assert all(rows.size <= budget or len(rows) == 1 for rows in chunks)
     rows = np.concatenate(chunks)
     assert len(rows) == cfg.rounds
     for i in (0, chunk - 1, chunk, cfg.rounds - 1):
@@ -722,7 +724,7 @@ def test_round_block_layout(n):
             else:
                 assert block.decoy_phase is None and block.decoys is None
             assert block.width == end
-            assert block.chunk_rounds == max(1, 2**15 // end)
+            assert block.chunk_rounds == max(1, dpsqkd.session._CHUNK_UNIFORMS // end)
             assert len(round_uniforms(cfg, 5)) == end
     # the rows of the keygen shape at n = 1 .. 6
     widths = [SessionConfig(n_stages=k, sample_prob=0.0).block.width for k in range(1, 7)]
