@@ -36,6 +36,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dpsqkd.session
 from dpsqkd.channel import (
     BirefringenceMode,
     ChannelParams,
@@ -359,8 +360,23 @@ def test_decoy_rounds_equal_field_level_rounds(config, first_round):
         assert run_round(config, i, u) == reference_round(config, i, u)
 
 
-#: sessions of two whole chunks and a partial one, with sampling, decoys,
-#: both Eve kinds, dark counts and both double-click policies
+#: the chunk budget of the chunk-edge tests, smaller than the module's so
+#: that the records of their 2.5-chunk sessions stay few; no result depends
+#: on the budget (``test_session_results_do_not_depend_on_the_chunk_budget``)
+EDGE_BUDGET = 2**15
+
+
+def _in_edge_chunks(config, rounds):
+    """``config`` drawing its rows in chunks of ``EDGE_BUDGET`` uniforms, with
+    ``rounds(chunk_rounds)`` rounds."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dpsqkd.session, "_CHUNK_UNIFORMS", EDGE_BUDGET)
+        chunk = dataclasses.replace(config).block.chunk_rounds
+        return dataclasses.replace(config, rounds=rounds(chunk))
+
+
+#: configs with sampling, decoys, both Eve kinds, dark counts and both
+#: double-click policies
 chunked_session_configs = st.builds(
     lambda n, eve, decoy, dark, policy, mu, seed: SessionConfig(
         n_stages=n,
@@ -378,24 +394,52 @@ chunked_session_configs = st.builds(
     st.sampled_from(DoubleClickPolicy),
     st.sampled_from((0.5, 40.0)),
     st.integers(0, 2**32 - 1),
-).map(
-    lambda config: dataclasses.replace(
-        config, rounds=2 * config.block.chunk_rounds + config.block.chunk_rounds // 2 + 1
-    )
 )
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(chunked_session_configs, st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=6))
 def test_chunked_session_rounds_equal_field_level_rounds(config, fractions):
-    # the rounds on both sides of every chunk edge, the last round, and
-    # rounds drawn at random, each from the session's record view
+    # a session of two whole chunks and a partial one: the rounds on both
+    # sides of every chunk edge, the last round, and rounds drawn at random,
+    # each from the session's record view
+    config = _in_edge_chunks(config, lambda chunk: 2 * chunk + chunk // 2 + 1)
     chunk = config.block.chunk_rounds
     records = run_session(config).records
     assert len(records) == config.rounds
     edges = [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, config.rounds - 1]
     for i in edges + [int(f * config.rounds) for f in fractions]:
         assert records[i] == reference_round(config, i, round_uniforms(config, i))
+
+
+#: uniforms per array call: two budgets below the module's, and the module's
+CHUNK_BUDGETS = (2**12, 2**15, dpsqkd.session._CHUNK_UNIFORMS)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(chunked_session_configs, st.sampled_from((0.4, 1.5, 2.5)), st.sampled_from((0.0, 0.3)))
+def test_session_results_do_not_depend_on_the_chunk_budget(config, chunks, sample_prob):
+    # under each budget the session runs as a different number of chunks,
+    # the last one partial under the module's, and gives the same
+    # statistics and columns
+    width = config.block.width
+    top = max(CHUNK_BUDGETS) // width
+    rounds = int(chunks * top) + 1
+    assert rounds % top, "the last chunk under the largest budget is partial"
+    results = []
+    for budget in CHUNK_BUDGETS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dpsqkd.session, "_CHUNK_UNIFORMS", budget)
+            budgeted = dataclasses.replace(config, rounds=rounds, sample_prob=sample_prob)
+        assert budgeted.block.chunk_rounds == max(1, budget // width)
+        results.append(run_session(budgeted))
+    first, *others = results
+    for result in others:
+        assert result.stats == first.stats
+        for name in first.columns._fields:
+            column, expected = getattr(result.columns, name), getattr(first.columns, name)
+            assert column.dtype == expected.dtype, name
+            assert np.array_equal(column, expected), name
 
 
 def _every_odd_slot_replaced(eve_kind, mu, policy):
@@ -410,8 +454,8 @@ def _every_odd_slot_replaced(eve_kind, mu, policy):
         eve_kind=eve_kind,
         master_seed=29,
     )
+    config = _in_edge_chunks(config, lambda chunk: 2 * chunk + chunk // 2)
     chunk = config.block.chunk_rounds
-    config = dataclasses.replace(config, rounds=2 * chunk + chunk // 2)
     assert config.rounds > 2 * chunk
     result = run_session(config)
     for i in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, config.rounds - 1):

@@ -2,6 +2,7 @@ import collections
 import gc
 import hashlib
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -639,6 +640,43 @@ def test_round_uniforms_equal_the_chunked_session_rows(n):
         assert round_uniforms(cfg, i) == rows[i].tolist()
     # a numpy integer index advances the stream like a Python int
     assert round_uniforms(cfg, np.int64(chunk)) == rows[chunk].tolist()
+
+
+#: the traced peak of a session, its phase tables aside: 8x the 1 MiB of
+#: uniforms a chunk draws
+SESSION_PEAK_BYTES = 8 * 2**20
+
+
+@pytest.mark.parametrize("n, chunks", [(3, 1), (10, 5.5), (MAX_STAGES, 8)])
+def test_session_memory_is_bounded_by_the_chunk_budget(n, chunks):
+    # a chunk draws at most 2^17 uniforms, or one row where a row is longer,
+    # so a session's working memory stays bounded whatever n and however
+    # many chunks it runs; the widest rows, with the pick and decoys, at a
+    # full n=3 chunk, several n=10 chunks and n=16 chunks of one row
+    probe = SessionConfig(
+        n_stages=n,
+        mean_photons_return=0.8,
+        sample_prob=0.3,
+        decoy_prob=0.3,
+        detector=DetectorParams(
+            dark_count_prob=0.01, double_click_policy=DoubleClickPolicy.RANDOM_PICK
+        ),
+        master_seed=30,
+    )
+    block = probe.block
+    assert block.width * block.chunk_rounds <= max(dpsqkd.session._CHUNK_UNIFORMS, block.width)
+    if n == MAX_STAGES:
+        assert (block.width, block.chunk_rounds) == (98311, 1)
+    cfg = replace(probe, rounds=math.ceil(chunks * block.chunk_rounds))
+    cfg.phase_tables  # built and memoized outside the trace
+    tracemalloc.start()
+    try:
+        result = run_session(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.stats.rounds == cfg.rounds
+    assert peak < SESSION_PEAK_BYTES, peak
 
 
 def test_round_uniforms_far_ahead_are_one_contiguous_draw():
