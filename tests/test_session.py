@@ -704,9 +704,11 @@ ROUND_COLUMN_DTYPES = {
 @pytest.mark.parametrize("eve_kind", list(EveKind))
 @pytest.mark.parametrize("sample_prob", [0.0, 0.2])
 @pytest.mark.parametrize("dark", [0.0, 0.01])
-def test_round_columns_contract(n, decoy_prob, eve_kind, sample_prob, dark):
+def test_round_columns_contract(monkeypatch, n, decoy_prob, eve_kind, sample_prob, dark):
     # the record and stats goldens compare values after ``tolist``, so they
-    # cannot see a column's dtype; every session here spans two chunks
+    # cannot see a column's dtype; every session here spans two chunks, of
+    # 2^15 uniforms to keep the sessions short
+    monkeypatch.setattr(dpsqkd.session, "_CHUNK_UNIFORMS", 2**15)
     probe = SessionConfig(n_stages=n)
     cfg = SessionConfig(
         n_stages=n,
