@@ -216,8 +216,8 @@ class SessionConfig:
             )
         if self.n_stages > MAX_STAGES:
             raise ValueError(f"n_stages must be <= {MAX_STAGES}, got {self.n_stages}")
-        # computed once here, not as cached properties: on Python 3.11 the
-        # first read of a cached_property takes a lock, about 2 us each
+        # derived once here rather than on first read: on Python 3.11 the
+        # first read of a functools.cached_property takes a lock, about 2 us
         object.__setattr__(self, "block", _round_block(self))
         object.__setattr__(self, "link", _link(self))
 

@@ -6,7 +6,8 @@ probabilities bit-for-bit equal to Python's ``abs``, ``**`` and
 two detectors, the readout rule, and
 the equivalence of the session kernel with the field-level reference round
 (``session.reference_round``) over drawn session configs, round by round
-and over sessions of several chunks. The kernel's statistics are checked
+and over sessions of several chunks, whose statistics and columns do not
+depend on the chunk budget. The kernel's statistics are checked
 against a fold over the record view (``fold_stats`` below). A
 session's records do not depend on the birefringence mode, since a session
 never draws a fiber. The memoized phase tables of a config
