@@ -20,13 +20,13 @@ shift): output slot k reads input slots k - 1 and k, of which exactly one,
 slot's click probability is the one it has in a train whose odd slots all
 carry that slot's phase: key phase 0 or pi, or decoy phase pi/2.
 :func:`build_phase_tables` runs the same legs once per Bob phase for each
-of those trains and for each check phase, and keeps the click probability
-of every gated slot, lit or empty, dark counts included, in dense arrays
-(:class:`PhaseTables`): the gate is the return train's slots. Its one
-input is a config's :class:`Link` (``SessionConfig.link``), the fields the
-tables depend on, never the seed; ``SessionConfig.phase_tables`` looks the
-tables up in a bounded memo keyed on the link, which shares them read-only
-between configs.
+of those trains and for each check phase. A gated slot's click
+probabilities, dark counts included, depend only on its class (inner even,
+inner odd, first or last edge), so the tables keep them per class
+(:class:`PhaseTables`). Its one input is a config's :class:`Link`
+(``SessionConfig.link``), the fields the tables depend on, never the seed;
+``SessionConfig.phase_tables`` looks the tables up in a bounded memo keyed
+on the link, which shares them read-only between configs.
 Bob's phase moves no slot's energy, so the energy monitor's alarm, whether
 Alice's odd slots are lit and whether Eve reads anything back are one flag
 each per link. Under the intercept-resend attack Eve reads the odd slots
@@ -37,20 +37,19 @@ and decoys, and with no decoys takes her guess to be the key phase; Eve
 resends the key train of her guess, which the round reads whole.
 
 The kernel runs a chunk of rounds as array work on their rows of uniforms.
-Each round takes one row of the tables whole: its check train, its key
-train or the key train Eve resent. A gate slot's one uniform clicks both of
-its detectors (``optics.click_thresholds``), so the kernel (``_clicks``)
-compares each slot's uniform with the threshold below which either
-detector clicks. In a round that Eve did not resend, each replaced odd
-slot s first overwrites, from the decoy row, the two gate slots that read
-it, s and s + 1. Only the few slots below it are then split into their
-detectors, by their (first, low) thresholds from the same row, or from
-the decoy row where the slot reads a replaced odd slot. The kernel reads
-bits, decoy hits and check scores from the tables by 1-D takes on flat
-indices. A click is its round and its gate position, one of 2G per round,
-two per gate slot: a count of rounds gives the clicks per round, and their
-running sum finds the chosen click.
-Decoys (their mask and scatter), Eve's vote, sampling (check scores) and
+Each round takes one row of the tables: its check train, its key train or
+the key train Eve resent. A gate slot's one uniform clicks both of its
+detectors (``optics.click_thresholds``), so the kernel (``_clicks``)
+compares each slot's uniform with the envelope of its round's kind, at or
+above which no row of that kind clicks the slot. Only the few slots below
+it are split into their detectors, by (first, low, any) of their class in
+their round's row, or in the decoy row where the slot reads a replaced odd
+slot of a round Eve did not resend. The kernel reads bits, decoy hits and
+check scores from the tables by 1-D takes on flat indices. A click is its
+round and its gate position, one of 2G per round, two per gate slot: a
+count of rounds gives the clicks per round, and their running sum finds the
+chosen click.
+Decoys (their mask and row), Eve's vote, sampling (check scores) and
 random picks (the pick rank) cost per-round work only when the config
 turns them on; dark counts are in the tables and cost none.
 It gives a :class:`RoundColumns`; :func:`session_stats` reduces it, a
@@ -230,7 +229,7 @@ class SessionConfig:
 
         Configs with one link share one read-only table object; the memo
         keeps the last ``_phase_tables.cache_info().maxsize`` links (about
-        32.5 MiB each at n=16), and the config keeps no reference to them.
+        3.6 MiB each at n=16), and the config keeps no reference to them.
         """
         return _phase_tables(self.link)
 
@@ -240,7 +239,7 @@ class Link(NamedTuple):
     :func:`build_phase_tables` and the legs of a round read of a config.
 
     Configs that agree on them share one table object, whatever their seed,
-    rounds, sampling, thresholds, double-click policy or birefringence. The
+    rounds, sampling, decoys, thresholds, double-click policy or birefringence. The
     detector fields keep the names of ``DetectorParams`` and
     ``transmittance`` is that of ``ChannelParams``, so a link stands for the
     detector in ``click_probabilities`` and for the channel in
@@ -250,7 +249,6 @@ class Link(NamedTuple):
     n_stages: int
     source_mean_photons: float
     mean_photons_return: float
-    decoys: bool  # decoy_prob > 0
     energy_tolerance: float
     quantum_efficiency: float
     dark_count_prob: float
@@ -305,7 +303,6 @@ def _link(config: SessionConfig) -> Link:
         n_stages=config.n_stages,
         source_mean_photons=config.source_mean_photons,
         mean_photons_return=config.mean_photons_return,
-        decoys=config.decoy_prob > 0.0,
         energy_tolerance=config.energy_tolerance,
         quantum_efficiency=config.detector.quantum_efficiency,
         dark_count_prob=config.detector.dark_count_prob,
@@ -314,12 +311,15 @@ def _link(config: SessionConfig) -> Link:
     )
 
 
-#: Rows of ``PhaseTables.any`` and ``split``: the check trains at check phase
-#: 0 and pi/2, then the return trains whose odd slots all carry 0, 1 or 2
-#: quarter turns (key phase 0, decoy phase pi/2, key phase pi).
+#: Rows of ``PhaseTables.thresholds``: the check trains at check phase 0 and
+#: pi/2, then the return trains whose odd slots all carry 0, 1 or 2 quarter
+#: turns (key phase 0, decoy phase pi/2, key phase pi).
 _CHECK_ROWS = 0
 _TURN_ROWS = 2
 _TRAIN_ROWS = 5
+#: Slot classes of ``PhaseTables.slot_class``: inner even, inner odd, first
+#: and last edge.
+_CLASSES = 4
 
 #: Detectors c = 0 and 1 of gate position 2(k - 1) + c, in a keyed and a sampled round.
 _KEY_DETECTORS = (Detector.D1, Detector.D2)
@@ -331,7 +331,7 @@ _BITS = (BitOutcome.BIT0, BitOutcome.BIT1, BitOutcome.DISCARD)
 
 
 class PhaseTables(NamedTuple):
-    """What the optics of a round give, as dense arrays over Bob's phase.
+    """What the optics of a round give, over Bob's phase and the slot classes.
 
     The Faraday mirror undoes the fiber's polarization transform, and no
     amplitude depends on the polarization, so these hold for every fiber
@@ -350,20 +350,20 @@ class PhaseTables(NamedTuple):
     attack. The kernel counts her vote from the round's key phase and
     decoys (``channel.eve_key_phase``).
 
-    ``any[b, r, k - 1]`` is the threshold below which gate slot k's uniform
-    clicks a detector in train r (rows ``_CHECK_ROWS`` + check index,
-    ``_TURN_ROWS`` + quarter turns on the odd slots), and
-    ``split[b, r, k - 1]`` its (first, low) pair, packed so that one take
-    reads both: the ``optics.click_thresholds`` of the slot's two click
-    probabilities, dark counts included, for every gated slot, lit or
-    empty, as ``optics.detect`` reads them. Three floats per slot: at n=16
-    they hold 30 MiB of a link's 32.5 MiB.
-    Decoy rounds need no row of their own: output slot k reads odd slot
-    ``key_slot(k)``, so a decoy round takes the row of its key phase and
-    reads the gate slots that read a replaced odd slot from the row of its
-    decoy phase (1 quarter turn). Only rounds Eve does not resend read that
-    row, so it is filled only when ``decoy_prob`` > 0 and ``eve_reads`` is
-    false.
+    Every inner gate slot of one parity reads the same pair of slots, so
+    gate slot k has the optics of its class ``slot_class[k - 1]``: 0 inner
+    even, 1 inner odd, 2 the first edge, 3 the last edge.
+    ``thresholds[:, b, r, c]`` is (first, low, any) of a class-c slot in
+    train r (rows ``_CHECK_ROWS`` + check index, ``_TURN_ROWS`` + quarter
+    turns on the odd slots, the decoy row at 1 built for every link): the
+    ``optics.click_thresholds`` of its two click probabilities, dark counts
+    included, lit or empty, as ``optics.detect`` reads them.
+    ``any[0, k - 1]`` and ``any[1, k - 1]`` are gate slot k's envelopes, its
+    largest ``any`` over the rows that a keyed and a sampled round can read.
+    The rows differ only in the last bits (a slot's energy over both ports
+    is the same for every phase only up to rounding), so the envelope finds
+    the lit slots and each one's own row decides them. At n=16 the tables
+    hold 3.6 MiB.
     ``bit[b, g]`` is the ``RoundColumns.bit`` code of a D1/D2 click at gate
     position g (``infer_bit``); ``check_matched[b, i]`` says whether check index i
     scores against Bob's phase, and ``check_compared`` and ``check_error``
@@ -374,8 +374,9 @@ class PhaseTables(NamedTuple):
     energy_alarm: np.ndarray
     odd: np.ndarray
     eve_reads: np.ndarray
+    slot_class: np.ndarray
     any: np.ndarray
-    split: np.ndarray
+    thresholds: np.ndarray
     bit: np.ndarray
     check_matched: np.ndarray
     check_compared: np.ndarray
@@ -388,14 +389,22 @@ Branches = tuple[tuple[Detector, PulseTrain], tuple[Detector, PulseTrain]]
 
 def build_phase_tables(link: Link) -> PhaseTables:
     """Bob's preparation, the forward leg, Alice's station and the return
-    leg of ``link`` for every Bob phase, as the dense arrays of
-    :class:`PhaseTables`, read-only since sessions share them."""
+    leg of ``link`` for every Bob phase, as the arrays of
+    :class:`PhaseTables`, read-only since sessions share them. Raises
+    ValueError if a slot's thresholds differ from its class's."""
     n = link.n_stages
-    gated = 2**n + 1  # RoundBlock.gated
-    reach = np.zeros((len(QUATERNARY), _TRAIN_ROWS, gated))
-    split = np.zeros((len(QUATERNARY), _TRAIN_ROWS, gated, 2))
-    for b, bob_phase in enumerate(QUATERNARY):
-        cascade = CascadeConfig(n, bob_phase)
+    # the readout rules read a gate slot only through its parity and whether
+    # it is an edge slot: each rule runs on one slot per class (inner even,
+    # inner odd, first edge, last edge), and ``slot_class`` spreads the
+    # result over the gate, whose ends are the edge slots
+    cascades = [CascadeConfig(n, phase) for phase in QUATERNARY]
+    gate = cascades[0].gate
+    representatives = (2, 3, *cascades[0].edge_slots)
+    slot_class = (np.array(gate) % 2).astype(np.int8)
+    slot_class[[0, -1]] = (2, 3)
+    picked = np.array(representatives) - gate.start
+    thresholds = np.zeros((3, len(QUATERNARY), _TRAIN_ROWS, _CLASSES))
+    for b, cascade in enumerate(cascades):
         prepared, sent, train, energy_alarm = _forward_leg(link, cascade)
         # the (detector, train) branches of every row of the tables
         by_row = {
@@ -407,27 +416,20 @@ def build_phase_tables(link: Link) -> PhaseTables:
             by_row[_TURN_ROWS + phase.quarter_turns], eve_phase = _return_leg(
                 link, cascade, prepared, sent, alice_encode(attenuated, phase)
             )
-        # only rounds where Eve resends nothing read the decoy row
-        eve_reads = eve_phase is not None
-        if link.decoys and not eve_reads:
-            decoy_train = alice_encode(attenuated, PHASE_0, odd_in_train, PHASE_90)
-            by_row[_TURN_ROWS + PHASE_90.quarter_turns], _ = _return_leg(
-                link, cascade, prepared, sent, decoy_train
-            )
-        gate = cascade.gate
-        for r, ((_, first), (_, second)) in by_row.items():
-            p = (click_probabilities(train, link, gate) for train in (first, second))
-            split[b, r, :, 0], split[b, r, :, 1], reach[b, r] = click_thresholds(*p)
+        decoy_train = alice_encode(attenuated, PHASE_0, odd_in_train, PHASE_90)
+        by_row[_TURN_ROWS + PHASE_90.quarter_turns], _ = _return_leg(
+            link, cascade, prepared, sent, decoy_train
+        )
+        for r, ((_, first_train), (_, second_train)) in by_row.items():
+            p = (click_probabilities(train, link, gate) for train in (first_train, second_train))
+            dense = np.array(click_thresholds(*p))
+            thresholds[:, b, r] = dense[:, picked]
+            if not np.array_equal(dense, thresholds[:, b, r].take(slot_class, axis=1)):
+                raise ValueError(f"the click thresholds of n_stages {n} vary within a slot class")
 
-    # the readout rules read a gate slot only through its parity and whether
-    # it is an edge slot: each rule runs on one slot per class (inner even,
-    # inner odd, first edge, last edge), and ``classes`` spreads the result
-    # over the gate, whose ends are the edge slots
-    cascades = [CascadeConfig(n, phase) for phase in QUATERNARY]
-    first, last = cascades[0].edge_slots
-    representatives = (2, 3, first, last)
-    classes = np.array(cascades[0].gate) % 2
-    classes[[0, -1]] = (2, 3)
+    # the largest ``any`` over the rows of each round kind, as read per gate slot
+    keyed = thresholds[2, :, _TURN_ROWS:].max(axis=(0, 1))
+    sampled = thresholds[2, :, _CHECK_ROWS:_TURN_ROWS].max(axis=(0, 1))
     bit = np.array(
         [
             [
@@ -437,7 +439,7 @@ def build_phase_tables(link: Link) -> PhaseTables:
             for cascade in cascades
         ],
         dtype=np.int8,
-    )[:, classes]
+    )[:, slot_class]
     # (matched, compared, errors) of a lone D3/D4 click, per Bob phase,
     # check phase, slot and detector
     scores = np.array(
@@ -455,16 +457,17 @@ def build_phase_tables(link: Link) -> PhaseTables:
             for cascade in cascades
         ],
         dtype=bool,
-    )[:, :, classes]
-    checks = (len(QUATERNARY), len(CHECK_PHASES), 2 * gated)
+    )[:, :, slot_class]
+    checks = (len(QUATERNARY), len(CHECK_PHASES), 2 * len(gate))
     # Bob's phase moves no slot's energy, so the last one's flags are the link's
     tables = PhaseTables(
         energy_alarm=np.array(energy_alarm),
         odd=np.array(bool(odd_in_train)),
-        eve_reads=np.array(eve_reads),
-        any=reach,
-        split=split,
-        bit=bit.reshape(len(QUATERNARY), 2 * gated),
+        eve_reads=np.array(eve_phase is not None),
+        slot_class=slot_class,
+        any=np.stack((keyed, sampled)).take(slot_class, axis=1),
+        thresholds=thresholds,
+        bit=bit.reshape(len(QUATERNARY), -1),
         check_matched=scores[:, :, 0, 0, 0],
         check_compared=scores[..., 1].reshape(checks),
         check_error=scores[..., 2].reshape(checks),
@@ -476,7 +479,7 @@ def build_phase_tables(link: Link) -> PhaseTables:
 
 # ``configs/experiments.json`` runs 7 distinct links, and a smaller memo would
 # evict links that recur within one ``dps-qkd`` run; at n=16 an entry holds
-# about 32.5 MiB (2.0 MiB at n=12); typed, so that a plain tuple of the same
+# about 3.6 MiB (0.2 MiB at n=12); typed, so that a plain tuple of the same
 # fields is not taken for a link
 _phase_tables = lru_cache(maxsize=8, typed=True)(build_phase_tables)
 
@@ -554,50 +557,47 @@ def _clicks(
     tables: PhaseTables,
     block: RoundBlock,
     u: np.ndarray,
+    sampled: np.ndarray,
     rows: np.ndarray,
-    decoy_reads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None,
+    decoy_reads: tuple[np.ndarray, np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every click of the rounds whose rows of uniforms are the rows of
-    ``u`` and whose table rows are ``rows``: its round and its gate position
-    2(k - 1) + c (detector c of gate slot k), round by round and ascending
-    within a round. With ``decoy_reads``, (the chunk's decoy mask, the round
-    and odd index j of each decoy, each round's decoy row), the gate slots
-    that read a replaced odd slot read its round's decoy row instead.
+    ``u``, ``sampled`` the sampled ones, and whose table rows are ``rows``:
+    its round and its gate position 2(k - 1) + c (detector c of gate slot
+    k), round by round and ascending within a round. With ``decoy_reads``,
+    (the chunk's decoy mask, each round's decoy row), the gate slots that
+    read a replaced odd slot read its round's decoy row instead.
 
-    Each gate slot's uniform is compared with the threshold below which
-    either detector clicks, and only the slots below it are split into their
-    detectors, by their (first, low) thresholds (``optics.click_thresholds``).
+    Each gate slot's uniform is compared with the envelope of its round's
+    kind, and only the slots below it are split into their detectors, by
+    the (first, low, any) thresholds of their class in their own row.
     """
     gated = block.gated
-    reach = tables.any.reshape(-1, gated)
-    p = reach.take(rows, axis=0)
-    if decoy_reads is not None:
-        decoys, decoy_round, odd_index, decoy_rows = decoy_reads
-        # odd slot 2j + 1 is read by gate slots 2j + 1 and 2j + 2, at 2j and 2j + 1
-        into = decoy_round * gated + 2 * odd_index
-        read = decoy_rows.take(decoy_round) * gated + 2 * odd_index
-        flat_p, flat_reach = p.reshape(-1), reach.reshape(-1)
-        flat_p[into], flat_p[into + 1] = flat_reach[read], flat_reach[read + 1]
-    # every gate slot that clicks either detector, as one flat index r * G + k - 1
-    lit = np.flatnonzero(u[:, block.column : block.column + gated] < p)
-    del p  # the largest array, freed before the lit slots' arrays
+    # every gate slot below its round kind's envelope, as one flat index r * G + k - 1
+    envelope = tables.any[0]
+    if sampled.any():
+        envelope = tables.any.take(sampled.view(np.int8), axis=0)
+    lit = np.flatnonzero(u[:, block.column : block.column + gated] < envelope)
     lit_round = lit // gated
     at = lit - lit_round * gated  # gate slot k - 1
     source = rows.take(lit_round)
     if decoy_reads is not None:
+        decoys, decoy_rows = decoy_reads
         # gate slot k reads odd slot 2j + 1 for j = (k - 1) // 2, but for the
         # last, k = 2^n + 1, which reads none
         half = decoys.shape[1]
         odd = np.minimum(at >> 1, half - 1)
         replaced = decoys.take(lit_round * half + odd) & (at < gated - 1)
         source = np.where(replaced, decoy_rows.take(lit_round), source)
-    split = tables.split.reshape(-1, 2).take(source * gated + at, axis=0)
-    # the lit slot's uniform against its (first, low): the first detector
-    # clicks below first, the second at or above low
+    at_class = source * _CLASSES + tables.slot_class.take(at)
+    first, low, reach = tables.thresholds.reshape(3, -1).take(at_class, axis=1)
+    # the slot's uniform against its row's thresholds: the first detector
+    # clicks below first, the second at or above low and below any
     x = u.reshape(-1).take(lit + lit_round * (block.width - gated) + block.column)
     clicked = np.empty((len(lit), 2), dtype=bool)
-    np.less(x, split[:, 0], out=clicked[:, 0])
-    np.greater_equal(x, split[:, 1], out=clicked[:, 1])
+    np.less(x, first, out=clicked[:, 0])
+    np.greater_equal(x, low, out=clicked[:, 1])
+    clicked[:, 1] &= x < reach
     detector = np.flatnonzero(clicked)  # 2i + c for lit slot i
     slot = detector >> 1
     return lit_round.take(slot), 2 * at.take(slot) + (detector & 1)
@@ -628,9 +628,8 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
         decoys &= ~sampled[:, None] & tables.odd
         flat = np.flatnonzero(decoys)  # round r's odd slot 2j + 1 at r * half + j
         decoy_round = flat // half
-        odd_index = flat - decoy_round * half
         n_decoys = np.bincount(decoy_round, minlength=m).astype(np.int32)
-        decoy_slots = (2 * odd_index + 1).astype(np.int32)
+        decoy_slots = (2 * (flat - decoy_round * half) + 1).astype(np.int32)
     eve, resent = np.full(m, -1, dtype=np.int8), key
     if tables.eve_reads:
         # Eve reads all of Alice's odd slots: the keyed ones vote for the key
@@ -649,9 +648,8 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
     decoy_reads = None
     if with_decoys and not tables.eve_reads:
         # where Eve reads, she resends every unsampled round whole
-        decoy_rows = bob * _TRAIN_ROWS + _TURN_ROWS + decoy_turns
-        decoy_reads = (decoys, decoy_round, odd_index, decoy_rows)
-    by_round, clicks = _clicks(tables, block, u, rows, decoy_reads)
+        decoy_reads = (decoys, bob * _TRAIN_ROWS + _TURN_ROWS + decoy_turns)
+    by_round, clicks = _clicks(tables, block, u, sampled, rows, decoy_reads)
     n_clicks = np.bincount(by_round, minlength=m)
     # the chosen click's index in ``clicks``: the only one, or the one the pick lands on
     nth = np.cumsum(n_clicks) - n_clicks

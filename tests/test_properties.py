@@ -685,15 +685,15 @@ unread_fields = st.fixed_dictionaries(
         "disclose_fraction": st.floats(0.01, 1.0),
         "max_check_error": st.floats(0.0, 1.0),
         "max_qber": st.floats(0.0, 1.0),
+        "decoy_prob": st.floats(0.0, 1.0),
     }
 )
 
 #: links over every field the tables read, with random unread fields
 link_configs = st.builds(
-    lambda n, eve, decoy, dark, efficiency, mu, loss, tolerance, mode, policy, unread: SessionConfig(
+    lambda n, eve, dark, efficiency, mu, loss, tolerance, mode, policy, unread: SessionConfig(
         n_stages=n,
         mean_photons_return=mu,
-        decoy_prob=decoy,
         energy_tolerance=tolerance,
         detector=DetectorParams(
             quantum_efficiency=efficiency, dark_count_prob=dark, double_click_policy=policy
@@ -704,7 +704,6 @@ link_configs = st.builds(
     ),
     st.integers(1, 8),
     st.sampled_from(EveKind),
-    st.sampled_from((0.0, 0.3, 1.0)),
     st.sampled_from((0.0, 0.02)),
     st.sampled_from((1.0, 0.4)),
     st.sampled_from((0.5, 3.0)),
@@ -719,7 +718,6 @@ link_configs = st.builds(
 READ_FIELD_CHANGES = {
     "n_stages": lambda c: dict(n_stages=c.n_stages % 8 + 1),
     "mean_photons_return": lambda c: dict(mean_photons_return=c.mean_photons_return + 0.25),
-    "decoy_prob": lambda c: dict(decoy_prob=0.0 if c.decoy_prob > 0.0 else 0.5),
     "quantum_efficiency": lambda c: dict(
         detector=dataclasses.replace(c.detector, quantum_efficiency=c.detector.quantum_efficiency / 2)
     ),

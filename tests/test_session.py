@@ -93,8 +93,7 @@ def test_dark_counts_reach_every_slot_of_the_return_train_and_no_other(round_fn)
     cfg = SessionConfig(sample_prob=0.0, detector=DetectorParams(dark_count_prob=0.01))
     block = cfg.block
     tables = cfg.phase_tables  # Bob's phase 0, key phase 0
-    reach = tables.any[0, dpsqkd.session._TURN_ROWS]
-    low = tables.split[0, dpsqkd.session._TURN_ROWS, :, 1]
+    _, low, reach = tables.thresholds[:, 0, dpsqkd.session._TURN_ROWS].take(tables.slot_class, axis=1)
     u = [0.0] * 4 + [0.999] * (block.width - 4)
     u[block.column + 5 - 1] = float(np.nextafter(reach[5 - 1], 0.0))
     rec = round_fn(cfg, 0, u)
@@ -355,7 +354,7 @@ MEMO_LINK = SessionConfig(
     eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE,
 )
 
-#: changes of the fields the tables never read (decoy_prob stays > 0)
+#: changes of the fields the tables never read
 UNREAD_CHANGES = {
     "rounds": dict(rounds=7),
     "master_seed": dict(master_seed=99),
@@ -363,7 +362,7 @@ UNREAD_CHANGES = {
     "disclose_fraction": dict(disclose_fraction=0.5),
     "max_check_error": dict(max_check_error=0.2),
     "max_qber": dict(max_qber=0.3),
-    "decoy_prob": dict(decoy_prob=1.0),
+    "decoy_prob": dict(decoy_prob=0.0),
     "birefringence_mode": dict(
         channel=ChannelParams(loss_db=3.0, birefringence_mode=BirefringenceMode.RANDOM_PER_TRAIN)
     ),
@@ -382,7 +381,6 @@ READ_CHANGES = {
     "source_mean_photons": dict(source_mean_photons=512.0),
     "mean_photons_return": dict(mean_photons_return=0.8),
     "energy_tolerance": dict(energy_tolerance=0.05),
-    "decoy_prob": dict(decoy_prob=0.0),
     "quantum_efficiency": dict(detector=DetectorParams(quantum_efficiency=0.9, dark_count_prob=0.01)),
     "dark_count_prob": dict(detector=DetectorParams(quantum_efficiency=0.5)),
     "loss_db": dict(channel=ChannelParams(loss_db=6.0)),
@@ -797,7 +795,8 @@ def test_both_gate_slots_of_a_replaced_odd_slot_read_the_decoy_row(round_fn):
     cfg = SessionConfig(sample_prob=0.0, decoy_prob=1.0, mean_photons_return=0.8)
     block, tables = cfg.block, cfg.phase_tables
     turns = dpsqkd.session._TURN_ROWS
-    key_row, decoy_row = tables.any[0, turns], tables.any[0, turns + 1]  # Bob 0, key 0, pi/2
+    # Bob 0, key 0 and pi/2, spread over the gate
+    key_row, decoy_row = tables.thresholds[2, 0, turns : turns + 2].take(tables.slot_class, axis=1)
     reading = np.arange(block.gated - 1)  # the gate slots that read an odd slot
     differ = reading[key_row[reading] != decoy_row[reading]]
     assert {0, 1} <= set(differ % 2)  # both slots of a pair are checked
