@@ -266,15 +266,16 @@ def test_workload_stats_golden():
 
 
 def test_phase_table_bytes_golden():
-    # the arrays over Bob's phase, dtype, shape and bytes, built without the
-    # memo, and the per-link (energy_alarm, odd, eve_reads) flags: the goldens
-    # above stop at n=6 sessions, these pin the optics up to n=16
+    # the arrays over Bob's phase and the gate, dtype, shape and bytes, built
+    # without the memo, and the per-link (energy_alarm, odd, eve_reads) flags:
+    # the goldens above stop at n=6 sessions, these pin the optics up to n=16,
+    # where the tables hold 3.6 MiB
     configs = {
-        "f2fc348fdf663d84ac25c31955de3cee78b7f5f62ef55bd77f52ca327a6f8758": (
+        "3cddb0db990e884885c7b3c18b46a9d76687d32df37e02a1c05da904fa10ef4d": (
             (False, True, False),
             SessionConfig(n_stages=1),
         ),
-        "2e0e681d73d443212c08a77cb97201cd2792e5309751b16d84b87e9cae62683e": (
+        "0609d6506955fddbaad6a475690bbf3787af82272c99522d23da9dbe549bd7b3": (
             (False, True, True),
             SessionConfig(
                 n_stages=3,
@@ -284,16 +285,16 @@ def test_phase_table_bytes_golden():
             ),
         ),
         # return slots occupied but with an energy that underflows to zero
-        "fbeb8e44533c2f21f990a40aeb245fd52c5b5557694f9d2ab80cc37f6f83ae2d": (
+        "0c3633b7897a3691889abf37c5d247c1a31f5650ce5b049875d36690fce0680e": (
             (False, True, False),
             SessionConfig(n_stages=8, decoy_prob=0.3, mean_photons_return=5e-324),
         ),
-        "69b79c3bb89a4bb9e3607d383dea45700ab1dc4a7d6349da604cf46e4280d72c": (
+        "7a0e40c3af2fadc129000baa71e450e01afe81ceaaffa15b7cfa9e4a7be0dffc": (
             (False, True, False),
             SessionConfig(n_stages=12, decoy_prob=0.3),
         ),
         # the attacked link of the CI's n=16 sessions
-        "36ee2c48af78cc39398b9b6224dea9bef165dbefb6d6ef1e0e9cd099266d47ea": (
+        "54448ac2102fa0ce980bb4cabd121cf0925da2649b31f525c416e4a19c3d37c8": (
             (False, True, True),
             SessionConfig(
                 n_stages=16,
@@ -306,11 +307,14 @@ def test_phase_table_bytes_golden():
     for digest, (flags, cfg) in configs.items():
         tables = dpsqkd.session.build_phase_tables(cfg.link)
         h = hashlib.sha256()
-        for name in ("any", "split", "bit", "check_matched", "check_compared", "check_error"):
+        for name in (
+            "slot_class", "any", "thresholds", "bit", "check_matched", "check_compared", "check_error"
+        ):
             array = getattr(tables, name)
             h.update(f"{array.dtype.str}{array.shape}".encode())
             h.update(array.tobytes())
         assert h.hexdigest() == digest
+        assert sum(a.nbytes for a in tables) < 4 * 2**20
         per_link = (tables.energy_alarm, tables.odd, tables.eve_reads)
         assert [(a.dtype, a.shape) for a in per_link] == [(np.dtype(bool), ())] * 3
         assert tuple(bool(a) for a in per_link) == flags
