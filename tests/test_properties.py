@@ -12,7 +12,9 @@ against a fold over the record view (``fold_stats`` below). A
 session's records do not depend on the birefringence mode, since a session
 never draws a fiber. The memoized phase tables of a config
 equal a fresh build of them, also right after the tables of a link that
-differs in one field they read. Bob's phase changes none of what the
+differs in one field they read, and their slot-class thresholds spread
+over the gate equal the dense thresholds of the legs' trains, under
+envelopes that no row exceeds. Bob's phase changes none of what the
 tables keep once per link: the slot energies reaching Alice, her energy
 monitor, her lit odd slots and the phase Eve reads back.
 
@@ -78,6 +80,7 @@ from dpsqkd.stations import (
     BitOutcome,
     CascadeConfig,
     Detector,
+    alice_check_ports,
     alice_encode,
     bob_measure,
     bob_prepare,
@@ -742,6 +745,50 @@ def test_memoized_phase_tables_equal_a_fresh_build(field, config, unread):
         fresh = build_phase_tables(cfg.link)
         for name, array in cfg.phase_tables._asdict().items():
             assert np.array_equal(array, getattr(fresh, name)), name
+
+
+#: links over n 1-10, efficiency, dark counts, loss and both Eve kinds, with
+#: a lit, subnormal or empty return train; every link's tables hold the
+#: decoy row, so every example checks decoy trains too
+class_links = st.builds(
+    lambda n, eve, dark, efficiency, mu, loss: SessionConfig(
+        n_stages=n,
+        mean_photons_return=mu,
+        detector=DetectorParams(quantum_efficiency=efficiency, dark_count_prob=dark),
+        channel=ChannelParams(loss_db=loss),
+        eve_kind=eve,
+    ).link,
+    st.integers(1, 10),
+    st.sampled_from(EveKind),
+    st.sampled_from((0.0, 0.02)),
+    st.sampled_from((1.0, 0.4)),
+    st.sampled_from((0.5, 40.0, 5e-324, 0.0)),
+    st.sampled_from((0.0, 3.0, 20.0)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(class_links)
+def test_slot_class_thresholds_equal_the_dense_thresholds(link):
+    # the class table spread over the gate by slot_class is every row's
+    # dense click_thresholds on the trains of the legs, and no row's any
+    # exceeds the envelope of the round kind that reads it
+    tables = build_phase_tables(link)
+    turns = dpsqkd.session._TURN_ROWS
+    for b, bob_phase in enumerate(QUATERNARY):
+        cascade = CascadeConfig(link.n_stages, bob_phase)
+        prepared, sent, train, _ = _forward_leg(link, cascade)
+        attenuated = attenuate(train, link.mean_photons_return)
+        decoy = alice_encode(attenuated, KEY_PHASES[0], odd_slots(attenuated), CHECK_PHASES[1])
+        encoded = [alice_encode(attenuated, phase) for phase in KEY_PHASES]
+        rows = {i: alice_check_ports(train, phase) for i, phase in enumerate(CHECK_PHASES)}
+        for r, train in zip((turns, turns + 1, turns + 2), (encoded[0], decoy, encoded[1])):
+            rows[r], _ = _return_leg(link, cascade, prepared, sent, train)
+        for r, ((_, first), (_, second)) in rows.items():
+            p = (click_probabilities(port, link, cascade.gate) for port in (first, second))
+            spread = tables.thresholds[:, b, r].take(tables.slot_class, axis=1)
+            assert np.array_equal(spread, np.array(click_thresholds(*p))), (b, r)
+            assert (spread[2] <= tables.any[0 if r >= turns else 1]).all(), (b, r)
 
 
 #: (dataclass, field) for every real-valued field of the three configs

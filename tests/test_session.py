@@ -320,6 +320,19 @@ def test_phase_table_bytes_golden():
         assert tuple(bool(a) for a in per_link) == flags
 
 
+def test_phase_tables_reject_thresholds_that_vary_within_a_slot_class(monkeypatch):
+    # a click probability that grows along the gate breaks the four-class
+    # rule: the build names the link's n rather than spread a wrong class
+    probabilities = dpsqkd.session.click_probabilities
+    monkeypatch.setattr(
+        dpsqkd.session,
+        "click_probabilities",
+        lambda train, link, gate: probabilities(train, link, gate) * np.linspace(0.5, 1.0, len(gate)),
+    )
+    with pytest.raises(ValueError, match="n_stages 3 vary within a slot class"):
+        dpsqkd.session.build_phase_tables(SessionConfig(n_stages=3).link)
+
+
 @pytest.mark.parametrize("eve_kind", list(EveKind))
 def test_decoy_rounds_run_no_interferometer_optics(monkeypatch, eve_kind):
     # once the tables are built, a decoy round is a gather or follows Eve's
