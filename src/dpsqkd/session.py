@@ -239,10 +239,10 @@ class Link(NamedTuple):
     :func:`build_phase_tables` and the legs of a round read of a config.
 
     Configs that agree on them share one table object, whatever their seed,
-    rounds, sampling, decoys, thresholds, double-click policy or birefringence. The
-    detector fields keep the names of ``DetectorParams`` and
-    ``transmittance`` is that of ``ChannelParams``, so a link stands for the
-    detector in ``click_probabilities`` and for the channel in
+    rounds, sampling, decoys, thresholds, double-click policy or
+    birefringence. The detector fields keep the names of ``DetectorParams``
+    and ``transmittance`` is that of ``ChannelParams``, so a link stands for
+    the detector in ``click_probabilities`` and for the channel in
     ``fiber_transmit``.
     """
 

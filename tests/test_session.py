@@ -93,7 +93,8 @@ def test_dark_counts_reach_every_slot_of_the_return_train_and_no_other(round_fn)
     cfg = SessionConfig(sample_prob=0.0, detector=DetectorParams(dark_count_prob=0.01))
     block = cfg.block
     tables = cfg.phase_tables  # Bob's phase 0, key phase 0
-    _, low, reach = tables.thresholds[:, 0, dpsqkd.session._TURN_ROWS].take(tables.slot_class, axis=1)
+    row = tables.thresholds[:, 0, dpsqkd.session._TURN_ROWS]
+    _, low, reach = row.take(tables.slot_class, axis=1)
     u = [0.0] * 4 + [0.999] * (block.width - 4)
     u[block.column + 5 - 1] = float(np.nextafter(reach[5 - 1], 0.0))
     rec = round_fn(cfg, 0, u)
@@ -324,11 +325,11 @@ def test_phase_tables_reject_thresholds_that_vary_within_a_slot_class(monkeypatc
     # a click probability that grows along the gate breaks the four-class
     # rule: the build names the link's n rather than spread a wrong class
     probabilities = dpsqkd.session.click_probabilities
-    monkeypatch.setattr(
-        dpsqkd.session,
-        "click_probabilities",
-        lambda train, link, gate: probabilities(train, link, gate) * np.linspace(0.5, 1.0, len(gate)),
-    )
+
+    def growing(train, link, gate):
+        return probabilities(train, link, gate) * np.linspace(0.5, 1.0, len(gate))
+
+    monkeypatch.setattr(dpsqkd.session, "click_probabilities", growing)
     with pytest.raises(ValueError, match="n_stages 3 vary within a slot class"):
         dpsqkd.session.build_phase_tables(SessionConfig(n_stages=3).link)
 
