@@ -416,6 +416,7 @@ def build_phase_tables(link: Link) -> PhaseTables:
             by_row[_TURN_ROWS + phase.quarter_turns], eve_phase = _return_leg(
                 link, cascade, prepared, sent, alice_encode(attenuated, phase)
             )
+        # every odd slot a decoy at pi/2, read only in rounds Eve does not resend
         decoy_train = alice_encode(attenuated, PHASE_0, odd_in_train, PHASE_90)
         by_row[_TURN_ROWS + PHASE_90.quarter_turns], _ = _return_leg(
             link, cascade, prepared, sent, decoy_train

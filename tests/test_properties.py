@@ -782,8 +782,8 @@ def test_slot_class_thresholds_equal_the_dense_thresholds(link):
         decoy = alice_encode(attenuated, KEY_PHASES[0], odd_slots(attenuated), CHECK_PHASES[1])
         encoded = [alice_encode(attenuated, phase) for phase in KEY_PHASES]
         rows = {i: alice_check_ports(train, phase) for i, phase in enumerate(CHECK_PHASES)}
-        for r, train in zip((turns, turns + 1, turns + 2), (encoded[0], decoy, encoded[1])):
-            rows[r], _ = _return_leg(link, cascade, prepared, sent, train)
+        for r, returned in zip((turns, turns + 1, turns + 2), (encoded[0], decoy, encoded[1])):
+            rows[r], _ = _return_leg(link, cascade, prepared, sent, returned)
         for r, ((_, first), (_, second)) in rows.items():
             p = (click_probabilities(port, link, cascade.gate) for port in (first, second))
             spread = tables.thresholds[:, b, r].take(tables.slot_class, axis=1)
