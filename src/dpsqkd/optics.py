@@ -6,12 +6,12 @@ every pulse of a train sees the same fiber unitary (collective
 birefringence), so the pulses never differ in polarization. Couplers,
 delay-line interferometers, phase modulators, attenuators and the Faraday
 mirror are pure functions on immutable pulse trains, each a few operations
-on the whole array. Photon detection, ``detect``, gives each pair of output
-trains a column of a row of uniforms and gates a fixed range of slots: each
-gated slot, lit or empty, has one uniform at its fixed position, and it
-clicks the pair's two detectors with their click probabilities (signal
-or-ed with a dark count) independently (``click_thresholds``), compared
-for the whole gate at once.
+on the whole array. Photon detection, ``detect``, gates a pair of output
+trains on a fixed range of slots and takes one uniform per gated slot:
+each gated slot, lit or empty, clicks the pair's two detectors with their
+click probabilities (signal or-ed with a dark count) independently
+(``click_thresholds``), compared for the whole gate at once; ``session``
+fixes where each uniform sits in a round's row.
 
 Conventions fixed here (and relied on by the goldens in the test suite):
 
@@ -305,32 +305,25 @@ def click_thresholds(p1, p2):
 
 
 def detect(
-    branches: Sequence[tuple[Hashable, PulseTrain]],
+    pair: tuple[tuple[Hashable, PulseTrain], tuple[Hashable, PulseTrain]],
     params: DetectorParams,
     gate: range,
-    columns: Sequence[int],
-    uniforms: Sequence[float],
+    draws: Sequence[float],
 ) -> list[ClickEvent]:
-    """The clicks of each pair of (detector, train) branches from one row of
-    uniforms, pair by pair in slot order, the first detector of a slot first.
+    """The clicks of a pair of (detector, train) branches in slot order, the
+    first detector of a slot first.
 
-    Every slot k of ``gate`` is gated, lit or not. The j-th pair reads the
-    uniform at position ``columns[j] + k`` for both its detectors, which
-    click by the ``click_thresholds`` of their ``click_probabilities``. A
-    lone last branch clicks when the uniform falls below its probability.
-    The caller gives each pair a column wide enough for the gate; no other
-    uniform is read.
+    Every slot of ``gate`` is gated, lit or not: the one uniform
+    ``draws[i]`` clicks both detectors at slot ``gate[i]`` by the
+    ``click_thresholds`` of their ``click_probabilities``. Raises ValueError
+    unless there is exactly one draw per gate slot.
     """
-    u = np.asarray(uniforms)
-    slots = np.asarray(gate)
-    pairs = [branches[j : j + 2] for j in range(0, len(branches), 2)]
-    clicks = []
-    for pair, start in zip(pairs, columns, strict=True):
-        p = [click_probabilities(train, params, gate) for _, train in pair]
-        first, low, reach = click_thresholds(p[0], p[1] if len(p) == 2 else 0.0)
-        x = u[start + slots]
-        # (slot, detector) in slot order, the first detector first
-        clicked = np.stack((x < first, (low <= x) & (x < reach)), axis=1)
-        for i in np.flatnonzero(clicked).tolist():
-            clicks.append(ClickEvent(pair[i % 2][0], int(slots[i // 2])))
-    return clicks
+    x = np.asarray(draws, dtype=np.float64)
+    if x.shape != (len(gate),):
+        raise ValueError(f"detect needs one draw per gate slot, {len(gate)}, got shape {x.shape}")
+    first, low, reach = click_thresholds(
+        *(click_probabilities(train, params, gate) for _, train in pair)
+    )
+    # (slot, detector) in slot order, the first detector first
+    clicked = np.stack((x < first, (low <= x) & (x < reach)), axis=1)
+    return [ClickEvent(pair[i % 2][0], gate[i // 2]) for i in np.flatnonzero(clicked).tolist()]

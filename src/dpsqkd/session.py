@@ -61,8 +61,10 @@ Stream contract. All of a session's rounds read one stream,
 spawn_key=(1,))``. Round i owns the W uniforms (``Generator.random``, one
 64-bit output each) that start at output i * W. A row holds only the draws
 that the config's rounds can read, each at a fixed position in the round's
-row u whether or not the round uses it (``SessionConfig.block``). With n
-stages and G = 2^n + 1 gated slots 1 .. 2^n + 1 (``CascadeConfig.gate``):
+row u whether or not the round uses it: the sampling draw at ``_SAMPLE``
+and the click draws from ``_CLICKS`` in every row, the others where
+``SessionConfig.block`` puts them; no other module knows a position. With
+n stages and G = 2^n + 1 gated slots 1 .. 2^n + 1 (``CascadeConfig.gate``):
 
 * u[0], u[1], u[2]: Alice's key phase, Bob's phase and the check phase;
 * u[3]: the sampling draw, the train is diverted when u[3] < sample_prob;
@@ -146,8 +148,10 @@ from .stations import (
 _ROUND_STREAM = 1
 _STATS_STREAM = 2
 
-# the sampling draw, after the key, Bob's and the check phase (module docstring)
+# the sampling draw, after the key, Bob's and the check phase, and the click
+# draw of gate slot 1, the first of G (module docstring)
 _SAMPLE = 3
+_CLICKS = 4
 # uniforms per array call of a session (1 MiB of draws), so chunk memory
 # stays bounded for any n. A chunk's kernel calls cost a fixed 45 us at n=3
 # and 80 us with decoys (2-vCPU Xeon), and whole sessions ran 50 and 220 us
@@ -259,19 +263,16 @@ class Link(NamedTuple):
 
 
 class RoundBlock(NamedTuple):
-    """The layout of a round's row of uniforms (see the module docstring).
-
-    ``sample`` is the sampling draw. The click column holds one draw for
+    """The positions of a round's row of uniforms that a config moves (see
+    the module docstring). The click draws, from ``_CLICKS``, are one for
     each of the ``gated`` = 2^n + 1 gate slots 1 .. 2^n + 1
-    (``CascadeConfig.gate``), both of its detectors: gate slot k reads
-    position ``column + k - 1``. ``pick`` is the double-click pick,
-    ``decoy_phase`` the decoy phase and ``decoys`` the first decoy draw,
-    each None when the config draws none. A row is ``width`` uniforms, and
-    a session draws ``chunk_rounds`` rows per array call.
+    (``CascadeConfig.gate``), both of its detectors. ``pick`` is the
+    double-click pick, ``decoy_phase`` the decoy phase and ``decoys`` the
+    draw of odd slot 1, the first of 2^(n-1), each None when the config
+    draws none. A row is ``width`` uniforms, and a session draws
+    ``chunk_rounds`` rows per array call.
     """
 
-    sample: int
-    column: int
     gated: int
     pick: int | None
     decoy_phase: int | None
@@ -284,8 +285,7 @@ def _round_block(config: SessionConfig) -> RoundBlock:
     """Where a round's draws sit in its row of uniforms: only those that
     ``config``'s rounds can read."""
     gated = 2**config.n_stages + 1
-    column = _SAMPLE + 1
-    width = column + gated
+    width = _CLICKS + gated
     pick = decoy_phase = decoys = None
     if config.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
         pick, width = width, width + 1
@@ -294,7 +294,7 @@ def _round_block(config: SessionConfig) -> RoundBlock:
         width = decoys + 2 ** (config.n_stages - 1)
     # row i starts at output i * width of the stream
     chunk_rounds = max(1, _CHUNK_UNIFORMS // width)
-    return RoundBlock(_SAMPLE, column, gated, pick, decoy_phase, decoys, width, chunk_rounds)
+    return RoundBlock(gated, pick, decoy_phase, decoys, width, chunk_rounds)
 
 
 def _link(config: SessionConfig) -> Link:
@@ -337,9 +337,9 @@ class PhaseTables(NamedTuple):
     amplitude depends on the polarization, so these hold for every fiber
     unitary. Arrays are indexed by Bob's phase in quarter turns first. Of
     the G = 2^n + 1 gate slots 1 .. 2^n + 1 (``CascadeConfig.gate``), gate
-    slot k is at k - 1, as in the click column of a round's row
-    (``SessionConfig.block``); its two detectors c = 0 and 1 are at gate
-    position 2(k - 1) + c.
+    slot k is at k - 1, as its click draw is at ``_CLICKS + k - 1`` of a
+    round's row; its two detectors c = 0 and 1 are at gate position
+    2(k - 1) + c.
 
     Bob's phase sits on the even slots of a train whose slots all have one
     magnitude, so it moves no slot's energy on the way to Alice and back.
@@ -578,7 +578,7 @@ def _clicks(
     envelope = tables.any[0]
     if sampled.any():
         envelope = tables.any.take(sampled.view(np.int8), axis=0)
-    lit = np.flatnonzero(u[:, block.column : block.column + gated] < envelope)
+    lit = np.flatnonzero(u[:, _CLICKS : _CLICKS + gated] < envelope)
     lit_round = lit // gated
     at = lit - lit_round * gated  # gate slot k - 1
     source = rows.take(lit_round)
@@ -594,7 +594,7 @@ def _clicks(
     first, low, reach = tables.thresholds.reshape(3, -1).take(at_class, axis=1)
     # the slot's uniform against its row's thresholds: the first detector
     # clicks below first, the second at or above low and below any
-    x = u.reshape(-1).take(lit + lit_round * (block.width - gated) + block.column)
+    x = u.reshape(-1).take(lit + lit_round * (block.width - gated) + _CLICKS)
     clicked = np.empty((len(lit), 2), dtype=bool)
     np.less(x, first, out=clicked[:, 0])
     np.greater_equal(x, low, out=clicked[:, 1])
@@ -617,7 +617,7 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> Rou
     key = (u[:, 0] >= 0.5).view(np.int8)
     bob = (u[:, 1] * 4).astype(np.intp)
     check = (u[:, 2] >= 0.5).view(np.int8)
-    sampled = u[:, block.sample] < config.sample_prob
+    sampled = u[:, _SAMPLE] < config.sample_prob
     with_decoys = config.decoy_prob > 0.0
 
     n_decoys, decoy_slots = np.zeros(m, np.int32), np.zeros(0, np.int32)
@@ -863,9 +863,10 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     """The field-level round: every optical element runs on this round's
     trains, and the clicks come from ``optics.detect``.
 
-    It reads the round's row ``u`` at the positions of ``config.block`` and
-    the fiber from ``channel.round_unitary``, which no record depends on. The
-    session kernel, and so :func:`run_round`, must give the same record.
+    It slices the round's row ``u`` at the positions of the module docstring
+    for ``detect`` and ``alice_decoy_positions`` and takes the fiber from
+    ``channel.round_unitary``, which no record depends on. The session
+    kernel, and so :func:`run_round`, must give the same record.
     """
     u = _check_round(config, round_index, u)
     block = config.block
@@ -874,14 +875,13 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     check_phase = CHECK_PHASES[int(u[2] * 2)]
 
     cascade = CascadeConfig(config.n_stages, phase_b)
-    # detect reads gate slot k of both branches at columns[0] + k
-    columns = [block.column - cascade.gate.start]
+    click_draws = u[_CLICKS : _CLICKS + block.gated]
     unitary = round_unitary(config.channel, config.master_seed, round_index)
     prepared, sent, train, alarm = _forward_leg(config.link, cascade, unitary)
 
-    if u[block.sample] < config.sample_prob:
+    if u[_SAMPLE] < config.sample_prob:
         check_ports = alice_check_ports(train, check_phase)
-        check_clicks = detect(check_ports, config.detector, cascade.gate, columns, u)
+        check_clicks = detect(check_ports, config.detector, cascade.gate, click_draws)
         matched, compared, errors = alice_score_check(check_clicks, cascade, check_phase)
         return RoundRecord(
             index=round_index,
@@ -899,13 +899,12 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     train = attenuate(train, config.mean_photons_return)
     decoy_positions, decoy_phase = (), PHASE_0
     if block.decoys is not None:
-        decoy_positions = alice_decoy_positions(
-            odd_slots(train), config.decoy_prob, u, block.decoys
-        )
+        decoy_draws = u[block.decoys : block.decoys + 2 ** (config.n_stages - 1)]
+        decoy_positions = alice_decoy_positions(odd_slots(train), config.decoy_prob, decoy_draws)
         decoy_phase = CHECK_PHASES[int(u[block.decoy_phase] * 2)]
     encoded = alice_encode(train, phase_a, decoy_positions, decoy_phase)
     branches, eve_phase = _return_leg(config.link, cascade, prepared, sent, encoded, unitary)
-    clicks = detect(branches, config.detector, cascade.gate, columns, u)
+    clicks = detect(branches, config.detector, cascade.gate, click_draws)
 
     multi = len(clicks) >= 2
     chosen: ClickEvent | None = None

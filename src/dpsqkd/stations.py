@@ -229,16 +229,16 @@ def alice_score_check(
 
 
 def alice_decoy_positions(
-    odd_slots: Sequence[int], decoy_prob: float, uniforms: Sequence[float], start: int = 0
+    odd_slots: Sequence[int], decoy_prob: float, draws: Sequence[float]
 ) -> tuple[int, ...]:
-    """The odd slots that Alice replaces by a decoy: odd slot k of
-    ``odd_slots`` (ascending) is replaced when the uniform at position
-    ``start + k // 2`` of the row falls below decoy_prob. The caller keeps
-    the positions for sifting: a key click fed by a decoy slot is unusable."""
+    """The odd slots that Alice replaces by a decoy: odd slot 2j + 1 of
+    ``odd_slots`` (ascending) is replaced when its draw ``draws[j]`` falls
+    below decoy_prob. The caller keeps the positions for sifting: a key
+    click fed by a decoy slot is unusable."""
     if decoy_prob == 0.0:
         return ()
     odd = np.asarray(odd_slots, dtype=np.intp)
-    return tuple(odd[np.take(uniforms, start + odd // 2) < decoy_prob].tolist())
+    return tuple(odd[np.take(draws, odd // 2) < decoy_prob].tolist())
 
 
 def odd_slots(train: PulseTrain) -> tuple[int, ...]:

@@ -372,10 +372,11 @@ def test_faraday_preserves_amplitudes():
 
 
 def detect_one(train, params, rng):
-    """Clicks of one branch gated on slots 0 .. (its last occupied slot) + 1,
-    whose slot k reads uniform k of a hand-built row."""
+    """Clicks of a branch, paired with an empty one, gated on slots 0 ..
+    (its last occupied slot) + 1, slot k reading draw k."""
     gate = range(max(train.occupied_slots(), default=0) + 2)
-    return detect([("d", train)], params, gate, (0,), rng.random(len(gate)))
+    pair = (("d", train), ("e", PulseTrain.vacuum()))
+    return detect(pair, params, gate, rng.random(len(gate)))
 
 
 def test_detect_vacuum_never_clicks():
@@ -423,28 +424,33 @@ def test_detect_dark_counts_on_empty_window():
     train = PulseTrain.from_amplitudes({3: 1e-200})
     params = DetectorParams(dark_count_prob=0.5)
     gate = range(1, 8)
+    pair = (("d", train), ("e", PulseTrain.vacuum()))
     counts = 0
     trials = 2000
     for _ in range(trials):
-        counts += len(detect([("d", train)], params, gate, (0,), rng.random(8)))
+        # the empty partner dark-counts too: count the first detector only
+        clicks = detect(pair, params, gate, rng.random(8)[1:])
+        counts += sum(d == "d" for d, _ in clicks)
     assert counts / (7 * trials) == pytest.approx(0.5, abs=0.05)
 
 
 def test_detect_gates_every_slot_of_every_branch():
     # dark counts reach every gated slot, lit or empty, of both branches of
-    # a pair, an empty one included; slot k of the pair reads position
-    # (its column) + k, and no uniform outside the gate is read
+    # a pair, an empty one included; slot gate[i] reads draws[i], and
+    # draws of another length than the gate's are rejected
     train = PulseTrain.from_amplitudes({1: 1.0, 3: 1e-200})
     params = DetectorParams(quantum_efficiency=0.5, dark_count_prob=0.1)
-    branches = [("a", train), ("b", PulseTrain.vacuum())]
+    branches = (("a", train), ("b", PulseTrain.vacuum()))
     gate = range(1, 7)
     p1 = {k: 0.1 for k in gate}
     p1[1] = -math.expm1(-0.5) + 0.1 + math.expm1(-0.5) * 0.1
-    for j in range(30):
-        u = np.full(30, 0.99)
-        u[j] = 0.0
-        expected = [("a", j - 10)] if j - 10 in gate else []
-        assert detect(branches, params, gate, (10,), u) == expected, j
+    for i, k in enumerate(gate):
+        u = np.full(len(gate), 0.99)
+        u[i] = 0.0
+        assert detect(branches, params, gate, u) == [("a", k)], k
+    for draws in (np.full(5, 0.99), np.full(7, 0.99), np.full((1, 6), 0.99), [], 0.5):
+        with pytest.raises(ValueError, match="one draw per gate slot"):
+            detect(branches, params, gate, draws)
     # each slot's thresholds exactly: a first only below low, both below
     # first, b only below any, none at any
     for k in gate:
@@ -457,36 +463,31 @@ def test_detect_gates_every_slot_of_every_branch():
             (np.nextafter(reach, 0), [("b", k)]),
             (reach, []),
         ):
-            u = np.full(30, 0.99)
-            u[10 + k] = x
-            assert detect(branches, params, gate, (10,), u) == expected, (k, x)
+            u = np.full(len(gate), 0.99)
+            u[k - gate.start] = x
+            assert detect(branches, params, gate, u) == expected, (k, x)
 
 
 def test_detect_draws_one_uniform_per_gated_slot():
-    # pair by pair in slot order, the first detector of a slot first, a
-    # gated slot's one uniform clicks each detector by the joint law (0.47
-    # per lit slot here, 0 per empty one without dark counts), and a lone
-    # last branch clicks below its probability; no other uniform is read
+    # in slot order, the first detector of a slot first, a gated slot's one
+    # uniform clicks each detector by the joint law (0.47 per lit slot here,
+    # 0 per empty one without dark counts)
     lit = PulseTrain.from_amplitudes({k: 0.8 for k in range(1, 6)})
-    branches = [("a", lit), ("b", PulseTrain.single(2, 0.8)), ("c", lit)]
-    u = np.random.default_rng(5).random(12)
+    branches = (("a", lit), ("b", PulseTrain.single(2, 0.8)))
+    u = np.random.default_rng(5).random(12)[1:6]
     gate = range(1, 6)
-    clicks = detect(branches, DetectorParams(), gate, (0, 6), u)
+    clicks = detect(branches, DetectorParams(), gate, u)
     p = -math.expm1(-(0.8**2))
     expected = []
-    for k in gate:
+    for i, k in enumerate(gate):
         first, low, reach = click_thresholds(p, p if k == 2 else 0.0)
-        expected += [(d, k) for d, hit in (("a", u[k] < first), ("b", low <= u[k] < reach)) if hit]
-    expected += [("c", k) for k in gate if u[6 + k] < p]
-    assert clicks == expected and 0 < len(expected) < 10
-    # positions 0 and 6 are not gated, and without dark counts b's empty
-    # slots never click: at u = 0 only the first detector of a pair does
-    for j in (0, 6):
-        flipped = u.copy()
-        flipped[j] = 0.0
-        assert detect(branches, DetectorParams(), gate, (0, 6), flipped) == clicks
-    zeros = detect(branches, DetectorParams(), gate, (0, 6), np.zeros(12))
-    assert zeros == [("a", k) for k in gate] + [("c", k) for k in gate]
+        x = u[i]
+        expected += [(d, k) for d, hit in (("a", x < first), ("b", low <= x < reach)) if hit]
+    assert clicks == expected and 0 < len(expected) < 6
+    # without dark counts b's empty slots never click: at u = 0 only the
+    # first detector of the pair does
+    zeros = detect(branches, DetectorParams(), gate, np.zeros(len(gate)))
+    assert zeros == [("a", k) for k in gate]
 
 
 def test_detect_pair_follows_the_joint_law():
@@ -501,7 +502,7 @@ def test_detect_pair_follows_the_joint_law():
     counts = collections.Counter()
     for _ in range(rows):
         by_slot = collections.defaultdict(str)
-        for d, k in detect([("a", a), ("b", b)], DetectorParams(), gate, (0,), rng.random(6)):
+        for d, k in detect((("a", a), ("b", b)), DetectorParams(), gate, rng.random(6)[1:]):
             by_slot[k] += d
         counts.update(by_slot.values())
     trials = rows * len(gate)

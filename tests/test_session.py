@@ -96,10 +96,11 @@ def test_dark_counts_reach_every_slot_of_the_return_train_and_no_other(round_fn)
     row = tables.thresholds[:, 0, dpsqkd.session._TURN_ROWS]
     _, low, reach = row.take(tables.slot_class, axis=1)
     u = [0.0] * 4 + [0.999] * (block.width - 4)
-    u[block.column + 5 - 1] = float(np.nextafter(reach[5 - 1], 0.0))
+    clicks_at = dpsqkd.session._CLICKS
+    u[clicks_at + 5 - 1] = float(np.nextafter(reach[5 - 1], 0.0))
     rec = round_fn(cfg, 0, u)
     assert rec.clicks == (ClickEvent(Detector.D2, 5),) and rec.bit is BitOutcome.BIT1
-    u[block.column : block.column + block.gated] = low.tolist()
+    u[clicks_at : clicks_at + block.gated] = low.tolist()
     gate = dpsqkd.stations.CascadeConfig(3, PHASE_0).gate
     assert round_fn(cfg, 0, u).clicks == tuple(
         ClickEvent(d, k) for k in gate for d in (Detector.D1, Detector.D2)
@@ -767,7 +768,7 @@ def test_round_block_layout(n):
                 detector=DetectorParams(double_click_policy=policy),
             )
             block = cfg.block
-            assert (block.sample, block.gated, block.column) == (3, gated, 4)
+            assert (dpsqkd.session._SAMPLE, block.gated, dpsqkd.session._CLICKS) == (3, gated, 4)
             end = 4 + gated
             if policy is DoubleClickPolicy.RANDOM_PICK:
                 assert block.pick == end
@@ -820,10 +821,11 @@ def test_both_gate_slots_of_a_replaced_odd_slot_read_the_decoy_row(round_fn):
     assert {0, 1} <= set(differ % 2)  # both slots of a pair are checked
     u = [0.0] * 4 + [0.999] * (block.width - 4)
     u[block.decoy_phase] = 0.75  # pi/2, and every decoy draw 0 replaces its slot
+    clicks_at = dpsqkd.session._CLICKS
     for k in range(block.gated):
-        u[block.column + k] = 0.999
+        u[clicks_at + k] = 0.999
     for at in differ.tolist():
-        u[block.column + at] = float(min(key_row[at], decoy_row[at]))
+        u[clicks_at + at] = float(min(key_row[at], decoy_row[at]))
     expected = [at + 1 for at in differ.tolist() if decoy_row[at] > key_row[at]]
     assert sorted({c.slot for c in round_fn(cfg, 0, u).clicks}) == expected
 

@@ -289,11 +289,11 @@ def test_energy_monitor_rejects_bad_expectation():
 
 def check_clicks(train, check_phase, rng):
     """Sample the check interferometer's D3/D4 clicks for a 3-stage ``train``
-    from a hand-built row: gate slot k of both detectors reads uniform k,
-    gated on slots 1 .. 9."""
+    gated on slots 1 .. 9: gate slot k of both detectors reads uniform k of
+    a hand-built row of 10."""
     gate = CascadeConfig(3, PHASE_0).gate
     ports = alice_check_ports(train, check_phase)
-    return detect(ports, DetectorParams(), gate, (0,), rng.random(10))
+    return detect(ports, DetectorParams(), gate, rng.random(10)[1:])
 
 
 def test_sample_prob_zero_never_diverts():
