@@ -9,6 +9,7 @@ phase" are then exact integer comparisons with no floating-point tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 # exp(-i * k * pi/2) for k = 0..3; exact complex values, no trig
@@ -17,12 +18,16 @@ _UNIT_TABLE = (1 + 0j, -1j, -1 + 0j, 1j)
 
 @dataclass(frozen=True, slots=True)
 class QuantizedPhase:
-    """A phase k * pi/2 stored as the integer k mod 4."""
+    """A phase k * pi/2 stored as the integer k mod 4, k integral, not a bool."""
 
     quarter_turns: int
 
     def __post_init__(self):
-        object.__setattr__(self, "quarter_turns", self.quarter_turns % 4)
+        k = self.quarter_turns
+        # optics._is_int's rule, kept here so that phases imports nothing of the package
+        if type(k) is not int and (isinstance(k, bool) or not isinstance(k, numbers.Integral)):
+            raise ValueError(f"quarter_turns must be an integer, got {k!r}")
+        object.__setattr__(self, "quarter_turns", int(k) % 4)
 
     def __add__(self, other: "QuantizedPhase") -> "QuantizedPhase":
         return QuantizedPhase(self.quarter_turns + other.quarter_turns)

@@ -1,6 +1,8 @@
 import cmath
 import math
+import re
 
+import numpy as np
 import pytest
 
 from dpsqkd.phases import (
@@ -45,6 +47,17 @@ def test_negation_and_normalization():
     assert (-PHASE_90).quarter_turns == 3
     assert QuantizedPhase(-1) == PHASE_270
     assert QuantizedPhase(7) == PHASE_270
+
+
+def test_quarter_turns_must_be_integral_and_not_a_bool():
+    # numpy integers are stored as int; a float, a bool or a string is
+    # rejected naming the value, not at the first read of the factor
+    for k in (np.int8(-1), np.int64(7), np.uint8(3)):
+        phase = QuantizedPhase(k)
+        assert phase == PHASE_270 and type(phase.quarter_turns) is int
+    for k in (1.5, 1.0, np.float64(2.0), True, np.bool_(True), "1", None, 1 + 0j):
+        with pytest.raises(ValueError, match=re.escape(f"got {k!r}")):
+            QuantizedPhase(k)
 
 
 def test_radians():
