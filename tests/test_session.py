@@ -994,6 +994,16 @@ def test_efficiency_formulas_reject_bad_n(formula, n):
         formula(n)
 
 
+def test_efficiency_formulas_take_numpy_integers_exactly():
+    # a numpy integer's 2 ** n would overflow in its own width from n = 31
+    # or 63 (a RuntimeWarning, an error under this suite's settings)
+    for formula in (theoretical_efficiency, competitor_efficiency):
+        for dtype in (np.int32, np.int64):
+            for n in (3, 31, 40, 63, 64):
+                result = formula(dtype(n))
+                assert result == formula(n) and type(result.numerator) is int, (dtype, n)
+
+
 # --- config validation ---------------------------------------------------------
 
 
