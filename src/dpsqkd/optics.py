@@ -320,7 +320,7 @@ def detect(
     """
     x = np.asarray(draws, dtype=np.float64)
     if x.shape != (len(gate),):
-        raise ValueError(f"detect needs one draw per gate slot, {len(gate)}, got shape {x.shape}")
+        raise ValueError(f"detect needs one draw per gate slot ({len(gate)}), got shape {x.shape}")
     first, low, reach = click_thresholds(
         *(click_probabilities(train, params, gate) for _, train in pair)
     )
