@@ -474,7 +474,7 @@ def test_detect_draws_one_uniform_per_gated_slot():
     # 0 per empty one without dark counts)
     lit = PulseTrain.from_amplitudes({k: 0.8 for k in range(1, 6)})
     branches = (("a", lit), ("b", PulseTrain.single(2, 0.8)))
-    u = np.random.default_rng(5).random(12)[1:6]
+    u = np.random.default_rng(5).random(6)[1:]
     gate = range(1, 6)
     clicks = detect(branches, DetectorParams(), gate, u)
     p = -math.expm1(-(0.8**2))
