@@ -576,7 +576,7 @@ def _clicks(
     gated = block.gated
     # every gate slot below its round kind's envelope, as one flat index r * G + k - 1
     envelope = tables.any[0]
-    # the broadcast kept 10 000-round keygen sessions 3-4 % faster than the take below
+    # broadcasting any[0] when no round is sampled ran keygen sessions 3-4 % faster than the take
     if sampled.any():
         envelope = tables.any.take(sampled.view(np.int8), axis=0)
     lit = np.flatnonzero(u[:, _CLICKS : _CLICKS + gated] < envelope)
