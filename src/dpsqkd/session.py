@@ -39,22 +39,17 @@ resends the key train of her guess, which the round reads whole.
 The kernel runs a chunk of rounds as array work on their rows of uniforms.
 Each round takes one row of the tables: its check train, its key train or
 the key train Eve resent. A gate slot's one uniform clicks both of its
-detectors (``optics.click_thresholds``), so the kernel (``_clicks``)
-compares each slot's uniform with the envelope of its round's kind, at or
-above which no row of that kind clicks the slot. Only the few slots below
-it are split into their detectors, by (first, low, any) of their class in
-their round's row, or in the decoy row where the slot reads a replaced odd
-slot of a round Eve did not resend. The kernel reads bits, decoy hits and
-check scores from the tables by 1-D takes on flat indices. A click is its
-round and its gate position, one of 2G per round, two per gate slot: a
-count of rounds gives the clicks per round, and their running sum finds the
-chosen click.
-Decoys (their mask and row), Eve's vote, sampling (check scores) and
-random picks (the pick rank) cost per-round work only when the config
-turns them on; dark counts are in the tables and cost none.
-It gives a :class:`RoundColumns`; :func:`session_stats` reduces it, a
-:class:`RoundRecord` per round is built only when ``SessionResult.records``
-is read, and :func:`run_round` runs one row as a chunk of one.
+detectors (``optics.click_thresholds``); ``_clicks`` splits into detectors
+only the few slots below the envelope of their round's kind. A click is
+its round and its gate position, one of 2G per round, and the kernel reads
+bits, decoy hits and check scores from the tables by 1-D takes. Decoys,
+Eve's vote, sampling and random picks cost per-round work only when the
+config turns them on; dark counts are in the tables and cost none.
+A session folds each chunk into its counts and its sifted bits as it is
+drawn (``_fold``), and :func:`session_stats` reduces the sums: no per-round
+array outlives its chunk. ``SessionResult.columns`` (a :class:`RoundColumns`)
+and ``records`` (a :class:`RoundRecord` per round) rerun the kernel over the
+same rows when first read; :func:`run_round` runs one row as a chunk of one.
 
 Stream contract. All of a session's rounds read one stream,
 ``np.random.PCG64`` seeded with ``SeedSequence(master_seed,
@@ -95,9 +90,11 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -223,7 +220,6 @@ class SessionConfig:
         # first read of a functools.cached_property takes a lock, about 2 us
         object.__setattr__(self, "block", _round_block(self))
         object.__setattr__(self, "link", _link(self))
-
 
     @property
     def phase_tables(self) -> PhaseTables:
@@ -431,34 +427,17 @@ def build_phase_tables(link: Link) -> PhaseTables:
     # the largest ``any`` over the rows of each round kind, as read per gate slot
     keyed = thresholds[2, :, _TURN_ROWS:].max(axis=(0, 1))
     sampled = thresholds[2, :, _CHECK_ROWS:_TURN_ROWS].max(axis=(0, 1))
+    read = product(cascades, representatives, _KEY_DETECTORS)
     bit = np.array(
-        [
-            [
-                [_BITS.index(infer_bit(ClickEvent(d, k), cascade)) for d in _KEY_DETECTORS]
-                for k in representatives
-            ]
-            for cascade in cascades
-        ],
-        dtype=np.int8,
-    )[:, slot_class]
+        [_BITS.index(infer_bit(ClickEvent(d, k), cascade)) for cascade, k, d in read], dtype=np.int8
+    ).reshape(len(QUATERNARY), _CLASSES, 2)[:, slot_class]
     # (matched, compared, errors) of a lone D3/D4 click, per Bob phase,
     # check phase, slot and detector
+    scored = product(cascades, CHECK_PHASES, representatives, _CHECK_DETECTORS)
     scores = np.array(
-        [
-            [
-                [
-                    [
-                        alice_score_check([ClickEvent(d, k)], cascade, phase)
-                        for d in _CHECK_DETECTORS
-                    ]
-                    for k in representatives
-                ]
-                for phase in CHECK_PHASES
-            ]
-            for cascade in cascades
-        ],
+        [alice_score_check([ClickEvent(d, k)], cascade, phase) for cascade, phase, k, d in scored],
         dtype=bool,
-    )[:, :, slot_class]
+    ).reshape(len(QUATERNARY), len(CHECK_PHASES), _CLASSES, 2, 3)[:, :, slot_class]
     checks = (len(QUATERNARY), len(CHECK_PHASES), 2 * len(gate))
     # Bob's phase moves no slot's energy, so the last one's flags are the link's
     tables = PhaseTables(
@@ -522,8 +501,8 @@ def _return_leg(
 
 class RoundColumns(NamedTuple):
     """A run of rounds as arrays, one entry per round, except ``clicks``
-    and ``decoy_slots``, which list only what happened, so that a session
-    holds a few bytes per round at any n.
+    and ``decoy_slots``, which list only what happened, so that the columns
+    hold a few bytes per round at any n.
 
     ``key``, ``check``: indices into ``KEY_PHASES`` and ``CHECK_PHASES``;
     ``bob``: Bob's phase in quarter turns. ``clicks``: the gate position
@@ -605,95 +584,162 @@ def _clicks(
     return lit_round.take(slot), 2 * at.take(slot) + (detector & 1)
 
 
-def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> RoundColumns:
-    """The kernel on the rounds whose rows of uniforms are the rows of ``u``
-    (module docstring): per-round work only for what the config turns on,
-    every table read a 1-D ``take`` and every click its round and gate
-    position (``_clicks``)."""
+#: A chunk as the kernel's head leaves it for its two tails. Per round: the
+#: phases, ``sampled`` and ``check_matched`` as in RoundColumns, the decoy mask
+#: over Alice's odd slots (None without decoys), the key phase Bob reads back
+#: (Eve's guess where she reads), and the clicks, also with those of sampled
+#: rounds zeroed. Per click: its gate position. Per chosen click: its round and
+#: bit; ``inner`` indexes those that read a key bit, and ``hit`` says whether a
+#: decoy replaced its odd slot. Per compared and per erring check click: its round.
+_Chunk = namedtuple(
+    "_Chunk",
+    "key bob check sampled n_sampled decoys resent n_clicks keyed_clicks clicks picked"
+    " chosen_bit inner hit check_matched compared errors",
+)
+
+
+def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> _Chunk:
+    """The kernel's head on the rounds whose rows of uniforms are the rows
+    of ``u`` (module docstring), for :func:`_fold` or :func:`_round_columns`:
+    per-round work only for what the config turns on, every table read a 1-D
+    ``take`` and every click its round and gate position (``_clicks``)."""
     block, m = config.block, len(u)
-    gated = block.gated
-    width = 2 * gated  # gate positions per round, two detectors per gate slot
+    width = 2 * block.gated  # gate positions per round, two detectors per gate slot
     half = 2 ** (config.n_stages - 1)  # Alice's odd slots
     # int(u * 2) is u >= 0.5
     key = (u[:, 0] >= 0.5).view(np.int8)
     bob = (u[:, 1] * 4).astype(np.intp)
     check = (u[:, 2] >= 0.5).view(np.int8)
     sampled = u[:, _SAMPLE] < config.sample_prob
-    with_decoys = config.decoy_prob > 0.0
+    n_sampled = int(np.count_nonzero(sampled))
 
-    n_decoys, decoy_slots = np.zeros(m, np.int32), np.zeros(0, np.int32)
-    if with_decoys:
+    decoys, resent = None, key
+    if config.decoy_prob > 0.0:
         # CHECK_PHASES[i] is i quarter turns
         decoy_turns = (u[:, block.decoy_phase] * 2).astype(np.intp)
         # Alice's lit odd slots, none in a sampled round
         decoys = u[:, block.decoys : block.decoys + half] < config.decoy_prob
         decoys &= ~sampled[:, None] & tables.odd
-        flat = np.flatnonzero(decoys)  # round r's odd slot 2j + 1 at r * half + j
-        decoy_round = flat // half
-        n_decoys = np.bincount(decoy_round, minlength=m).astype(np.int32)
-        decoy_slots = (2 * (flat - decoy_round * half) + 1).astype(np.int32)
-    eve, resent = np.full(m, -1, dtype=np.int8), key
-    if tables.eve_reads:
+    if tables.eve_reads and decoys is not None:
         # Eve reads all of Alice's odd slots: the keyed ones vote for the key
         # phase (KEY_PHASES[i] is 2i turns), each decoy for its decoy phase;
         # with no decoys every slot votes for the key phase. She resends her
         # guess, which a sampled round never reads: it reads its check train
-        if with_decoys:
-            turns = np.arange(len(QUATERNARY))[:, None]
-            votes = (turns == 2 * key) * (half - n_decoys) + (turns == decoy_turns) * n_decoys
-            resent = eve_key_phase(votes)
-        eve = np.where(sampled, -1, resent).astype(np.int8)
+        n_decoys = decoys.sum(axis=1)
+        turns = np.arange(len(QUATERNARY))[:, None]
+        votes = (turns == 2 * key) * (half - n_decoys) + (turns == decoy_turns) * n_decoys
+        resent = eve_key_phase(votes)
 
     # every round reads one row of the tables: the check train of a sampled round,
     # else the key train (KEY_PHASES[i] is 2i turns) or the one Eve resent
     rows = bob * _TRAIN_ROWS + np.where(sampled, _CHECK_ROWS + check, _TURN_ROWS + 2 * resent)
     decoy_reads = None
-    if with_decoys and not tables.eve_reads:
+    if decoys is not None and not tables.eve_reads:
         # where Eve reads, she resends every unsampled round whole
         decoy_reads = (decoys, bob * _TRAIN_ROWS + _TURN_ROWS + decoy_turns)
     by_round, clicks = _clicks(tables, block, u, sampled, rows, decoy_reads)
     n_clicks = np.bincount(by_round, minlength=m)
+    keyed_clicks = np.where(sampled, 0, n_clicks) if n_sampled else n_clicks
     # the chosen click's index in ``clicks``: the only one, or the one the pick lands on
     nth = np.cumsum(n_clicks) - n_clicks
-    picked = ~sampled & (n_clicks == 1)
     if config.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
         nth += (u[:, block.pick] * n_clicks).astype(np.intp)
-        picked = ~sampled & (n_clicks > 0)
-    picked = np.flatnonzero(picked)
+        picked = np.flatnonzero(keyed_clicks)
+    else:
+        picked = np.flatnonzero(keyed_clicks == 1)
     chosen = clicks.take(nth.take(picked))
     chosen_bit = tables.bit.take(bob.take(picked) * width + chosen)
-    bit = np.full(m, _NO_BIT, dtype=np.int8)
-    bit[picked] = chosen_bit
-    decoy_hit = np.zeros(m, dtype=bool)
-    if with_decoys:
-        # a chosen inner-slot click (one that reads a key bit) at gate
-        # position 2(k - 1) + c reads odd slot 2j + 1 for j = (k - 1) // 2,
-        # replaced when the round's decoy draw j fell below decoy_prob
-        inner = chosen_bit != _BITS.index(BitOutcome.DISCARD)
-        hit_rounds = picked[inner]
-        decoy_hit[hit_rounds] = decoys.take(hit_rounds * half + (chosen[inner] >> 2))
-    check_matched = np.zeros(m, dtype=bool)
-    check_compared, check_errors = np.zeros(m, np.int32), np.zeros(m, np.int32)
-    if sampled.any():
+    inner = np.flatnonzero(chosen_bit != _BITS.index(BitOutcome.DISCARD))
+    hit = None
+    if decoys is not None:
+        # a chosen inner-slot click at gate position 2(k - 1) + c reads odd
+        # slot 2j + 1 for j = (k - 1) // 2, replaced when the round's decoy
+        # draw j fell below decoy_prob
+        hit = decoys.take(picked.take(inner) * half + (chosen.take(inner) >> 2))
+    check_matched, compared, errors = np.zeros(m, dtype=bool), by_round[:0], by_round[:0]
+    if n_sampled:
         scored = bob * len(CHECK_PHASES) + check
         check_matched = sampled & tables.check_matched.take(scored)
         on_check = sampled.take(by_round)  # the D3/D4 clicks
         rounds = by_round[on_check]
         at = scored.take(rounds) * width + clicks[on_check]
-        check_compared = np.bincount(rounds[tables.check_compared.take(at)], minlength=m)
-        check_errors = np.bincount(rounds[tables.check_error.take(at)], minlength=m)
+        compared = rounds[tables.check_compared.take(at)]
+        errors = rounds[tables.check_error.take(at)]
+    return _Chunk(
+        key, bob, check, sampled, n_sampled, decoys, resent, n_clicks, keyed_clicks,
+        clicks, picked, chosen_bit, inner, hit, check_matched, compared, errors,
+    )
+
+
+def _fold(
+    config: SessionConfig, tables: PhaseTables, chunk: _Chunk
+) -> tuple[Counter, np.ndarray, np.ndarray]:
+    """A chunk's counts (:func:`session_stats`) and its sifted bits, Alice's
+    (her key phase) and Bob's: one per chosen inner-slot click that no decoy
+    touched."""
+    m, picked = len(chunk.key), chunk.picked
+    if config.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
+        n_clicked = len(picked)
+        single = chunk.keyed_clicks.take(picked) == 1
+        n_single = int(np.count_nonzero(single))
+        n_edge = n_single - int(np.count_nonzero(single.take(chunk.inner)))
+    else:
+        n_clicked = int(np.count_nonzero(chunk.keyed_clicks))
+        n_single = len(picked)
+        n_edge = n_single - len(chunk.inner)
+    usable = chunk.inner if chunk.hit is None else chunk.inner[~chunk.hit]
+    kept = picked.take(usable)
+    alice, bob = chunk.key.take(kept), chunk.chosen_bit.take(usable)
+    eve_total = eve_hits = 0
+    if tables.eve_reads:
+        eve_total = len(kept)
+        eve_hits = int(np.count_nonzero(chunk.resent.take(kept) == alice))
+    counts = Counter(
+        rounds=m,
+        n_sampled=chunk.n_sampled,
+        n_no_click=m - chunk.n_sampled - n_clicked,
+        n_single_click=n_single,
+        n_multi_click=n_clicked - n_single,
+        n_edge_single=n_edge,
+        check_rounds_matched=int(np.count_nonzero(chunk.check_matched)),
+        check_compared=len(chunk.compared),
+        check_errors=len(chunk.errors),
+        energy_alarms=m if tables.energy_alarm else 0,
+        eve_total=eve_total,
+        eve_hits=eve_hits,
+    )
+    return counts, alice, bob
+
+
+def _round_columns(tables: PhaseTables, chunk: _Chunk) -> RoundColumns:
+    """A chunk's :class:`RoundColumns`, built only when they are read."""
+    m = len(chunk.key)
+    n_decoys, decoy_slots = np.zeros(m, np.int32), np.zeros(0, np.int32)
+    decoy_hit = np.zeros(m, dtype=bool)
+    if chunk.decoys is not None:
+        half = chunk.decoys.shape[1]
+        flat = np.flatnonzero(chunk.decoys)  # round r's odd slot 2j + 1 at r * half + j
+        decoy_round = flat // half
+        n_decoys = np.bincount(decoy_round, minlength=m).astype(np.int32)
+        decoy_slots = (2 * (flat - decoy_round * half) + 1).astype(np.int32)
+        decoy_hit[chunk.picked.take(chunk.inner)] = chunk.hit
+    bit = np.full(m, _NO_BIT, dtype=np.int8)
+    bit[chunk.picked] = chunk.chosen_bit
+    eve = np.full(m, -1, dtype=np.int8)
+    if tables.eve_reads:
+        eve = np.where(chunk.sampled, -1, chunk.resent).astype(np.int8)
     return RoundColumns(
-        key=key,
-        bob=bob.astype(np.int8),
-        check=check,
-        sampled=sampled,
+        key=chunk.key,
+        bob=chunk.bob.astype(np.int8),
+        check=chunk.check,
+        sampled=chunk.sampled,
         energy_alarm=np.full(m, tables.energy_alarm),
-        n_clicks=n_clicks.astype(np.int32),
-        clicks=clicks.astype(np.int32),
+        n_clicks=chunk.n_clicks.astype(np.int32),
+        clicks=chunk.clicks.astype(np.int32),
         bit=bit,
-        check_matched=check_matched,
-        check_compared=check_compared.astype(np.int32),
-        check_errors=check_errors.astype(np.int32),
+        check_matched=chunk.check_matched,
+        check_compared=np.bincount(chunk.compared, minlength=m).astype(np.int32),
+        check_errors=np.bincount(chunk.errors, minlength=m).astype(np.int32),
         n_decoys=n_decoys,
         decoy_slots=decoy_slots,
         decoy_hit=decoy_hit,
@@ -751,22 +797,12 @@ def _records(
     }
     clicks = _by_round(codes, columns.n_clicks)
     decoys = _by_round(columns.decoy_slots, columns.n_decoys)
-    fields = (
-        columns.key,
-        columns.bob,
-        columns.check,
-        columns.sampled,
-        columns.energy_alarm,
-        columns.bit,
-        columns.check_matched,
-        columns.check_compared,
-        columns.check_errors,
-        columns.decoy_hit,
-        columns.eve,
-    )
+    names = ("key", "bob", "check", "sampled", "energy_alarm", "bit", "check_matched")
+    names += ("check_compared", "check_errors", "decoy_hit", "eve")
+    fields = [getattr(columns, name).tolist() for name in names]
     records = []
     for i, (key, bob, check, sampled, alarm, bit, matched, compared, errors, hit, eve) in enumerate(
-        zip(*(a.tolist() for a in fields))
+        zip(*fields)
     ):
         round_clicks = tuple(events[c] for c in clicks[i])
         common = dict(
@@ -857,7 +893,8 @@ def run_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> Ro
     :func:`round_uniforms` equals the same round in a session.
     """
     row = _check_round(config, round_index, u).reshape(1, -1)
-    return _records(config, _run_chunk(config, config.phase_tables, row), round_index)[0]
+    tables = config.phase_tables
+    return _records(config, _round_columns(tables, _run_chunk(config, tables, row)), round_index)[0]
 
 
 def reference_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> RoundRecord:
@@ -879,22 +916,20 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     click_draws = u[_CLICKS : _CLICKS + block.gated]
     unitary = round_unitary(config.channel, config.master_seed, round_index)
     prepared, sent, train, alarm = _forward_leg(config.link, cascade, unitary)
+    common = dict(index=round_index, alice_phase=phase_a, bob_phase=phase_b)
+    common.update(check_phase=check_phase, energy_alarm=alarm)
 
     if u[_SAMPLE] < config.sample_prob:
         check_ports = alice_check_ports(train, check_phase)
         check_clicks = detect(check_ports, config.detector, cascade.gate, click_draws)
         matched, compared, errors = alice_score_check(check_clicks, cascade, check_phase)
         return RoundRecord(
-            index=round_index,
-            alice_phase=phase_a,
-            bob_phase=phase_b,
+            **common,
             sampled=True,
-            check_phase=check_phase,
             check_matched=matched,
             check_compared=compared,
             check_errors=errors,
             check_clicks=tuple(check_clicks),
-            energy_alarm=alarm,
         )
 
     train = attenuate(train, config.mean_photons_return)
@@ -922,12 +957,8 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
             decoy_hit = key_slot(chosen.slot) in decoy_positions
 
     return RoundRecord(
-        index=round_index,
-        alice_phase=phase_a,
-        bob_phase=phase_b,
+        **common,
         sampled=False,
-        check_phase=check_phase,
-        energy_alarm=alarm,
         clicks=tuple(clicks),
         multi_click=multi,
         bit=bit,
@@ -937,24 +968,8 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     )
 
 
-def _keyed_bits(columns: RoundColumns) -> np.ndarray:
-    """The rounds that give a key bit: a chosen inner-slot click (so the
-    round was not sampled) untouched by decoys."""
-    return ((columns.bit == 0) | (columns.bit == 1)) & ~columns.decoy_hit
-
-
-def sift(columns: RoundColumns) -> tuple[np.ndarray, np.ndarray]:
-    """Raw shared key: rounds with one usable inner-slot click, unsampled
-    and untouched by decoys. Alice's bit is her own phase; Bob's is inferred."""
-    usable = _keyed_bits(columns)
-    return columns.key[usable], columns.bit[usable]
-
-
 def estimate_qber(
-    alice,
-    bob,
-    disclose_fraction: float,
-    rng: np.random.Generator,
+    alice, bob, disclose_fraction: float, rng: np.random.Generator
 ) -> tuple[float | None, int]:
     """Compare a random subset of both keys publicly.
 
@@ -979,7 +994,7 @@ def estimate_qber(
 @dataclass(frozen=True)
 class SessionStats:
     """Counts and rates over one session's rounds; the sifted key itself is
-    ``sift(result.columns)``."""
+    ``result.alice_bits`` and ``result.bob_bits``."""
 
     rounds: int
     n_sampled: int
@@ -1003,112 +1018,97 @@ class SessionStats:
     alarm: bool
 
 
-def session_stats(columns: RoundColumns, config: SessionConfig) -> SessionStats:
-    """Reduce a session's columns to protocol-level statistics.
+def session_stats(
+    counts: Counter, alice: np.ndarray, bob: np.ndarray, config: SessionConfig
+) -> SessionStats:
+    """Reduce a session's counts and its sifted bits to protocol-level
+    statistics, disclosing a random part of the bits (``estimate_qber``).
+    ``counts`` holds the counts of :class:`SessionStats` by field name, and
+    of the sifted bits Eve read, ``eve_total``, and got right, ``eve_hits``.
 
     Efficiency and the edge fraction condition on rounds with exactly one
     click, where the slot statistics reflect the interference energies.
     The check-error rate covers matched-basis sampled rounds only.
     """
-
-    def count(mask: np.ndarray) -> int:
-        return int(np.count_nonzero(mask))
-
-    # every count is one pass over a column or a boolean mask: a bincount or
-    # a gather per count would cost several times more per round
-    sampled, n_clicks = columns.sampled, columns.n_clicks
-    n_sampled = count(sampled)
-    keyed = ~sampled
-    single = keyed & (n_clicks == 1)
-    n_single = count(single)
-    n_no_click = count(keyed & (n_clicks == 0))
-    n_multi = len(n_clicks) - n_sampled - n_single - n_no_click
-    # a single click is the chosen one, so its bit is its readout
-    n_edge = count(single & (columns.bit == _BITS.index(BitOutcome.DISCARD)))
-    check_compared = check_errors = check_matched = 0
-    if n_sampled:
-        check_compared = int(columns.check_compared.sum())
-        check_errors = int(columns.check_errors.sum())
-        check_matched = count(columns.check_matched)
-    energy_alarms = count(columns.energy_alarm)
-
-    usable = _keyed_bits(columns)
-    alice, bob = columns.key[usable], columns.bit[usable]
-    attacked = usable & (columns.eve >= 0)
-    eve_total = count(attacked)
-    eve_hits = count(attacked & (columns.eve == columns.key))
-
     qber, disclosed = estimate_qber(
         alice, bob, config.disclose_fraction, _stats_rng(config.master_seed)
     )
-
-    efficiency = (n_single - n_edge) / n_single if n_single else None
-    edge_fraction = n_edge / n_single if n_single else None
-    check_rate = check_errors / check_compared if check_compared else None
+    n_single, n_edge = counts["n_single_click"], counts["n_edge_single"]
+    compared, errors = counts["check_compared"], counts["check_errors"]
+    eve_total = counts["eve_total"]
+    check_rate = errors / compared if compared else None
     alarm = bool(
-        energy_alarms
+        counts["energy_alarms"]
         or (check_rate is not None and check_rate > config.max_check_error)
         or (qber is not None and qber > config.max_qber)
     )
     return SessionStats(
-        rounds=len(columns.key),
-        n_sampled=n_sampled,
-        n_no_click=n_no_click,
-        n_single_click=n_single,
-        n_multi_click=n_multi,
-        n_edge_single=n_edge,
-        efficiency=efficiency,
-        edge_fraction=edge_fraction,
+        **{name: n for name, n in counts.items() if name not in ("eve_total", "eve_hits")},
+        efficiency=(n_single - n_edge) / n_single if n_single else None,
+        edge_fraction=n_edge / n_single if n_single else None,
         sifted_length=len(alice),
-        mismatches=count(alice != bob),
+        mismatches=int(np.count_nonzero(alice != bob)),
         qber=qber,
         qber_disclosed=disclosed,
         final_key_length=len(alice) - disclosed,
-        check_rounds_matched=check_matched,
-        check_compared=check_compared,
-        check_errors=check_errors,
         check_error_rate=check_rate,
-        energy_alarms=energy_alarms,
-        eve_agreement=(eve_hits / eve_total) if eve_total else None,
+        eve_agreement=counts["eve_hits"] / eve_total if eve_total else None,
         alarm=alarm,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class SessionResult:
+    """A session's statistics and its sifted key: ``alice_bits`` and
+    ``bob_bits``, one entry per sifted round in round order. Per-round
+    ``columns`` and ``records`` are built when first read, by a second pass
+    of the kernel over the session's rows."""
+
     config: SessionConfig
-    columns: RoundColumns
     stats: SessionStats
+    alice_bits: np.ndarray
+    bob_bits: np.ndarray
+
+    @cached_property
+    def columns(self) -> RoundColumns:
+        """Every round as a :class:`RoundColumns`."""
+        config, tables = self.config, self.config.phase_tables
+        chunks = (_run_chunk(config, tables, u) for u in session_uniforms(config))
+        chunks = [_round_columns(tables, chunk) for chunk in chunks]
+        return RoundColumns(*(np.concatenate(field) for field in zip(*chunks)))
 
     @cached_property
     def records(self) -> tuple[RoundRecord, ...]:
-        """Every round as a :class:`RoundRecord`, built when first read."""
+        """Every round as a :class:`RoundRecord`."""
         return _records(self.config, self.columns)
 
 
 def run_session(config: SessionConfig) -> SessionResult:
-    """Run all rounds through the kernel, a chunk of rows at a time, and
-    reduce them."""
+    """Run all rounds through the kernel, a chunk of rows at a time, folding
+    each chunk into the session's counts and sifted bits, and reduce them."""
     tables = config.phase_tables
-    chunks = [_run_chunk(config, tables, u) for u in session_uniforms(config)]
-    if len(chunks) == 1:
-        # a chunk's columns are fresh arrays that share no memory with its
-        # uniforms or the tables, so a kept result pins neither
-        columns = chunks[0]
-    else:
-        columns = RoundColumns(*(np.concatenate(field) for field in zip(*chunks)))
-    return SessionResult(config, columns, session_stats(columns, config))
+    totals, sifted = Counter(), []
+    for u in session_uniforms(config):
+        counts, *bits = _fold(config, tables, _run_chunk(config, tables, u))
+        totals.update(counts)
+        sifted.append(bits)
+    alice, bob = (np.concatenate(bits) for bits in zip(*sifted))
+    return SessionResult(config, session_stats(totals, alice, bob, config), alice, bob)
+
+
+def _stages(n: int) -> int:
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return int(n)
 
 
 def theoretical_efficiency(n: int) -> Fraction:
     """Key-creation efficiency of the n-stage cascade: (2^n - 1) / 2^n."""
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return Fraction(2 ** int(n) - 1, 2 ** int(n))
+    n = _stages(n)
+    return Fraction(2**n - 1, 2**n)
 
 
 def competitor_efficiency(n: int) -> Fraction:
     """Reference efficiency n / (n + 1) of the compared n-stage system."""
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return Fraction(int(n), int(n) + 1)
+    n = _stages(n)
+    return Fraction(n, n + 1)

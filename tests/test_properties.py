@@ -8,7 +8,8 @@ the equivalence of the session kernel with the field-level reference round
 (``session.reference_round``) over drawn session configs, round by round
 and over sessions of several chunks, whose statistics and columns do not
 depend on the chunk budget. The kernel's statistics are checked
-against a fold over the record view (``fold_stats`` below). A
+against a fold over the record view (``fold_stats`` below), also across
+chunk edges, where its sifted bits are those of the records. A
 session's records do not depend on the birefringence mode, since a session
 never draws a fiber. The memoized phase tables of a config
 equal a fresh build of them, also right after the tables of a link that
@@ -637,6 +638,23 @@ def test_stats_reductions_equal_the_record_fold(config):
         value = getattr(stats, field.name)
         assert value is None or type(value) in (int, float, bool), field.name
     assert stats.final_key_length == stats.sifted_length - stats.qber_disclosed
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(chunked_session_configs)
+def test_stats_reductions_equal_the_record_fold_across_chunk_edges(config):
+    # two whole chunks and a partial one: the session sums its counts chunk
+    # by chunk and concatenates the chunks' sifted bits, whose order the QBER
+    # disclosure indexes
+    config = _in_edge_chunks(config, lambda chunk: 2 * chunk + chunk // 2 + 1)
+    assert config.rounds % config.block.chunk_rounds and config.rounds > 2 * config.block.chunk_rounds
+    result = run_session(config)
+    assert repr(result.stats) == repr(fold_stats(result.records, config))
+    # the sifted bits are those of the records, round by round
+    sifted = [r for r in result.records if r.bit in (BitOutcome.BIT0, BitOutcome.BIT1)]
+    sifted = [r for r in sifted if not r.decoy_hit]
+    assert result.alice_bits.tolist() == [r.alice_bit for r in sifted]
+    assert result.bob_bits.tolist() == [r.bit.value for r in sifted]
 
 
 @PROPERTY

@@ -2,6 +2,9 @@ import collections
 import gc
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -26,7 +29,6 @@ from dpsqkd.session import (
     run_round,
     run_session,
     session_uniforms,
-    sift,
     theoretical_efficiency,
 )
 from dpsqkd.stations import BitOutcome, Detector
@@ -127,7 +129,7 @@ def test_multi_click_policy_discard_vs_pick():
 def test_noiseless_sifted_keys_agree():
     cfg = SessionConfig(rounds=100, mean_photons_return=0.8, sample_prob=0.0, master_seed=2)
     result = run_session(cfg)
-    alice, bob = sift(result.columns)
+    alice, bob = result.alice_bits, result.bob_bits
     assert len(alice) > 10
     assert alice.tolist() == bob.tolist()
 
@@ -135,7 +137,7 @@ def test_noiseless_sifted_keys_agree():
 def test_all_rounds_sampled_gives_empty_keys():
     cfg = SessionConfig(rounds=50, sample_prob=1.0, master_seed=3)
     result = run_session(cfg)
-    alice, bob = sift(result.columns)
+    alice, bob = result.alice_bits, result.bob_bits
     assert alice.tolist() == bob.tolist() == []
     assert result.stats.sifted_length == 0
 
@@ -664,12 +666,14 @@ def test_round_uniforms_equal_the_chunked_session_rows(n):
 SESSION_PEAK_BYTES = 8 * 2**20
 
 
-@pytest.mark.parametrize("n, chunks", [(3, 1), (10, 5.5), (MAX_STAGES, 8)])
+@pytest.mark.parametrize("n, chunks", [(3, 1), (3, 40), (10, 5.5), (MAX_STAGES, 8)])
 def test_session_memory_is_bounded_by_the_chunk_budget(n, chunks):
     # a chunk draws at most 2^17 uniforms, or one row where a row is longer,
-    # so a session's working memory stays bounded whatever n and however
-    # many chunks it runs; the widest rows, with the pick and decoys, at a
-    # full n=3 chunk, several n=10 chunks and n=16 chunks of one row
+    # and the session folds it into counts before it draws the next, so a
+    # session's working memory stays bounded whatever n and however many
+    # chunks it runs; the widest rows, with the pick and decoys, at a full
+    # n=3 chunk, 40 n=3 chunks (275 920 rounds), several n=10 chunks and
+    # n=16 chunks of one row
     probe = SessionConfig(
         n_stages=n,
         mean_photons_return=0.8,
@@ -694,6 +698,40 @@ def test_session_memory_is_bounded_by_the_chunk_budget(n, chunks):
         tracemalloc.stop()
     assert result.stats.rounds == cfg.rounds
     assert peak < SESSION_PEAK_BYTES, peak
+
+
+#: the peak RSS of a fresh interpreter that imports the package and runs one
+#: 3·10^6-round n=3 session; an interpreter with numpy imported holds about
+#: 30 MiB, and a session that kept 55 MiB per million rounds held 200 MiB
+FRESH_SESSION_RSS_MIB = 96
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_a_long_session_keeps_no_per_round_memory():
+    # the settings of a finite-size verdict at 40 dB: few clicks, few
+    # sifted bits, and every round's counts folded into the session's sums.
+    # The child reports VmHWM, its own peak RSS: its ru_maxrss would also
+    # count the resident memory of the test process at the fork
+    code = """
+from dpsqkd.channel import ChannelParams
+from dpsqkd.optics import DetectorParams
+from dpsqkd.session import SessionConfig, run_session
+config = SessionConfig(
+    n_stages=3, rounds=3_000_000, mean_photons_return=0.2, sample_prob=0.1,
+    channel=ChannelParams(loss_db=40.0),
+    detector=DetectorParams(quantum_efficiency=0.1, dark_count_prob=1e-6),
+)
+assert run_session(config).stats.rounds == config.rounds
+print(next(line for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+    src = os.path.dirname(os.path.dirname(dpsqkd.session.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mib = int(proc.stdout.split()[-2]) / 1024  # "VmHWM: <n> kB"
+    assert peak_mib < FRESH_SESSION_RSS_MIB, peak_mib
 
 
 def test_round_uniforms_far_ahead_are_one_contiguous_draw():
