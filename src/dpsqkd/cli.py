@@ -257,22 +257,9 @@ def _run_birefringence_sweep(spec: ExperimentSpec) -> ResultTable:
     differ only in ``mode``; the Faraday compensation that makes this exact
     is checked on the reference round's legs, not by this table."""
     cfg = replace(spec.base, master_seed=_variant_seed(spec, 0))
-    result = run_session(cfg)
-    columns = result.columns
-    # a click at gate position 2(k - 1) + c is D1 (c = 0) or D2 in a keyed
-    # round, D3 or D4 in a sampled one
-    first = columns.clicks % 2 == 0
-    sampled = np.repeat(columns.sampled, columns.n_clicks)
-    stats = result.stats
-    counts = (
-        stats.rounds,
-        int(np.count_nonzero(first & ~sampled)),
-        int(np.count_nonzero(~first & ~sampled)),
-        int(np.count_nonzero(first & sampled)),
-        int(np.count_nonzero(~first & sampled)),
-        stats.efficiency,
-        stats.mismatches,
-    )
+    stats = run_session(cfg).stats
+    clicks = (stats.d1_clicks, stats.d2_clicks, stats.d3_clicks, stats.d4_clicks)
+    counts = (stats.rounds, *clicks, stats.efficiency, stats.mismatches)
     return ResultTable(
         "birefringence_sweep",
         ("mode", "rounds", "d1", "d2", "d3", "d4", "efficiency", "mismatches"),

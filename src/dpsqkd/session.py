@@ -47,9 +47,10 @@ Eve's vote, sampling and random picks cost per-round work only when the
 config turns them on; dark counts are in the tables and cost none.
 A session folds each chunk into its counts and its sifted bits as it is
 drawn (``_fold``), and :func:`session_stats` reduces the sums: no per-round
-array outlives its chunk. ``SessionResult.columns`` (a :class:`RoundColumns`)
-and ``records`` (a :class:`RoundRecord` per round) rerun the kernel over the
-same rows when first read; :func:`run_round` runs one row as a chunk of one.
+array outlives its chunk. ``SessionResult.records`` (a :class:`RoundRecord`
+per round) reruns the kernel over the same rows when first read and builds
+each chunk's records from it (``_records``); :func:`run_round` runs one row
+as a chunk of one.
 
 Stream contract. All of a session's rounds read one stream,
 ``np.random.PCG64`` seeded with ``SeedSequence(master_seed,
@@ -321,8 +322,7 @@ _CLASSES = 4
 _KEY_DETECTORS = (Detector.D1, Detector.D2)
 _CHECK_DETECTORS = (Detector.D3, Detector.D4)
 
-#: ``RoundColumns.bit`` codes: no chosen click, then ``_BITS[code]``.
-_NO_BIT = -1
+#: The bit codes of ``PhaseTables.bit``: a D1/D2 click reads ``_BITS[code]``.
 _BITS = (BitOutcome.BIT0, BitOutcome.BIT1, BitOutcome.DISCARD)
 
 
@@ -360,8 +360,8 @@ class PhaseTables(NamedTuple):
     is the same for every phase only up to rounding), so the envelope finds
     the lit slots and each one's own row decides them. At n=16 the tables
     hold 3.6 MiB.
-    ``bit[b, g]`` is the ``RoundColumns.bit`` code of a D1/D2 click at gate
-    position g (``infer_bit``); ``check_matched[b, i]`` says whether check index i
+    ``bit[b, g]`` is the ``_BITS`` code of a D1/D2 click at gate position g
+    (``infer_bit``); ``check_matched[b, i]`` says whether check index i
     scores against Bob's phase, and ``check_compared`` and ``check_error``
     mark the D3/D4 clicks that it compares and counts as errors
     (``alice_score_check``).
@@ -499,40 +499,6 @@ def _return_leg(
     return ((Detector.D1, d1), (Detector.D2, d2)), eve_phase
 
 
-class RoundColumns(NamedTuple):
-    """A run of rounds as arrays, one entry per round, except ``clicks``
-    and ``decoy_slots``, which list only what happened, so that the columns
-    hold a few bytes per round at any n.
-
-    ``key``, ``check``: indices into ``KEY_PHASES`` and ``CHECK_PHASES``;
-    ``bob``: Bob's phase in quarter turns. ``clicks``: the gate position
-    2(k - 1) + c of every click (detector c of gate slot k: D1/D2 in a
-    keyed round, D3/D4 in a sampled one), round by round and ascending
-    within a round, ``n_clicks`` per round. ``bit``: ``_NO_BIT`` when no
-    click was chosen, else an index into ``_BITS``. ``decoy_slots``: the
-    odd slots that carried a decoy, listed like ``clicks``, ``n_decoys``
-    per round. ``eve``: Eve's inferred phase as an index into
-    ``KEY_PHASES``, -1 for none. The check fields are False or 0 in keyed
-    rounds.
-    """
-
-    key: np.ndarray
-    bob: np.ndarray
-    check: np.ndarray
-    sampled: np.ndarray
-    energy_alarm: np.ndarray
-    n_clicks: np.ndarray
-    clicks: np.ndarray
-    bit: np.ndarray
-    check_matched: np.ndarray
-    check_compared: np.ndarray
-    check_errors: np.ndarray
-    n_decoys: np.ndarray
-    decoy_slots: np.ndarray
-    decoy_hit: np.ndarray
-    eve: np.ndarray
-
-
 def _clicks(
     tables: PhaseTables,
     block: RoundBlock,
@@ -585,22 +551,24 @@ def _clicks(
 
 
 #: A chunk as the kernel's head leaves it for its two tails. Per round: the
-#: phases, ``sampled`` and ``check_matched`` as in RoundColumns, the decoy mask
-#: over Alice's odd slots (None without decoys), the key phase Bob reads back
-#: (Eve's guess where she reads), and the clicks, also with those of sampled
-#: rounds zeroed. Per click: its gate position. Per chosen click: its round and
-#: bit; ``inner`` indexes those that read a key bit, and ``hit`` says whether a
-#: decoy replaced its odd slot. Per compared and per erring check click: its round.
+#: indices into ``KEY_PHASES``, ``QUATERNARY`` and ``CHECK_PHASES``, whether it
+#: is sampled and its check basis matched, the decoy mask over Alice's odd
+#: slots (None without decoys), the key phase Bob reads back (Eve's guess where
+#: she reads), and the clicks, also with those of sampled rounds zeroed. Per
+#: click: its gate position, round by round, and per D3/D4 click again in
+#: ``check_clicks``. Per chosen click: its round and ``_BITS`` code; ``inner``
+#: indexes those that read a key bit, and ``hit`` says whether a decoy replaced
+#: its odd slot. Per compared and per erring check click: its round.
 _Chunk = namedtuple(
     "_Chunk",
-    "key bob check sampled n_sampled decoys resent n_clicks keyed_clicks clicks picked"
-    " chosen_bit inner hit check_matched compared errors",
+    "key bob check sampled n_sampled decoys resent n_clicks keyed_clicks clicks check_clicks"
+    " picked chosen_bit inner hit check_matched compared errors",
 )
 
 
 def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> _Chunk:
     """The kernel's head on the rounds whose rows of uniforms are the rows
-    of ``u`` (module docstring), for :func:`_fold` or :func:`_round_columns`:
+    of ``u`` (module docstring), for :func:`_fold` or :func:`_records`:
     per-round work only for what the config turns on, every table read a 1-D
     ``take`` and every click its round and gate position (``_clicks``)."""
     block, m = config.block, len(u)
@@ -656,18 +624,19 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> _Ch
         # slot 2j + 1 for j = (k - 1) // 2, replaced when the round's decoy
         # draw j fell below decoy_prob
         hit = decoys.take(picked.take(inner) * half + (chosen.take(inner) >> 2))
-    check_matched, compared, errors = np.zeros(m, dtype=bool), by_round[:0], by_round[:0]
+    check_matched = np.zeros(m, dtype=bool)
+    check_clicks, compared, errors = clicks[:0], by_round[:0], by_round[:0]
     if n_sampled:
         scored = bob * len(CHECK_PHASES) + check
         check_matched = sampled & tables.check_matched.take(scored)
         on_check = sampled.take(by_round)  # the D3/D4 clicks
-        rounds = by_round[on_check]
-        at = scored.take(rounds) * width + clicks[on_check]
+        rounds, check_clicks = by_round[on_check], clicks[on_check]
+        at = scored.take(rounds) * width + check_clicks
         compared = rounds[tables.check_compared.take(at)]
         errors = rounds[tables.check_error.take(at)]
     return _Chunk(
-        key, bob, check, sampled, n_sampled, decoys, resent, n_clicks, keyed_clicks,
-        clicks, picked, chosen_bit, inner, hit, check_matched, compared, errors,
+        key, bob, check, sampled, n_sampled, decoys, resent, n_clicks, keyed_clicks, clicks,
+        check_clicks, picked, chosen_bit, inner, hit, check_matched, compared, errors,
     )
 
 
@@ -694,6 +663,10 @@ def _fold(
     if tables.eve_reads:
         eve_total = len(kept)
         eve_hits = int(np.count_nonzero(chunk.resent.take(kept) == alice))
+    # the second detector of a gate slot is at an odd gate position
+    n_check = len(chunk.check_clicks)  # none when no round is sampled
+    d4 = int(np.count_nonzero(chunk.check_clicks & 1))
+    d2 = int(np.count_nonzero(chunk.clicks & 1)) - d4
     counts = Counter(
         rounds=m,
         n_sampled=chunk.n_sampled,
@@ -705,46 +678,14 @@ def _fold(
         check_compared=len(chunk.compared),
         check_errors=len(chunk.errors),
         energy_alarms=m if tables.energy_alarm else 0,
+        d1_clicks=len(chunk.clicks) - n_check - d2,
+        d2_clicks=d2,
+        d3_clicks=n_check - d4,
+        d4_clicks=d4,
         eve_total=eve_total,
         eve_hits=eve_hits,
     )
     return counts, alice, bob
-
-
-def _round_columns(tables: PhaseTables, chunk: _Chunk) -> RoundColumns:
-    """A chunk's :class:`RoundColumns`, built only when they are read."""
-    m = len(chunk.key)
-    n_decoys, decoy_slots = np.zeros(m, np.int32), np.zeros(0, np.int32)
-    decoy_hit = np.zeros(m, dtype=bool)
-    if chunk.decoys is not None:
-        half = chunk.decoys.shape[1]
-        flat = np.flatnonzero(chunk.decoys)  # round r's odd slot 2j + 1 at r * half + j
-        decoy_round = flat // half
-        n_decoys = np.bincount(decoy_round, minlength=m).astype(np.int32)
-        decoy_slots = (2 * (flat - decoy_round * half) + 1).astype(np.int32)
-        decoy_hit[chunk.picked.take(chunk.inner)] = chunk.hit
-    bit = np.full(m, _NO_BIT, dtype=np.int8)
-    bit[chunk.picked] = chunk.chosen_bit
-    eve = np.full(m, -1, dtype=np.int8)
-    if tables.eve_reads:
-        eve = np.where(chunk.sampled, -1, chunk.resent).astype(np.int8)
-    return RoundColumns(
-        key=chunk.key,
-        bob=chunk.bob.astype(np.int8),
-        check=chunk.check,
-        sampled=chunk.sampled,
-        energy_alarm=np.full(m, tables.energy_alarm),
-        n_clicks=chunk.n_clicks.astype(np.int32),
-        clicks=chunk.clicks.astype(np.int32),
-        bit=bit,
-        check_matched=chunk.check_matched,
-        check_compared=np.bincount(chunk.compared, minlength=m).astype(np.int32),
-        check_errors=np.bincount(chunk.errors, minlength=m).astype(np.int32),
-        n_decoys=n_decoys,
-        decoy_slots=decoy_slots,
-        decoy_hit=decoy_hit,
-        eve=eve,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -782,31 +723,41 @@ def _by_round(values: np.ndarray, counts: np.ndarray) -> list[list[int]]:
 
 
 def _records(
-    config: SessionConfig, columns: RoundColumns, first_index: int = 0
-) -> tuple[RoundRecord, ...]:
-    """The record view of ``columns``, whose first round is ``first_index``."""
-    width = 2 * config.block.gated
+    config: SessionConfig, tables: PhaseTables, chunk: _Chunk, first_index: int
+) -> list[RoundRecord]:
+    """The records of a chunk's rounds, the first of them round ``first_index``."""
+    m, width = len(chunk.key), 2 * config.block.gated
     # a click's code is its gate position 2(k - 1) + c, one round's 2G
     # positions further in a sampled round, whose detectors come two later;
     # one event per code that occurs, shared by the rounds it occurs in
-    codes = columns.clicks + width * np.repeat(columns.sampled, columns.n_clicks)
+    codes = chunk.clicks + width * np.repeat(chunk.sampled, chunk.n_clicks)
     detectors = _KEY_DETECTORS + _CHECK_DETECTORS
     events = {
         c: ClickEvent(detectors[c // width * 2 + c % 2], c % width // 2 + 1)
         for c in np.unique(codes).tolist()
     }
-    clicks = _by_round(codes, columns.n_clicks)
-    decoys = _by_round(columns.decoy_slots, columns.n_decoys)
-    names = ("key", "bob", "check", "sampled", "energy_alarm", "bit", "check_matched")
-    names += ("check_compared", "check_errors", "decoy_hit", "eve")
-    fields = [getattr(columns, name).tolist() for name in names]
+    # the chosen click's bit code, -1 (read as None) where no click was chosen
+    bit = np.full(m, -1, dtype=np.int8)
+    bit[chunk.picked] = chunk.chosen_bit
+    decoys, decoy_hit = [[]] * m, np.zeros(m, dtype=bool)
+    if chunk.decoys is not None:
+        half = chunk.decoys.shape[1]
+        flat = np.flatnonzero(chunk.decoys)  # round r's odd slot 2j + 1 at r * half + j
+        decoys = _by_round(2 * (flat % half) + 1, chunk.decoys.sum(axis=1))
+        decoy_hit[chunk.picked.take(chunk.inner)] = chunk.hit
+    eve = [KEY_PHASES[i] for i in chunk.resent.tolist()] if tables.eve_reads else [None] * m
+    check_counts = (np.bincount(rounds, minlength=m) for rounds in (chunk.compared, chunk.errors))
+    arrays = (chunk.key, chunk.bob, chunk.check, chunk.sampled, chunk.check_matched, *check_counts)
+    keyed = zip(bit.tolist(), decoys, decoy_hit.tolist(), eve)
+    rounds = zip(*(a.tolist() for a in arrays), _by_round(codes, chunk.n_clicks), keyed)
+    alarm, outcomes = bool(tables.energy_alarm), (*_BITS, None)
     records = []
-    for i, (key, bob, check, sampled, alarm, bit, matched, compared, errors, hit, eve) in enumerate(
-        zip(*fields)
+    for i, (key, bob, check, sampled, matched, compared, errors, clicks, fields) in enumerate(
+        rounds, first_index
     ):
-        round_clicks = tuple(events[c] for c in clicks[i])
+        round_clicks = tuple(events[c] for c in clicks)
         common = dict(
-            index=first_index + i,
+            index=i,
             alice_phase=KEY_PHASES[key],
             bob_phase=QUATERNARY[bob],
             sampled=sampled,
@@ -822,17 +773,18 @@ def _records(
                 check_clicks=round_clicks,
             )
         else:
+            code, decoy_slots, hit, eve_phase = fields
             record = RoundRecord(
                 **common,
                 clicks=round_clicks,
                 multi_click=len(round_clicks) >= 2,
-                bit=None if bit == _NO_BIT else _BITS[bit],
-                decoy_positions=tuple(decoys[i]),
+                bit=outcomes[code],
+                decoy_positions=tuple(decoy_slots),
                 decoy_hit=hit,
-                eve_phase=None if eve < 0 else KEY_PHASES[eve],
+                eve_phase=eve_phase,
             )
         records.append(record)
-    return tuple(records)
+    return records
 
 
 def _round_stream(master_seed: int) -> np.random.PCG64:
@@ -894,7 +846,7 @@ def run_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> Ro
     """
     row = _check_round(config, round_index, u).reshape(1, -1)
     tables = config.phase_tables
-    return _records(config, _round_columns(tables, _run_chunk(config, tables, row)), round_index)[0]
+    return _records(config, tables, _run_chunk(config, tables, row), int(round_index))[0]
 
 
 def reference_round(config: SessionConfig, round_index: int, u: Sequence[float]) -> RoundRecord:
@@ -907,7 +859,7 @@ def reference_round(config: SessionConfig, round_index: int, u: Sequence[float])
     kernel, and so :func:`run_round`, must give the same record.
     """
     u = _check_round(config, round_index, u)
-    block = config.block
+    round_index, block = int(round_index), config.block
     phase_a = KEY_PHASES[int(u[0] * 2)]
     phase_b = QUATERNARY[int(u[1] * 4)]
     check_phase = CHECK_PHASES[int(u[2] * 2)]
@@ -994,7 +946,9 @@ def estimate_qber(
 @dataclass(frozen=True)
 class SessionStats:
     """Counts and rates over one session's rounds; the sifted key itself is
-    ``result.alice_bits`` and ``result.bob_bits``."""
+    ``result.alice_bits`` and ``result.bob_bits``. ``d1_clicks`` ..
+    ``d4_clicks`` count every click of each detector, D1 and D2 in keyed
+    rounds and D3 and D4 in sampled ones."""
 
     rounds: int
     n_sampled: int
@@ -1014,6 +968,10 @@ class SessionStats:
     check_errors: int
     check_error_rate: float | None
     energy_alarms: int
+    d1_clicks: int
+    d2_clicks: int
+    d3_clicks: int
+    d4_clicks: int
     eve_agreement: float | None
     alarm: bool
 
@@ -1060,9 +1018,9 @@ def session_stats(
 @dataclass(frozen=True, eq=False)
 class SessionResult:
     """A session's statistics and its sifted key: ``alice_bits`` and
-    ``bob_bits``, one entry per sifted round in round order. Per-round
-    ``columns`` and ``records`` are built when first read, by a second pass
-    of the kernel over the session's rows."""
+    ``bob_bits``, one entry per sifted round in round order. The per-round
+    ``records`` are built when first read, by a second pass of the kernel
+    over the session's rows."""
 
     config: SessionConfig
     stats: SessionStats
@@ -1070,17 +1028,13 @@ class SessionResult:
     bob_bits: np.ndarray
 
     @cached_property
-    def columns(self) -> RoundColumns:
-        """Every round as a :class:`RoundColumns`."""
-        config, tables = self.config, self.config.phase_tables
-        chunks = (_run_chunk(config, tables, u) for u in session_uniforms(config))
-        chunks = [_round_columns(tables, chunk) for chunk in chunks]
-        return RoundColumns(*(np.concatenate(field) for field in zip(*chunks)))
-
-    @cached_property
     def records(self) -> tuple[RoundRecord, ...]:
-        """Every round as a :class:`RoundRecord`."""
-        return _records(self.config, self.columns)
+        """Every round as a :class:`RoundRecord`, built chunk by chunk."""
+        config, tables = self.config, self.config.phase_tables
+        records = []
+        for u in session_uniforms(config):
+            records += _records(config, tables, _run_chunk(config, tables, u), len(records))
+        return tuple(records)
 
 
 def run_session(config: SessionConfig) -> SessionResult:

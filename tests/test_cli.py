@@ -499,8 +499,8 @@ def test_experiments_tree_golden(tmp_path):
 
 
 def test_experiments_build_no_record_view(tmp_path, monkeypatch):
-    # the tables come from statistics and round columns; no experiment pays
-    # for a RoundRecord per round
+    # the tables come from session statistics; no experiment pays for a
+    # RoundRecord per round
     def no_records(*args, **kwargs):
         raise AssertionError("an experiment built a record view")
 

@@ -401,19 +401,21 @@ def test_detect_zero_amplitude_slot_never_clicks():
 
 
 def test_detect_click_frequency_matches_poisson_model():
-    # uniform 8-slot train with total energy 0.1: per-slot click probability
-    # is 1 - exp(-0.1/8); pooling the 8 identical slots over 1e5 rows gives
-    # 8e5 Bernoulli samples, enough to pin the rate to well under 2% relative
+    # uniform 800-slot train with energy 0.1/8 per slot: per-slot click
+    # probability is 1 - exp(-0.1/8); pooling the 800 identical slots over
+    # 1e3 rows gives 8e5 Bernoulli samples, enough to pin the rate to well
+    # under 2% relative
     rng = np.random.default_rng(1)
+    slots = 800
     amp = math.sqrt(0.1 / 8)
-    train = PulseTrain.from_amplitudes({k: amp for k in range(1, 9)})
+    train = PulseTrain.from_amplitudes({k: amp for k in range(1, slots + 1)})
     params = DetectorParams(quantum_efficiency=1.0)
-    rounds = 100_000
+    rounds = 1_000
     total = 0
     for _ in range(rounds):
         total += len(detect_one(train, params, rng))
     expected = -math.expm1(-0.1 / 8)
-    measured = total / (8 * rounds)
+    measured = total / (slots * rounds)
     assert abs(measured - expected) / expected < 0.02
 
 

@@ -6,8 +6,8 @@ probabilities bit-for-bit equal to Python's ``abs``, ``**`` and
 two detectors, the readout rule, and
 the equivalence of the session kernel with the field-level reference round
 (``session.reference_round``) over drawn session configs, round by round
-and over sessions of several chunks, whose statistics and columns do not
-depend on the chunk budget. The kernel's statistics are checked
+and over sessions of several chunks, whose statistics and sifted bits do
+not depend on the chunk budget. The kernel's statistics are checked
 against a fold over the record view (``fold_stats`` below), also across
 chunk edges, where its sifted bits are those of the records. A
 session's records do not depend on the birefringence mode, since a session
@@ -31,6 +31,7 @@ cases; the fixed-example tests in the other files stay as goldens.
 """
 
 import cmath
+import collections
 import dataclasses
 import math
 from fractions import Fraction
@@ -426,7 +427,7 @@ CHUNK_BUDGETS = (2**12, 2**15, dpsqkd.session._CHUNK_UNIFORMS)
 def test_session_results_do_not_depend_on_the_chunk_budget(config, chunks, sample_prob):
     # under each budget the session runs as a different number of chunks,
     # the last one partial under the module's, and gives the same
-    # statistics and columns
+    # statistics, detector counts included, and sifted bits
     width = config.block.width
     top = max(CHUNK_BUDGETS) // width
     rounds = int(chunks * top) + 1
@@ -441,10 +442,10 @@ def test_session_results_do_not_depend_on_the_chunk_budget(config, chunks, sampl
     first, *others = results
     for result in others:
         assert result.stats == first.stats
-        for name in first.columns._fields:
-            column, expected = getattr(result.columns, name), getattr(first.columns, name)
-            assert column.dtype == expected.dtype, name
-            assert np.array_equal(column, expected), name
+        for name in ("alice_bits", "bob_bits"):
+            bits, expected = getattr(result, name), getattr(first, name)
+            assert bits.dtype == expected.dtype, name
+            assert np.array_equal(bits, expected), name
 
 
 def _every_odd_slot_replaced(eve_kind, mu, policy):
@@ -465,28 +466,28 @@ def _every_odd_slot_replaced(eve_kind, mu, policy):
     result = run_session(config)
     for i in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, config.rounds - 1):
         assert result.records[i] == reference_round(config, i, round_uniforms(config, i))
-    assert result.columns.n_decoys.sum() == 4 * config.rounds
-    return result.columns
+    assert sum(len(record.decoy_positions) for record in result.records) == 4 * config.rounds
+    return result.records
 
 
 @pytest.mark.parametrize("eve_kind", list(EveKind))
 def test_sessions_with_every_odd_slot_replaced_and_no_click(eve_kind):
     # the scatter replaces every odd slot and the pick has no click to
     # choose from; under attack Eve still reads a phase and resends
-    columns = _every_odd_slot_replaced(eve_kind, 1e-300, DoubleClickPolicy.RANDOM_PICK)
-    assert not columns.n_clicks.any() and columns.clicks.size == 0
+    records = _every_odd_slot_replaced(eve_kind, 1e-300, DoubleClickPolicy.RANDOM_PICK)
+    assert not any(record.clicks for record in records)
     attacked = eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
-    assert (columns.eve >= 0).all() if attacked else (columns.eve < 0).all()
+    assert all((record.eve_phase is not None) == attacked for record in records)
 
 
 @pytest.mark.parametrize("eve_kind", list(EveKind))
 @pytest.mark.parametrize("policy", list(DoubleClickPolicy))
 def test_sessions_with_every_odd_slot_replaced_and_clicks(eve_kind, policy):
-    columns = _every_odd_slot_replaced(eve_kind, 0.8, policy)
+    records = _every_odd_slot_replaced(eve_kind, 0.8, policy)
     # every chosen inner-slot click reads a replaced slot, so no round keeps a key bit
-    inner = (columns.bit == 0) | (columns.bit == 1)
-    assert inner.any()
-    assert (columns.decoy_hit == inner).all()
+    inner = [record.bit in (BitOutcome.BIT0, BitOutcome.BIT1) for record in records]
+    assert any(inner)
+    assert [record.decoy_hit for record in records] == inner
 
 
 #: links whose return train is lit, subnormal or empty, with energy monitors
@@ -554,9 +555,11 @@ def fold_stats(records, config: SessionConfig) -> SessionStats:
     check_matched_rounds = check_compared = check_errors = 0
     energy_alarms = 0
     eve_hits = eve_total = 0
+    detector_clicks = collections.Counter()
     alice_key: list[int] = []
     bob_key: list[int] = []
     for r in records:
+        detector_clicks.update(click.detector for click in r.clicks + r.check_clicks)
         if r.energy_alarm:
             energy_alarms += 1
         if r.sampled:
@@ -621,6 +624,10 @@ def fold_stats(records, config: SessionConfig) -> SessionStats:
         check_errors=check_errors,
         check_error_rate=check_rate,
         energy_alarms=energy_alarms,
+        d1_clicks=detector_clicks[Detector.D1],
+        d2_clicks=detector_clicks[Detector.D2],
+        d3_clicks=detector_clicks[Detector.D3],
+        d4_clicks=detector_clicks[Detector.D4],
         eve_agreement=(eve_hits / eve_total) if eve_total else None,
         alarm=alarm,
     )

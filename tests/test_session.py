@@ -169,9 +169,11 @@ def test_a_return_far_below_the_arriving_light_keeps_the_odd_slots_lit():
         sample_prob=0.0,
     )
     assert cfg.phase_tables.odd
-    placed = run_session(cfg).columns.n_decoys.sum()
-    assert placed > 0
-    assert placed == run_session(replace(cfg, source_mean_photons=512.0)).columns.n_decoys.sum()
+    far, default = (
+        [record.decoy_positions for record in run_session(config).records]
+        for config in (cfg, replace(cfg, source_mean_photons=512.0))
+    )
+    assert any(far) and far == default
 
 
 #: Sessions whose records are pinned: decoy rounds are built from per-slot
@@ -505,8 +507,8 @@ def test_run_session_builds_no_config_for_its_tables(built):
 
 @pytest.mark.parametrize("eve_kind", list(EveKind))
 def test_a_kept_one_chunk_result_pins_no_chunk(monkeypatch, eve_kind):
-    # a one-chunk session keeps its chunk's columns without a copy: none of
-    # them may be a view of the chunk's uniforms or of the shared tables
+    # a one-chunk session keeps its chunk's sifted bits without a copy:
+    # neither may be a view of the chunk's uniforms or of the shared tables
     chunks = []
     draw = dpsqkd.session.session_uniforms
 
@@ -529,9 +531,10 @@ def test_a_kept_one_chunk_result_pins_no_chunk(monkeypatch, eve_kind):
     )
     result = run_session(config)
     assert len(chunks) == 1
-    for name, column in result.columns._asdict().items():
+    assert len(result.alice_bits) > 0
+    for name in ("alice_bits", "bob_bits"):
         for source in (chunks[0], *config.phase_tables):
-            assert not np.shares_memory(column, source), name
+            assert not np.shares_memory(getattr(result, name), source), name
 
 
 # --- estimate_qber ----------------------------------------------------------------
@@ -661,6 +664,18 @@ def test_round_uniforms_equal_the_chunked_session_rows(n):
     assert round_uniforms(cfg, np.int64(chunk)) == rows[chunk].tolist()
 
 
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+def test_a_numpy_round_index_gives_the_session_record(integer):
+    # the record goldens hash repr, so a round run alone on a numpy index
+    # must give its session's record down to the index's type
+    cfg = SessionConfig(rounds=8, mean_photons_return=0.8, decoy_prob=0.3, master_seed=7)
+    index = integer(5)
+    expected = repr(run_session(cfg).records[5])
+    u = round_uniforms(cfg, index)
+    assert repr(run_round(cfg, index, u)) == expected
+    assert repr(reference_round(cfg, index, u)) == expected
+
+
 #: the traced peak of a session, its phase tables aside: 8x the 1 MiB of
 #: uniforms a chunk draws
 SESSION_PEAK_BYTES = 8 * 2**20
@@ -744,25 +759,17 @@ def test_round_uniforms_far_ahead_are_one_contiguous_draw():
     assert round_uniforms(cfg, i) + round_uniforms(cfg, i + 1) == draw
 
 
-ROUND_COLUMN_DTYPES = {
-    **dict.fromkeys(("key", "bob", "check", "bit", "eve"), np.int8),
-    **dict.fromkeys(("sampled", "energy_alarm", "check_matched", "decoy_hit"), np.bool_),
-    **dict.fromkeys(
-        ("n_clicks", "clicks", "check_compared", "check_errors", "n_decoys", "decoy_slots"),
-        np.int32,
-    ),
-}
-
-
 @pytest.mark.parametrize("n", [1, 3, 6])
 @pytest.mark.parametrize("decoy_prob", [0.0, 0.3])
 @pytest.mark.parametrize("eve_kind", list(EveKind))
 @pytest.mark.parametrize("sample_prob", [0.0, 0.2])
 @pytest.mark.parametrize("dark", [0.0, 0.01])
 def test_round_columns_contract(monkeypatch, n, decoy_prob, eve_kind, sample_prob, dark):
-    # the record and stats goldens compare values after ``tolist``, so they
-    # cannot see a column's dtype; every session here spans two chunks, of
-    # 2^15 uniforms to keep the sessions short
+    # the per-round contract of the record view, which each chunk builds
+    # from its own arrays: int indices in round order, clicks of the round's
+    # own detectors on gate slots, ascending odd decoy slots and Eve's phase
+    # in every unsampled attacked round. Every session here spans two
+    # chunks, of 2^15 uniforms to keep the sessions short
     monkeypatch.setattr(dpsqkd.session, "_CHUNK_UNIFORMS", 2**15)
     probe = SessionConfig(n_stages=n)
     cfg = SessionConfig(
@@ -775,21 +782,23 @@ def test_round_columns_contract(monkeypatch, n, decoy_prob, eve_kind, sample_pro
         detector=DetectorParams(dark_count_prob=dark),
         master_seed=41,
     )
-    columns = run_session(cfg).columns
-    assert set(columns._fields) == set(ROUND_COLUMN_DTYPES)
-    for name, dtype in ROUND_COLUMN_DTYPES.items():
-        column = getattr(columns, name)
-        assert column.dtype == dtype, name
-        if name not in ("clicks", "decoy_slots"):
-            assert column.shape == (cfg.rounds,), name
-    assert columns.clicks.shape == (columns.n_clicks.sum(),)
-    assert columns.decoy_slots.shape == (columns.n_decoys.sum(),)
-    assert columns.n_clicks.any()
-    if decoy_prob == 0.0:
-        assert columns.decoy_slots.size == 0 and not columns.n_decoys.any()
-        assert not columns.decoy_hit.any()
-    else:
-        assert columns.n_decoys.any()
+    records = run_session(cfg).records
+    assert len(records) == cfg.rounds
+    gate, odd = set(range(1, 2**n + 2)), set(range(1, 2**n, 2))
+    attacked = eve_kind is EveKind.INTERCEPT_RESEND_REFERENCE
+    keyed, sampled = {Detector.D1, Detector.D2}, {Detector.D3, Detector.D4}
+    for i, record in enumerate(records):
+        assert type(record.index) is int and record.index == i
+        clicks = record.check_clicks if record.sampled else record.clicks
+        assert not (record.clicks if record.sampled else record.check_clicks)
+        assert {click.detector for click in clicks} <= (sampled if record.sampled else keyed)
+        assert {click.slot for click in clicks} <= gate
+        slots = record.decoy_positions
+        assert list(slots) == sorted(set(slots)) and set(slots) <= odd
+        assert all(type(k) is int for k in slots)
+        assert (record.eve_phase is not None) == (attacked and not record.sampled)
+    assert any(record.clicks or record.check_clicks for record in records)
+    assert any(record.decoy_positions for record in records) == (decoy_prob > 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, MAX_STAGES])
@@ -975,10 +984,11 @@ def test_dark_counts_on_a_vacuum_return_fill_the_gate():
         master_seed=12,
     )
     result = run_session(cfg)
-    clicks = result.columns.clicks
+    clicks = [click for record in result.records for click in record.clicks]
+    assert len(clicks) == result.stats.d1_clicks + result.stats.d2_clicks
     trials = rounds * 2 * (2**n + 1)
     assert abs(len(clicks) - trials * dark) < 5 * math.sqrt(trials * dark * (1 - dark))
-    slots = {click.slot for record in result.records for click in record.clicks}
+    slots = {click.slot for click in clicks}
     assert slots == set(dpsqkd.stations.CascadeConfig(n, PHASE_0).gate)
 
 
