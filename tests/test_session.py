@@ -262,10 +262,10 @@ def test_decoy_session_records_golden():
 
 def test_workload_stats_golden():
     digests = {
-        "keygen": "bbc588bde4f12909260722da6d1a1467f15ccc98ca37f15cf08b26c1c286350f",
-        "attack": "02347cf2741270b0bb559ed0e24270f718411b3796ca5c8f6faeccd4ced7605b",
-        "decoy": "8f58bcd1c0291c84f729e263b880203cf2277c4eb79e78f58420e6290c547089",
-        "n=6": "a250c8d5563763d2b964f55101bb17db3e25b4da23f03121d78a6acf4c879c10",
+        "keygen": "6d5e3b3ee776594a1ea2e68a43238f682d4c2fe3294344d5ea2106e6b1f3bb4e",
+        "attack": "6ff00b9694ff36c1f817216775336695c67c6991f7751c871a9b7db08ec2a85b",
+        "decoy": "8bbccb74661e0c9262b898276c2258b749107faedd804a85a6d7eccd422e99fb",
+        "n=6": "9cdb2b567ec4a53823c2c40269937b2a3f29458fc0e17a3541ee964b782895ff",
     }
     for name, cfg in WORKLOAD_CONFIGS.items():
         assert sha256_of_repr(run_session(cfg).stats) == digests[name], name
