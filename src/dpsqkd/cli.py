@@ -103,9 +103,13 @@ def _build_session(overrides: dict, seed: int) -> SessionConfig:
         if key not in _KEY_SECTION:
             raise ConfigError(f"unknown config key: {key}")
         sections[_KEY_SECTION[key]][key] = value
-    cfg = _replace(SessionConfig(), master_seed=seed)
-    parts = {section: _replace(getattr(cfg, section), **sections[section]) for section in _SECTIONS}
-    return _replace(cfg, **parts, **sections["session"])
+    try:
+        parts = {name: kind(**sections[name]) for name, kind in _SECTIONS.items()}
+        return SessionConfig(**parts, **sections["session"], master_seed=seed)
+    except ValueError as e:
+        # a bad seed is reported before any other bad value
+        _replace(SessionConfig(), master_seed=seed)
+        raise ConfigError(str(e)) from None
 
 
 def parse_config(path) -> list[ExperimentSpec]:
@@ -238,9 +242,10 @@ def _run_efficiency_scan(spec: ExperimentSpec) -> ResultTable:
 
 
 def _run_attack_demo(spec: ExperimentSpec) -> ResultTable:
-    attacked = replace(spec.base, eve_kind=EveKind.INTERCEPT_RESEND_REFERENCE)
-    off = replace(attacked, sample_prob=0.0, decoy_prob=0.0, master_seed=_variant_seed(spec, 0))
-    on = replace(attacked, master_seed=_variant_seed(spec, 1))
+    attack = EveKind.INTERCEPT_RESEND_REFERENCE
+    off_seed, on_seed = _variant_seed(spec, 0), _variant_seed(spec, 1)
+    off = replace(spec.base, eve_kind=attack, sample_prob=0.0, decoy_prob=0.0, master_seed=off_seed)
+    on = replace(spec.base, eve_kind=attack, master_seed=on_seed)
     return ResultTable(
         "attack_demo",
         ("variant", *(column for column, _ in _ATTACK_COLUMNS)),
@@ -272,15 +277,16 @@ def _run_truth_table(spec: ExperimentSpec) -> ResultTable:
     non-interfering (edge) slot has magnitude 1; ``odd_slots_click_d1`` is
     None at n=1, where no inner slot is odd."""
     n = spec.base.n_stages
-    slots = CascadeConfig(n, QUATERNARY[0]).gate
+    # Bob's cascade and train for each of his phases, encoded with both key phases
+    cascades = [CascadeConfig(n, phase_b) for phase_b in QUATERNARY]
+    trains = [bob_prepare(cascade, 1 + 0j) for cascade in cascades]
+    slots = cascades[0].gate
     odd_inner = slots[2:-1:2]
     norm = 2.0 ** (n + 1)
     rows = []
     for bit, phase_a in enumerate(KEY_PHASES):
-        for phase_b in QUATERNARY:
-            cascade = CascadeConfig(n, phase_b)
-            encoded = alice_encode(bob_prepare(cascade, 1 + 0j), phase_a)
-            d1, d2 = bob_measure(encoded, cascade)
+        for phase_b, cascade, train in zip(QUATERNARY, cascades, trains):
+            d1, d2 = bob_measure(alice_encode(train, phase_a), cascade)
             c1 = [abs(d1.amplitude(k)) * norm for k in slots]
             c2 = [abs(d2.amplitude(k)) * norm for k in slots]
             odd_inner_d1 = all(c1[k - 1] > 1e-9 for k in odd_inner) if odd_inner else None

@@ -46,11 +46,14 @@ bits, decoy hits and check scores from the tables by 1-D takes. Decoys,
 Eve's vote, sampling and random picks cost per-round work only when the
 config turns them on; dark counts are in the tables and cost none.
 A session folds each chunk into its counts and its sifted bits as it is
-drawn (``_fold``), and :func:`session_stats` reduces the sums: no per-round
-array outlives its chunk. ``SessionResult.records`` (a :class:`RoundRecord`
-per round) reruns the kernel over the same rows when first read and builds
-each chunk's records from it (``_records``); :func:`run_round` runs one row
-as a chunk of one.
+drawn (``_fold``): the counts are one flat record (``_Counts``), the count
+fields of :class:`SessionStats` in its field order and then Eve's two.
+``run_session`` sums the records field by field, keeps a one-chunk
+session's record and bits as they are, and :func:`session_stats` reduces
+the sums: no per-round array outlives its chunk. ``SessionResult.records``
+(a :class:`RoundRecord` per round) reruns the kernel over the same rows
+when first read and builds each chunk's records from it (``_records``);
+:func:`run_round` runs one row as a chunk of one.
 
 Stream contract. All of a session's rounds read one stream,
 ``np.random.PCG64`` seeded with ``SeedSequence(master_seed,
@@ -91,7 +94,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -640,12 +643,39 @@ def _run_chunk(config: SessionConfig, tables: PhaseTables, u: np.ndarray) -> _Ch
     )
 
 
+class _Counts(NamedTuple):
+    """A chunk's or a session's counts: the count fields of
+    :class:`SessionStats` in its field order, then of the sifted bits Eve
+    read, ``eve_total``, and got right, ``eve_hits``."""
+
+    rounds: int
+    n_sampled: int
+    n_no_click: int
+    n_single_click: int
+    n_multi_click: int
+    n_edge_single: int
+    check_rounds_matched: int
+    check_compared: int
+    check_errors: int
+    energy_alarms: int
+    d1_clicks: int
+    d2_clicks: int
+    d3_clicks: int
+    d4_clicks: int
+    eve_total: int
+    eve_hits: int
+
+
+#: The fields of :class:`_Counts` that :class:`SessionStats` takes as they are.
+_STATS_COUNTS = _Counts._fields[:-2]
+
+
 def _fold(
     config: SessionConfig, tables: PhaseTables, chunk: _Chunk
-) -> tuple[Counter, np.ndarray, np.ndarray]:
-    """A chunk's counts (:func:`session_stats`) and its sifted bits, Alice's
-    (her key phase) and Bob's: one per chosen inner-slot click that no decoy
-    touched."""
+) -> tuple[_Counts, np.ndarray, np.ndarray]:
+    """A chunk's counts, one :class:`_Counts` record built by position, and
+    its sifted bits, Alice's (her key phase) and Bob's: one per chosen
+    inner-slot click that no decoy touched."""
     m, picked = len(chunk.key), chunk.picked
     if config.detector.double_click_policy is DoubleClickPolicy.RANDOM_PICK:
         n_clicked = len(picked)
@@ -667,23 +697,21 @@ def _fold(
     n_check = len(chunk.check_clicks)  # none when no round is sampled
     d4 = int(np.count_nonzero(chunk.check_clicks & 1))
     d2 = int(np.count_nonzero(chunk.clicks & 1)) - d4
-    counts = Counter(
-        rounds=m,
-        n_sampled=chunk.n_sampled,
-        n_no_click=m - chunk.n_sampled - n_clicked,
-        n_single_click=n_single,
-        n_multi_click=n_clicked - n_single,
-        n_edge_single=n_edge,
-        check_rounds_matched=int(np.count_nonzero(chunk.check_matched)),
-        check_compared=len(chunk.compared),
-        check_errors=len(chunk.errors),
-        energy_alarms=m if tables.energy_alarm else 0,
-        d1_clicks=len(chunk.clicks) - n_check - d2,
-        d2_clicks=d2,
-        d3_clicks=n_check - d4,
-        d4_clicks=d4,
-        eve_total=eve_total,
-        eve_hits=eve_hits,
+    counts = _Counts(
+        m,
+        chunk.n_sampled,
+        m - chunk.n_sampled - n_clicked,  # no click
+        n_single,
+        n_clicked - n_single,  # two or more clicks
+        n_edge,
+        int(np.count_nonzero(chunk.check_matched)),
+        len(chunk.compared),
+        len(chunk.errors),
+        m if tables.energy_alarm else 0,
+        len(chunk.clicks) - n_check - d2, d2,  # D1, D2
+        n_check - d4, d4,  # D3, D4
+        eve_total,
+        eve_hits,
     )
     return counts, alice, bob
 
@@ -977,12 +1005,12 @@ class SessionStats:
 
 
 def session_stats(
-    counts: Counter, alice: np.ndarray, bob: np.ndarray, config: SessionConfig
+    counts: _Counts, alice: np.ndarray, bob: np.ndarray, config: SessionConfig
 ) -> SessionStats:
     """Reduce a session's counts and its sifted bits to protocol-level
     statistics, disclosing a random part of the bits (``estimate_qber``).
-    ``counts`` holds the counts of :class:`SessionStats` by field name, and
-    of the sifted bits Eve read, ``eve_total``, and got right, ``eve_hits``.
+    ``counts`` is the session's :class:`_Counts` record: the count fields of
+    :class:`SessionStats`, which it passes on as they are, then Eve's.
 
     Efficiency and the edge fraction condition on rounds with exactly one
     click, where the slot statistics reflect the interference energies.
@@ -991,17 +1019,17 @@ def session_stats(
     qber, disclosed = estimate_qber(
         alice, bob, config.disclose_fraction, _stats_rng(config.master_seed)
     )
-    n_single, n_edge = counts["n_single_click"], counts["n_edge_single"]
-    compared, errors = counts["check_compared"], counts["check_errors"]
-    eve_total = counts["eve_total"]
+    n_single, n_edge = counts.n_single_click, counts.n_edge_single
+    compared, errors = counts.check_compared, counts.check_errors
+    eve_total = counts.eve_total
     check_rate = errors / compared if compared else None
     alarm = bool(
-        counts["energy_alarms"]
+        counts.energy_alarms
         or (check_rate is not None and check_rate > config.max_check_error)
         or (qber is not None and qber > config.max_qber)
     )
     return SessionStats(
-        **{name: n for name, n in counts.items() if name not in ("eve_total", "eve_hits")},
+        **dict(zip(_STATS_COUNTS, counts)),
         efficiency=(n_single - n_edge) / n_single if n_single else None,
         edge_fraction=n_edge / n_single if n_single else None,
         sifted_length=len(alice),
@@ -1010,7 +1038,7 @@ def session_stats(
         qber_disclosed=disclosed,
         final_key_length=len(alice) - disclosed,
         check_error_rate=check_rate,
-        eve_agreement=counts["eve_hits"] / eve_total if eve_total else None,
+        eve_agreement=counts.eve_hits / eve_total if eve_total else None,
         alarm=alarm,
     )
 
@@ -1039,15 +1067,16 @@ class SessionResult:
 
 def run_session(config: SessionConfig) -> SessionResult:
     """Run all rounds through the kernel, a chunk of rows at a time, folding
-    each chunk into the session's counts and sifted bits, and reduce them."""
+    each chunk into its counts and sifted bits, and reduce their sums."""
     tables = config.phase_tables
-    totals, sifted = Counter(), []
-    for u in session_uniforms(config):
-        counts, *bits = _fold(config, tables, _run_chunk(config, tables, u))
-        totals.update(counts)
-        sifted.append(bits)
-    alice, bob = (np.concatenate(bits) for bits in zip(*sifted))
-    return SessionResult(config, session_stats(totals, alice, bob, config), alice, bob)
+    folds = [_fold(config, tables, _run_chunk(config, tables, u)) for u in session_uniforms(config)]
+    if len(folds) == 1:
+        counts, alice, bob = folds[0]
+    else:
+        per_chunk, alices, bobs = zip(*folds)
+        counts = _Counts._make(map(sum, zip(*per_chunk)))
+        alice, bob = np.concatenate(alices), np.concatenate(bobs)
+    return SessionResult(config, session_stats(counts, alice, bob, config), alice, bob)
 
 
 def _stages(n: int) -> int:

@@ -1,24 +1,40 @@
+import collections
 import contextlib
 import hashlib
 import io
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dpsqkd.session
-from dpsqkd.channel import BirefringenceMode
+from dpsqkd.channel import BirefringenceMode, ChannelParams
 from dpsqkd.cli import (
+    _KEY_SECTION,
     ConfigError,
     ExperimentSpec,
     ResultTable,
+    _build_session,
     emit,
     main,
     parse_config,
     run_experiment,
 )
-from dpsqkd.optics import DoubleClickPolicy
-from dpsqkd.session import MAX_STAGES
+from dpsqkd.optics import ClickEvent, DetectorParams, DoubleClickPolicy
+from dpsqkd.phases import KEY_PHASES, QUATERNARY
+from dpsqkd.session import MAX_STAGES, SessionConfig
+from dpsqkd.stations import (
+    CascadeConfig,
+    Detector,
+    alice_encode,
+    bob_measure,
+    bob_prepare,
+    infer_bit,
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -277,6 +293,86 @@ def test_non_integer_rounds_rejected(tmp_path):
         parse_config(write_config(tmp_path, doc))
 
 
+def _chained_build(overrides: dict, seed) -> SessionConfig:
+    """The reference config build: a default config given the seed, then
+    each section replaced in it, then the config replaced with the sections
+    and the session keys, each step's value check reported as ConfigError."""
+
+    def checked(obj, **changes):
+        try:
+            return replace(obj, **changes)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+
+    sections = {"session": {}, "detector": {}, "channel": {}}
+    for key, value in overrides.items():
+        if key not in _KEY_SECTION:
+            raise ConfigError(f"unknown config key: {key}")
+        sections[_KEY_SECTION[key]][key] = value
+    cfg = checked(SessionConfig(), master_seed=seed)
+    parts = {
+        name: checked(getattr(cfg, name), **sections[name]) for name in ("detector", "channel")
+    }
+    return checked(cfg, **parts, **sections["session"])
+
+
+def _outcome(build, overrides, seed):
+    try:
+        return build(overrides, seed)
+    except ConfigError as e:
+        return f"ConfigError: {e}"
+
+
+# in-range and out-of-range values of every kind a config file can hold
+config_values = st.one_of(
+    st.integers(-2, 18),
+    st.sampled_from([0.0, 0.05, 0.5, 1.0, 1.5, 60.0, 5000.0, -0.5, math.nan, math.inf, 1e-300]),
+    st.sampled_from(
+        [m.value for m in (*DoubleClickPolicy, *BirefringenceMode)]
+        + ["bogus", None, True, [1], {"a": 1}]
+    ),
+)
+config_seeds = st.one_of(
+    st.integers(0, 2**64), st.sampled_from([-1, -(2**40), 2.5, 7.0, "seven", None, True])
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(st.sampled_from([*_KEY_SECTION, "loss", "seed"]), config_values, max_size=6),
+    config_seeds,
+)
+# a bad seed beside a bad detector value and a bad session value: the
+# seed's error comes first
+@example({"quantum_efficiency": 2.0, "n_stages": 0}, -1)
+@example({"loss_db": -1.0}, "seven")
+# every section set, all in range
+@example(
+    {"n_stages": 4, "rounds": 50, "dark_count_prob": 0.01, "double_click_policy": "random_pick",
+     "loss_db": 3.0, "birefringence_mode": "fixed_unitary", "decoy_prob": 0.25},
+    5,
+)
+# a detector and a channel error: the detector's comes first
+@example({"dark_count_prob": -1.0, "loss_db": math.inf, "sample_prob": 2.0}, 0)
+def test_config_build_equals_the_chained_build(overrides, seed):
+    assert _outcome(_build_session, overrides, seed) == _outcome(_chained_build, overrides, seed)
+
+
+def test_config_build_constructs_one_object_per_section(monkeypatch):
+    built = collections.Counter()
+    for cls in (SessionConfig, DetectorParams, ChannelParams):
+
+        def counting(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    overrides = {"n_stages": 4, "dark_count_prob": 0.01, "loss_db": 3.0}
+    config = _build_session(overrides, 9)
+    assert built == {"SessionConfig": 1, "DetectorParams": 1, "ChannelParams": 1}
+    assert config == _chained_build(overrides, 9)
+
+
 # --- run_experiment ---------------------------------------------------------
 
 
@@ -312,6 +408,44 @@ def test_truth_table_rows(tmp_path, n):
             assert cells["odd_slots_click_d1"] is all(cells[f"d1_t{k}"] > 1e-9 for k in odd_inner)
     if n > 1:
         assert {r[-2] for r in table.rows} == {True, False}
+
+
+def _fresh_train_truth_table(n: int) -> list[tuple]:
+    """The truth table's rows from a cascade and a prepared train made
+    afresh for each (Alice, Bob) phase pair."""
+    slots = range(1, 2**n + 2)
+    odd_inner = slots[2:-1:2]
+    norm = 2.0 ** (n + 1)
+    rows = []
+    for bit, phase_a in enumerate(KEY_PHASES):
+        for phase_b in QUATERNARY:
+            cascade = CascadeConfig(n, phase_b)
+            d1, d2 = bob_measure(alice_encode(bob_prepare(cascade, 1 + 0j), phase_a), cascade)
+            c1 = [abs(d1.amplitude(k)) * norm for k in slots]
+            c2 = [abs(d2.amplitude(k)) * norm for k in slots]
+            odd_inner_d1 = all(c1[k - 1] > 1e-9 for k in odd_inner) if odd_inner else None
+            rule_holds = all(
+                (c1[k - 1] > 1e-9) != (c2[k - 1] > 1e-9)
+                and infer_bit(
+                    ClickEvent(Detector.D1 if c1[k - 1] > 1e-9 else Detector.D2, k), cascade
+                ).value
+                == bit
+                for k in slots[1:-1]
+            )
+            rows.append((str(phase_a), str(phase_b), *c1, *c2, odd_inner_d1, rule_holds))
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_truth_table_equals_fresh_trains_per_phase_pair(n):
+    table = run_experiment(ExperimentSpec("truth_table", SessionConfig(n_stages=n, rounds=1)))
+    expected = _fresh_train_truth_table(n)
+    assert len(table.rows) == len(expected) == 8
+    for row, want in zip(table.rows, expected):
+        # every coefficient bit for bit, and both flags by identity (None at n = 1)
+        assert row[:-2] == want[:-2]
+        assert [type(x) for x in row[2:-2]] == [float] * (len(row) - 4)
+        assert row[-2] is want[-2] and row[-1] is want[-1]
 
 
 def test_efficiency_scan_exact_column(tmp_path):
